@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.sparse.csgraph import dijkstra as csgraph_dijkstra
 
-from .graph import VertexMask, WeightedGraph, Path
+from .graph import VertexMask, WeightedGraph, Path, induced
 from .nets import PathMetricView, greedy_net
 from .sampler import RngStream, TexpParams, texp_sample_many
 from .separators import greedy_find
@@ -36,12 +36,21 @@ def ceil_log2(n: int) -> int:
     return (n - 1).bit_length()
 
 
+def _paper_k(p_eff: int, n: int) -> int:
+    """K = max(2, 9 * p_eff * ceil(log2 n)), the paper's bound on the number of
+    centers that can threaten one vertex, up to constants."""
+    return max(2, 9 * p_eff * ceil_log2(n))
+
+
+def _beta_of_k(k: int) -> float:
+    return 40.0 * math.log(k) / math.log(2.0)
+
+
 def beta_bound(p_eff: int, n: int) -> float:
     """Padding exponent 40*ln(K)/ln(2) with K = max(2, 9 * p_eff * ceil(log2 n))."""
     if p_eff < 1:
         raise ValueError(f"p_eff must be >= 1, got {p_eff}")
-    k = max(2, 9 * p_eff * ceil_log2(n))
-    return 40.0 * math.log(k) / math.log(2.0)
+    return _beta_of_k(_paper_k(p_eff, n))
 
 
 @dataclass(eq=False)
@@ -64,7 +73,8 @@ class CenterSequence:
     records are in emission order; paths[path_id] is the separator path a
     record came from; separators holds (node mask, separator) per recursion
     node, in visit order. p_eff is the largest number of separator paths any
-    single recursion node needed.
+    single recursion node needed. delta is the scale the nets were built
+    for; carving at another scale is refused.
     """
 
     records: tuple[CenterRecord, ...]
@@ -73,6 +83,7 @@ class CenterSequence:
     p_eff: int
     max_depth: int
     n: int
+    delta: float
 
 
 @dataclass(frozen=True)
@@ -88,11 +99,24 @@ class DecompositionParams:
 
     @classmethod
     def for_graph(cls, delta: float, seed: int, p_eff: int, n: int) -> "DecompositionParams":
+        return cls._with_k(delta, seed, p_eff, n, _paper_k(p_eff, n))
+
+    @classmethod
+    def for_baseline(cls, delta: float, seed: int, n: int) -> "DecompositionParams":
+        """The all-centers baseline: every vertex is a center, so K = max(2, n);
+        it has no separators and records p_eff as 0."""
+        return cls._with_k(delta, seed, 0, n, max(2, n))
+
+    @classmethod
+    def _with_k(cls, delta: float, seed: int, p_eff: int, n: int,
+                K: int) -> "DecompositionParams":
         if delta <= 0:
             raise ValueError(f"delta must be positive, got {delta}")
-        K = max(2, 9 * p_eff * ceil_log2(n))
-        lam = delta / (10.0 * math.log(K))
-        return cls(delta, int(seed), p_eff, n, K, lam)
+        return cls(delta, int(seed), p_eff, n, K, delta / (10.0 * math.log(K)))
+
+    def beta(self) -> float:
+        """Padding exponent 40*ln(K)/ln(2) of this scheme."""
+        return _beta_of_k(self.K)
 
     def texp(self) -> TexpParams:
         return TexpParams(self.lam, self.delta / 4.0, 0.4 * self.delta)
@@ -163,7 +187,7 @@ def choose_centers(g: WeightedGraph, delta: float, finder=greedy_find) -> Center
             stack.append((flap, depth + 1))
 
     return CenterSequence(
-        tuple(records), tuple(paths), tuple(separators), p_eff, max_depth, g.n
+        tuple(records), tuple(paths), tuple(separators), p_eff, max_depth, g.n, delta
     )
 
 
@@ -179,8 +203,7 @@ def _ensure_profiles(g: WeightedGraph, records, delta: float) -> None:
         key = id(rec.subgraph)
         pending.setdefault(key, (rec.subgraph, []))[1].append(rec)
     for mask, recs in pending.values():
-        verts = mask.sorted_vertices()
-        sub = g.csr()[verts][:, verts]
+        sub, verts = induced(g, mask)
         centers_local = np.searchsorted(verts, [rec.center for rec in recs])
         dmat = csgraph_dijkstra(
             sub, directed=False, indices=centers_local,
@@ -193,11 +216,11 @@ def _ensure_profiles(g: WeightedGraph, records, delta: float) -> None:
             rec._profile = (cutoff, row[sel][order], verts[sel][order])
 
 
-def _carve_records(g: WeightedGraph, records, delta: float, lam: float,
+def _carve_records(g: WeightedGraph, records, params: DecompositionParams,
                    rng: RngStream) -> Partition:
     """Shared carving loop: one radius per record, in order, first claim wins."""
-    _ensure_profiles(g, records, delta)
-    radii = texp_sample_many(TexpParams(lam, delta / 4.0, 0.4 * delta), rng, len(records))
+    _ensure_profiles(g, records, params.delta)
+    radii = texp_sample_many(params.texp(), rng, len(records))
     cluster_of = np.full(g.n, -1, dtype=np.int64)
     clusters: list[Cluster] = []
     for rec, radius in zip(records, radii):
@@ -217,8 +240,12 @@ def _carve_records(g: WeightedGraph, records, delta: float, lam: float,
 
 def carve(g: WeightedGraph, centers: CenterSequence, params: DecompositionParams) -> Partition:
     """Random-radius ball carving over a center sequence built at the same delta."""
-    rng = RngStream(params.seed)
-    return _carve_records(g, centers.records, params.delta, params.lam, rng)
+    if params.delta != centers.delta:
+        raise ValueError(
+            f"params.delta={params.delta!r} differs from the delta={centers.delta!r} "
+            f"the centers were chosen for"
+        )
+    return _carve_records(g, centers.records, params, RngStream(params.seed))
 
 
 def decompose(g: WeightedGraph, delta: float, seed: int, finder=greedy_find) -> Partition:
@@ -241,13 +268,11 @@ def _baseline_records(g: WeightedGraph) -> list[CenterRecord]:
 def baseline_decompose(g: WeightedGraph, delta: float, seed: int) -> Partition:
     """Ball carving in the full graph with all vertices as centers, in an order
     shuffled by the seed; the classical all-centers comparison scheme."""
-    if delta <= 0:
-        raise ValueError(f"delta must be positive, got {delta}")
+    params = DecompositionParams.for_baseline(delta, seed, g.n)
     records = _baseline_records(g)
     rng = RngStream(seed)
     order = rng.permutation(g.n)
-    lam = delta / (10.0 * math.log(max(2, g.n)))
-    return _carve_records(g, [records[i] for i in order], delta, lam, rng)
+    return _carve_records(g, [records[i] for i in order], params, rng)
 
 
 def format_partition(part: Partition, header: dict) -> str:
@@ -268,7 +293,7 @@ def dump_partition(part: Partition, params: DecompositionParams, path) -> None:
         "p_eff": params.p_eff,
         "K": params.K,
         "lambda": repr(params.lam),
-        "beta": repr(beta_bound(params.p_eff, params.n)),
+        "beta": repr(params.beta()),
     }
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(format_partition(part, header))

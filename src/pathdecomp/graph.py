@@ -4,6 +4,19 @@ Everything downstream (separators, carving, verification) measures distances
 through this module. A graph is immutable once built; "deleting" vertices is
 expressed by running an operation under a VertexMask, which induces the
 residual subgraph on the still-alive vertices.
+
+Every residual operation lives here, once:
+
+- A VertexMask is the graph size and a frozenset of alive ids, nothing else.
+- `components`, `ball`, `farthest` and `sssp` touch only alive vertices and
+  their edges, so a separator-recursion node costs O(residual + its edges),
+  not O(n). Their only O(n) work is allocating the distance lists.
+- `induced` is the one place that slices the CSR by a vertex set. scipy runs
+  on induced subgraphs where one call serves a whole residual: the
+  separator's double sweep and the multi-source ball profiles.
+- Single-source residual queries use the heap Dijkstra below. Most recursion
+  nodes have 1-10 vertices, where slicing a CSR and calling scipy costs over
+  ten times the heap search.
 """
 
 from __future__ import annotations
@@ -14,6 +27,7 @@ from heapq import heappop, heappush
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse.csgraph import connected_components
 from scipy.sparse.csgraph import dijkstra as csgraph_dijkstra
 
 INF = math.inf
@@ -56,20 +70,8 @@ class WeightedGraph:
         self.adj = adj
         self._csr = None
         self._cache: dict = {}
-        if n > 1:
-            seen = [False] * n
-            stack = [0]
-            seen[0] = True
-            count = 1
-            while stack:
-                u = stack.pop()
-                for v, _ in adj[u]:
-                    if not seen[v]:
-                        seen[v] = True
-                        count += 1
-                        stack.append(v)
-            if count != n:
-                raise GraphError("graph is disconnected; only connected inputs are accepted")
+        if n > 1 and connected_components(self.csr(), directed=False, return_labels=False) != 1:
+            raise GraphError("graph is disconnected; only connected inputs are accepted")
 
     def edge_weight(self, u: int, v: int) -> float:
         """Smallest weight among (u,v) edges; raises if u and v are not adjacent."""
@@ -84,18 +86,17 @@ class WeightedGraph:
     def csr(self) -> sp.csr_matrix:
         """Symmetric CSR adjacency (parallel edges coalesced to the min weight)."""
         if self._csr is None:
-            best: dict[tuple[int, int], float] = {}
-            for u, v, w in self.edges:
-                key = (u, v) if u < v else (v, u)
-                if key not in best or w < best[key]:
-                    best[key] = w
-            rows, cols, data = [], [], []
-            for (u, v), w in best.items():
-                rows += [u, v]
-                cols += [v, u]
-                data += [w, w]
+            e = np.array(self.edges, dtype=np.float64).reshape(-1, 3)
+            lo = np.minimum(e[:, 0], e[:, 1]).astype(np.int64)
+            hi = np.maximum(e[:, 0], e[:, 1]).astype(np.int64)
+            # per vertex pair, the lightest parallel edge sorts first and is kept
+            order = np.lexsort((e[:, 2], hi, lo))
+            lo, hi, w = lo[order], hi[order], e[order, 2]
+            first = np.ones(len(w), dtype=bool)
+            first[1:] = (lo[1:] != lo[:-1]) | (hi[1:] != hi[:-1])
+            lo, hi, w = lo[first], hi[first], w[first]
             self._csr = sp.csr_matrix(
-                (np.array(data), (np.array(rows, dtype=np.int64), np.array(cols, dtype=np.int64))),
+                (np.concatenate([w, w]), (np.concatenate([lo, hi]), np.concatenate([hi, lo]))),
                 shape=(self.n, self.n),
             )
         return self._csr
@@ -107,17 +108,15 @@ class WeightedGraph:
 class VertexMask:
     """Set of still-alive vertices; induces the residual subgraph."""
 
-    __slots__ = ("n", "alive", "_bools", "_sorted")
+    __slots__ = ("n", "alive")
 
     def __init__(self, n: int, alive):
-        alive = frozenset(int(v) for v in alive)
-        for v in alive:
-            if not (0 <= v < n):
-                raise GraphError(f"mask vertex {v} outside [0,{n})")
+        alive = frozenset(map(int, alive))
+        if alive and (min(alive) < 0 or max(alive) >= n):
+            bad = min(alive) if min(alive) < 0 else max(alive)
+            raise GraphError(f"mask vertex {bad} outside [0,{n})")
         self.n = n
         self.alive = alive
-        self._bools = None
-        self._sorted = None
 
     @classmethod
     def full(cls, n: int) -> "VertexMask":
@@ -125,19 +124,6 @@ class VertexMask:
 
     def without(self, vertices) -> "VertexMask":
         return VertexMask(self.n, self.alive.difference(vertices))
-
-    def bools(self) -> list[bool]:
-        if self._bools is None:
-            b = [False] * self.n
-            for v in self.alive:
-                b[v] = True
-            self._bools = b
-        return self._bools
-
-    def sorted_vertices(self) -> np.ndarray:
-        if self._sorted is None:
-            self._sorted = np.array(sorted(self.alive), dtype=np.int64)
-        return self._sorted
 
     def __contains__(self, v) -> bool:
         return v in self.alive
@@ -197,8 +183,7 @@ class ShortestPaths:
         return Path.from_vertices(g, chain)
 
 
-def _dijkstra(g: WeightedGraph, alive: list[bool], src: int, cutoff: float | None = None,
-              target: int | None = None):
+def _dijkstra(g: WeightedGraph, mask: VertexMask, src: int, cutoff: float | None = None):
     """Masked Dijkstra engine. Returns (dist, parent) lists over all n vertices.
 
     Relaxation is strict (<), so the parent tree is determined by adjacency
@@ -210,14 +195,13 @@ def _dijkstra(g: WeightedGraph, alive: list[bool], src: int, cutoff: float | Non
     dist[src] = 0.0
     heap = [(0.0, src)]
     adj = g.adj
+    alive = mask.alive
     while heap:
         d, u = heappop(heap)
         if d > dist[u]:
             continue
-        if target is not None and u == target:
-            break
         for v, w in adj[u]:
-            if not alive[v]:
+            if v not in alive:
                 continue
             nd = d + w
             if cutoff is not None and nd > cutoff:
@@ -237,7 +221,7 @@ def sssp(g: WeightedGraph, mask: VertexMask, src: int) -> ShortestPaths:
     """
     if src not in mask:
         raise MaskError(f"source {src} is not alive in the mask")
-    dist, parent = _dijkstra(g, mask.bools(), src)
+    dist, parent = _dijkstra(g, mask, src)
     return ShortestPaths(src, tuple(dist), tuple(parent))
 
 
@@ -247,43 +231,50 @@ def ball(g: WeightedGraph, mask: VertexMask, center: int, radius: float) -> froz
         raise MaskError(f"center {center} is not alive in the mask")
     if radius < 0:
         raise ValueError(f"radius must be non-negative, got {radius}")
-    dist, _ = _dijkstra(g, mask.bools(), center, cutoff=radius)
-    # dist[v] == INF marks dead/unreachable vertices; they are never in the
-    # ball, even at radius == INF (where the ball is the whole component)
-    return frozenset(v for v in range(g.n) if dist[v] <= radius and dist[v] != INF)
+    dist, _ = _dijkstra(g, mask, center, cutoff=radius)
+    # dist[v] == INF marks unreachable vertices; they are never in the ball,
+    # even at radius == INF (where the ball is the whole component)
+    return frozenset(v for v in mask.alive if dist[v] <= radius and dist[v] != INF)
 
 
 def components(g: WeightedGraph, mask: VertexMask) -> list[VertexMask]:
     """Connected components of the residual graph, ordered by smallest member id."""
-    alive = mask.bools()
-    seen = [False] * g.n
+    alive = mask.alive
+    seen = set()
     out = []
-    for s in range(g.n):
-        if not alive[s] or seen[s]:
+    for s in sorted(alive):
+        if s in seen:
             continue
         comp = [s]
-        seen[s] = True
+        seen.add(s)
         stack = [s]
         while stack:
             u = stack.pop()
             for v, _ in g.adj[u]:
-                if alive[v] and not seen[v]:
-                    seen[v] = True
+                if v in alive and v not in seen:
+                    seen.add(v)
                     comp.append(v)
                     stack.append(v)
         out.append(VertexMask(g.n, comp))
     return out
 
 
+def induced(g: WeightedGraph, mask: VertexMask) -> tuple[sp.csr_matrix, np.ndarray]:
+    """CSR adjacency of the residual graph and the sorted ids of its vertices:
+    local index i of the matrix is vertex sorted_ids[i]."""
+    verts = np.fromiter(sorted(mask.alive), dtype=np.int64, count=len(mask))
+    return g.csr()[verts][:, verts], verts
+
+
 def farthest(g: WeightedGraph, mask: VertexMask, src: int) -> tuple[int, float]:
     """Reachable vertex maximizing residual distance from src; ties -> smallest id."""
     if src not in mask:
         raise MaskError(f"source {src} is not alive in the mask")
-    dist, _ = _dijkstra(g, mask.bools(), src)
+    dist, _ = _dijkstra(g, mask, src)
     best_v, best_d = -1, -INF
-    for v in range(g.n):
+    for v in mask.alive:
         d = dist[v]
-        if d != INF and d > best_d:
+        if d != INF and (d > best_d or (d == best_d and v < best_v)):
             best_v, best_d = v, d
     return best_v, best_d
 

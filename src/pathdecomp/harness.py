@@ -8,14 +8,12 @@ the single `timestamp` header entry, so golden-file comparisons just mask it.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 from datetime import datetime, timezone
 
 from .decomposer import (
     DecompositionParams,
     baseline_decompose,
-    beta_bound,
     carve,
     choose_centers,
     dump_partition,
@@ -115,7 +113,10 @@ def build_graph(cfg: ExperimentConfig):
 def default_deltas(g: WeightedGraph) -> tuple[float, ...]:
     """{W/8, W/4, W/2} for weighted diameter W; a single-vertex graph (W = 0)
     falls back to delta = 1."""
-    w = weighted_diameter(g)
+    return _deltas_for_diameter(weighted_diameter(g))
+
+
+def _deltas_for_diameter(w: float) -> tuple[float, ...]:
     if w <= 0:
         return (1.0,)
     return (w / 8.0, w / 4.0, w / 2.0)
@@ -138,7 +139,7 @@ def _run_scheme(g: WeightedGraph, delta: float, scheme: str, cfg: ExperimentConf
             "p_eff": seq.p_eff,
             "K": params.K,
             "lambda": params.lam,
-            "beta": beta_bound(seq.p_eff, g.n),
+            "beta": params.beta(),
             "centers": len(seq.records),
             "max_depth": seq.max_depth,
         })
@@ -153,8 +154,9 @@ def _run_scheme(g: WeightedGraph, delta: float, scheme: str, cfg: ExperimentConf
         result["threatener_bound"] = threat.bound
         result["threatener_worst"] = threat.worst()
     else:
+        params = DecompositionParams.for_baseline(delta, cfg.seed, g.n)
         part = baseline_decompose(g, delta, cfg.seed)
-        result["lambda"] = delta / (10.0 * math.log(max(2, g.n)))
+        result["lambda"] = params.lam
 
     checks["partition"] = _check_str(verifier.check_partition(g, part))
     checks["diameter"] = _check_str(verifier.check_cluster_diameters(g, part, delta))
@@ -176,36 +178,10 @@ def _run_scheme(g: WeightedGraph, delta: float, scheme: str, cfg: ExperimentConf
     result["pass"] = all(v == "ok" for v in checks.values())
 
     if cfg.dump_partition:
-        if scheme == "paper":
-            dump_params = params
-        else:
-            dump_params = DecompositionParams(
-                delta, cfg.seed, 0, g.n, max(2, g.n), result["lambda"]
-            )
         path = f"{cfg.dump_partition}.delta-{delta!r}.{scheme}.txt"
-        _dump_with_baseline_guard(part, dump_params, path, scheme, g.n)
+        dump_partition(part, params, path)
         result["partition_dump"] = path
     return result
-
-
-def _dump_with_baseline_guard(part, params, path, scheme, n):
-    if scheme == "paper":
-        dump_partition(part, params, path)
-        return
-    # baseline has no separator machinery; p_eff is written as 0 and beta
-    # comes from the baseline exponent ln(max(2, n))
-    from .decomposer import format_partition
-
-    header = {
-        "delta": repr(params.delta),
-        "seed": params.seed,
-        "p_eff": 0,
-        "K": params.K,
-        "lambda": repr(params.lam),
-        "beta": repr(40.0 * math.log(max(2, n)) / math.log(2.0)),
-    }
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(format_partition(part, header))
 
 
 def run_experiment(cfg: ExperimentConfig) -> dict:
@@ -213,7 +189,8 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
     cfg.out when set). report["pass"] aggregates every check."""
     cfg.validate()
     g, desc, extras = build_graph(cfg)
-    deltas = cfg.deltas if cfg.deltas is not None else default_deltas(g)
+    diameter = weighted_diameter(g)
+    deltas = cfg.deltas if cfg.deltas is not None else _deltas_for_diameter(diameter)
     schemes = ("paper", "baseline") if cfg.scheme == "both" else (cfg.scheme,)
 
     results = []
@@ -228,7 +205,7 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
             "source": desc,
             "n": g.n,
             "m": len(g.edges),
-            "weighted_diameter": weighted_diameter(g),
+            "weighted_diameter": diameter,
             **extras,
         },
         "deltas": [float(d) for d in deltas],

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.sparse.csgraph import dijkstra as csgraph_dijkstra
 
-from .graph import Path, VertexMask, WeightedGraph, components, sssp
+from .graph import Path, VertexMask, WeightedGraph, components, induced, sssp
 
 
 class NotATreeError(ValueError):
@@ -127,12 +127,6 @@ def validate_separator(g: WeightedGraph, mask: VertexMask, sep: PathSeparator):
     return None
 
 
-def _submatrix(g: WeightedGraph, comp: VertexMask):
-    verts = comp.sorted_vertices()
-    sub = g.csr()[verts][:, verts]
-    return sub, verts
-
-
 def _approx_diameter_path(g: WeightedGraph, comp: VertexMask) -> Path:
     """Shortest path between double-sweep endpoints of one component.
 
@@ -140,10 +134,9 @@ def _approx_diameter_path(g: WeightedGraph, comp: VertexMask) -> Path:
     distance from u (argmax ties resolve to the smallest id because vertices
     are scanned in sorted order).
     """
-    verts = comp.sorted_vertices()
-    if len(verts) == 1:
-        return Path((int(verts[0]),), 0.0)
-    sub, _ = _submatrix(g, comp)
+    if len(comp) == 1:
+        return Path(tuple(comp.alive), 0.0)
+    sub, verts = induced(g, comp)
     d0 = csgraph_dijkstra(sub, directed=False, indices=0)
     u_local = int(np.argmax(d0))
     d1, pred = csgraph_dijkstra(sub, directed=False, indices=u_local, return_predecessors=True)
@@ -165,13 +158,13 @@ def greedy_find(g: WeightedGraph, mask: VertexMask) -> PathSeparator:
     """
     if len(mask) == 0:
         raise ValueError("cannot separate an empty residual graph")
-    if len(components(g, mask)) != 1:
+    comps = components(g, mask)
+    if len(comps) != 1:
         raise ValueError("greedy_find requires a connected residual graph")
     limit = len(mask) // 2
     residual = mask
     groups = []
     while True:
-        comps = components(g, residual)
         big = [c for c in comps if len(c) > limit]
         if not big:
             break
@@ -179,9 +172,9 @@ def greedy_find(g: WeightedGraph, mask: VertexMask) -> PathSeparator:
         path = _approx_diameter_path(g, target)
         groups.append(SeparatorGroup((path,), residual))
         residual = residual.without(path.vertices)
+        comps = components(g, residual)
     separator = frozenset(mask.alive - residual.alive)
-    flaps = tuple(components(g, residual))
-    return PathSeparator(tuple(groups), separator, flaps, len(groups))
+    return PathSeparator(tuple(groups), separator, tuple(comps), len(groups))
 
 
 def tree_centroid_find(g: WeightedGraph, mask: VertexMask) -> PathSeparator:
@@ -189,13 +182,13 @@ def tree_centroid_find(g: WeightedGraph, mask: VertexMask) -> PathSeparator:
     n_alive = len(mask)
     if n_alive == 0:
         raise ValueError("cannot separate an empty residual graph")
-    alive = mask.bools()
-    edge_count = sum(1 for u, v, _ in g.edges if alive[u] and alive[v])
-    comps = components(g, mask)
-    if len(comps) != 1 or edge_count != n_alive - 1:
+    alive = mask.alive
+    # each edge, parallel ones included, appears once in each endpoint's list
+    edge_count = sum(1 for u in alive for v, _ in g.adj[u] if v in alive) // 2
+    if edge_count != n_alive - 1 or len(components(g, mask)) != 1:
         raise NotATreeError("residual graph is not a tree")
 
-    root = int(mask.sorted_vertices()[0])
+    root = min(alive)
     order = []
     parent = {root: -1}
     stack = [root]
@@ -203,7 +196,7 @@ def tree_centroid_find(g: WeightedGraph, mask: VertexMask) -> PathSeparator:
         u = stack.pop()
         order.append(u)
         for v, _ in g.adj[u]:
-            if alive[v] and v not in parent:
+            if v in alive and v not in parent:
                 parent[v] = u
                 stack.append(v)
     size = {u: 1 for u in order}

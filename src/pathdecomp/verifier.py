@@ -20,10 +20,8 @@ from .decomposer import (
     CenterSequence,
     DecompositionParams,
     Partition,
-    _baseline_records,
-    _carve_records,
     _ensure_profiles,
-    beta_bound,
+    baseline_decompose,
     carve,
     ceil_log2,
     choose_centers,
@@ -328,20 +326,16 @@ def estimate_padding(g: WeightedGraph, delta: float, finder=greedy_find,
         seq = choose_centers(g, delta, finder)
         params = DecompositionParams.for_graph(delta, seed, seq.p_eff, g.n)
         p_eff = seq.p_eff
-        beta = beta_bound(p_eff, g.n)
 
         def run_trial(t):
             return carve(g, seq, replace(params, seed=derive_seed(seed, t)))
     else:
-        records = _baseline_records(g)
-        lam = delta / (10.0 * math.log(max(2, g.n)))
+        params = DecompositionParams.for_baseline(delta, seed, g.n)
         p_eff = None
-        beta = 40.0 * math.log(max(2, g.n)) / math.log(2.0)
 
         def run_trial(t):
-            rng = RngStream(derive_seed(seed, t))
-            order = rng.permutation(g.n)
-            return _carve_records(g, [records[i] for i in order], delta, lam, rng)
+            return baseline_decompose(g, delta, derive_seed(seed, t))
+    beta = params.beta()
 
     successes = np.zeros(len(starts), dtype=np.int64)
     for t in range(trials):

@@ -230,6 +230,17 @@ class TestCarve:
                 assert best <= delta / 4.0
         assert seen == set(range(g.n))
 
+    @pytest.mark.parametrize("carve_delta", [16.0, 2.0])
+    def test_rejects_mismatched_delta(self, carve_delta):
+        # centers netted at delta=8: a larger delta used to carve silently and
+        # a smaller one to fail deep in the loop with a CoverageError
+        g = gen_grid(16, 16)
+        seq = choose_centers(g, 8.0)
+        assert seq.delta == 8.0
+        params = DecompositionParams.for_graph(carve_delta, 0, seq.p_eff, g.n)
+        with pytest.raises(ValueError, match=rf"delta={carve_delta!r}.*delta=8\.0"):
+            carve(g, seq, params)
+
 
 class TestBaseline:
     def test_single_vertex(self):
