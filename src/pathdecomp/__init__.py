@@ -45,6 +45,7 @@ from .separators import (
     validate_separator,
 )
 from .decomposer import (
+    BallIndex,
     CenterRecord,
     CenterSequence,
     Cluster,

@@ -2,18 +2,26 @@
 
 Phase one walks the separator recursion: at every node it asks a finder for a
 path separator, places net points (spacing delta/4) on every separator path,
-and pairs each net point with the residual subgraph its path lived in. Phase
-two draws one truncated-exponential radius per center, in sequence order, and
-lets each center claim the not-yet-claimed part of its ball, which is computed
-in the center's own subgraph, not the full graph.
+and pairs each net point with the residual subgraph its path lived in. It also
+builds the sequence's BallIndex: every center's maximal ball (radius
+2*delta/5), computed in the center's own subgraph, not the full graph, stored
+vertex-major as (record, distance) incidences.
+
+Phase two draws one truncated-exponential radius per center, in sequence
+order. The first claim wins: a vertex joins the first center in that order
+whose ball of the drawn radius reaches it. Over the index that is one numpy
+reduction per trial, with no loop over centers: a vertex's label is the
+smallest rank among its incidences that lie within their record's radius.
 
 A comparison baseline carves balls in the full graph around all vertices in
-random order.
+random order; there a center's rank is its position in the seed's
+permutation.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -53,7 +61,7 @@ def beta_bound(p_eff: int, n: int) -> float:
     return _beta_of_k(_paper_k(p_eff, n))
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class CenterRecord:
     """One carving center: the vertex, the subgraph its ball lives in, and its
     position in the global sequence."""
@@ -63,7 +71,89 @@ class CenterRecord:
     order: int
     depth: int
     path_id: int
-    _profile: tuple | None = field(default=None, repr=False)
+
+
+# Sources per scipy Dijkstra call while building a BallIndex; bounds the dense
+# distance block at this many rows of the subgraph's size.
+SOURCE_BLOCK = 256
+
+
+@dataclass(frozen=True, eq=False)
+class BallIndex:
+    """The maximal balls (radius 2*delta/5) of a list of records, vertex-major.
+
+    Vertex v's incidences are positions starts[v]:starts[v + 1] of `record`
+    and `distance`, sorted by record: record i's center lies at that distance
+    from v in record i's own subgraph, at most 2*delta/5. Records are numbered
+    0..n_records-1 by their position in the list the index was built from.
+    The arrays are read-only.
+    """
+
+    n: int
+    n_records: int
+    delta: float
+    record: np.ndarray
+    distance: np.ndarray
+    starts: np.ndarray
+
+    def __post_init__(self):
+        for arr in (self.record, self.distance, self.starts):
+            arr.flags.writeable = False
+
+    @classmethod
+    def of_records(cls, g: WeightedGraph, records, delta: float) -> "BallIndex":
+        """Index of each record's ball in its subgraph; records sharing a
+        subgraph are solved in one multi-source Dijkstra."""
+        groups: dict[int, tuple[VertexMask, list[int], list[int]]] = {}
+        for i, rec in enumerate(records):
+            _, ids, centers = groups.setdefault(id(rec.subgraph), (rec.subgraph, [], []))
+            ids.append(i)
+            centers.append(rec.center)
+        return cls._build(g, groups.values(), len(records), delta)
+
+    @classmethod
+    def of_all_vertices(cls, g: WeightedGraph, delta: float) -> "BallIndex":
+        """Index of every vertex's ball in the full graph; record v is vertex v."""
+        ids = np.arange(g.n, dtype=np.int64)
+        return cls._build(g, [(VertexMask.full(g.n), ids, ids)], g.n, delta)
+
+    @classmethod
+    def _build(cls, g: WeightedGraph, groups, count: int, delta: float) -> "BallIndex":
+        cutoff = 0.4 * delta
+        limit = float(np.nextafter(cutoff, np.inf))
+        recs, verts, dists = [], [], []
+        for mask, ids, centers in groups:
+            sub, sub_verts = induced(g, mask)
+            ids = np.asarray(ids, dtype=np.int64)
+            sources = np.searchsorted(sub_verts, centers)
+            for lo in range(0, len(sources), SOURCE_BLOCK):
+                dmat = np.atleast_2d(csgraph_dijkstra(
+                    sub, directed=False, indices=sources[lo:lo + SOURCE_BLOCK], limit=limit,
+                ))
+                row, col = np.nonzero(dmat <= cutoff)
+                recs.append(ids[lo + row])
+                verts.append(sub_verts[col])
+                dists.append(dmat[row, col])
+        rec, vert, dist = (np.concatenate(a) for a in (recs, verts, dists))
+        order = np.lexsort((rec, vert))
+        starts = np.zeros(g.n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(vert, minlength=g.n), out=starts[1:])
+        return cls(g.n, count, float(delta), rec[order], dist[order], starts)
+
+    def labels(self, radius: np.ndarray, rank: np.ndarray) -> np.ndarray:
+        """First claim per vertex: the smallest rank[r] over the records r whose
+        ball of radius radius[r] reaches the vertex. Ranks are a permutation of
+        range(n_records). Raises CoverageError naming the smallest vertex that
+        no ball reaches."""
+        hit = np.where(self.distance <= radius[self.record], rank[self.record], self.n_records)
+        out = np.full(self.n, self.n_records, dtype=np.int64)
+        seg = self.starts[:-1]
+        nonempty = seg < self.starts[1:]
+        out[nonempty] = np.minimum.reduceat(hit, seg[nonempty])
+        missing = np.flatnonzero(out == self.n_records)
+        if missing.size:
+            raise CoverageError(f"vertex {int(missing[0])} was claimed by no ball")
+        return out
 
 
 @dataclass(frozen=True)
@@ -74,7 +164,8 @@ class CenterSequence:
     record came from; separators holds (node mask, separator) per recursion
     node, in visit order. p_eff is the largest number of separator paths any
     single recursion node needed. delta is the scale the nets were built
-    for; carving at another scale is refused.
+    for; carving at another scale is refused. index holds the records'
+    maximal balls at that scale.
     """
 
     records: tuple[CenterRecord, ...]
@@ -84,6 +175,7 @@ class CenterSequence:
     max_depth: int
     n: int
     delta: float
+    index: BallIndex = field(repr=False)
 
 
 @dataclass(frozen=True)
@@ -187,65 +279,47 @@ def choose_centers(g: WeightedGraph, delta: float, finder=greedy_find) -> Center
             stack.append((flap, depth + 1))
 
     return CenterSequence(
-        tuple(records), tuple(paths), tuple(separators), p_eff, max_depth, g.n, delta
+        tuple(records), tuple(paths), tuple(separators), p_eff, max_depth, g.n, delta,
+        BallIndex.of_records(g, records, delta),
     )
 
 
-def _ensure_profiles(g: WeightedGraph, records, delta: float) -> None:
-    """Attach to each record the sorted (distance, vertex) arrays of its maximal
-    ball (radius 2*delta/5 in its own subgraph). Records sharing a subgraph are
-    solved in one multi-source Dijkstra."""
-    cutoff = 0.4 * delta
-    pending: dict[int, tuple[VertexMask, list[CenterRecord]]] = {}
-    for rec in records:
-        if rec._profile is not None and rec._profile[0] == cutoff:
-            continue
-        key = id(rec.subgraph)
-        pending.setdefault(key, (rec.subgraph, []))[1].append(rec)
-    for mask, recs in pending.values():
-        sub, verts = induced(g, mask)
-        centers_local = np.searchsorted(verts, [rec.center for rec in recs])
-        dmat = csgraph_dijkstra(
-            sub, directed=False, indices=centers_local,
-            limit=float(np.nextafter(cutoff, np.inf)),
-        )
-        dmat = np.atleast_2d(dmat)
-        for rec, row in zip(recs, dmat):
-            sel = np.nonzero(row <= cutoff)[0]
-            order = np.lexsort((verts[sel], row[sel]))
-            rec._profile = (cutoff, row[sel][order], verts[sel][order])
-
-
-def _carve_records(g: WeightedGraph, records, params: DecompositionParams,
-                   rng: RngStream) -> Partition:
-    """Shared carving loop: one radius per record, in order, first claim wins."""
-    _ensure_profiles(g, records, params.delta)
-    radii = texp_sample_many(params.texp(), rng, len(records))
-    cluster_of = np.full(g.n, -1, dtype=np.int64)
-    clusters: list[Cluster] = []
-    for rec, radius in zip(records, radii):
-        _, dists, verts = rec._profile
-        k = int(np.searchsorted(dists, radius, side="right"))
-        sel = verts[:k]
-        fresh = sel[cluster_of[sel] < 0]
-        if fresh.size == 0:
-            continue  # empty clusters are dropped
-        cluster_of[fresh] = len(clusters)
-        clusters.append(Cluster(np.sort(fresh), rec, float(radius)))
-    if (cluster_of < 0).any():
-        missing = int(np.nonzero(cluster_of < 0)[0][0])
-        raise CoverageError(f"vertex {missing} was claimed by no ball")
-    return Partition(cluster_of, clusters)
-
-
-def carve(g: WeightedGraph, centers: CenterSequence, params: DecompositionParams) -> Partition:
-    """Random-radius ball carving over a center sequence built at the same delta."""
+def _require_same_delta(centers: CenterSequence, params: DecompositionParams) -> None:
+    """Refuse params at another scale than the one the centers were chosen for."""
     if params.delta != centers.delta:
         raise ValueError(
             f"params.delta={params.delta!r} differs from the delta={centers.delta!r} "
             f"the centers were chosen for"
         )
-    return _carve_records(g, centers.records, params, RngStream(params.seed))
+
+
+def _partition(labels: np.ndarray, radii: np.ndarray,
+               record_of: Callable[[int], CenterRecord]) -> Partition:
+    """Partition from first-claim labels: one cluster per label in use, in
+    rank order, with its vertices sorted. radii and record_of map a rank to
+    the radius and the record of the center that holds it."""
+    ranks, cluster_of = np.unique(labels, return_inverse=True)
+    by_cluster = np.argsort(cluster_of, kind="stable")
+    cuts = np.cumsum(np.bincount(cluster_of))[:-1]
+    clusters = [
+        Cluster(verts, record_of(r), float(radii[r]))
+        for r, verts in zip(ranks.tolist(), np.split(by_cluster, cuts))
+    ]
+    return Partition(cluster_of, clusters)
+
+
+def _carve_labels(centers: CenterSequence, params: DecompositionParams) -> tuple:
+    """First-claim labels of one paper-scheme trial (rank = record position),
+    and the radii drawn for it, one per record in sequence order."""
+    radii = texp_sample_many(params.texp(), RngStream(params.seed), len(centers.records))
+    return centers.index.labels(radii, np.arange(len(radii))), radii
+
+
+def carve(g: WeightedGraph, centers: CenterSequence, params: DecompositionParams) -> Partition:
+    """Random-radius ball carving over a center sequence built at the same delta."""
+    _require_same_delta(centers, params)
+    labels, radii = _carve_labels(centers, params)
+    return _partition(labels, radii, centers.records.__getitem__)
 
 
 def decompose(g: WeightedGraph, delta: float, seed: int, finder=greedy_find) -> Partition:
@@ -256,23 +330,39 @@ def decompose(g: WeightedGraph, delta: float, seed: int, finder=greedy_find) -> 
     return carve(g, seq, params)
 
 
-def _baseline_records(g: WeightedGraph) -> list[CenterRecord]:
-    if "baseline_records" not in g._cache:
-        full = VertexMask.full(g.n)
-        g._cache["baseline_records"] = [
-            CenterRecord(v, full, v, 0, -1) for v in range(g.n)
-        ]
-    return g._cache["baseline_records"]
+def _baseline_index(g: WeightedGraph, delta: float) -> BallIndex:
+    """All-vertices index at scale delta. The graph caches the latest one
+    only, so at most one baseline index per graph stays in memory."""
+    index = g._cache.get("baseline_index")
+    if index is None or index.delta != delta:
+        index = g._cache["baseline_index"] = BallIndex.of_all_vertices(g, delta)
+    return index
+
+
+def _baseline_labels(g: WeightedGraph, delta: float, seed: int) -> tuple:
+    """First-claim labels of one baseline trial, the carving order, and the
+    radii: the seed's stream gives the permutation first, then one radius per
+    position. A vertex's rank is its position in the permutation."""
+    params = DecompositionParams.for_baseline(delta, seed, g.n)
+    rng = RngStream(seed)
+    order = rng.permutation(g.n)
+    radii = texp_sample_many(params.texp(), rng, g.n)
+    rank = np.empty(g.n, dtype=np.int64)
+    rank[order] = np.arange(g.n)
+    return _baseline_index(g, delta).labels(radii[rank], rank), order, radii
 
 
 def baseline_decompose(g: WeightedGraph, delta: float, seed: int) -> Partition:
     """Ball carving in the full graph with all vertices as centers, in an order
     shuffled by the seed; the classical all-centers comparison scheme."""
-    params = DecompositionParams.for_baseline(delta, seed, g.n)
-    records = _baseline_records(g)
-    rng = RngStream(seed)
-    order = rng.permutation(g.n)
-    return _carve_records(g, [records[i] for i in order], params, rng)
+    labels, order, radii = _baseline_labels(g, delta, seed)
+    full = VertexMask.full(g.n)
+
+    def record_of(rank: int) -> CenterRecord:
+        v = int(order[rank])
+        return CenterRecord(v, full, v, 0, -1)
+
+    return _partition(labels, radii, record_of)
 
 
 def format_partition(part: Partition, header: dict) -> str:

@@ -13,7 +13,7 @@ Every residual operation lives here, once:
   not O(n). Their only O(n) work is allocating the distance lists.
 - `induced` is the one place that slices the CSR by a vertex set. scipy runs
   on induced subgraphs where one call serves a whole residual: the
-  separator's double sweep and the multi-source ball profiles.
+  separator's double sweep and the BallIndex build.
 - Single-source residual queries use the heap Dijkstra below. Most recursion
   nodes have 1-10 vertices, where slicing a CSR and calling scipy costs over
   ten times the heap search.

@@ -20,13 +20,13 @@ from .decomposer import (
     CenterSequence,
     DecompositionParams,
     Partition,
-    _ensure_profiles,
-    baseline_decompose,
-    carve,
+    _baseline_labels,
+    _carve_labels,
+    _require_same_delta,
     ceil_log2,
     choose_centers,
 )
-from .graph import VertexMask, WeightedGraph, ball
+from .graph import WeightedGraph
 from .sampler import RngStream, derive_seed
 from .separators import greedy_find
 
@@ -137,39 +137,36 @@ def count_threateners(g: WeightedGraph, centers: CenterSequence,
     radii range over [delta/4, 2*delta/5] with full support. The count is a
     property of the center sequence alone, independent of the radii.
     """
-    if not 0.0 <= gamma <= GAMMA_MAX:
-        raise ValueError(f"gamma must lie in [0, 1/100], got {gamma}")
-    _ensure_profiles(g, centers.records, params.delta)
-    near = ball(g, VertexMask.full(g.n), x, gamma * params.delta)
-    near_mask = np.zeros(g.n, dtype=bool)
-    near_mask[list(near)] = True
-    count = sum(1 for rec in centers.records if near_mask[rec._profile[2]].any())
-    bound = threatener_bound(params.p_eff, params.n)
-    return ThreatenerCount(x, gamma, count, bound, count <= bound)
+    rep = threatener_report(g, centers, params, gamma, [x])
+    return ThreatenerCount(x, gamma, rep.counts[0], rep.bound, rep.counts[0] <= rep.bound)
 
 
 def threatener_report(g: WeightedGraph, centers: CenterSequence,
                       params: DecompositionParams, gamma: float,
                       vertices=None) -> ThreatenerReport:
-    """Vectorized count_threateners over many vertices at once."""
+    """count_threateners over many vertices at once: per vertex x, the number
+    of distinct records among the ball-index incidences of B_G(x, gamma*delta)."""
     if not 0.0 <= gamma <= GAMMA_MAX:
         raise ValueError(f"gamma must lie in [0, 1/100], got {gamma}")
+    _require_same_delta(centers, params)
     if vertices is None:
         vertices = np.arange(g.n, dtype=np.int64)
     else:
         vertices = np.asarray(sorted(vertices), dtype=np.int64)
-    _ensure_profiles(g, centers.records, params.delta)
     radius = gamma * params.delta
     dmat = np.atleast_2d(csgraph_dijkstra(
         g.csr(), directed=False, indices=vertices,
         limit=float(np.nextafter(radius, np.inf)),
     ))
-    ballmat = (dmat <= radius).astype(np.float32)
-    profmat = np.zeros((len(centers.records), g.n), dtype=np.float32)
-    for i, rec in enumerate(centers.records):
-        profmat[i, rec._profile[2]] = 1.0
-    hits = ballmat @ profmat.T
-    counts = (hits > 0).sum(axis=1)
+    row, near = np.nonzero(dmat <= radius)
+    index = centers.index
+    # every incidence of every ball vertex, tagged with the row of its ball
+    lo = index.starts[near]
+    sizes = index.starts[near + 1] - lo
+    offsets = np.cumsum(sizes) - sizes
+    pos = np.repeat(lo - offsets, sizes) + np.arange(int(sizes.sum()))
+    pairs = np.unique(np.repeat(row, sizes) * index.n_records + index.record[pos])
+    counts = np.bincount(pairs // index.n_records, minlength=len(vertices))
     return ThreatenerReport(
         gamma, tuple(int(v) for v in vertices), tuple(int(c) for c in counts),
         threatener_bound(params.p_eff, params.n),
@@ -327,19 +324,20 @@ def estimate_padding(g: WeightedGraph, delta: float, finder=greedy_find,
         params = DecompositionParams.for_graph(delta, seed, seq.p_eff, g.n)
         p_eff = seq.p_eff
 
-        def run_trial(t):
-            return carve(g, seq, replace(params, seed=derive_seed(seed, t)))
+        def trial_labels(t):
+            return _carve_labels(seq, replace(params, seed=derive_seed(seed, t)))[0]
     else:
         params = DecompositionParams.for_baseline(delta, seed, g.n)
         p_eff = None
 
-        def run_trial(t):
-            return baseline_decompose(g, delta, derive_seed(seed, t))
+        def trial_labels(t):
+            return _baseline_labels(g, delta, derive_seed(seed, t))[0]
     beta = params.beta()
 
+    # first-claim labels are cluster ranks: equal labels, same cluster
     successes = np.zeros(len(starts), dtype=np.int64)
     for t in range(trials):
-        labels = run_trial(t).cluster_of
+        labels = trial_labels(t)
         ok = labels[flat] == labels[anchors]
         successes += np.logical_and.reduceat(ok, starts)
 
