@@ -25,9 +25,8 @@ from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.sparse.csgraph import dijkstra as csgraph_dijkstra
 
-from .graph import VertexMask, WeightedGraph, Path, induced
+from .graph import VertexMask, WeightedGraph, Path, distance_blocks
 from .nets import PathMetricView, greedy_net
 from .sampler import RngStream, TexpParams, texp_sample_many
 from .separators import greedy_find
@@ -73,11 +72,6 @@ class CenterRecord:
     path_id: int
 
 
-# Sources per scipy Dijkstra call while building a BallIndex; bounds the dense
-# distance block at this many rows of the subgraph's size.
-SOURCE_BLOCK = 256
-
-
 @dataclass(frozen=True, eq=False)
 class BallIndex:
     """The maximal balls (radius 2*delta/5) of a list of records, vertex-major.
@@ -119,19 +113,12 @@ class BallIndex:
 
     @classmethod
     def _build(cls, g: WeightedGraph, groups, count: int, delta: float) -> "BallIndex":
-        cutoff = 0.4 * delta
-        limit = float(np.nextafter(cutoff, np.inf))
         recs, verts, dists = [], [], []
         for mask, ids, centers in groups:
-            sub, sub_verts = induced(g, mask)
             ids = np.asarray(ids, dtype=np.int64)
-            sources = np.searchsorted(sub_verts, centers)
-            for lo in range(0, len(sources), SOURCE_BLOCK):
-                dmat = np.atleast_2d(csgraph_dijkstra(
-                    sub, directed=False, indices=sources[lo:lo + SOURCE_BLOCK], limit=limit,
-                ))
-                row, col = np.nonzero(dmat <= cutoff)
-                recs.append(ids[lo + row])
+            for first, dmat, sub_verts in distance_blocks(g, mask, centers, 0.4 * delta):
+                row, col = np.nonzero(np.isfinite(dmat))
+                recs.append(ids[first + row])
                 verts.append(sub_verts[col])
                 dists.append(dmat[row, col])
         rec, vert, dist = (np.concatenate(a) for a in (recs, verts, dists))

@@ -11,12 +11,19 @@ Every residual operation lives here, once:
 - `components`, `ball`, `farthest` and `sssp` touch only alive vertices and
   their edges, so a separator-recursion node costs O(residual + its edges),
   not O(n). Their only O(n) work is allocating the distance lists.
-- `induced` is the one place that slices the CSR by a vertex set. scipy runs
-  on induced subgraphs where one call serves a whole residual: the
-  separator's double sweep and the BallIndex build.
-- Single-source residual queries use the heap Dijkstra below. Most recursion
-  nodes have 1-10 vertices, where slicing a CSR and calling scipy costs over
-  ten times the heap search.
+- `induced` is the one place that slices the CSR by a vertex set; a full
+  mask gets the graph's own CSR.
+- `distance_blocks` is the one multi-source query: distances from many
+  sources, cut at a radius, in a residual. It calls scipy's Dijkstra on at
+  most SOURCE_BLOCK sources at a time, so its memory is capped at
+  SOURCE_BLOCK rows of the residual's size. The BallIndex builds and the
+  verifier's balls, threatener counts and diameter checks all use it.
+- Single-source residual queries use the heap Dijkstra below: on the 1-10
+  vertex residuals of most recursion nodes it is over ten times faster than
+  slicing a CSR for scipy.
+
+scipy's Dijkstra is called twice elsewhere: the separator's double sweep
+needs predecessors, and `weighted_diameter` is exact all-pairs at n <= 512.
 """
 
 from __future__ import annotations
@@ -31,6 +38,10 @@ from scipy.sparse.csgraph import connected_components
 from scipy.sparse.csgraph import dijkstra as csgraph_dijkstra
 
 INF = math.inf
+
+# Sources per scipy Dijkstra call in distance_blocks; a block of distances has
+# at most this many rows of the residual's size.
+SOURCE_BLOCK = 256
 
 
 class GraphError(ValueError):
@@ -262,8 +273,27 @@ def components(g: WeightedGraph, mask: VertexMask) -> list[VertexMask]:
 def induced(g: WeightedGraph, mask: VertexMask) -> tuple[sp.csr_matrix, np.ndarray]:
     """CSR adjacency of the residual graph and the sorted ids of its vertices:
     local index i of the matrix is vertex sorted_ids[i]."""
+    if len(mask) == g.n:
+        return g.csr(), np.arange(g.n, dtype=np.int64)
     verts = np.fromiter(sorted(mask.alive), dtype=np.int64, count=len(mask))
     return g.csr()[verts][:, verts], verts
+
+
+def distance_blocks(g: WeightedGraph, mask: VertexMask, sources, radius: float):
+    """Residual distances from many sources, cut at radius: yields (first,
+    dist, verts) per block of SOURCE_BLOCK sources. verts are the sorted alive
+    ids; dist[i, j] is the distance from sources[first + i] to verts[j] when
+    it is at most radius, inf otherwise."""
+    sub, verts = induced(g, mask)
+    sources = np.asarray(sources, dtype=np.int64)
+    local = np.searchsorted(verts, sources)
+    if not np.array_equal(verts.take(local, mode="clip"), sources):
+        raise MaskError("every source must be alive in the mask")
+    for first in range(0, len(local), SOURCE_BLOCK):
+        # scipy's limit is inclusive: a pair farther apart than radius gets inf
+        dist = csgraph_dijkstra(sub, directed=False, indices=local[first:first + SOURCE_BLOCK],
+                                limit=radius)
+        yield first, np.atleast_2d(dist), verts
 
 
 def farthest(g: WeightedGraph, mask: VertexMask, src: int) -> tuple[int, float]:

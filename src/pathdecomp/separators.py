@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.sparse.csgraph import dijkstra as csgraph_dijkstra
 
-from .graph import Path, VertexMask, WeightedGraph, components, induced, sssp
+from .graph import GraphError, Path, VertexMask, WeightedGraph, components, induced, sssp
 
 
 class NotATreeError(ValueError):
@@ -84,14 +84,10 @@ def validate_separator(g: WeightedGraph, mask: VertexMask, sep: PathSeparator):
                     return SeparatorViolation(
                         "structure", gi, pi, f"path vertex {v} is not alive in its residual"
                     )
-            total = 0.0
-            for a, b in zip(verts, verts[1:]):
-                try:
-                    total += g.edge_weight(a, b)
-                except Exception:
-                    return SeparatorViolation(
-                        "structure", gi, pi, f"consecutive vertices {a},{b} are not adjacent"
-                    )
+            try:
+                total = Path.from_vertices(g, verts).length
+            except GraphError as exc:
+                return SeparatorViolation("structure", gi, pi, str(exc))
             if total != path.length:
                 return SeparatorViolation(
                     "structure", gi, pi,

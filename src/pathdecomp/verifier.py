@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.sparse.csgraph import dijkstra as csgraph_dijkstra
 from scipy.special import ndtri
 
 from .decomposer import (
@@ -26,7 +25,7 @@ from .decomposer import (
     ceil_log2,
     choose_centers,
 )
-from .graph import WeightedGraph
+from .graph import VertexMask, WeightedGraph, distance_blocks
 from .sampler import RngStream, derive_seed
 from .separators import greedy_find
 
@@ -69,22 +68,20 @@ def check_partition(g: WeightedGraph, part: Partition):
 def check_cluster_diameters(g: WeightedGraph, part: Partition, delta: float):
     """Every cluster's full-graph diameter must be at most 4*delta/5."""
     bound = 0.8 * delta
-    csr = g.csr()
-    limit = float(np.nextafter(bound, np.inf))
+    full = VertexMask.full(g.n)
     for cid, cl in enumerate(part.clusters):
         verts = cl.vertices
         if len(verts) <= 1:
             continue
-        dmat = np.atleast_2d(csgraph_dijkstra(csr, directed=False, indices=verts, limit=limit))
-        inside = dmat[:, verts]
-        worst = inside.max()
-        if math.isinf(worst) or worst > bound:
-            i, j = np.unravel_index(int(np.argmax(inside)), inside.shape)
-            return Violation(
-                "diameter",
-                f"cluster {cid}: d({int(verts[i])},{int(verts[j])}) = {worst} "
-                f"exceeds 4*delta/5 = {bound}",
-            )
+        for first, dist, ids in distance_blocks(g, full, verts, bound):
+            inside = dist[:, np.searchsorted(ids, verts)]
+            if np.isinf(inside).any():
+                i, j = np.unravel_index(int(np.argmax(inside)), inside.shape)
+                return Violation(
+                    "diameter",
+                    f"cluster {cid}: d({int(verts[first + i])},{int(verts[j])}) = {inside[i, j]} "
+                    f"exceeds 4*delta/5 = {bound}",
+                )
     return None
 
 
@@ -149,24 +146,18 @@ def threatener_report(g: WeightedGraph, centers: CenterSequence,
     if not 0.0 <= gamma <= GAMMA_MAX:
         raise ValueError(f"gamma must lie in [0, 1/100], got {gamma}")
     _require_same_delta(centers, params)
-    if vertices is None:
-        vertices = np.arange(g.n, dtype=np.int64)
-    else:
-        vertices = np.asarray(sorted(vertices), dtype=np.int64)
-    radius = gamma * params.delta
-    dmat = np.atleast_2d(csgraph_dijkstra(
-        g.csr(), directed=False, indices=vertices,
-        limit=float(np.nextafter(radius, np.inf)),
-    ))
-    row, near = np.nonzero(dmat <= radius)
-    index = centers.index
-    # every incidence of every ball vertex, tagged with the row of its ball
-    lo = index.starts[near]
-    sizes = index.starts[near + 1] - lo
-    offsets = np.cumsum(sizes) - sizes
-    pos = np.repeat(lo - offsets, sizes) + np.arange(int(sizes.sum()))
-    pairs = np.unique(np.repeat(row, sizes) * index.n_records + index.record[pos])
-    counts = np.bincount(pairs // index.n_records, minlength=len(vertices))
+    vertices = np.arange(g.n) if vertices is None else np.asarray(sorted(vertices), dtype=np.int64)
+    index, radius = centers.index, gamma * params.delta
+    counts = np.zeros(len(vertices), dtype=np.int64)
+    for first, dist, ids in distance_blocks(g, VertexMask.full(g.n), vertices, radius):
+        row, col = np.nonzero(np.isfinite(dist))
+        # every incidence of every ball vertex, tagged with the row of its ball
+        lo = index.starts[ids[col]]
+        sizes = index.starts[ids[col] + 1] - lo
+        offsets = np.cumsum(sizes) - sizes
+        pos = np.repeat(lo - offsets, sizes) + np.arange(int(sizes.sum()))
+        pairs = np.unique((first + np.repeat(row, sizes)) * index.n_records + index.record[pos])
+        counts += np.bincount(pairs // index.n_records, minlength=len(vertices))
     return ThreatenerReport(
         gamma, tuple(int(v) for v in vertices), tuple(int(c) for c in counts),
         threatener_bound(params.p_eff, params.n),
@@ -273,24 +264,20 @@ def sample_vertices(g: WeightedGraph, seed: int) -> np.ndarray:
 def _flatten_balls(g: WeightedGraph, delta: float, gammas, vertices):
     """Concatenated ball vertex lists for every (vertex, gamma) pair, with
     segment starts and the anchor vertex repeated per element."""
-    gmax = max(gammas)
-    dmat = np.atleast_2d(csgraph_dijkstra(
-        g.csr(), directed=False, indices=vertices,
-        limit=float(np.nextafter(gmax * delta, np.inf)) if gmax > 0 else 0.0,
-    ))
-    flat, anchors, starts = [], [], []
-    for xi, x in enumerate(vertices):
-        row = dmat[xi]
-        for gamma in gammas:
-            members = np.nonzero(row <= gamma * delta)[0]
-            starts.append(len(flat))
-            flat.extend(int(v) for v in members)
-            anchors.extend([int(x)] * len(members))
-    return (
-        np.array(flat, dtype=np.int64),
-        np.array(anchors, dtype=np.int64),
-        np.array(starts, dtype=np.int64),
-    )
+    radii = np.asarray(gammas) * delta
+    flat, anchors, sizes = [], [], []
+    for first, dist, ids in distance_blocks(g, VertexMask.full(g.n), vertices, radii.max()):
+        row, col = np.nonzero(np.isfinite(dist))
+        # (gamma, element) pairs, then ordered by (row, gamma); the sort is
+        # stable, so members stay in increasing id order
+        k, e = np.nonzero(dist[row, col] <= radii[:, None])
+        seg = row[e] * len(radii) + k
+        order = np.argsort(seg, kind="stable")
+        flat.append(ids[col[e[order]]])
+        anchors.append(vertices[first + row[e[order]]])
+        sizes.append(np.bincount(seg, minlength=len(dist) * len(radii)))
+    sizes = np.concatenate(sizes)
+    return np.concatenate(flat), np.concatenate(anchors), np.cumsum(sizes) - sizes
 
 
 def estimate_padding(g: WeightedGraph, delta: float, finder=greedy_find,

@@ -5,7 +5,8 @@ record, in carving order, draws a radius and claims the not-yet-claimed
 vertices of its ball, the ball coming from its own single-source scipy
 Dijkstra in its own subgraph. `carve`, `baseline_decompose` and
 `estimate_padding` must reproduce it exactly: the same clusters, in the same
-order, with the same records and radii, and the same padding successes.
+order, with the same records and radii, and the same padding successes, the
+padding balls coming from the heap `ball`.
 """
 
 from dataclasses import replace
@@ -29,7 +30,6 @@ from pathdecomp import (
     texp_sample_many,
 )
 from pathdecomp.graph import induced
-from pathdecomp.verifier import _flatten_balls
 
 from test_acceptance import DELTA_FRACTIONS, corpus_specs
 
@@ -172,8 +172,18 @@ def spread_weights(g, seed):
                                for (a, b, _), x in zip(g.edges, u)])
 
 
+def reference_balls(g, delta, vertices):
+    """Every (vertex, gamma) padding ball from the heap `ball`, in (vertex,
+    gamma) order, flattened: members, their anchors and segment starts."""
+    full = VertexMask.full(g.n)
+    balls = [sorted(pd.ball(g, full, int(x), gamma * delta)) for x in vertices for gamma in GAMMAS]
+    sizes = np.array([len(b) for b in balls])
+    anchors = np.repeat(np.repeat(vertices, len(GAMMAS)), sizes)
+    return np.concatenate(balls), anchors, np.cumsum(sizes) - sizes
+
+
 def reference_successes(ref, scheme, trials, seed, vertices):
-    flat, anchors, starts = _flatten_balls(ref.g, ref.delta, GAMMAS, vertices)
+    flat, anchors, starts = reference_balls(ref.g, ref.delta, vertices)
     successes = np.zeros(len(starts), dtype=np.int64)
     for t in range(trials):
         carve = ref.paper if scheme == "paper" else ref.baseline

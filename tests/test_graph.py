@@ -1,10 +1,13 @@
+import ast
 import math
+import pathlib
 from collections import deque
 
 import numpy as np
 import pytest
 from scipy.sparse.csgraph import dijkstra as csgraph_dijkstra
 
+import pathdecomp
 from pathdecomp import (
     GraphError,
     MaskError,
@@ -21,6 +24,7 @@ from pathdecomp import (
     sssp,
     weighted_diameter,
 )
+from pathdecomp.graph import SOURCE_BLOCK, distance_blocks, induced
 
 INF = math.inf
 
@@ -269,6 +273,50 @@ class TestDiameter:
         sweep = weighted_diameter(g)
         exact = csgraph_dijkstra(g.csr(), directed=False).max()
         assert sweep == exact
+
+
+class TestDistanceBlocks:
+    @pytest.mark.parametrize("make,radius", [
+        # column 10 deleted: two components, and unit distances equal to the radius
+        (lambda: gen_grid(30, 30), 7.0),
+        (lambda: gen_ktree(700, 2, "uniform", seed=5).graph, 2.5),
+    ], ids=["grid30", "ktree700-uniform"])
+    def test_masked_residual_matches_heap_search(self, make, radius):
+        g = make()
+        mask = VertexMask.full(g.n).without(range(10, g.n, 30))
+        sources = np.random.default_rng(0).permutation(sorted(mask.alive))
+        assert len(sources) > 2 * SOURCE_BLOCK
+        rows = 0
+        for first, dist, verts in distance_blocks(g, mask, sources, radius):
+            assert first == rows and 1 <= len(dist) <= SOURCE_BLOCK
+            assert verts.tolist() == sorted(mask.alive)
+            for i, row in enumerate(dist):
+                heap = sssp(g, mask, int(sources[first + i])).dist
+                assert row.tolist() == [heap[v] if heap[v] <= radius else INF for v in verts]
+            rows += len(dist)
+        assert rows == len(sources)
+
+    def test_dead_source_raises(self, chain):
+        mask = VertexMask(3, [0, 1])
+        with pytest.raises(MaskError):
+            next(distance_blocks(chain, mask, [0, 2], 1.0))
+
+    def test_full_mask_is_not_sliced(self, grid8):
+        sub, verts = induced(grid8, VertexMask.full(64))
+        assert sub is grid8.csr() and verts.tolist() == list(range(64))
+
+
+def test_scipy_dijkstra_is_imported_only_by_graph_and_separators():
+    # every other multi-source distance query goes through distance_blocks
+    package = pathlib.Path(pathdecomp.__file__).parent
+    users = set()
+    for source in package.glob("*.py"):
+        for node in ast.walk(ast.parse(source.read_text(encoding="utf-8"))):
+            imported = isinstance(node, ast.ImportFrom) and any(
+                alias.name == "dijkstra" for alias in node.names)
+            if imported or (isinstance(node, ast.Attribute) and node.attr == "dijkstra"):
+                users.add(source.name)
+    assert users == {"graph.py", "separators.py"}
 
 
 class TestFileFormat:

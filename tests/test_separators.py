@@ -89,6 +89,20 @@ class TestValidator:
         v = validate_separator(g, full, sep)
         assert v is not None and v.kind == "structure"
 
+    def test_non_adjacent_consecutive_vertices_flagged(self):
+        g = unit_path(5)
+        full = VertexMask.full(5)
+        gap = Path((1, 3), 2.0)  # 1 and 3 are two hops apart, not neighbours
+        sep = PathSeparator(
+            (SeparatorGroup((gap,), full),),
+            frozenset({1, 3}),
+            tuple(components(g, full.without((1, 3)))),
+            1,
+        )
+        v = validate_separator(g, full, sep)
+        assert v is not None and (v.kind, v.group, v.path) == ("structure", 0, 0)
+        assert "1 and 3 are not adjacent" in v.message
+
     def test_wrong_flaps_flagged(self):
         g = unit_path(5)
         full = VertexMask.full(5)

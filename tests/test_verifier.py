@@ -20,10 +20,13 @@ from pathdecomp import (
     tree_centroid_find,
     wilson_lower_bound,
 )
+from pathdecomp.graph import SOURCE_BLOCK
 
 
-def unit_path(n):
-    return WeightedGraph(n, [(i, i + 1, 1.0) for i in range(n - 1)])
+def unit_path(n, order=None):
+    """Unit-weight path visiting the vertices in `order` (default: by id)."""
+    order = list(range(n)) if order is None else order
+    return WeightedGraph(n, [(order[i], order[i + 1], 1.0) for i in range(n - 1)])
 
 
 class TestCheckPartition:
@@ -81,6 +84,39 @@ class TestCheckDiameters:
         part = decompose(g, 5.0, seed=2)
         assert check_cluster_diameters(g, part, 5.0) is None
 
+    def test_message_names_cluster_pair_and_bound(self):
+        g = unit_path(10)
+        part = Partition.from_sets(10, [{0, 9}, set(range(1, 9))])
+        v = check_cluster_diameters(g, part, 2.0)
+        assert str(v) == "[diameter] cluster 0: d(0,9) = inf exceeds 4*delta/5 = 1.6"
+        part = Partition.from_sets(10, [{0}, {1, 2, 3}, set(range(4, 10))])
+        v = check_cluster_diameters(g, part, 5.0)
+        assert v.message == "cluster 2: d(4,9) = inf exceeds 4*delta/5 = 4.0"
+
+    def test_cluster_larger_than_a_source_block_passes(self):
+        g = gen_grid(20, 20)  # diameter 38
+        part = Partition.from_sets(400, [range(400)])
+        assert len(part.clusters[0].vertices) > SOURCE_BLOCK
+        assert check_cluster_diameters(g, part, 47.5) is None  # 4*delta/5 = 38
+        v = check_cluster_diameters(g, part, 47.4)
+        assert v.message == "cluster 0: d(0,399) = inf exceeds 4*delta/5 = 37.92"
+
+    def test_cluster_larger_than_a_source_block_fails(self):
+        g = unit_path(300)
+        part = Partition.from_sets(300, [range(300)])
+        v = check_cluster_diameters(g, part, 300.0)
+        assert v.message == "cluster 0: d(0,241) = inf exceeds 4*delta/5 = 240.0"
+        assert check_cluster_diameters(g, part, 373.75) is None  # 4*delta/5 = 299
+
+    def test_far_pair_only_in_second_source_block(self):
+        # the path runs 256..277, 0..255, 278..299: every vertex of the first
+        # block of sources (ids 0..255) lies within 277 of all others, so only
+        # the second block sees a pair farther apart than 280
+        g = unit_path(300, list(range(256, 278)) + list(range(256)) + list(range(278, 300)))
+        part = Partition.from_sets(300, [range(300)])
+        v = check_cluster_diameters(g, part, 350.0)
+        assert v.message == "cluster 0: d(256,281) = inf exceeds 4*delta/5 = 280.0"
+
 
 class TestRecursionDepth:
     def test_single_vertex(self):
@@ -137,6 +173,17 @@ class TestThreateners:
         rep = threatener_report(g, seq, params, 0.01)
         for x in (0, 13, 49):
             assert count_threateners(g, seq, params, x, 0.01).count == rep.counts[x]
+
+    def test_all_vertices_across_source_blocks(self):
+        g = gen_ktree(600, 2, seed=1).graph
+        assert g.n > SOURCE_BLOCK
+        seq = choose_centers(g, 4.0)
+        params = DecompositionParams.for_graph(4.0, 0, seq.p_eff, g.n)
+        rep = threatener_report(g, seq, params, 0.01)
+        assert rep.vertices == tuple(range(g.n))
+        for x in (0, 255, 256, g.n - 1):
+            assert rep.counts[x] == count_threateners(g, seq, params, x, 0.01).count
+        assert len(set(rep.counts)) > 1
 
     def test_gamma_out_of_range(self):
         g = gen_grid(2, 2)
