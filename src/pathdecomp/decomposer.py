@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .graph import VertexMask, WeightedGraph, Path, distance_blocks
+from .graph import MaskError, Path, VertexMask, WeightedGraph, distance_blocks, nearest_sources
 from .nets import PathMetricView, greedy_net
 from .sampler import RngStream, TexpParams, texp_sample_many
 from .separators import greedy_find
@@ -62,14 +62,15 @@ def beta_bound(p_eff: int, n: int) -> float:
 
 @dataclass(frozen=True, eq=False)
 class CenterRecord:
-    """One carving center: the vertex, the subgraph its ball lives in, and its
-    position in the global sequence."""
+    """One carving center: the vertex, the subgraph its ball lives in, its
+    position in the global sequence, and its index batch key (depth, group)."""
 
     center: int
     subgraph: VertexMask
     order: int
     depth: int
     path_id: int
+    group: int = 0  # position of its separator group in its recursion node
 
 
 @dataclass(frozen=True, eq=False)
@@ -96,36 +97,33 @@ class BallIndex:
 
     @classmethod
     def of_records(cls, g: WeightedGraph, records, delta: float) -> "BallIndex":
-        """Index of each record's ball in its subgraph; records sharing a
-        subgraph are solved in one multi-source Dijkstra."""
-        groups: dict[int, tuple[VertexMask, list[int], list[int]]] = {}
+        """Index of each record's ball in its subgraph. Records sharing a
+        subgraph, or a batch key, are solved together. Raises ValueError when
+        subgraphs sharing a key overlap or a ball crosses between them."""
+        batches: dict[tuple[int, int], dict[int, tuple[VertexMask, list[int]]]] = {}
         for i, rec in enumerate(records):
-            _, ids, centers = groups.setdefault(id(rec.subgraph), (rec.subgraph, [], []))
-            ids.append(i)
-            centers.append(rec.center)
-        return cls._build(g, groups.values(), len(records), delta)
+            batch = batches.setdefault((rec.depth, rec.group), {})
+            batch.setdefault(id(rec.subgraph), (rec.subgraph, []))[1].append(i)
+        centers = np.array([rec.center for rec in records], dtype=np.int64)
+        parts = (part for batch in batches.values()
+                 for part in _incidences(g, list(batch.values()), centers, 0.4 * delta))
+        return cls._assemble(g.n, len(records), delta, parts)
 
     @classmethod
     def of_all_vertices(cls, g: WeightedGraph, delta: float) -> "BallIndex":
         """Index of every vertex's ball in the full graph; record v is vertex v."""
         ids = np.arange(g.n, dtype=np.int64)
-        return cls._build(g, [(VertexMask.full(g.n), ids, ids)], g.n, delta)
+        batch = [(VertexMask.full(g.n), ids)]
+        return cls._assemble(g.n, g.n, delta, _incidences(g, batch, ids, 0.4 * delta))
 
     @classmethod
-    def _build(cls, g: WeightedGraph, groups, count: int, delta: float) -> "BallIndex":
-        recs, verts, dists = [], [], []
-        for mask, ids, centers in groups:
-            ids = np.asarray(ids, dtype=np.int64)
-            for first, dmat, sub_verts in distance_blocks(g, mask, centers, 0.4 * delta):
-                row, col = np.nonzero(np.isfinite(dmat))
-                recs.append(ids[first + row])
-                verts.append(sub_verts[col])
-                dists.append(dmat[row, col])
-        rec, vert, dist = (np.concatenate(a) for a in (recs, verts, dists))
+    def _assemble(cls, n: int, count: int, delta: float, parts) -> "BallIndex":
+        """Index from (record, vertex, distance) incidence arrays."""
+        rec, vert, dist = (np.concatenate(a) for a in zip(*parts))
         order = np.lexsort((rec, vert))
-        starts = np.zeros(g.n + 1, dtype=np.int64)
-        np.cumsum(np.bincount(vert, minlength=g.n), out=starts[1:])
-        return cls(g.n, count, float(delta), rec[order], dist[order], starts)
+        starts = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(vert, minlength=n), out=starts[1:])
+        return cls(n, count, float(delta), rec[order], dist[order], starts)
 
     def labels(self, radius: np.ndarray, rank: np.ndarray) -> np.ndarray:
         """First claim per vertex: the smallest rank[r] over the records r whose
@@ -141,6 +139,36 @@ class BallIndex:
         if missing.size:
             raise CoverageError(f"vertex {int(missing[0])} was claimed by no ball")
         return out
+
+
+def _incidences(g: WeightedGraph, batch, centers: np.ndarray, radius: float):
+    """(record, vertex, distance) arrays of the balls of a batch [(subgraph,
+    record ids)], centers[r] being record r's center. Several subgraphs must be
+    disjoint and non-adjacent: round t sweeps their union from the t-th center
+    of each that has one, and a vertex joins the ball of its nearest center."""
+    if len(batch) == 1:
+        (mask, ids), = batch
+        for first, dmat, verts in distance_blocks(g, mask, centers[ids], radius):
+            row, col = np.nonzero(np.isfinite(dmat))
+            yield np.asarray(ids)[first + row], verts[col], dmat[row, col]
+        return
+    if any(centers[i] not in mask for mask, ids in batch for i in ids):
+        raise MaskError("every center must be alive in its own subgraph")
+    flat = np.concatenate([np.fromiter(mask.alive, dtype=np.int64) for mask, _ in batch])
+    union = VertexMask(g.n, flat.tolist())
+    if len(union) != len(flat):
+        raise ValueError("subgraphs that share a batch key (depth, group) overlap")
+    # owner[j]: the position in batch of the subgraph holding the j-th smallest vertex
+    owner = np.repeat(np.arange(len(batch)), [len(m) for m, _ in batch])[np.argsort(flat)]
+    rounds = range(max(len(ids) for _, ids in batch))
+    sets = [[centers[ids[t]] for _, ids in batch if t < len(ids)] for t in rounds]
+    for t, (dist, nearest, verts) in zip(rounds, nearest_sources(g, union, sets, radius)):
+        hit = np.flatnonzero(nearest >= 0)
+        home = owner[nearest[hit]]
+        if np.any(owner[hit] != home):
+            raise ValueError("a ball crossed between subgraphs that share a batch key")
+        record = np.array([ids[t] if t < len(ids) else -1 for _, ids in batch])
+        yield record[home], verts[hit], dist[hit]
 
 
 @dataclass(frozen=True)
@@ -189,8 +217,8 @@ class DecompositionParams:
     @classmethod
     def _with_k(cls, delta: float, seed: int, p_eff: int, n: int,
                 K: int) -> "DecompositionParams":
-        if delta <= 0:
-            raise ValueError(f"delta must be positive, got {delta}")
+        if not 0 < delta < math.inf:  # nan fails too
+            raise ValueError(f"delta must be positive and finite, got {delta}")
         return cls(delta, int(seed), p_eff, n, K, delta / (10.0 * math.log(K)))
 
     def beta(self) -> float:
@@ -236,8 +264,8 @@ def choose_centers(g: WeightedGraph, delta: float, finder=greedy_find) -> Center
     its groups in order (paths in finder order, net points in path order),
     then recurses into its flaps in smallest-id order.
     """
-    if delta <= 0:
-        raise ValueError(f"delta must be positive, got {delta}")
+    if not 0 < delta < math.inf:
+        raise ValueError(f"delta must be positive and finite, got {delta}")
     records: list[CenterRecord] = []
     paths: list[Path] = []
     separators = []
@@ -252,14 +280,14 @@ def choose_centers(g: WeightedGraph, delta: float, finder=greedy_find) -> Center
         separators.append((mask, sep))
         p_eff = max(p_eff, sep.total_paths)
         max_depth = max(max_depth, depth)
-        for group in sep.groups:
+        for gi, group in enumerate(sep.groups):
             for path in group.paths:
                 pid = len(paths)
                 paths.append(path)
                 view = PathMetricView.from_path(g, path)
                 for c in greedy_net(view, r):
                     records.append(
-                        CenterRecord(c, group.residual_before, len(records), depth, pid)
+                        CenterRecord(c, group.residual_before, len(records), depth, pid, gi)
                     )
         # LIFO stack: push flaps reversed so they are visited in smallest-id order
         for flap in reversed(sep.flaps):

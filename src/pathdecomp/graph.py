@@ -11,13 +11,16 @@ Every residual operation lives here, once:
 - `components`, `ball`, `farthest` and `sssp` touch only alive vertices and
   their edges, so a separator-recursion node costs O(residual + its edges),
   not O(n). Their only O(n) work is allocating the distance lists.
-- `induced` is the one place that slices the CSR by a vertex set; a full
-  mask gets the graph's own CSR.
-- `distance_blocks` is the one multi-source query: distances from many
-  sources, cut at a radius, in a residual. It calls scipy's Dijkstra on at
-  most SOURCE_BLOCK sources at a time, so its memory is capped at
-  SOURCE_BLOCK rows of the residual's size. The BallIndex builds and the
-  verifier's balls, threatener counts and diameter checks all use it.
+- `induced` is the one place that slices the CSR by a vertex set (numpy
+  gathers, not scipy's fancy indexing); a full mask gets the graph's own CSR.
+- `distance_blocks` is the multi-source query: distances from many sources,
+  cut at a radius, in a residual. It calls scipy's Dijkstra on at most
+  SOURCE_BLOCK sources at a time, so its memory is capped at SOURCE_BLOCK
+  rows of the residual's size. The BallIndex builds and the verifier's
+  balls, threatener counts and diameter checks all use it.
+- `nearest_sources` finds each vertex's nearest source, cut at a radius: on
+  disjoint pieces with one source each, one scipy call answers every piece in
+  one row of the residual's size. The BallIndex solves recursion levels so.
 - Single-source residual queries use the heap Dijkstra below: on the 1-10
   vertex residuals of most recursion nodes it is over ten times faster than
   slicing a CSR for scipy.
@@ -273,10 +276,29 @@ def components(g: WeightedGraph, mask: VertexMask) -> list[VertexMask]:
 def induced(g: WeightedGraph, mask: VertexMask) -> tuple[sp.csr_matrix, np.ndarray]:
     """CSR adjacency of the residual graph and the sorted ids of its vertices:
     local index i of the matrix is vertex sorted_ids[i]."""
+    csr = g.csr()
     if len(mask) == g.n:
-        return g.csr(), np.arange(g.n, dtype=np.int64)
+        return csr, np.arange(g.n, dtype=np.int64)
     verts = np.fromiter(sorted(mask.alive), dtype=np.int64, count=len(mask))
-    return g.csr()[verts][:, verts], verts
+    first, count = csr.indptr[verts], csr.indptr[verts + 1] - csr.indptr[verts]
+    # the rows' entries in stored order, kept where their column is alive; an
+    # n-entry id map, as scipy's indexing uses, beat binary search on big masks
+    at = np.arange(count.sum()) + np.repeat(first - np.cumsum(count) + count, count)
+    local = np.full(g.n, -1, dtype=csr.indices.dtype)
+    local[verts] = np.arange(len(verts))
+    local = local[csr.indices[at]]
+    keep = local >= 0
+    indptr = np.concatenate(([0], np.cumsum(keep)))[np.concatenate(([0], np.cumsum(count)))]
+    return sp.csr_matrix((csr.data[at[keep]], local[keep], indptr.astype(csr.indptr.dtype)),
+                         shape=(len(verts),) * 2), verts
+
+
+def _local_ids(verts: np.ndarray, sources) -> np.ndarray:
+    """Positions of sources among the sorted alive ids verts."""
+    local = np.searchsorted(verts, sources)
+    if not np.array_equal(verts.take(local, mode="clip"), sources):
+        raise MaskError("every source must be alive in the mask")
+    return local
 
 
 def distance_blocks(g: WeightedGraph, mask: VertexMask, sources, radius: float):
@@ -285,15 +307,25 @@ def distance_blocks(g: WeightedGraph, mask: VertexMask, sources, radius: float):
     ids; dist[i, j] is the distance from sources[first + i] to verts[j] when
     it is at most radius, inf otherwise."""
     sub, verts = induced(g, mask)
-    sources = np.asarray(sources, dtype=np.int64)
-    local = np.searchsorted(verts, sources)
-    if not np.array_equal(verts.take(local, mode="clip"), sources):
-        raise MaskError("every source must be alive in the mask")
+    local = _local_ids(verts, sources)
     for first in range(0, len(local), SOURCE_BLOCK):
         # scipy's limit is inclusive: a pair farther apart than radius gets inf
         dist = csgraph_dijkstra(sub, directed=False, indices=local[first:first + SOURCE_BLOCK],
                                 limit=radius)
         yield first, np.atleast_2d(dist), verts
+
+
+def nearest_sources(g: WeightedGraph, mask: VertexMask, source_sets, radius: float):
+    """Residual distance to the nearest source, cut at radius: yields (dist,
+    nearest, verts) per source set, one sweep each. verts are the sorted alive
+    ids; dist[j] is verts[j]'s distance to its nearest source, verts[nearest[j]],
+    or inf past radius, where nearest[j] is -1."""
+    sub, verts = induced(g, mask)
+    for sources in source_sets:
+        local = _local_ids(verts, sources)
+        dist, _, nearest = csgraph_dijkstra(sub, directed=False, indices=local, limit=radius,
+                                            min_only=True, return_predecessors=True)
+        yield dist, np.maximum(nearest, -1), verts
 
 
 def farthest(g: WeightedGraph, mask: VertexMask, src: int) -> tuple[int, float]:

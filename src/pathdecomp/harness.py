@@ -60,8 +60,8 @@ class ExperimentConfig:
             raise ConfigError(f"trials must be >= 1, got {self.trials}")
         if self.deltas is not None:
             for d in self.deltas:
-                if not d > 0:
-                    raise ConfigError(f"delta must be positive, got {d}")
+                if not 0 < d < float("inf"):  # nan fails too
+                    raise ConfigError(f"delta must be positive and finite, got {d}")
         for gamma in self.gammas:
             if not 0.0 <= gamma <= verifier.GAMMA_MAX:
                 raise ConfigError(f"gamma must lie in [0, 1/100], got {gamma}")

@@ -22,6 +22,7 @@ from pathdecomp import (
     Cluster,
     CoverageError,
     DecompositionParams,
+    MaskError,
     Partition,
     RngStream,
     VertexMask,
@@ -32,6 +33,7 @@ from pathdecomp import (
 from pathdecomp.graph import induced
 
 from test_acceptance import DELTA_FRACTIONS, corpus_specs
+from test_decomposer import unit_path
 
 SEEDS = range(20)
 # every CORPUS_STRIDE-th acceptance-corpus instance: grids, trees and k-trees
@@ -126,9 +128,22 @@ def sampled_corpus():
             yield label, g, delta, pd.choose_centers(g, delta, finder)
 
 
-def test_carve_and_baseline_match_reference_on_corpus():
+@pytest.fixture(scope="module")
+def corpus():
+    return list(sampled_corpus())
+
+
+@pytest.fixture(scope="module")
+def both_finders(corpus):
+    """The sampled corpus, plus its trees again with the centroid finder."""
+    trees = [(f"{label} centroid", g, delta, pd.choose_centers(g, delta, pd.tree_centroid_find))
+             for label, g, delta, _ in corpus if label.startswith("tree")]
+    return corpus + trees
+
+
+def test_carve_and_baseline_match_reference_on_corpus(corpus):
     labels = []
-    for label, g, delta, seq in sampled_corpus():
+    for label, g, delta, seq in corpus:
         labels.append(label)
         ref = Reference(g, delta, seq)
         params = DecompositionParams.for_graph(delta, 0, seq.p_eff, g.n)
@@ -158,6 +173,93 @@ def test_index_holds_the_reference_balls():
               for r, (dists, verts) in enumerate(reference_profiles(g, seq.records, delta))
               for d, v in zip(dists, verts)}
     assert pairs == expect
+
+
+def reference_index(g, records, delta):
+    """(record, distance, starts) of the reference balls, vertex-major, sorted
+    by record within a vertex."""
+    profiles = reference_profiles(g, records, delta)
+    rec = np.concatenate([np.full(len(verts), r) for r, (_, verts) in enumerate(profiles)])
+    vert = np.concatenate([verts for _, verts in profiles])
+    dist = np.concatenate([dists for dists, _ in profiles])
+    order = np.lexsort((rec, vert))
+    starts = np.concatenate(([0], np.cumsum(np.bincount(vert, minlength=g.n))))
+    return rec[order], dist[order], starts
+
+
+def assert_reference_index(g, records, index, label):
+    rec, dist, starts = reference_index(g, records, index.delta)
+    assert np.array_equal(index.record, rec), label
+    assert np.array_equal(index.distance, dist), label
+    assert np.array_equal(index.starts, starts), label
+
+
+def test_index_matches_reference_on_corpus(both_finders):
+    # unit and uniform weights; greedy finder everywhere, centroid on the trees
+    assert any(label.endswith("centroid") for label, *_ in both_finders)
+    for label, g, delta, seq in both_finders:
+        assert_reference_index(g, seq.records, seq.index, label)
+
+
+def test_batch_keys_hold_disjoint_non_adjacent_subgraphs(both_finders):
+    shared = 0
+    for label, g, _, seq in both_finders:
+        batches = {}
+        for rec in seq.records:
+            batches.setdefault((rec.depth, rec.group), {})[id(rec.subgraph)] = rec.subgraph
+        for key, subgraphs in batches.items():
+            owner = {}
+            for k, mask in enumerate(subgraphs.values()):
+                for v in mask.alive:
+                    assert owner.setdefault(v, k) == k, (label, key, v)
+            for v, k in owner.items():
+                assert all(owner.get(u, k) == k for u, _ in g.adj[v]), (label, key, v)
+            shared += len(subgraphs) > 1
+    assert shared > 0  # the batched sweep is exercised
+
+
+def records_on(n, placed, groups=None):
+    """Hand-built records: placed is [(subgraph vertices, centers)], one
+    VertexMask per entry; every record gets batch key (0, groups[k])."""
+    records = []
+    for k, (verts, centers) in enumerate(placed):
+        mask = VertexMask(n, verts)
+        for c in centers:
+            records.append(CenterRecord(c, mask, len(records), 0, k,
+                                        0 if groups is None else groups[k]))
+    return records
+
+
+@pytest.mark.parametrize("placed,delta,match", [
+    # vertex 5 lies in both subgraphs
+    ([(range(0, 6), [0]), (range(5, 10), [9])], 2.0, "overlap"),
+    # edge 4-5 joins the subgraphs, and center 4's ball crosses it
+    ([(range(0, 5), [4]), (range(5, 10), [7])], 10.0, "crossed"),
+    # in the second round only center 4 sweeps, and its ball crosses into 5..9
+    ([(range(0, 5), [0, 4]), (range(5, 10), [9])], 10.0, "crossed"),
+], ids=["overlapping", "adjacent", "adjacent-later-round"])
+def test_shared_batch_key_misuse_raises(placed, delta, match):
+    g = unit_path(10)
+    with pytest.raises(ValueError, match=match):
+        BallIndex.of_records(g, records_on(g.n, placed), delta)
+    # as separate batches the same records are fine
+    records = records_on(g.n, placed, groups=range(len(placed)))
+    assert_reference_index(g, records, BallIndex.of_records(g, records, delta), match)
+
+
+def test_center_outside_its_subgraph_raises():
+    # center 7 lies in the other subgraph of the same batch key
+    g = unit_path(10)
+    records = records_on(g.n, [(range(0, 5), [7]), (range(5, 10), [9])])
+    with pytest.raises(MaskError):
+        BallIndex.of_records(g, records, 10.0)
+
+
+def test_adjacent_subgraphs_out_of_reach_give_the_reference_index():
+    # edge 4-5 joins the subgraphs, but no ball of radius 2 crosses it
+    g = unit_path(10)
+    records = records_on(g.n, [(range(0, 5), [0, 2]), (range(5, 10), [9])])
+    assert_reference_index(g, records, BallIndex.of_records(g, records, 5.0), "apart")
 
 
 # ---------------------------------------------------------------------------

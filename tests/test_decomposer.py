@@ -22,6 +22,7 @@ from pathdecomp import (
     greedy_find,
     sssp,
     tree_centroid_find,
+    weighted_diameter,
 )
 
 
@@ -108,6 +109,33 @@ class TestChooseCenters:
     def test_rejects_bad_delta(self):
         with pytest.raises(ValueError):
             choose_centers(unit_path(3), 0.0)
+
+    @pytest.mark.parametrize("delta", [math.inf, math.nan])
+    def test_rejects_non_finite_delta(self, delta):
+        with pytest.raises(ValueError, match=r"^delta must be positive and finite"):
+            choose_centers(unit_path(3), delta)
+
+    def test_index_build_makes_few_scipy_calls(self, monkeypatch):
+        # one sweep per recursion level and round, not one call per subgraph
+        import pathdecomp.graph as graph_module
+
+        calls = []
+        real = graph_module.csgraph_dijkstra
+        monkeypatch.setattr(graph_module, "csgraph_dijkstra",
+                            lambda *a, **kw: calls.append(1) or real(*a, **kw))
+        g = gen_ktree(2048, 2).graph
+        seq = choose_centers(g, weighted_diameter(g) / 4)
+        assert seq.index.n_records == len(seq.records) == 2048
+        assert len(calls) <= 120
+
+
+class TestDecompositionParams:
+    @pytest.mark.parametrize("delta", [0.0, -1.0, math.inf, math.nan])
+    def test_rejects_bad_delta(self, delta):
+        with pytest.raises(ValueError, match=r"^delta must be positive and finite"):
+            DecompositionParams.for_graph(delta, 0, 1, 16)
+        with pytest.raises(ValueError, match=r"^delta must be positive and finite"):
+            DecompositionParams.for_baseline(delta, 0, 16)
 
 
 class TestCarve:

@@ -24,7 +24,7 @@ from pathdecomp import (
     sssp,
     weighted_diameter,
 )
-from pathdecomp.graph import SOURCE_BLOCK, distance_blocks, induced
+from pathdecomp.graph import SOURCE_BLOCK, distance_blocks, induced, nearest_sources
 
 INF = math.inf
 
@@ -304,6 +304,62 @@ class TestDistanceBlocks:
     def test_full_mask_is_not_sliced(self, grid8):
         sub, verts = induced(grid8, VertexMask.full(64))
         assert sub is grid8.csr() and verts.tolist() == list(range(64))
+
+
+class TestInduced:
+    @pytest.mark.parametrize("kind,a,b", [("grid", 8, 8), ("grid", 16, 16), ("grid", 33, 33),
+                                          ("ktree", 200, 1), ("ktree", 600, 2),
+                                          ("ktree", 1024, 3)])
+    @pytest.mark.parametrize("weights", ["unit", "uniform"])
+    def test_matches_scipy_fancy_indexing(self, kind, a, b, weights):
+        # the golden graphs, sliced by every residual of their separator recursion
+        # and by random vertex sets
+        g = gen_grid(a, b, weights, 0) if kind == "grid" else gen_ktree(a, b, weights, 0).graph
+        seq = pathdecomp.choose_centers(g, weighted_diameter(g) / 4)
+        masks = [mask for mask, _ in seq.separators]
+        masks += [group.residual_before for _, sep in seq.separators for group in sep.groups]
+        rng = np.random.default_rng(a + b)
+        masks += [VertexMask(g.n, rng.choice(g.n, size=k, replace=False))
+                  for k in rng.integers(0, g.n, size=20)]
+        for mask in masks:
+            sub, verts = induced(g, mask)
+            assert verts.tolist() == sorted(mask.alive)
+            expect = g.csr()[verts][:, verts]
+            for name in ("indptr", "indices", "data"):
+                got, want = getattr(sub, name), getattr(expect, name)
+                assert got.dtype == want.dtype and np.array_equal(got, want), name
+
+    def test_parallel_edges_keep_the_lightest(self):
+        g = WeightedGraph(4, [(0, 1, 2.0), (1, 0, 1.0), (1, 2, 3.0), (2, 3, 1.0)])
+        sub, verts = induced(g, VertexMask(4, [0, 1, 3]))
+        assert verts.tolist() == [0, 1, 3]
+        assert sub.toarray().tolist() == [[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]]
+
+
+class TestNearestSources:
+    def test_masked_residual_matches_heap_search(self):
+        # column 10 deleted: two components, and unit distances equal to the radius
+        g = gen_grid(30, 30)
+        mask = VertexMask.full(g.n).without(range(10, g.n, 30))
+        rng = np.random.default_rng(1)
+        radius = 4.0
+        sets = [[int(v) for v in rng.choice(sorted(mask.alive), size=k, replace=False)]
+                for k in (1, 7, 40)]
+        for sources, (dist, nearest, verts) in zip(sets, nearest_sources(g, mask, sets, radius)):
+            assert verts.tolist() == sorted(mask.alive)
+            heap = [sssp(g, mask, s).dist for s in sources]
+            best = [min(d[v] for d in heap) for v in verts]
+            assert dist.tolist() == [d if d <= radius else INF for d in best]
+            assert np.all((nearest == -1) == np.isinf(dist))
+            for j in np.flatnonzero(nearest >= 0):
+                assert heap[sources.index(verts[nearest[j]])][verts[j]] == dist[j]
+            at = np.searchsorted(verts, sources)
+            assert nearest[at].tolist() == at.tolist()
+
+    def test_dead_source_raises(self, chain):
+        mask = VertexMask(3, [0, 1])
+        with pytest.raises(MaskError):
+            next(nearest_sources(chain, mask, [[0, 2]], 1.0))
 
 
 def test_scipy_dijkstra_is_imported_only_by_graph_and_separators():

@@ -37,6 +37,11 @@ class TestConfig:
         with pytest.raises(ConfigError):
             quick_cfg(gammas=(0.5,)).validate()
 
+    @pytest.mark.parametrize("delta", [0.0, float("inf"), float("nan")])
+    def test_rejects_bad_delta(self, delta):
+        with pytest.raises(ConfigError, match=r"^delta must be positive and finite"):
+            quick_cfg(deltas=(3.0, delta)).validate()
+
     def test_rejects_bad_trials(self):
         with pytest.raises(ConfigError):
             quick_cfg(trials=0).validate()
@@ -174,6 +179,12 @@ class TestCli:
     def test_unreadable_graph_is_usage_error(self, capsys):
         rc = main(["run", "--graph", "/no/such/file", "--trials", "5"])
         assert rc == 2
+
+    @pytest.mark.parametrize("delta", ["inf", "nan"])
+    def test_non_finite_delta_is_usage_error(self, capsys, delta):
+        rc = main(["run", "--gen", "grid:4,4", "--delta", delta, "--trials", "5"])
+        assert rc == 2
+        assert f"delta must be positive and finite, got {delta}" in capsys.readouterr().err
 
     def test_bad_gen_spec_is_usage_error(self):
         assert main(["run", "--gen", "grid:x,y", "--trials", "5"]) == 2
