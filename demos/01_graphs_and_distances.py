@@ -32,7 +32,8 @@ sp_masked = pd.sssp(g, masked, 0)
 grew = sum(1 for v in masked.alive if sp_masked.dist[v] > sp.dist[v])
 print(f"{grew} vertices moved farther from vertex 0 under the mask")
 
-# farthest-point queries drive the separator search
+# the farthest vertex from a source: the first half of the separator finder's
+# double sweep
 v, d = pd.farthest(g, full, 27)
 print(f"farthest from 27: vertex {v} at distance {d}")
 

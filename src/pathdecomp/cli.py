@@ -11,7 +11,8 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .harness import DEFAULT_GAMMAS, ConfigError, ExperimentConfig, run_experiment
+from .generators import WEIGHT_MODES
+from .harness import DEFAULT_GAMMAS, FINDERS, SCHEMES, ConfigError, ExperimentConfig, run_experiment
 from .verifier import GAMMA_MAX
 
 
@@ -40,7 +41,7 @@ def build_parser() -> argparse.ArgumentParser:
     src = run.add_mutually_exclusive_group(required=True)
     src.add_argument("--graph", metavar="FILE", help="edge-list graph file (n m header, then u v w lines)")
     src.add_argument("--gen", metavar="SPEC", help="generator spec: grid:R,C or ktree:N,K")
-    run.add_argument("--weights", choices=("unit", "uniform"), default="unit",
+    run.add_argument("--weights", choices=WEIGHT_MODES, default="unit",
                      help="generator edge weights: all 1, or uniform in [1,2]")
     run.add_argument("--gen-seed", type=int, default=0, help="generator seed (default 0)")
     run.add_argument("--delta", metavar="D[,D...]",
@@ -50,9 +51,9 @@ def build_parser() -> argparse.ArgumentParser:
                           "accepts 1/400 style fractions (default 0,1/400,1/200,1/100)")
     run.add_argument("--trials", type=int, default=500, help="Monte-Carlo trials (default 500)")
     run.add_argument("--seed", type=int, default=0, help="master seed (default 0)")
-    run.add_argument("--finder", choices=("greedy", "centroid"), default="greedy",
+    run.add_argument("--finder", choices=tuple(FINDERS), default="greedy",
                      help="separator finder (centroid requires a tree)")
-    run.add_argument("--scheme", choices=("paper", "baseline", "both"), default="paper",
+    run.add_argument("--scheme", choices=SCHEMES, default="paper",
                      help="decomposition scheme(s) to run")
     run.add_argument("--out", metavar="PATH", help="write the JSON report here (default stdout)")
     run.add_argument("--dump-partition", metavar="PREFIX",

@@ -8,25 +8,20 @@ residual subgraph on the still-alive vertices.
 Every residual operation lives here, once:
 
 - A VertexMask is the graph size and a frozenset of alive ids, nothing else.
-- `components`, `ball`, `farthest` and `sssp` touch only alive vertices and
-  their edges, so a separator-recursion node costs O(residual + its edges),
-  not O(n). Their only O(n) work is allocating the distance lists.
 - `induced` is the one place that slices the CSR by a vertex set (numpy
   gathers, not scipy's fancy indexing); a full mask gets the graph's own CSR.
-- `distance_blocks` is the multi-source query: distances from many sources,
-  cut at a radius, in a residual. It calls scipy's Dijkstra on at most
-  SOURCE_BLOCK sources at a time, so its memory is capped at SOURCE_BLOCK
-  rows of the residual's size. The BallIndex builds and the verifier's
-  balls, threatener counts and diameter checks all use it.
-- `nearest_sources` finds each vertex's nearest source, cut at a radius: on
-  disjoint pieces with one source each, one scipy call answers every piece in
-  one row of the residual's size. The BallIndex solves recursion levels so.
-- Single-source residual queries use the heap Dijkstra below: on the 1-10
-  vertex residuals of most recursion nodes it is over ten times faster than
-  slicing a CSR for scipy.
-
-scipy's Dijkstra is called twice elsewhere: the separator's double sweep
-needs predecessors, and `weighted_diameter` is exact all-pairs at n <= 512.
+- scipy's Dijkstra runs every sweep and every multi-source query:
+  - `distance_blocks`: distances from many sources, cut at a radius, in blocks
+    of SOURCE_BLOCK rows of the residual's size. The BallIndex builds and the
+    verifier's balls, threatener counts and diameter checks all use it.
+  - `nearest_sources`: each vertex's nearest source, cut at a radius; one call
+    answers disjoint one-source pieces at once (the BallIndex's level sweeps).
+  - `double_sweep`: the separator finder's path, `farthest` (its first sweep)
+    and `weighted_diameter` (exact all-pairs at n <= 512).
+- The heap Dijkstra below runs the single-source residual queries `sssp` and
+  `ball`, touching only alive vertices and their edges (as `components` does):
+  on the 1-10 vertex residuals of most recursion nodes it is over ten times
+  faster than slicing a CSR for scipy (measured, see the README).
 """
 
 from __future__ import annotations
@@ -42,9 +37,10 @@ from scipy.sparse.csgraph import dijkstra as csgraph_dijkstra
 
 INF = math.inf
 
-# Sources per scipy Dijkstra call in distance_blocks; a block of distances has
-# at most this many rows of the residual's size.
-SOURCE_BLOCK = 256
+# Sources per scipy Dijkstra call in distance_blocks: a block holds this many
+# rows of the residual's size, and two are alive while the next is computed.
+# On a 64x64 grid run, 128 instead of 256 cut peak RSS by 10 MB at equal speed.
+SOURCE_BLOCK = 128
 
 
 class GraphError(ValueError):
@@ -283,7 +279,7 @@ def induced(g: WeightedGraph, mask: VertexMask) -> tuple[sp.csr_matrix, np.ndarr
     first, count = csr.indptr[verts], csr.indptr[verts + 1] - csr.indptr[verts]
     # the rows' entries in stored order, kept where their column is alive; an
     # n-entry id map, as scipy's indexing uses, beat binary search on big masks
-    at = np.arange(count.sum()) + np.repeat(first - np.cumsum(count) + count, count)
+    at = concat_ranges(first, count)
     local = np.full(g.n, -1, dtype=csr.indices.dtype)
     local[verts] = np.arange(len(verts))
     local = local[csr.indices[at]]
@@ -291,6 +287,11 @@ def induced(g: WeightedGraph, mask: VertexMask) -> tuple[sp.csr_matrix, np.ndarr
     indptr = np.concatenate(([0], np.cumsum(keep)))[np.concatenate(([0], np.cumsum(count)))]
     return sp.csr_matrix((csr.data[at[keep]], local[keep], indptr.astype(csr.indptr.dtype)),
                          shape=(len(verts),) * 2), verts
+
+
+def concat_ranges(first: np.ndarray, count: np.ndarray) -> np.ndarray:
+    """The integer ranges [first[i], first[i] + count[i]), concatenated."""
+    return np.arange(int(count.sum())) + np.repeat(first - np.cumsum(count) + count, count)
 
 
 def _local_ids(verts: np.ndarray, sources) -> np.ndarray:
@@ -328,28 +329,42 @@ def nearest_sources(g: WeightedGraph, mask: VertexMask, source_sets, radius: flo
         yield dist, np.maximum(nearest, -1), verts
 
 
+def _farthest_local(sub: sp.csr_matrix, src: int):
+    """One scipy sweep from local src: farthest reachable index, its distance, predecessors."""
+    dist, pred = csgraph_dijkstra(sub, directed=False, indices=src, return_predecessors=True)
+    far = int(np.argmax(np.where(np.isinf(dist), -INF, dist)))
+    return far, float(dist[far]), pred
+
+
 def farthest(g: WeightedGraph, mask: VertexMask, src: int) -> tuple[int, float]:
     """Reachable vertex maximizing residual distance from src; ties -> smallest id."""
     if src not in mask:
         raise MaskError(f"source {src} is not alive in the mask")
-    dist, _ = _dijkstra(g, mask, src)
-    best_v, best_d = -1, -INF
-    for v in mask.alive:
-        d = dist[v]
-        if d != INF and (d > best_d or (d == best_d and v < best_v)):
-            best_v, best_d = v, d
-    return best_v, best_d
+    sub, verts = induced(g, mask)
+    far, d, _ = _farthest_local(sub, int(np.searchsorted(verts, src)))
+    return int(verts[far]), d
+
+
+def double_sweep(g: WeightedGraph, mask: VertexMask, src: int) -> Path:
+    """Residual shortest path from u, farthest from src, to v, farthest from u; smallest-id ties."""
+    if src not in mask:
+        raise MaskError(f"source {src} is not alive in the mask")
+    if len(mask) == 1:
+        return Path((src,), 0.0)
+    sub, verts = induced(g, mask)
+    u, _, _ = _farthest_local(sub, int(np.searchsorted(verts, src)))
+    v, _, pred = _farthest_local(sub, u)
+    chain = [v]
+    while chain[-1] != u:
+        chain.append(int(pred[chain[-1]]))
+    return Path.from_vertices(g, (int(verts[i]) for i in reversed(chain)))
 
 
 def weighted_diameter(g: WeightedGraph) -> float:
     """Weighted diameter: exact all-pairs for n <= 512, double-sweep bound above."""
-    full = VertexMask.full(g.n)
     if g.n <= 512:
-        dmat = csgraph_dijkstra(g.csr(), directed=False)
-        return float(dmat.max())
-    u, _ = farthest(g, full, 0)
-    _, d = farthest(g, full, u)
-    return d
+        return float(csgraph_dijkstra(g.csr(), directed=False).max())
+    return double_sweep(g, VertexMask.full(g.n), 0).length
 
 
 def load_graph(path) -> WeightedGraph:

@@ -53,15 +53,19 @@ class ExperimentConfig:
         if (self.graph_file is None) == (self.gen is None):
             raise ConfigError("provide exactly one of a graph file or a generator spec")
         if self.finder not in FINDERS:
-            raise ConfigError(f"unknown finder {self.finder!r}; expected greedy|centroid")
+            raise ConfigError(f"unknown finder {self.finder!r}; expected {'|'.join(FINDERS)}")
         if self.scheme not in SCHEMES:
-            raise ConfigError(f"unknown scheme {self.scheme!r}; expected paper|baseline|both")
+            raise ConfigError(f"unknown scheme {self.scheme!r}; expected {'|'.join(SCHEMES)}")
         if self.trials < 1:
             raise ConfigError(f"trials must be >= 1, got {self.trials}")
         if self.deltas is not None:
+            if not self.deltas:
+                raise ConfigError("deltas must not be empty")
             for d in self.deltas:
                 if not 0 < d < float("inf"):  # nan fails too
                     raise ConfigError(f"delta must be positive and finite, got {d}")
+        if not self.gammas:
+            raise ConfigError("gammas must not be empty")
         for gamma in self.gammas:
             if not 0.0 <= gamma <= verifier.GAMMA_MAX:
                 raise ConfigError(f"gamma must lie in [0, 1/100], got {gamma}")

@@ -14,10 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-from scipy.sparse.csgraph import dijkstra as csgraph_dijkstra
-
-from .graph import GraphError, Path, VertexMask, WeightedGraph, components, induced, sssp
+from .graph import GraphError, Path, VertexMask, WeightedGraph, components, double_sweep, sssp
 
 
 class NotATreeError(ValueError):
@@ -123,27 +120,6 @@ def validate_separator(g: WeightedGraph, mask: VertexMask, sep: PathSeparator):
     return None
 
 
-def _approx_diameter_path(g: WeightedGraph, comp: VertexMask) -> Path:
-    """Shortest path between double-sweep endpoints of one component.
-
-    Anchor is the smallest alive id; u maximizes distance from it, v maximizes
-    distance from u (argmax ties resolve to the smallest id because vertices
-    are scanned in sorted order).
-    """
-    if len(comp) == 1:
-        return Path(tuple(comp.alive), 0.0)
-    sub, verts = induced(g, comp)
-    d0 = csgraph_dijkstra(sub, directed=False, indices=0)
-    u_local = int(np.argmax(d0))
-    d1, pred = csgraph_dijkstra(sub, directed=False, indices=u_local, return_predecessors=True)
-    v_local = int(np.argmax(d1))
-    chain = [v_local]
-    while chain[-1] != u_local:
-        chain.append(int(pred[chain[-1]]))
-    chain.reverse()
-    return Path.from_vertices(g, (int(verts[i]) for i in chain))
-
-
 def greedy_find(g: WeightedGraph, mask: VertexMask) -> PathSeparator:
     """Carve approximate-diameter shortest paths until every component is balanced.
 
@@ -165,7 +141,7 @@ def greedy_find(g: WeightedGraph, mask: VertexMask) -> PathSeparator:
         if not big:
             break
         target = max(big, key=len)  # ties: first in smallest-id order
-        path = _approx_diameter_path(g, target)
+        path = double_sweep(g, target, min(target.alive))
         groups.append(SeparatorGroup((path,), residual))
         residual = residual.without(path.vertices)
         comps = components(g, residual)

@@ -25,7 +25,7 @@ from .decomposer import (
     ceil_log2,
     choose_centers,
 )
-from .graph import VertexMask, WeightedGraph, distance_blocks
+from .graph import VertexMask, WeightedGraph, concat_ranges, distance_blocks
 from .sampler import RngStream, derive_seed
 from .separators import greedy_find
 
@@ -66,22 +66,26 @@ def check_partition(g: WeightedGraph, part: Partition):
 
 
 def check_cluster_diameters(g: WeightedGraph, part: Partition, delta: float):
-    """Every cluster's full-graph diameter must be at most 4*delta/5."""
+    """Every cluster's full-graph diameter must be at most 4*delta/5. One distance_blocks query
+    runs from all non-singleton clusters' vertices; each row is read at its cluster's columns."""
     bound = 0.8 * delta
-    full = VertexMask.full(g.n)
-    for cid, cl in enumerate(part.clusters):
-        verts = cl.vertices
-        if len(verts) <= 1:
-            continue
-        for first, dist, ids in distance_blocks(g, full, verts, bound):
-            inside = dist[:, np.searchsorted(ids, verts)]
-            if np.isinf(inside).any():
-                i, j = np.unravel_index(int(np.argmax(inside)), inside.shape)
-                return Violation(
-                    "diameter",
-                    f"cluster {cid}: d({int(verts[first + i])},{int(verts[j])}) = {inside[i, j]} "
-                    f"exceeds 4*delta/5 = {bound}",
-                )
+    cids = [cid for cid, cl in enumerate(part.clusters) if len(cl.vertices) > 1]
+    if not cids:
+        return None
+    sizes = np.array([len(part.clusters[cid].vertices) for cid in cids])
+    sources = np.concatenate([part.clusters[cid].vertices for cid in cids])
+    starts, cluster_of_row = np.cumsum(sizes) - sizes, np.repeat(np.arange(len(cids)), sizes)
+    for first, dist, _ in distance_blocks(g, VertexMask.full(g.n), sources, bound):
+        # a full mask's column j is vertex j; a row's columns are its cluster's vertices
+        k = cluster_of_row[first:first + len(dist)]
+        row = np.repeat(np.arange(len(dist)), sizes[k])
+        cols = sources[concat_ranges(starts[k], sizes[k])]
+        inside = dist[row, cols]
+        if np.isinf(inside).any():
+            t = int(np.argmax(inside))
+            i, j = row[t], int(cols[t])
+            return Violation("diameter", f"cluster {cids[k[i]]}: d({int(sources[first + i])},{j}) "
+                             f"= {inside[t]} exceeds 4*delta/5 = {bound}")
     return None
 
 
@@ -154,9 +158,8 @@ def threatener_report(g: WeightedGraph, centers: CenterSequence,
         # every incidence of every ball vertex, tagged with the row of its ball
         lo = index.starts[ids[col]]
         sizes = index.starts[ids[col] + 1] - lo
-        offsets = np.cumsum(sizes) - sizes
-        pos = np.repeat(lo - offsets, sizes) + np.arange(int(sizes.sum()))
-        pairs = np.unique((first + np.repeat(row, sizes)) * index.n_records + index.record[pos])
+        pairs = np.unique((first + np.repeat(row, sizes)) * index.n_records
+                          + index.record[concat_ranges(lo, sizes)])
         counts += np.bincount(pairs // index.n_records, minlength=len(vertices))
     return ThreatenerReport(
         gamma, tuple(int(v) for v in vertices), tuple(int(c) for c in counts),

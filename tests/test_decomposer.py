@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from pathdecomp import (
+    BallIndex,
     DecompositionParams,
     Partition,
     VertexMask,
@@ -119,13 +120,15 @@ class TestChooseCenters:
         # one sweep per recursion level and round, not one call per subgraph
         import pathdecomp.graph as graph_module
 
+        g = gen_ktree(2048, 2).graph
+        delta = weighted_diameter(g) / 4
+        seq = choose_centers(g, delta)
         calls = []
         real = graph_module.csgraph_dijkstra
         monkeypatch.setattr(graph_module, "csgraph_dijkstra",
                             lambda *a, **kw: calls.append(1) or real(*a, **kw))
-        g = gen_ktree(2048, 2).graph
-        seq = choose_centers(g, weighted_diameter(g) / 4)
-        assert seq.index.n_records == len(seq.records) == 2048
+        index = BallIndex.of_records(g, seq.records, delta)
+        assert index.n_records == len(seq.records) == 2048
         assert len(calls) <= 120
 
 

@@ -274,6 +274,32 @@ class TestDiameter:
         exact = csgraph_dijkstra(g.csr(), directed=False).max()
         assert sweep == exact
 
+    @pytest.mark.parametrize("make", [
+        lambda: gen_grid(30, 30, "uniform", 3),
+        lambda: gen_ktree(700, 2, "uniform", seed=5).graph,
+        lambda: gen_ktree(1024, 3, "uniform", seed=1).graph,
+    ], ids=["grid30", "ktree700-k2", "ktree1024-k3"])
+    def test_double_sweep_matches_heap_sweep(self, make, monkeypatch):
+        # above 512 vertices: two scipy sweeps, equal to two heap sweeps from 0
+        import pathdecomp.graph as graph_module
+
+        g = make()
+        assert g.n > 512
+        full = VertexMask.full(g.n)
+
+        def heap_farthest(src):
+            dist = sssp(g, full, src).dist
+            return max(range(g.n), key=lambda v: (dist[v], -v)), dist
+
+        u, _ = heap_farthest(0)
+        v, dist = heap_farthest(u)
+        calls = []
+        real = graph_module.csgraph_dijkstra
+        monkeypatch.setattr(graph_module, "csgraph_dijkstra",
+                            lambda *a, **kw: calls.append(1) or real(*a, **kw))
+        assert weighted_diameter(g) == dist[v]
+        assert len(calls) == 2
+
 
 class TestDistanceBlocks:
     @pytest.mark.parametrize("make,radius", [
@@ -362,8 +388,8 @@ class TestNearestSources:
             next(nearest_sources(chain, mask, [[0, 2]], 1.0))
 
 
-def test_scipy_dijkstra_is_imported_only_by_graph_and_separators():
-    # every other multi-source distance query goes through distance_blocks
+def test_scipy_dijkstra_is_imported_only_by_graph():
+    # every sweep and every multi-source distance query goes through graph.py
     package = pathlib.Path(pathdecomp.__file__).parent
     users = set()
     for source in package.glob("*.py"):
@@ -372,7 +398,7 @@ def test_scipy_dijkstra_is_imported_only_by_graph_and_separators():
                 alias.name == "dijkstra" for alias in node.names)
             if imported or (isinstance(node, ast.Attribute) and node.attr == "dijkstra"):
                 users.add(source.name)
-    assert users == {"graph.py", "separators.py"}
+    assert users == {"graph.py"}
 
 
 class TestFileFormat:

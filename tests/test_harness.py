@@ -11,8 +11,9 @@ from pathdecomp import (
     gen_grid,
     run_experiment,
 )
-from pathdecomp.cli import main
-from pathdecomp.harness import default_deltas, parse_gen_spec
+from pathdecomp.cli import build_parser, main
+from pathdecomp.generators import WEIGHT_MODES
+from pathdecomp.harness import FINDERS, SCHEMES, default_deltas, parse_gen_spec
 from pathdecomp import verifier
 
 
@@ -45,6 +46,12 @@ class TestConfig:
     def test_rejects_bad_trials(self):
         with pytest.raises(ConfigError):
             quick_cfg(trials=0).validate()
+
+    def test_rejects_empty_deltas_and_gammas(self):
+        with pytest.raises(ConfigError, match=r"^deltas must not be empty"):
+            run_experiment(ExperimentConfig(gen="grid:4,4", deltas=()))
+        with pytest.raises(ConfigError, match=r"^gammas must not be empty"):
+            run_experiment(quick_cfg(gammas=()))
 
     def test_rejects_bad_finder_and_scheme(self):
         with pytest.raises(ConfigError):
@@ -134,6 +141,13 @@ class TestRunExperiment:
 
 
 class TestCli:
+    def test_choices_come_from_the_library(self):
+        (subparsers,) = [a for a in build_parser()._actions if a.dest == "command"]
+        choices = {a.dest: a.choices for a in subparsers.choices["run"]._actions}
+        assert list(choices["weights"]) == list(WEIGHT_MODES)
+        assert list(choices["finder"]) == list(FINDERS)
+        assert list(choices["scheme"]) == list(SCHEMES)
+
     def test_run_writes_report_and_exits_zero(self, tmp_path):
         out = tmp_path / "r.json"
         rc = main(["run", "--gen", "grid:4,4", "--delta", "3", "--trials", "30",

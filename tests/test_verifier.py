@@ -16,6 +16,7 @@ from pathdecomp import (
     gen_grid,
     gen_ktree,
     sample_vertices,
+    sssp,
     threatener_report,
     tree_centroid_find,
     wilson_lower_bound,
@@ -109,13 +110,34 @@ class TestCheckDiameters:
         assert check_cluster_diameters(g, part, 373.75) is None  # 4*delta/5 = 299
 
     def test_far_pair_only_in_second_source_block(self):
-        # the path runs 256..277, 0..255, 278..299: every vertex of the first
-        # block of sources (ids 0..255) lies within 277 of all others, so only
-        # the second block sees a pair farther apart than 280
-        g = unit_path(300, list(range(256, 278)) + list(range(256)) + list(range(278, 300)))
-        part = Partition.from_sets(300, [range(300)])
-        v = check_cluster_diameters(g, part, 350.0)
-        assert v.message == "cluster 0: d(256,281) = inf exceeds 4*delta/5 = 280.0"
+        # with b = SOURCE_BLOCK the path runs b..b+21, 0..b-1, b+22..b+43: every
+        # vertex of the first block of sources (ids 0..b-1) lies within b+21 of
+        # all others, so only the second block sees a pair farther apart than b+24
+        b = SOURCE_BLOCK
+        g = unit_path(b + 44, [*range(b, b + 22), *range(b), *range(b + 22, b + 44)])
+        part = Partition.from_sets(b + 44, [range(b + 44)])
+        v = check_cluster_diameters(g, part, 1.25 * (b + 24))
+        assert v.message == f"cluster 0: d({b},{b + 25}) = inf exceeds 4*delta/5 = {b + 24.0}"
+
+    @pytest.mark.parametrize("delta", [13.7, 16.7, 18.3])
+    def test_many_clusters_across_source_blocks_match_per_cluster_search(self, delta):
+        # id-range clusters of 1-8 vertices on a 600-vertex k-tree: at 13.7 the
+        # first violation is in the cluster of source rows 249..256, at 16.7 it
+        # lies past row 512, and 18.3 passes. The first violation is the first
+        # row in cluster order, then the first column in id order.
+        g = gen_ktree(600, 2, "uniform", seed=1).graph
+        cuts = np.cumsum(np.random.default_rng(0).integers(1, 9, size=200))
+        part = Partition.from_sets(600, np.split(np.arange(600), cuts[cuts < 600]))
+        bound, full = 0.8 * delta, VertexMask.full(600)
+        expect = None
+        for cid, cl in enumerate(part.clusters):
+            for u in cl.vertices:
+                dist = sssp(g, full, int(u)).dist
+                far = [v for v in cl.vertices if dist[v] > bound]
+                if far and expect is None:
+                    expect = f"cluster {cid}: d({u},{far[0]}) = inf exceeds 4*delta/5 = {bound}"
+        v = check_cluster_diameters(g, part, delta)
+        assert (v and v.message) == expect
 
 
 class TestRecursionDepth:
