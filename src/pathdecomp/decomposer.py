@@ -1,11 +1,14 @@
 """Low-diameter random partitions by carving balls around separator-path centers.
 
-Phase one walks the separator recursion: at every node it asks a finder for a
-path separator, places net points (spacing delta/4) on every separator path,
-and pairs each net point with the residual subgraph its path lived in. It also
-builds the sequence's BallIndex: every center's maximal ball (radius
-2*delta/5), computed in the center's own subgraph, not the full graph, stored
-vertex-major as (record, distance) incidences.
+Phase one walks the separator recursion. It finds the separators level by
+level: the nodes of one depth are pairwise disjoint and non-adjacent, so the
+greedy finder runs over a whole level at once (other finders once per node).
+It then visits the nodes depth-first, as a per-node recursion would, places
+net points (spacing delta/4) on every separator path, and pairs each net
+point with the residual subgraph its path lived in. It also builds the
+sequence's BallIndex: every center's maximal ball (radius 2*delta/5),
+computed in the center's own subgraph, not the full graph, stored
+vertex-major as (record, distance) incidences, with one sweep per level.
 
 Phase two draws one truncated-exponential radius per center, in sequence
 order. The first claim wins: a vertex joins the first center in that order
@@ -20,6 +23,7 @@ permutation.
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections.abc import Callable
 from dataclasses import dataclass, field
@@ -29,7 +33,7 @@ import numpy as np
 from .graph import MaskError, Path, VertexMask, WeightedGraph, distance_blocks, nearest_sources
 from .nets import PathMetricView, greedy_net
 from .sampler import RngStream, TexpParams, texp_sample_many
-from .separators import greedy_find
+from .separators import greedy_find, greedy_find_level
 
 
 class CoverageError(RuntimeError):
@@ -151,6 +155,7 @@ def _incidences(g: WeightedGraph, batch, centers: np.ndarray, radius: float):
         for first, dmat, verts in distance_blocks(g, mask, centers[ids], radius):
             row, col = np.nonzero(np.isfinite(dmat))
             yield np.asarray(ids)[first + row], verts[col], dmat[row, col]
+            del dmat  # one block alive at a time
         return
     if any(centers[i] not in mask for mask, ids in batch for i in ids):
         raise MaskError("every center must be alive in its own subgraph")
@@ -260,23 +265,41 @@ class Partition:
 def choose_centers(g: WeightedGraph, delta: float, finder=greedy_find) -> CenterSequence:
     """Deterministic center/subgraph sequence for carving at scale delta.
 
-    Depth-first over the separator recursion: each node emits net points for
-    its groups in order (paths in finder order, net points in path order),
-    then recurses into its flaps in smallest-id order.
+    The separators are found level by level: the nodes of one depth are
+    pairwise disjoint and non-adjacent, so greedy_find runs over each level
+    at once (greedy_find_level); any other finder is called once per node.
+    The records are then emitted depth-first over the recursion: each node
+    emits net points for its groups in order (paths in finder order, net
+    points in path order), then recurses into its flaps in smallest-id order.
     """
     if not 0 < delta < math.inf:
         raise ValueError(f"delta must be positive and finite, got {delta}")
+    if finder is greedy_find:
+        find_level = greedy_find_level
+    else:
+        def find_level(g, masks):
+            return [finder(g, mask) for mask in masks]
+
+    # levels[d]: (mask, separator) per node of depth d; the children of node i
+    # are the next level's nodes first_child[d][i] onwards, one per flap
+    levels, first_child = [], []
+    masks = [VertexMask.full(g.n)]
+    while masks:
+        seps = find_level(g, masks)
+        levels.append(list(zip(masks, seps)))
+        first_child.append(list(itertools.accumulate((len(sep.flaps) for sep in seps), initial=0)))
+        masks = [flap for sep in seps for flap in sep.flaps]
+
     records: list[CenterRecord] = []
     paths: list[Path] = []
     separators = []
     r = delta / 4.0
     p_eff = 1
     max_depth = 0
-
-    stack = [(VertexMask.full(g.n), 0)]
+    stack = [(0, 0)]
     while stack:
-        mask, depth = stack.pop()
-        sep = finder(g, mask)
+        depth, i = stack.pop()
+        mask, sep = levels[depth][i]
         separators.append((mask, sep))
         p_eff = max(p_eff, sep.total_paths)
         max_depth = max(max_depth, depth)
@@ -289,9 +312,9 @@ def choose_centers(g: WeightedGraph, delta: float, finder=greedy_find) -> Center
                     records.append(
                         CenterRecord(c, group.residual_before, len(records), depth, pid, gi)
                     )
-        # LIFO stack: push flaps reversed so they are visited in smallest-id order
-        for flap in reversed(sep.flaps):
-            stack.append((flap, depth + 1))
+        # LIFO stack: push children reversed so they are visited in smallest-id order
+        first = first_child[depth][i]
+        stack.extend((depth + 1, j) for j in reversed(range(first, first + len(sep.flaps))))
 
     return CenterSequence(
         tuple(records), tuple(paths), tuple(separators), p_eff, max_depth, g.n, delta,

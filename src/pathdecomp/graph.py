@@ -16,16 +16,24 @@ Every residual operation lives here, once:
     verifier's balls, threatener counts and diameter checks all use it.
   - `nearest_sources`: each vertex's nearest source, cut at a radius; one call
     answers disjoint one-source pieces at once (the BallIndex's level sweeps).
-  - `double_sweep`: the separator finder's path, `farthest` (its first sweep)
-    and `weighted_diameter` (exact all-pairs at n <= 512).
-- The heap Dijkstra below runs the single-source residual queries `sssp` and
-  `ball`, touching only alive vertices and their edges (as `components` does):
-  on the 1-10 vertex residuals of most recursion nodes it is over ten times
-  faster than slicing a CSR for scipy (measured, see the README).
+  - `double_sweep`: one path per mask over a level union, that is, a list of
+    pairwise disjoint, non-adjacent masks (the separator finder's targets of
+    one recursion level and round). Each of its two sweeps is one call from
+    one source per mask, and each path is rebuilt from the second sweep's
+    predecessors. The paths equal one-mask calls, which the tests pin on
+    many tied blocks in any source order. One mask serves `farthest` (its
+    first sweep) and `weighted_diameter` (exact all-pairs at n <= 512).
+- `level_components` is `components` for each mask of a level union, from
+  one scipy `connected_components` call. `components` itself, and the heap
+  Dijkstra below behind the single-source residual queries `sssp` and `ball`,
+  touch only alive vertices and their edges: on the 1-10 vertex residuals
+  of most recursion nodes that is over ten times faster than slicing a CSR
+  for scipy (measured, see the README).
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from heapq import heappop, heappush
@@ -38,7 +46,8 @@ from scipy.sparse.csgraph import dijkstra as csgraph_dijkstra
 INF = math.inf
 
 # Sources per scipy Dijkstra call in distance_blocks: a block holds this many
-# rows of the residual's size, and two are alive while the next is computed.
+# rows of the residual's size, and one block is alive at a time when the
+# caller drops each block at the end of its loop body.
 # On a 64x64 grid run, 128 instead of 256 cut peak RSS by 10 MB at equal speed.
 SOURCE_BLOCK = 128
 
@@ -132,8 +141,15 @@ class VertexMask:
     def full(cls, n: int) -> "VertexMask":
         return cls(n, range(n))
 
+    @classmethod
+    def _of_valid(cls, n: int, alive: frozenset) -> "VertexMask":
+        """A mask of ids already known to be Python ints in [0, n), unchecked."""
+        mask = object.__new__(cls)
+        mask.n, mask.alive = n, alive
+        return mask
+
     def without(self, vertices) -> "VertexMask":
-        return VertexMask(self.n, self.alive.difference(vertices))
+        return VertexMask._of_valid(self.n, self.alive.difference(vertices))
 
     def __contains__(self, v) -> bool:
         return v in self.alive
@@ -272,10 +288,18 @@ def components(g: WeightedGraph, mask: VertexMask) -> list[VertexMask]:
 def induced(g: WeightedGraph, mask: VertexMask) -> tuple[sp.csr_matrix, np.ndarray]:
     """CSR adjacency of the residual graph and the sorted ids of its vertices:
     local index i of the matrix is vertex sorted_ids[i]."""
-    csr = g.csr()
     if len(mask) == g.n:
-        return csr, np.arange(g.n, dtype=np.int64)
-    verts = np.fromiter(sorted(mask.alive), dtype=np.int64, count=len(mask))
+        verts = np.arange(g.n, dtype=np.int64)
+    else:
+        verts = np.fromiter(sorted(mask.alive), dtype=np.int64, count=len(mask))
+    return _slice(g, verts)
+
+
+def _slice(g: WeightedGraph, verts: np.ndarray) -> tuple[sp.csr_matrix, np.ndarray]:
+    """induced for sorted, distinct ids verts; all n of them get the graph's own CSR."""
+    csr = g.csr()
+    if len(verts) == g.n:
+        return csr, verts
     first, count = csr.indptr[verts], csr.indptr[verts + 1] - csr.indptr[verts]
     # the rows' entries in stored order, kept where their column is alive; an
     # n-entry id map, as scipy's indexing uses, beat binary search on big masks
@@ -287,6 +311,27 @@ def induced(g: WeightedGraph, mask: VertexMask) -> tuple[sp.csr_matrix, np.ndarr
     indptr = np.concatenate(([0], np.cumsum(keep)))[np.concatenate(([0], np.cumsum(count)))]
     return sp.csr_matrix((csr.data[at[keep]], local[keep], indptr.astype(csr.indptr.dtype)),
                          shape=(len(verts),) * 2), verts
+
+
+def _level_union(g: WeightedGraph, masks) -> tuple[sp.csr_matrix, np.ndarray, np.ndarray]:
+    """induced for the union of masks, plus owner: owner[i] is the position in
+    masks of the mask holding local vertex i. Raises ValueError unless the
+    masks are pairwise disjoint and no edge joins two of them."""
+    if len(masks) == 1:
+        sub, verts = induced(g, masks[0])
+        return sub, verts, np.zeros(len(verts), dtype=np.int64)
+    sizes = [len(m) for m in masks]
+    flat = np.fromiter(itertools.chain.from_iterable(m.alive for m in masks), dtype=np.int64,
+                       count=sum(sizes))
+    order = np.argsort(flat)
+    verts = flat[order]
+    if np.any(verts[1:] == verts[:-1]):
+        raise ValueError("the masks of one level overlap")
+    owner = np.repeat(np.arange(len(masks)), sizes)[order]
+    sub, _ = _slice(g, verts)
+    if np.any(owner[sub.indices] != np.repeat(owner, np.diff(sub.indptr))):
+        raise ValueError("an edge joins two masks of one level")
+    return sub, verts, owner
 
 
 def concat_ranges(first: np.ndarray, count: np.ndarray) -> np.ndarray:
@@ -306,14 +351,16 @@ def distance_blocks(g: WeightedGraph, mask: VertexMask, sources, radius: float):
     """Residual distances from many sources, cut at radius: yields (first,
     dist, verts) per block of SOURCE_BLOCK sources. verts are the sorted alive
     ids; dist[i, j] is the distance from sources[first + i] to verts[j] when
-    it is at most radius, inf otherwise."""
+    it is at most radius, inf otherwise. A caller that drops each block
+    before asking for the next holds one block at a time."""
     sub, verts = induced(g, mask)
     local = _local_ids(verts, sources)
     for first in range(0, len(local), SOURCE_BLOCK):
-        # scipy's limit is inclusive: a pair farther apart than radius gets inf
-        dist = csgraph_dijkstra(sub, directed=False, indices=local[first:first + SOURCE_BLOCK],
-                                limit=radius)
-        yield first, np.atleast_2d(dist), verts
+        # scipy's limit is inclusive: a pair farther apart than radius gets inf.
+        # No local name keeps the block, so once the caller drops it, it is
+        # freed before the next block is computed.
+        yield first, np.atleast_2d(csgraph_dijkstra(
+            sub, directed=False, indices=local[first:first + SOURCE_BLOCK], limit=radius)), verts
 
 
 def nearest_sources(g: WeightedGraph, mask: VertexMask, source_sets, radius: float):
@@ -329,42 +376,82 @@ def nearest_sources(g: WeightedGraph, mask: VertexMask, source_sets, radius: flo
         yield dist, np.maximum(nearest, -1), verts
 
 
-def _farthest_local(sub: sp.csr_matrix, src: int):
-    """One scipy sweep from local src: farthest reachable index, its distance, predecessors."""
-    dist, pred = csgraph_dijkstra(sub, directed=False, indices=src, return_predecessors=True)
-    far = int(np.argmax(np.where(np.isinf(dist), -INF, dist)))
-    return far, float(dist[far]), pred
+def _sweep(sub: sp.csr_matrix, owner: np.ndarray, sources: np.ndarray):
+    """One scipy sweep over a level union from one local source per mask:
+    each mask's farthest reached local index (ties: the smallest), the
+    distances and the predecessors."""
+    dist, pred, _ = csgraph_dijkstra(sub, directed=False, indices=sources, min_only=True,
+                                     return_predecessors=True)
+    key = np.where(np.isinf(dist), -INF, dist)
+    best = np.full(len(sources), -INF)
+    np.maximum.at(best, owner, key)
+    tied = np.flatnonzero(key == best[owner])
+    far = np.full(len(sources), len(key))
+    np.minimum.at(far, owner[tied], tied)
+    return far, dist, pred
 
 
 def farthest(g: WeightedGraph, mask: VertexMask, src: int) -> tuple[int, float]:
     """Reachable vertex maximizing residual distance from src; ties -> smallest id."""
     if src not in mask:
         raise MaskError(f"source {src} is not alive in the mask")
-    sub, verts = induced(g, mask)
-    far, d, _ = _farthest_local(sub, int(np.searchsorted(verts, src)))
-    return int(verts[far]), d
+    sub, verts, owner = _level_union(g, [mask])
+    far, dist, _ = _sweep(sub, owner, np.searchsorted(verts, [src]))
+    return int(verts[far[0]]), float(dist[far[0]])
 
 
-def double_sweep(g: WeightedGraph, mask: VertexMask, src: int) -> Path:
-    """Residual shortest path from u, farthest from src, to v, farthest from u; smallest-id ties."""
-    if src not in mask:
-        raise MaskError(f"source {src} is not alive in the mask")
-    if len(mask) == 1:
-        return Path((src,), 0.0)
-    sub, verts = induced(g, mask)
-    u, _, _ = _farthest_local(sub, int(np.searchsorted(verts, src)))
-    v, _, pred = _farthest_local(sub, u)
-    chain = [v]
-    while chain[-1] != u:
-        chain.append(int(pred[chain[-1]]))
-    return Path.from_vertices(g, (int(verts[i]) for i in reversed(chain)))
+def double_sweep(g: WeightedGraph, masks, sources) -> list[Path]:
+    """Per mask, the residual shortest path from u, farthest from its source,
+    to v, farthest from u; smallest-id ties. The masks must be pairwise
+    disjoint and non-adjacent: each of the two sweeps is one scipy call over
+    their union, from one vertex in each, and the paths are rebuilt from the
+    second sweep's predecessors."""
+    for mask, src in zip(masks, sources, strict=True):
+        if src not in mask:
+            raise MaskError(f"source {src} is not alive in the mask")
+    if all(len(mask) == 1 for mask in masks):
+        return [Path((int(src),), 0.0) for src in sources]
+    sub, verts, owner = _level_union(g, masks)
+    u, _, _ = _sweep(sub, owner, np.searchsorted(verts, sources))
+    v, _, pred = _sweep(sub, owner, u)
+    paths = []
+    for a, b in zip(u.tolist(), v.tolist()):
+        walk = [b]
+        while walk[-1] != a:
+            walk.append(int(pred[walk[-1]]))
+        paths.append(Path.from_vertices(g, verts[walk[::-1]].tolist()))
+    return paths
+
+
+def level_components(g: WeightedGraph, masks) -> list[list[VertexMask]]:
+    """components(g, mask) for each of pairwise disjoint, non-adjacent masks,
+    from one scipy call over their union."""
+    out: list[list[VertexMask]] = [[] for _ in masks]
+    if not any(len(mask) for mask in masks):
+        return out
+    sub, verts, owner = _level_union(g, masks)
+    count, label = connected_components(sub, directed=False)
+    # number the components by their smallest vertex, the first local index with their label
+    first = np.full(count, len(verts))
+    np.minimum.at(first, label, np.arange(len(verts)))
+    order = np.argsort(first)
+    rank = np.empty(count, dtype=np.int64)
+    rank[order] = np.arange(count)
+    ids = verts[np.argsort(rank[label], kind="stable")].tolist()
+    ends = np.cumsum(np.bincount(label, minlength=count)[order]).tolist()
+    owners = owner[first[order]].tolist()
+    connected = np.bincount(owners, minlength=len(masks)) == 1
+    for k, a, b in zip(owners, [0] + ends, ends):
+        # a connected mask is its own single component
+        out[k].append(masks[k] if connected[k] else VertexMask._of_valid(g.n, frozenset(ids[a:b])))
+    return out
 
 
 def weighted_diameter(g: WeightedGraph) -> float:
     """Weighted diameter: exact all-pairs for n <= 512, double-sweep bound above."""
     if g.n <= 512:
         return float(csgraph_dijkstra(g.csr(), directed=False).max())
-    return double_sweep(g, VertexMask.full(g.n), 0).length
+    return double_sweep(g, [VertexMask.full(g.n)], [0])[0].length
 
 
 def load_graph(path) -> WeightedGraph:

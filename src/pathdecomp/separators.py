@@ -6,7 +6,9 @@ Deleting the whole separator must leave only components of at most half the
 original alive count (the flaps).
 
 The greedy finder repeatedly removes an approximate-diameter shortest path
-from the largest oversized component. The centroid finder is the exact
+from the largest oversized component. It runs over a whole recursion level
+at once (greedy_find_level), one double sweep per round over the level's
+targets; greedy_find is its one-node call. The centroid finder is the exact
 one-path witness for trees.
 """
 
@@ -14,7 +16,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graph import GraphError, Path, VertexMask, WeightedGraph, components, double_sweep, sssp
+from .graph import (
+    GraphError,
+    Path,
+    VertexMask,
+    WeightedGraph,
+    components,
+    double_sweep,
+    level_components,
+    sssp,
+)
 
 
 class NotATreeError(ValueError):
@@ -128,25 +139,33 @@ def greedy_find(g: WeightedGraph, mask: VertexMask) -> PathSeparator:
     endpoints, and records it as a single-path group. The number of paths is
     whatever the process needed; it is measured, never assumed.
     """
-    if len(mask) == 0:
+    return greedy_find_level(g, [mask])[0]
+
+
+def greedy_find_level(g: WeightedGraph, masks) -> list[PathSeparator]:
+    """greedy_find for each of pairwise disjoint, non-adjacent masks, such as
+    the nodes of one recursion level. Round t deletes the t-th path of every
+    node still unbalanced: one double sweep over the union of their targets,
+    then one components call over the union of their residuals."""
+    if any(len(mask) == 0 for mask in masks):
         raise ValueError("cannot separate an empty residual graph")
-    comps = components(g, mask)
-    if len(comps) != 1:
+    comps = level_components(g, masks)
+    if any(len(c) != 1 for c in comps):
         raise ValueError("greedy_find requires a connected residual graph")
-    limit = len(mask) // 2
-    residual = mask
-    groups = []
-    while True:
-        big = [c for c in comps if len(c) > limit]
-        if not big:
-            break
-        target = max(big, key=len)  # ties: first in smallest-id order
-        path = double_sweep(g, target, min(target.alive))
-        groups.append(SeparatorGroup((path,), residual))
-        residual = residual.without(path.vertices)
-        comps = components(g, residual)
-    separator = frozenset(mask.alive - residual.alive)
-    return PathSeparator(tuple(groups), separator, tuple(comps), len(groups))
+    residual = list(masks)
+    groups: list[list[SeparatorGroup]] = [[] for _ in masks]
+    todo = list(range(len(masks)))  # nodes with a component over half their alive count
+    while todo:
+        targets = [max(comps[i], key=len) for i in todo]  # ties: first in smallest-id order
+        paths = double_sweep(g, targets, [min(target.alive) for target in targets])
+        for i, path in zip(todo, paths):
+            groups[i].append(SeparatorGroup((path,), residual[i]))
+            residual[i] = residual[i].without(path.vertices)
+        for i, c in zip(todo, level_components(g, [residual[i] for i in todo])):
+            comps[i] = c
+        todo = [i for i in todo if max(map(len, comps[i]), default=0) > len(masks[i]) // 2]
+    return [PathSeparator(tuple(grp), frozenset(mask.alive - res.alive), tuple(c), len(grp))
+            for mask, res, grp, c in zip(masks, residual, groups, comps)]
 
 
 def tree_centroid_find(g: WeightedGraph, mask: VertexMask) -> PathSeparator:

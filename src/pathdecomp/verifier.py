@@ -86,6 +86,7 @@ def check_cluster_diameters(g: WeightedGraph, part: Partition, delta: float):
             i, j = row[t], int(cols[t])
             return Violation("diameter", f"cluster {cids[k[i]]}: d({int(sources[first + i])},{j}) "
                              f"= {inside[t]} exceeds 4*delta/5 = {bound}")
+        del dist  # one block alive at a time
     return None
 
 
@@ -161,6 +162,7 @@ def threatener_report(g: WeightedGraph, centers: CenterSequence,
         pairs = np.unique((first + np.repeat(row, sizes)) * index.n_records
                           + index.record[concat_ranges(lo, sizes)])
         counts += np.bincount(pairs // index.n_records, minlength=len(vertices))
+        del dist  # one block alive at a time
     return ThreatenerReport(
         gamma, tuple(int(v) for v in vertices), tuple(int(c) for c in counts),
         threatener_bound(params.p_eff, params.n),
@@ -279,6 +281,7 @@ def _flatten_balls(g: WeightedGraph, delta: float, gammas, vertices):
         flat.append(ids[col[e[order]]])
         anchors.append(vertices[first + row[e[order]]])
         sizes.append(np.bincount(seg, minlength=len(dist) * len(radii)))
+        del dist  # one block alive at a time
     sizes = np.concatenate(sizes)
     return np.concatenate(flat), np.concatenate(anchors), np.cumsum(sizes) - sizes
 
@@ -286,7 +289,8 @@ def _flatten_balls(g: WeightedGraph, delta: float, gammas, vertices):
 def estimate_padding(g: WeightedGraph, delta: float, finder=greedy_find,
                      gammas=(0.0, 1.0 / 400.0, 1.0 / 200.0, 1.0 / 100.0),
                      trials: int = 1000, seed: int = 0,
-                     scheme: str = "paper") -> PaddingReport:
+                     scheme: str = "paper",
+                     centers: CenterSequence | None = None) -> PaddingReport:
     """Monte-Carlo padding probabilities against the 2^(-beta*gamma) floor.
 
     Runs `trials` independent decompositions with per-trial seeds derived from
@@ -294,6 +298,9 @@ def estimate_padding(g: WeightedGraph, delta: float, finder=greedy_find,
     trials in which B_G(x, gamma*delta) stayed inside x's cluster. Acceptance
     per (x, gamma): Wilson 99% lower bound >= floor for gamma > 0; for
     gamma = 0 the event holds surely, so the check is successes == trials.
+
+    The paper scheme carves `centers` when given (chosen at this delta; the
+    finder is then unused), else choose_centers(g, delta, finder).
     """
     gammas = tuple(float(gamma) for gamma in gammas)
     if not gammas:
@@ -305,12 +312,18 @@ def estimate_padding(g: WeightedGraph, delta: float, finder=greedy_find,
         raise ValueError(f"trials must be >= 1, got {trials}")
     if scheme not in ("paper", "baseline"):
         raise ValueError(f"unknown scheme {scheme!r}")
+    if centers is not None:
+        if scheme != "paper":
+            raise ValueError(f"centers apply to the paper scheme only, not scheme={scheme!r}")
+        if centers.delta != delta:
+            raise ValueError(f"delta={delta!r} differs from the delta={centers.delta!r} "
+                             f"the centers were chosen for")
 
     vertices = sample_vertices(g, seed)
     flat, anchors, starts = _flatten_balls(g, delta, gammas, vertices)
 
     if scheme == "paper":
-        seq = choose_centers(g, delta, finder)
+        seq = choose_centers(g, delta, finder) if centers is None else centers
         params = DecompositionParams.for_graph(delta, seed, seq.p_eff, g.n)
         p_eff = seq.p_eff
 

@@ -131,6 +131,21 @@ class TestChooseCenters:
         assert index.n_records == len(seq.records) == 2048
         assert len(calls) <= 120
 
+    def test_finder_and_index_make_few_scipy_calls(self, monkeypatch):
+        # the greedy finder runs level by level too: two sweeps per round of a
+        # level, not two per component (899 calls with one sweep per component)
+        import pathdecomp.graph as graph_module
+
+        g = gen_ktree(2048, 2).graph
+        delta = weighted_diameter(g) / 4
+        calls = []
+        real = graph_module.csgraph_dijkstra
+        monkeypatch.setattr(graph_module, "csgraph_dijkstra",
+                            lambda *a, **kw: calls.append(1) or real(*a, **kw))
+        seq = choose_centers(g, delta)
+        assert len(seq.records) == 2048
+        assert len(calls) <= 120
+
 
 class TestDecompositionParams:
     @pytest.mark.parametrize("delta", [0.0, -1.0, math.inf, math.nan])

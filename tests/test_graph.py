@@ -1,6 +1,7 @@
 import ast
 import math
 import pathlib
+import tracemalloc
 from collections import deque
 
 import numpy as np
@@ -24,7 +25,14 @@ from pathdecomp import (
     sssp,
     weighted_diameter,
 )
-from pathdecomp.graph import SOURCE_BLOCK, distance_blocks, induced, nearest_sources
+from pathdecomp.graph import (
+    SOURCE_BLOCK,
+    distance_blocks,
+    double_sweep,
+    induced,
+    level_components,
+    nearest_sources,
+)
 
 INF = math.inf
 
@@ -327,9 +335,119 @@ class TestDistanceBlocks:
         with pytest.raises(MaskError):
             next(distance_blocks(chain, mask, [0, 2], 1.0))
 
+    def test_consuming_loop_holds_one_block(self):
+        # every source of a 32x32 grid: 8 blocks of SOURCE_BLOCK x 1024 floats
+        g = gen_grid(32, 32)
+        full = VertexMask.full(g.n)
+        g.csr()
+        block = SOURCE_BLOCK * g.n * 8
+        rows = 0
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            for first, dist, verts in distance_blocks(g, full, np.arange(g.n), INF):
+                rows += len(dist)
+                del dist
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert rows == g.n
+        assert peak < 1.5 * block
+
     def test_full_mask_is_not_sliced(self, grid8):
         sub, verts = induced(grid8, VertexMask.full(64))
         assert sub is grid8.csr() and verts.tolist() == list(range(64))
+
+
+def scipy_double_sweep(g, mask, src):
+    """Reference: the one-component double sweep as two single-source scipy
+    calls on the mask's own induced CSR, ties to the smallest id."""
+    sub, verts = induced(g, mask)
+    far = np.searchsorted(verts, src)
+    for _ in range(2):
+        start = far
+        dist, pred = csgraph_dijkstra(sub, directed=False, indices=start, return_predecessors=True)
+        far = int(np.argmax(np.where(np.isinf(dist), -INF, dist)))
+    walk = [far]
+    while walk[-1] != start:
+        walk.append(int(pred[walk[-1]]))
+    return Path.from_vertices(g, [int(verts[i]) for i in reversed(walk)])
+
+
+def grid_blocks(side, cut, weights, seed):
+    """A side x side grid and the blocks left by deleting the rows and columns
+    in cut: pairwise disjoint, non-adjacent masks, many of the same shape."""
+    g = gen_grid(side, side, weights, seed)
+    keep = [i for i in range(side) if i not in cut]
+    bounds = [i for i in range(1, len(keep)) if keep[i] != keep[i - 1] + 1]
+    runs = np.split(keep, bounds)
+    masks = [VertexMask(g.n, [r * side + c for r in rows for c in cols])
+             for rows in runs for cols in runs]
+    return g, masks
+
+
+class TestDoubleSweep:
+    @pytest.mark.parametrize("side,cut,weights", [
+        (64, set(range(8, 64, 8)), "unit"),            # 64 tied 8x8 / 7x7 blocks
+        (72, set(range(4, 72, 5)), "unit"),            # 225 tied 4x4 blocks
+        (64, {3, 4, 11, 20, 22, 30, 40, 41, 50}, "unit"),  # mixed shapes
+        (64, set(range(8, 64, 8)), "uniform"),
+    ], ids=["unit-8x8", "unit-4x4", "unit-mixed", "uniform-8x8"])
+    @pytest.mark.parametrize("shuffle", [False, True], ids=["given", "shuffled"])
+    def test_level_sweep_equals_one_mask_sweeps(self, side, cut, weights, shuffle):
+        g, masks = grid_blocks(side, cut, weights, 3)
+        rng = np.random.default_rng(side + len(cut))
+        sources = [int(rng.choice(sorted(m.alive))) for m in masks]
+        if shuffle:
+            order = rng.permutation(len(masks))
+            masks, sources = [masks[i] for i in order], [sources[i] for i in order]
+        assert len(masks) >= 64
+        level = double_sweep(g, masks, sources)
+        one = [double_sweep(g, [m], [s])[0] for m, s in zip(masks, sources)]
+        assert level == one
+        assert one == [scipy_double_sweep(g, m, s) for m, s in zip(masks, sources)]
+
+    def test_one_vertex_masks_make_no_scipy_call(self, grid8, monkeypatch):
+        import pathdecomp.graph as graph_module
+
+        monkeypatch.setattr(graph_module, "csgraph_dijkstra", None)
+        masks = [VertexMask(64, [v]) for v in (0, 9, 63)]
+        assert double_sweep(grid8, masks, [0, 9, 63]) == [Path((v,), 0.0) for v in (0, 9, 63)]
+
+    def test_overlapping_masks_raise(self, grid8):
+        masks = [VertexMask(64, [0, 1, 2]), VertexMask(64, [2, 3])]
+        with pytest.raises(ValueError, match="overlap"):
+            double_sweep(grid8, masks, [0, 3])
+
+    def test_adjacent_masks_raise(self, grid8):
+        # the edge 1-2 joins the masks
+        masks = [VertexMask(64, [0, 1]), VertexMask(64, [2, 3])]
+        with pytest.raises(ValueError, match="edge joins"):
+            double_sweep(grid8, masks, [0, 3])
+
+    def test_dead_source_raises(self, grid8):
+        masks = [VertexMask(64, [0, 1]), VertexMask(64, [3, 4])]
+        with pytest.raises(MaskError, match="source 2 "):
+            double_sweep(grid8, masks, [0, 2])
+
+
+class TestLevelComponents:
+    def test_equals_components_of_each_mask(self):
+        # blocks of a grid, each with random holes, so most fall apart
+        g, blocks = grid_blocks(48, set(range(6, 48, 7)), "unit", 0)
+        rng = np.random.default_rng(5)
+        masks = [b.without(v for v in b.alive if rng.random() < 0.4) for b in blocks]
+        masks.append(VertexMask(g.n, []))
+        assert level_components(g, masks) == [components(g, m) for m in masks]
+
+    def test_connected_mask_is_its_own_component(self, grid8):
+        mask = VertexMask(64, range(16))
+        (only,), = level_components(grid8, [mask])
+        assert only is mask
+
+    def test_adjacent_masks_raise(self, grid8):
+        with pytest.raises(ValueError, match="edge joins"):
+            level_components(grid8, [VertexMask(64, [0, 1]), VertexMask(64, [2, 3])])
 
 
 class TestInduced:

@@ -120,6 +120,22 @@ class TestRunExperiment:
         assert report["pass"] is False
         assert "planted" in report["results"][0]["checks"]["partition"]
 
+    def test_centers_are_chosen_once_per_delta(self, monkeypatch):
+        # _run_scheme hands the sequence it built to estimate_padding
+        from pathdecomp import decomposer, harness
+
+        calls = []
+        real = decomposer.choose_centers
+
+        def counted(*args, **kwargs):
+            calls.append(args[1])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "choose_centers", counted)
+        monkeypatch.setattr(verifier, "choose_centers", counted)
+        rep = run_experiment(quick_cfg(deltas=(2.0, 3.0), scheme="both"))
+        assert rep["pass"] and calls == [2.0, 3.0]
+
     def test_graph_file_source(self, tmp_path):
         f = tmp_path / "g.txt"
         dump_graph(gen_grid(3, 3), f)

@@ -1,5 +1,6 @@
 import pytest
 
+import pathdecomp as pd
 from pathdecomp import (
     NotATreeError,
     Path,
@@ -15,6 +16,9 @@ from pathdecomp import (
     tree_centroid_find,
     validate_separator,
 )
+from pathdecomp.separators import greedy_find_level
+
+from test_acceptance import DELTA_FRACTIONS, corpus_specs
 
 
 def star(leaves=5):
@@ -161,13 +165,55 @@ class TestGreedyFinder:
 
     def test_empty_mask_rejected(self):
         g = unit_path(3)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^cannot separate an empty residual graph$"):
             greedy_find(g, VertexMask(3, []))
 
     def test_disconnected_residual_rejected(self):
         g = unit_path(3)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^greedy_find requires a connected residual graph$"):
             greedy_find(g, VertexMask(3, [0, 2]))
+
+    @pytest.mark.parametrize("bad,match", [
+        ([], "^cannot separate an empty residual graph$"),
+        ([5, 7], "^greedy_find requires a connected residual graph$"),
+    ], ids=["empty", "disconnected"])
+    def test_bad_node_in_a_level_rejected(self, bad, match):
+        g = unit_path(9)
+        with pytest.raises(ValueError, match=match):
+            greedy_find_level(g, [VertexMask(9, [0, 1, 2]), VertexMask(9, bad)])
+
+    def test_level_of_adjacent_nodes_rejected(self):
+        g = unit_path(6)
+        with pytest.raises(ValueError, match="edge joins"):
+            greedy_find_level(g, [VertexMask(6, [0, 1, 2]), VertexMask(6, [3, 4, 5])])
+
+    def test_level_equals_one_node_calls(self):
+        # the flaps of a k-tree's greedy separator: one level of a recursion
+        g = gen_ktree(300, 2, "uniform", seed=1).graph
+        flaps = list(greedy_find(g, VertexMask.full(g.n)).flaps)
+        assert len(flaps) > 1
+        assert greedy_find_level(g, flaps) == [greedy_find(g, flap) for flap in flaps]
+
+
+def test_choose_centers_separators_equal_per_node_finder_calls():
+    # every 8th acceptance-corpus instance: the recursion of the old per-node
+    # loop (depth-first, flaps in smallest-id order, one finder call per node)
+    checked = 0
+    for i, (label, g, finder, seed) in enumerate(corpus_specs()):
+        if i % 8:
+            continue
+        w = pd.weighted_diameter(g)
+        delta = max(w, 1.0) * DELTA_FRACTIONS[seed % 3] if w > 0 else 1.0
+        seq = pd.choose_centers(g, delta, finder)
+        walk, stack = [], [VertexMask.full(g.n)]
+        while stack:
+            mask = stack.pop()
+            sep = finder(g, mask)
+            walk.append((mask, sep))
+            stack.extend(reversed(sep.flaps))
+        assert list(seq.separators) == walk, label
+        checked += finder is greedy_find
+    assert checked > 50
 
 
 class TestCentroidFinder:

@@ -251,6 +251,22 @@ class TestEstimatePadding:
         b = estimate_padding(g, 4.0, trials=50, seed=7)
         assert a == b
 
+    def test_given_centers_give_the_same_report(self):
+        g = gen_ktree(300, 2, "uniform", seed=4).graph
+        seq = choose_centers(g, 2.5)
+        assert estimate_padding(g, 2.5, trials=40, seed=3, centers=seq) == \
+            estimate_padding(g, 2.5, trials=40, seed=3)
+
+    def test_centers_with_baseline_scheme_rejected(self):
+        g = gen_grid(4, 4)
+        with pytest.raises(ValueError, match="paper scheme only"):
+            estimate_padding(g, 3.0, trials=5, scheme="baseline", centers=choose_centers(g, 3.0))
+
+    def test_centers_at_another_delta_rejected(self):
+        g = gen_grid(4, 4)
+        with pytest.raises(ValueError, match=r"^delta=2\.0 differs from the delta=3\.0 "):
+            estimate_padding(g, 2.0, trials=5, centers=choose_centers(g, 3.0))
+
     def test_trials_are_independent_decompositions(self):
         # trial t must see exactly the partition decompose would produce
         # under the derived seed; verified by reconstructing trial successes
