@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .graph import MaskError, Path, VertexMask, WeightedGraph, distance_blocks, nearest_sources
+from .graph import Path, VertexMask, WeightedGraph, distance_blocks, level_balls
 from .nets import PathMetricView, greedy_net
 from .sampler import RngStream, TexpParams, texp_sample_many
 from .separators import greedy_find, greedy_find_level
@@ -55,6 +55,11 @@ def _paper_k(p_eff: int, n: int) -> int:
 
 def _beta_of_k(k: int) -> float:
     return 40.0 * math.log(k) / math.log(2.0)
+
+
+def _require_valid_delta(delta: float) -> None:
+    if not 0 < delta < math.inf:  # nan fails too
+        raise ValueError(f"delta must be positive and finite, got {delta}")
 
 
 def beta_bound(p_eff: int, n: int) -> float:
@@ -103,7 +108,7 @@ class BallIndex:
     def of_records(cls, g: WeightedGraph, records, delta: float) -> "BallIndex":
         """Index of each record's ball in its subgraph. Records sharing a
         subgraph, or a batch key, are solved together. Raises ValueError when
-        subgraphs sharing a key overlap or a ball crosses between them."""
+        subgraphs sharing a key overlap or are adjacent."""
         batches: dict[tuple[int, int], dict[int, tuple[VertexMask, list[int]]]] = {}
         for i, rec in enumerate(records):
             batch = batches.setdefault((rec.depth, rec.group), {})
@@ -149,7 +154,7 @@ def _incidences(g: WeightedGraph, batch, centers: np.ndarray, radius: float):
     """(record, vertex, distance) arrays of the balls of a batch [(subgraph,
     record ids)], centers[r] being record r's center. Several subgraphs must be
     disjoint and non-adjacent: round t sweeps their union from the t-th center
-    of each that has one, and a vertex joins the ball of its nearest center."""
+    of each that has one (graph.level_balls)."""
     if len(batch) == 1:
         (mask, ids), = batch
         for first, dmat, verts in distance_blocks(g, mask, centers[ids], radius):
@@ -157,23 +162,12 @@ def _incidences(g: WeightedGraph, batch, centers: np.ndarray, radius: float):
             yield np.asarray(ids)[first + row], verts[col], dmat[row, col]
             del dmat  # one block alive at a time
         return
-    if any(centers[i] not in mask for mask, ids in batch for i in ids):
-        raise MaskError("every center must be alive in its own subgraph")
-    flat = np.concatenate([np.fromiter(mask.alive, dtype=np.int64) for mask, _ in batch])
-    union = VertexMask(g.n, flat.tolist())
-    if len(union) != len(flat):
-        raise ValueError("subgraphs that share a batch key (depth, group) overlap")
-    # owner[j]: the position in batch of the subgraph holding the j-th smallest vertex
-    owner = np.repeat(np.arange(len(batch)), [len(m) for m, _ in batch])[np.argsort(flat)]
     rounds = range(max(len(ids) for _, ids in batch))
-    sets = [[centers[ids[t]] for _, ids in batch if t < len(ids)] for t in rounds]
-    for t, (dist, nearest, verts) in zip(rounds, nearest_sources(g, union, sets, radius)):
-        hit = np.flatnonzero(nearest >= 0)
-        home = owner[nearest[hit]]
-        if np.any(owner[hit] != home):
-            raise ValueError("a ball crossed between subgraphs that share a batch key")
+    sources = [[centers[ids[t]] if t < len(ids) else None for _, ids in batch] for t in rounds]
+    balls = level_balls(g, [mask for mask, _ in batch], sources, radius)
+    for t, (owner, verts, dist) in zip(rounds, balls):
         record = np.array([ids[t] if t < len(ids) else -1 for _, ids in batch])
-        yield record[home], verts[hit], dist[hit]
+        yield record[owner], verts, dist
 
 
 @dataclass(frozen=True)
@@ -222,8 +216,7 @@ class DecompositionParams:
     @classmethod
     def _with_k(cls, delta: float, seed: int, p_eff: int, n: int,
                 K: int) -> "DecompositionParams":
-        if not 0 < delta < math.inf:  # nan fails too
-            raise ValueError(f"delta must be positive and finite, got {delta}")
+        _require_valid_delta(delta)
         return cls(delta, int(seed), p_eff, n, K, delta / (10.0 * math.log(K)))
 
     def beta(self) -> float:
@@ -272,8 +265,7 @@ def choose_centers(g: WeightedGraph, delta: float, finder=greedy_find) -> Center
     emits net points for its groups in order (paths in finder order, net
     points in path order), then recurses into its flaps in smallest-id order.
     """
-    if not 0 < delta < math.inf:
-        raise ValueError(f"delta must be positive and finite, got {delta}")
+    _require_valid_delta(delta)
     if finder is greedy_find:
         find_level = greedy_find_level
     else:

@@ -10,25 +10,27 @@ Every residual operation lives here, once:
 - A VertexMask is the graph size and a frozenset of alive ids, nothing else.
 - `induced` is the one place that slices the CSR by a vertex set (numpy
   gathers, not scipy's fancy indexing); a full mask gets the graph's own CSR.
+- A level union is a list of pairwise disjoint masks that no edge joins, such
+  as the nodes of one recursion level. `_level_union` alone builds one (one
+  slice, each vertex's mask) and raises ValueError otherwise: no sweep leaves its mask.
 - scipy's Dijkstra runs every sweep and every multi-source query:
   - `distance_blocks`: distances from many sources, cut at a radius, in blocks
     of SOURCE_BLOCK rows of the residual's size. The BallIndex builds and the
     verifier's balls, threatener counts and diameter checks all use it.
-  - `nearest_sources`: each vertex's nearest source, cut at a radius; one call
-    answers disjoint one-source pieces at once (the BallIndex's level sweeps).
-  - `double_sweep`: one path per mask over a level union, that is, a list of
-    pairwise disjoint, non-adjacent masks (the separator finder's targets of
-    one recursion level and round). Each of its two sweeps is one call from
-    one source per mask, and each path is rebuilt from the second sweep's
-    predecessors. The paths equal one-mask calls, which the tests pin on
-    many tied blocks in any source order. One mask serves `farthest` (its
-    first sweep) and `weighted_diameter` (exact all-pairs at n <= 512).
+  - `level_balls`: per round, one sweep over a level union cut at a radius,
+    from at most one source per mask (the BallIndex's level sweeps).
+  - `double_sweep`: one path per mask of a level union (the separator
+    finder's targets of one level and round), from two sweeps of one source
+    per mask, rebuilt from the second sweep's predecessors. The paths equal
+    one-mask calls, which the tests pin on many tied blocks in any source
+    order. One mask serves `farthest` (its first sweep) and
+    `weighted_diameter` (exact all-pairs at n <= 512).
 - `level_components` is `components` for each mask of a level union, from
   one scipy `connected_components` call. `components` itself, and the heap
-  Dijkstra below behind the single-source residual queries `sssp` and `ball`,
-  touch only alive vertices and their edges: on the 1-10 vertex residuals
-  of most recursion nodes that is over ten times faster than slicing a CSR
-  for scipy (measured, see the README).
+  Dijkstra below behind `sssp`, `ball` and the separator validator, touch
+  only alive vertices and their edges: on the 1-10 vertex residuals of most
+  recursion nodes that is over ten times faster than slicing a CSR for scipy
+  (measured, see the README).
 """
 
 from __future__ import annotations
@@ -339,14 +341,6 @@ def concat_ranges(first: np.ndarray, count: np.ndarray) -> np.ndarray:
     return np.arange(int(count.sum())) + np.repeat(first - np.cumsum(count) + count, count)
 
 
-def _local_ids(verts: np.ndarray, sources) -> np.ndarray:
-    """Positions of sources among the sorted alive ids verts."""
-    local = np.searchsorted(verts, sources)
-    if not np.array_equal(verts.take(local, mode="clip"), sources):
-        raise MaskError("every source must be alive in the mask")
-    return local
-
-
 def distance_blocks(g: WeightedGraph, mask: VertexMask, sources, radius: float):
     """Residual distances from many sources, cut at radius: yields (first,
     dist, verts) per block of SOURCE_BLOCK sources. verts are the sorted alive
@@ -354,7 +348,9 @@ def distance_blocks(g: WeightedGraph, mask: VertexMask, sources, radius: float):
     it is at most radius, inf otherwise. A caller that drops each block
     before asking for the next holds one block at a time."""
     sub, verts = induced(g, mask)
-    local = _local_ids(verts, sources)
+    local = np.searchsorted(verts, sources)
+    if not np.array_equal(verts.take(local, mode="clip"), sources):
+        raise MaskError("every source must be alive in the mask")
     for first in range(0, len(local), SOURCE_BLOCK):
         # scipy's limit is inclusive: a pair farther apart than radius gets inf.
         # No local name keeps the block, so once the caller drops it, it is
@@ -363,17 +359,21 @@ def distance_blocks(g: WeightedGraph, mask: VertexMask, sources, radius: float):
             sub, directed=False, indices=local[first:first + SOURCE_BLOCK], limit=radius)), verts
 
 
-def nearest_sources(g: WeightedGraph, mask: VertexMask, source_sets, radius: float):
-    """Residual distance to the nearest source, cut at radius: yields (dist,
-    nearest, verts) per source set, one sweep each. verts are the sorted alive
-    ids; dist[j] is verts[j]'s distance to its nearest source, verts[nearest[j]],
-    or inf past radius, where nearest[j] is -1."""
-    sub, verts = induced(g, mask)
-    for sources in source_sets:
-        local = _local_ids(verts, sources)
-        dist, _, nearest = csgraph_dijkstra(sub, directed=False, indices=local, limit=radius,
-                                            min_only=True, return_predecessors=True)
-        yield dist, np.maximum(nearest, -1), verts
+def level_balls(g: WeightedGraph, masks, rounds, radius: float):
+    """Balls over a level union, one scipy sweep per round: rounds[t][k] is
+    masks[k]'s t-th source, or None. Yields (owner, verts, dist) per round:
+    the reached vertices, the position in masks of each one's mask, and its
+    residual distance to that mask's source, at most radius."""
+    for sources in rounds:
+        for mask, src in zip(masks, sources, strict=True):
+            if src is not None and src not in mask:
+                raise MaskError(f"source {src} is not alive in the mask")
+    sub, verts, owner = _level_union(g, masks)
+    for sources in rounds:
+        local = np.searchsorted(verts, [src for src in sources if src is not None])
+        dist = csgraph_dijkstra(sub, directed=False, indices=local, limit=radius, min_only=True)
+        hit = np.flatnonzero(np.isfinite(dist))
+        yield owner[hit], verts[hit], dist[hit]
 
 
 def _sweep(sub: sp.csr_matrix, owner: np.ndarray, sources: np.ndarray):

@@ -21,10 +21,10 @@ from .graph import (
     Path,
     VertexMask,
     WeightedGraph,
+    _dijkstra,
     components,
     double_sweep,
     level_components,
-    sssp,
 )
 
 
@@ -101,7 +101,10 @@ def validate_separator(g: WeightedGraph, mask: VertexMask, sep: PathSeparator):
                     "structure", gi, pi,
                     f"stored length {path.length} != sum of edge weights {total}",
                 )
-            dist = sssp(g, alive, verts[0]).dist[verts[-1]]
+            # one vertex is at distance 0; monotone rounding keeps a longer path's
+            # far end within a search cut at the path's own float sum
+            dist = 0.0 if len(verts) == 1 else (
+                _dijkstra(g, alive, verts[0], cutoff=path.length)[0][verts[-1]])
             if dist != path.length:
                 return SeparatorViolation(
                     "not-shortest", gi, pi,

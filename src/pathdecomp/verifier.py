@@ -143,13 +143,17 @@ def count_threateners(g: WeightedGraph, centers: CenterSequence,
     return ThreatenerCount(x, gamma, rep.counts[0], rep.bound, rep.counts[0] <= rep.bound)
 
 
+def _require_gamma_in_range(gamma: float) -> None:
+    if not 0.0 <= gamma <= GAMMA_MAX:
+        raise ValueError(f"gamma must lie in [0, 1/100], got {gamma}")
+
+
 def threatener_report(g: WeightedGraph, centers: CenterSequence,
                       params: DecompositionParams, gamma: float,
                       vertices=None) -> ThreatenerReport:
     """count_threateners over many vertices at once: per vertex x, the number
     of distinct records among the ball-index incidences of B_G(x, gamma*delta)."""
-    if not 0.0 <= gamma <= GAMMA_MAX:
-        raise ValueError(f"gamma must lie in [0, 1/100], got {gamma}")
+    _require_gamma_in_range(gamma)
     _require_same_delta(centers, params)
     vertices = np.arange(g.n) if vertices is None else np.asarray(sorted(vertices), dtype=np.int64)
     index, radius = centers.index, gamma * params.delta
@@ -306,8 +310,7 @@ def estimate_padding(g: WeightedGraph, delta: float, finder=greedy_find,
     if not gammas:
         raise ValueError("need at least one gamma")
     for gamma in gammas:
-        if not 0.0 <= gamma <= GAMMA_MAX:
-            raise ValueError(f"gamma must lie in [0, 1/100], got {gamma}")
+        _require_gamma_in_range(gamma)
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     if scheme not in ("paper", "baseline"):

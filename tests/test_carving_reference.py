@@ -233,11 +233,13 @@ def records_on(n, placed, groups=None):
 @pytest.mark.parametrize("placed,delta,match", [
     # vertex 5 lies in both subgraphs
     ([(range(0, 6), [0]), (range(5, 10), [9])], 2.0, "overlap"),
-    # edge 4-5 joins the subgraphs, and center 4's ball crosses it
-    ([(range(0, 5), [4]), (range(5, 10), [7])], 10.0, "crossed"),
-    # in the second round only center 4 sweeps, and its ball crosses into 5..9
-    ([(range(0, 5), [0, 4]), (range(5, 10), [9])], 10.0, "crossed"),
-], ids=["overlapping", "adjacent", "adjacent-later-round"])
+    # edge 4-5 joins the subgraphs, and center 4's ball would cross it
+    ([(range(0, 5), [4]), (range(5, 10), [7])], 10.0, "edge joins"),
+    # in the second round only center 4 sweeps, and its ball would cross into 5..9
+    ([(range(0, 5), [0, 4]), (range(5, 10), [9])], 10.0, "edge joins"),
+    # edge 4-5 joins the subgraphs, though no ball of radius 2 would cross it
+    ([(range(0, 5), [0, 2]), (range(5, 10), [9])], 5.0, "edge joins"),
+], ids=["overlapping", "adjacent", "adjacent-later-round", "adjacent-out-of-reach"])
 def test_shared_batch_key_misuse_raises(placed, delta, match):
     g = unit_path(10)
     with pytest.raises(ValueError, match=match):
@@ -253,13 +255,6 @@ def test_center_outside_its_subgraph_raises():
     records = records_on(g.n, [(range(0, 5), [7]), (range(5, 10), [9])])
     with pytest.raises(MaskError):
         BallIndex.of_records(g, records, 10.0)
-
-
-def test_adjacent_subgraphs_out_of_reach_give_the_reference_index():
-    # edge 4-5 joins the subgraphs, but no ball of radius 2 crosses it
-    g = unit_path(10)
-    records = records_on(g.n, [(range(0, 5), [0, 2]), (range(5, 10), [9])])
-    assert_reference_index(g, records, BallIndex.of_records(g, records, 5.0), "apart")
 
 
 # ---------------------------------------------------------------------------

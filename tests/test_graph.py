@@ -30,8 +30,8 @@ from pathdecomp.graph import (
     distance_blocks,
     double_sweep,
     induced,
+    level_balls,
     level_components,
-    nearest_sources,
 )
 
 INF = math.inf
@@ -480,30 +480,62 @@ class TestInduced:
         assert sub.toarray().tolist() == [[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]]
 
 
-class TestNearestSources:
-    def test_masked_residual_matches_heap_search(self):
-        # column 10 deleted: two components, and unit distances equal to the radius
+def heap_level_balls(g, masks, rounds, radius):
+    """Oracle: per round, (owner, verts, dist) of every vertex within radius of
+    its own mask's source, by the heap sssp, in vertex order."""
+    out = []
+    for sources in rounds:
+        reached = sorted((v, k, d) for k, (mask, src) in enumerate(zip(masks, sources))
+                         if src is not None
+                         for v, d in enumerate(sssp(g, mask, src).dist) if d <= radius)
+        out.append(tuple(list(col) for col in zip(*reached)))
+    return out
+
+
+class TestLevelBalls:
+    @pytest.mark.parametrize("shuffle", [False, True], ids=["given", "shuffled"])
+    def test_one_mask_matches_heap_search(self, shuffle):
+        # column 10 deleted: the mask falls apart, and unit distances equal the radius
         g = gen_grid(30, 30)
         mask = VertexMask.full(g.n).without(range(10, g.n, 30))
         rng = np.random.default_rng(1)
-        radius = 4.0
-        sets = [[int(v) for v in rng.choice(sorted(mask.alive), size=k, replace=False)]
-                for k in (1, 7, 40)]
-        for sources, (dist, nearest, verts) in zip(sets, nearest_sources(g, mask, sets, radius)):
-            assert verts.tolist() == sorted(mask.alive)
-            heap = [sssp(g, mask, s).dist for s in sources]
-            best = [min(d[v] for d in heap) for v in verts]
-            assert dist.tolist() == [d if d <= radius else INF for d in best]
-            assert np.all((nearest == -1) == np.isinf(dist))
-            for j in np.flatnonzero(nearest >= 0):
-                assert heap[sources.index(verts[nearest[j]])][verts[j]] == dist[j]
-            at = np.searchsorted(verts, sources)
-            assert nearest[at].tolist() == at.tolist()
+        rounds = [[int(v)] for v in rng.choice(sorted(mask.alive), size=12, replace=False)]
+        if shuffle:
+            rounds = [rounds[i] for i in rng.permutation(len(rounds))]
+        got = [(o.tolist(), v.tolist(), d.tolist())
+               for o, v, d in level_balls(g, [mask], rounds, 4.0)]
+        assert got == [(o, v, d) for v, o, d in heap_level_balls(g, [mask], rounds, 4.0)]
 
-    def test_dead_source_raises(self, chain):
-        mask = VertexMask(3, [0, 1])
-        with pytest.raises(MaskError):
-            next(nearest_sources(chain, mask, [[0, 2]], 1.0))
+    @pytest.mark.parametrize("weights,radius", [("unit", 3.0), ("uniform", 1.5)])
+    @pytest.mark.parametrize("shuffle", [False, True], ids=["given", "shuffled"])
+    def test_holed_blocks_match_heap_search(self, weights, radius, shuffle):
+        # blocks of a grid with random holes; each block has 0 to 3 sources, so
+        # later rounds sweep from some blocks only
+        g, blocks = grid_blocks(48, set(range(6, 48, 7)), weights, 0)
+        rng = np.random.default_rng(7)
+        masks = [b.without(v for v in b.alive if rng.random() < 0.3) for b in blocks]
+        picks = [[int(v) for v in rng.permutation(sorted(m.alive))[:rng.integers(0, 4)]]
+                 for m in masks]
+        if shuffle:
+            order = rng.permutation(len(masks))
+            masks, picks = [masks[i] for i in order], [picks[i] for i in order]
+        rounds = [[p[t] if t < len(p) else None for p in picks] for t in range(3)]
+        assert any(None in sources for sources in rounds) and len(masks) >= 49
+        got = [(o.tolist(), v.tolist(), d.tolist())
+               for o, v, d in level_balls(g, masks, rounds, radius)]
+        assert got == [(o, v, d) for v, o, d in heap_level_balls(g, masks, rounds, radius)]
+
+    def test_source_outside_its_own_mask_raises(self, grid8):
+        # source 2 lies in the other mask, which the edge 1-2 also joins: the
+        # source is checked first
+        masks = [VertexMask(64, [0, 1]), VertexMask(64, [2, 3])]
+        with pytest.raises(MaskError, match="source 2 "):
+            next(level_balls(grid8, masks, [[2, 3]], 1.0))
+
+    def test_adjacent_masks_raise(self, grid8):
+        masks = [VertexMask(64, [0, 1]), VertexMask(64, [2, 3])]
+        with pytest.raises(ValueError, match="edge joins"):
+            next(level_balls(grid8, masks, [[0, None]], 1.0))
 
 
 def test_scipy_dijkstra_is_imported_only_by_graph():

@@ -65,6 +65,14 @@ class TestValidator:
         sep = hand_separator(g, VertexMask.full(9), (0, 3, 4, 5, 2))
         v = validate_separator(g, VertexMask.full(9), sep)
         assert v is not None and v.kind == "not-shortest"
+        assert v.message == "path of length 4.0 between 0 and 2 but residual distance is 2.0"
+
+    def test_non_shortest_edge_flagged(self):
+        # the shortest multi-vertex path: one heavy edge, with a lighter detour
+        g = WeightedGraph(3, [(0, 1, 3.0), (0, 2, 1.0), (2, 1, 1.0)])
+        v = validate_separator(g, VertexMask.full(3), hand_separator(g, VertexMask.full(3), (0, 1)))
+        assert v is not None and v.kind == "not-shortest"
+        assert v.message == "path of length 3.0 between 0 and 1 but residual distance is 2.0"
 
     def test_broken_mask_chain_flagged(self):
         g = unit_path(6)
