@@ -5,6 +5,9 @@ The whole library runs on one substrate: an immutable weighted graph plus a
 just shrinks the mask, and distances are recomputed inside what is left.
 """
 
+import os
+import tempfile
+
 import pathdecomp as pd
 
 # an 8x8 unit grid: 64 vertices numbered row-major, 112 edges
@@ -38,6 +41,8 @@ v, d = pd.farthest(g, full, 27)
 print(f"farthest from 27: vertex {v} at distance {d}")
 
 # round-trip through the text format: header 'n m', then 'u v w' lines
-pd.dump_graph(g, "/tmp/demo_grid.txt")
-again = pd.load_graph("/tmp/demo_grid.txt")
+with tempfile.TemporaryDirectory() as tmp:
+    path = os.path.join(tmp, "demo_grid.txt")
+    pd.dump_graph(g, path)
+    again = pd.load_graph(path)
 print(f"file round-trip: n={again.n}, m={len(again.edges)}")

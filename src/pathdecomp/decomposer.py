@@ -314,13 +314,11 @@ def choose_centers(g: WeightedGraph, delta: float, finder=greedy_find) -> Center
     )
 
 
-def _require_same_delta(centers: CenterSequence, params: DecompositionParams) -> None:
-    """Refuse params at another scale than the one the centers were chosen for."""
-    if params.delta != centers.delta:
-        raise ValueError(
-            f"params.delta={params.delta!r} differs from the delta={centers.delta!r} "
-            f"the centers were chosen for"
-        )
+def _require_same_delta(centers: CenterSequence, delta: float) -> None:
+    """Refuse a scale other than the one the centers were chosen for."""
+    if delta != centers.delta:
+        raise ValueError(f"delta={delta!r} differs from the delta={centers.delta!r} "
+                         f"the centers were chosen for")
 
 
 def _partition(labels: np.ndarray, radii: np.ndarray,
@@ -347,7 +345,7 @@ def _carve_labels(centers: CenterSequence, params: DecompositionParams) -> tuple
 
 def carve(g: WeightedGraph, centers: CenterSequence, params: DecompositionParams) -> Partition:
     """Random-radius ball carving over a center sequence built at the same delta."""
-    _require_same_delta(centers, params)
+    _require_same_delta(centers, params.delta)
     labels, radii = _carve_labels(centers, params)
     return _partition(labels, radii, centers.records.__getitem__)
 

@@ -8,7 +8,7 @@ the single `timestamp` header entry, so golden-file comparisons just mask it.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
 
 from .decomposer import (
@@ -71,18 +71,10 @@ class ExperimentConfig:
                 raise ConfigError(f"gamma must lie in [0, 1/100], got {gamma}")
 
     def to_json_obj(self) -> dict:
-        return {
-            "graph_file": self.graph_file,
-            "gen": self.gen,
-            "weights": self.weights,
-            "gen_seed": self.gen_seed,
-            "deltas": list(self.deltas) if self.deltas is not None else None,
-            "gammas": list(self.gammas),
-            "trials": self.trials,
-            "seed": self.seed,
-            "finder": self.finder,
-            "scheme": self.scheme,
-        }
+        """Every field but the output paths, which do not change the report."""
+        obj = asdict(self)
+        del obj["out"], obj["dump_partition"]
+        return obj
 
 
 def parse_gen_spec(spec: str):
@@ -114,13 +106,9 @@ def build_graph(cfg: ExperimentConfig):
     return sample.graph, desc, extras
 
 
-def default_deltas(g: WeightedGraph) -> tuple[float, ...]:
-    """{W/8, W/4, W/2} for weighted diameter W; a single-vertex graph (W = 0)
+def default_deltas(w: float) -> tuple[float, ...]:
+    """{W/8, W/4, W/2} for weighted diameter w; a single-vertex graph (w = 0)
     falls back to delta = 1."""
-    return _deltas_for_diameter(weighted_diameter(g))
-
-
-def _deltas_for_diameter(w: float) -> tuple[float, ...]:
     if w <= 0:
         return (1.0,)
     return (w / 8.0, w / 4.0, w / 2.0)
@@ -195,7 +183,7 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
     cfg.validate()
     g, desc, extras = build_graph(cfg)
     diameter = weighted_diameter(g)
-    deltas = cfg.deltas if cfg.deltas is not None else _deltas_for_diameter(diameter)
+    deltas = cfg.deltas if cfg.deltas is not None else default_deltas(diameter)
     schemes = ("paper", "baseline") if cfg.scheme == "both" else (cfg.scheme,)
 
     results = []

@@ -113,23 +113,25 @@ def texp_cdf(params: TexpParams, x: float) -> float:
     return min(1.0, max(0.0, val))
 
 
-def texp_icdf(params: TexpParams, u: float) -> float:
-    """Inverse CDF; u=0 and u=1 hit lo and hi exactly.
-
-    Uses the overflow-free form x = lo - lam * log1p(-u * -expm1(-(hi-lo)/lam)).
-    A lam below 1e-300*(hi-lo) is treated as a point mass at lo.
-    """
-    if not 0.0 <= u <= 1.0:
-        raise ParameterError(f"u must lie in [0,1], got {u}")
-    if u == 0.0:
-        return params.lo
-    if u == 1.0:
-        return params.hi
+def _icdf(params: TexpParams, u):
+    """The inverse CDF on numpy uniforms u in [0, 1]: the one formula behind
+    every radius. Uses the overflow-free form
+    x = lo - lam * log1p(-u * -expm1(-(hi-lo)/lam)), clipped to [lo, hi];
+    a lam below 1e-300*(hi-lo) is treated as a point mass at lo."""
     span = params.hi - params.lo
     if params.lam < 1e-300 * span:
-        return params.lo
-    x = params.lo - params.lam * math.log1p(u * math.expm1(-span / params.lam))
-    return min(params.hi, max(params.lo, x))
+        return np.full(np.shape(u), params.lo)
+    x = params.lo - params.lam * np.log1p(u * np.expm1(-span / params.lam))
+    return np.clip(x, params.lo, params.hi)
+
+
+def texp_icdf(params: TexpParams, u: float) -> float:
+    """Inverse CDF; u=0 and u=1 hit lo and hi exactly."""
+    if not 0.0 <= u <= 1.0:
+        raise ParameterError(f"u must lie in [0,1], got {u}")
+    if u == 1.0:
+        return params.hi
+    return float(_icdf(params, np.float64(u)))
 
 
 def texp_sample(params: TexpParams, rng: RngStream) -> float:
@@ -139,9 +141,4 @@ def texp_sample(params: TexpParams, rng: RngStream) -> float:
 
 def texp_sample_many(params: TexpParams, rng: RngStream, k: int) -> np.ndarray:
     """k radii, bit-identical to k successive texp_sample calls on the same stream."""
-    u = rng.uniforms(k)
-    span = params.hi - params.lo
-    if params.lam < 1e-300 * span:
-        return np.full(k, params.lo)
-    x = params.lo - params.lam * np.log1p(u * np.expm1(-span / params.lam))
-    return np.clip(x, params.lo, params.hi)
+    return _icdf(params, rng.uniforms(k))

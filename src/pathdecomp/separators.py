@@ -43,12 +43,19 @@ class SeparatorGroup:
 
 @dataclass(frozen=True)
 class PathSeparator:
-    """Separator certificate: ordered groups, their union S, and the flaps of S."""
+    """Separator certificate: ordered groups and the flaps of their union S."""
 
     groups: tuple[SeparatorGroup, ...]
-    separator_vertices: frozenset
     flaps: tuple[VertexMask, ...]
-    total_paths: int
+
+    @property
+    def separator_vertices(self) -> frozenset:
+        """S, the vertices of every group's paths."""
+        return frozenset(v for grp in self.groups for p in grp.paths for v in p.vertices)
+
+    @property
+    def total_paths(self) -> int:
+        return sum(len(grp.paths) for grp in self.groups)
 
 
 @dataclass(frozen=True)
@@ -72,7 +79,6 @@ def validate_separator(g: WeightedGraph, mask: VertexMask, sep: PathSeparator):
     floor(|alive|/2) vertices.
     """
     expected = mask
-    claimed = set()
     for gi, group in enumerate(sep.groups):
         if group.residual_before != expected:
             return SeparatorViolation(
@@ -111,14 +117,9 @@ def validate_separator(g: WeightedGraph, mask: VertexMask, sep: PathSeparator):
                     f"path of length {path.length} between {verts[0]} and {verts[-1]} "
                     f"but residual distance is {dist}",
                 )
-            claimed.update(verts)
         expected = expected.without(v for p in group.paths for v in p.vertices)
-    if frozenset(claimed) != sep.separator_vertices:
-        return SeparatorViolation(
-            "structure", None, None, "separator_vertices is not the union of the group paths"
-        )
-    actual_flaps = components(g, mask.without(sep.separator_vertices))
-    if list(sep.flaps) != actual_flaps:
+    # expected is now the mask with S deleted
+    if list(sep.flaps) != components(g, expected):
         return SeparatorViolation(
             "flaps", None, None, "stored flaps differ from the components of residual minus S"
         )
@@ -129,8 +130,6 @@ def validate_separator(g: WeightedGraph, mask: VertexMask, sep: PathSeparator):
                 "balance", None, None,
                 f"flap {fi} has {len(flap)} vertices, exceeding floor({len(mask)}/2)={limit}",
             )
-    if sep.total_paths != sum(len(grp.paths) for grp in sep.groups):
-        return SeparatorViolation("structure", None, None, "total_paths miscounts the paths")
     return None
 
 
@@ -167,8 +166,7 @@ def greedy_find_level(g: WeightedGraph, masks) -> list[PathSeparator]:
         for i, c in zip(todo, level_components(g, [residual[i] for i in todo])):
             comps[i] = c
         todo = [i for i in todo if max(map(len, comps[i]), default=0) > len(masks[i]) // 2]
-    return [PathSeparator(tuple(grp), frozenset(mask.alive - res.alive), tuple(c), len(grp))
-            for mask, res, grp, c in zip(masks, residual, groups, comps)]
+    return [PathSeparator(tuple(grp), tuple(c)) for grp, c in zip(groups, comps)]
 
 
 def tree_centroid_find(g: WeightedGraph, mask: VertexMask) -> PathSeparator:
@@ -206,7 +204,7 @@ def tree_centroid_find(g: WeightedGraph, mask: VertexMask) -> PathSeparator:
 
     group = SeparatorGroup((Path((centroid,), 0.0),), mask)
     flaps = tuple(components(g, mask.without((centroid,))))
-    return PathSeparator((group,), frozenset((centroid,)), flaps, 1)
+    return PathSeparator((group,), flaps)
 
 
 def separator_lines(sep: PathSeparator) -> list[str]:

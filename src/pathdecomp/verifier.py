@@ -10,7 +10,7 @@ Wilson 99% lower confidence bound clears the floor 2^(-beta*gamma).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 from scipy.special import ndtri
@@ -154,7 +154,7 @@ def threatener_report(g: WeightedGraph, centers: CenterSequence,
     """count_threateners over many vertices at once: per vertex x, the number
     of distinct records among the ball-index incidences of B_G(x, gamma*delta)."""
     _require_gamma_in_range(gamma)
-    _require_same_delta(centers, params)
+    _require_same_delta(centers, params.delta)
     vertices = np.arange(g.n) if vertices is None else np.asarray(sorted(vertices), dtype=np.int64)
     index, radius = centers.index, gamma * params.delta
     counts = np.zeros(len(vertices), dtype=np.int64)
@@ -173,17 +173,23 @@ def threatener_report(g: WeightedGraph, centers: CenterSequence,
     )
 
 
-def wilson_lower_bound(successes: int, trials: int,
-                       confidence: float = WILSON_CONFIDENCE) -> float:
-    """One-sided Wilson score lower confidence bound for a binomial proportion."""
+def wilson_lower_bound(successes: int, trials: int) -> float:
+    """One-sided Wilson score lower bound, at confidence WILSON_CONFIDENCE,
+    for a binomial proportion."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    z = float(ndtri(confidence))
+    z = float(ndtri(WILSON_CONFIDENCE))
     p = successes / trials
     denom = 1.0 + z * z / trials
     centre = p + z * z / (2.0 * trials)
     rad = z * math.sqrt(p * (1.0 - p) / trials + z * z / (4.0 * trials * trials))
     return max(0.0, (centre - rad) / denom)
+
+
+def _json_fields(items) -> dict:
+    """asdict's dict_factory for the padding report: a record's `passed` is
+    written as `pass`."""
+    return {("pass" if key == "passed" else key): value for key, value in items}
 
 
 @dataclass(frozen=True)
@@ -198,16 +204,7 @@ class PaddingRecord:
     passed: bool
 
     def to_json_obj(self) -> dict:
-        return {
-            "vertex": self.vertex,
-            "gamma": self.gamma,
-            "trials": self.trials,
-            "successes": self.successes,
-            "empirical": self.empirical,
-            "wilson_lb": self.wilson_lb,
-            "floor": self.floor,
-            "pass": self.passed,
-        }
+        return asdict(self, dict_factory=_json_fields)
 
 
 @dataclass(frozen=True)
@@ -244,20 +241,8 @@ class PaddingReport:
         return need
 
     def to_json_obj(self) -> dict:
-        return {
-            "scheme": self.scheme,
-            "delta": self.delta,
-            "gammas": list(self.gammas),
-            "trials": self.trials,
-            "seed": self.seed,
-            "n": self.n,
-            "p_eff": self.p_eff,
-            "beta": self.beta,
-            "vertices": list(self.vertices),
-            "records": [r.to_json_obj() for r in self.records],
-            "all_pass": self.all_pass(),
-            "fitted_beta": self.fitted_beta(),
-        }
+        return {**asdict(self, dict_factory=_json_fields),
+                "all_pass": self.all_pass(), "fitted_beta": self.fitted_beta()}
 
 
 def sample_vertices(g: WeightedGraph, seed: int) -> np.ndarray:
@@ -318,9 +303,7 @@ def estimate_padding(g: WeightedGraph, delta: float, finder=greedy_find,
     if centers is not None:
         if scheme != "paper":
             raise ValueError(f"centers apply to the paper scheme only, not scheme={scheme!r}")
-        if centers.delta != delta:
-            raise ValueError(f"delta={delta!r} differs from the delta={centers.delta!r} "
-                             f"the centers were chosen for")
+        _require_same_delta(centers, delta)
 
     vertices = sample_vertices(g, seed)
     flat, anchors, starts = _flatten_balls(g, delta, gammas, vertices)

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from pathdecomp import (
     gen_ktree,
     greedy_find,
     sssp,
+    threatener_report,
     tree_centroid_find,
     weighted_diameter,
 )
@@ -276,16 +278,22 @@ class TestCarve:
                 assert best <= delta / 4.0
         assert seen == set(range(g.n))
 
-    @pytest.mark.parametrize("carve_delta", [16.0, 2.0])
-    def test_rejects_mismatched_delta(self, carve_delta):
+    @pytest.mark.parametrize("use,carve_delta", [
+        pytest.param(carve, 16.0, id="16.0"),
+        pytest.param(carve, 2.0, id="2.0"),
+        pytest.param(lambda g, seq, params: threatener_report(g, seq, params, 0.0), 2.0,
+                     id="threatener_report-2.0"),
+    ])
+    def test_rejects_mismatched_delta(self, use, carve_delta):
         # centers netted at delta=8: a larger delta used to carve silently and
         # a smaller one to fail deep in the loop with a CoverageError
         g = gen_grid(16, 16)
         seq = choose_centers(g, 8.0)
         assert seq.delta == 8.0
         params = DecompositionParams.for_graph(carve_delta, 0, seq.p_eff, g.n)
-        with pytest.raises(ValueError, match=rf"delta={carve_delta!r}.*delta=8\.0"):
-            carve(g, seq, params)
+        message = f"delta={carve_delta!r} differs from the delta=8.0 the centers were chosen for"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            use(g, seq, params)
 
 
 class TestBaseline:

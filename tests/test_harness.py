@@ -10,6 +10,7 @@ from pathdecomp import (
     dump_graph,
     gen_grid,
     run_experiment,
+    weighted_diameter,
 )
 from pathdecomp.cli import build_parser, main
 from pathdecomp.generators import WEIGHT_MODES
@@ -69,11 +70,11 @@ class TestConfig:
 
     def test_default_deltas_from_diameter(self):
         g = gen_grid(8, 8)
-        assert default_deltas(g) == (14.0 / 8, 14.0 / 4, 14.0 / 2)
+        assert default_deltas(weighted_diameter(g)) == (14.0 / 8, 14.0 / 4, 14.0 / 2)
 
     def test_default_deltas_single_vertex(self):
         g = gen_grid(1, 1)
-        assert default_deltas(g) == (1.0,)
+        assert default_deltas(weighted_diameter(g)) == (1.0,)
 
 
 class TestRunExperiment:

@@ -20,6 +20,19 @@ from pathdecomp import (
 )
 
 
+def random_texp_cases(count, draws, seed=9):
+    """(params, stream seed, draws) with lo in [0, 10), hi - lo log-uniform
+    in [1e-3, 1e2] and lam / (hi - lo) log-uniform in [1e-3, 10]."""
+    rng = np.random.default_rng(seed)
+    cases = []
+    for i in range(count):
+        lo = float(rng.uniform(0.0, 10.0))
+        hi = lo + float(10.0 ** rng.uniform(-3, 2))
+        lam = float(10.0 ** rng.uniform(-3, 1)) * (hi - lo)
+        cases.append((TexpParams(lam, lo, hi), i, draws))
+    return cases
+
+
 class TestParams:
     @pytest.mark.parametrize("lam,lo,hi", [(0.0, 0, 1), (-1, 0, 1), (1, -0.1, 1),
                                            (1, 1, 1), (1, 2, 1), (1, 0, math.inf)])
@@ -103,11 +116,18 @@ class TestSampling:
         b = texp_sample_many(p, RngStream(99), 1000)
         assert np.array_equal(a, b)
 
-    def test_batch_equals_sequential(self):
-        p = TexpParams(0.3, 0.25, 0.4)
-        batch = texp_sample_many(p, RngStream(5), 64)
-        one_by_one = np.array([texp_sample(p, rng) for rng in [RngStream(5)] for _ in range(64)])
-        assert np.array_equal(batch, one_by_one)
+    @pytest.mark.parametrize("cases", [
+        pytest.param([(TexpParams(0.3, 0.25, 0.4), 5, 10_000)], id="lam0.3-seed5-10000"),
+        pytest.param(random_texp_cases(300, 200), id="sweep-300x200"),
+    ])
+    def test_batch_equals_sequential(self, cases):
+        # a last-bit difference between two log1p implementations shows up in
+        # a few percent of draws, so every case draws thousands of radii
+        for p, seed, k in cases:
+            batch = texp_sample_many(p, RngStream(seed), k)
+            rng = RngStream(seed)
+            one_by_one = np.array([texp_sample(p, rng) for _ in range(k)])
+            assert np.array_equal(batch, one_by_one), (p, seed)
 
     def test_ks_against_cdf_quick(self):
         p = TexpParams(0.161, 0.25, 0.4)

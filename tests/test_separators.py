@@ -33,12 +33,7 @@ def hand_separator(g, mask, path_vertices):
     """Single-group separator from explicit path vertices."""
     path = Path.from_vertices(g, path_vertices)
     residual = mask.without(path.vertices)
-    return PathSeparator(
-        (SeparatorGroup((path,), mask),),
-        frozenset(path.vertices),
-        tuple(components(g, residual)),
-        1,
-    )
+    return PathSeparator((SeparatorGroup((path,), mask),), tuple(components(g, residual)))
 
 
 class TestValidator:
@@ -81,9 +76,7 @@ class TestValidator:
         p2 = Path.from_vertices(g, (0,))
         sep = PathSeparator(
             (SeparatorGroup((p1,), full), SeparatorGroup((p2,), full)),  # second mask wrong
-            frozenset({0, 2, 3}),
             tuple(components(g, full.without((0, 2, 3)))),
-            2,
         )
         v = validate_separator(g, full, sep)
         assert v is not None and v.kind == "mask-chain"
@@ -94,9 +87,7 @@ class TestValidator:
         bad = Path((1, 2), 99.0)
         sep = PathSeparator(
             (SeparatorGroup((bad,), full),),
-            frozenset({1, 2}),
             tuple(components(g, full.without((1, 2)))),
-            1,
         )
         v = validate_separator(g, full, sep)
         assert v is not None and v.kind == "structure"
@@ -107,9 +98,7 @@ class TestValidator:
         gap = Path((1, 3), 2.0)  # 1 and 3 are two hops apart, not neighbours
         sep = PathSeparator(
             (SeparatorGroup((gap,), full),),
-            frozenset({1, 3}),
             tuple(components(g, full.without((1, 3)))),
-            1,
         )
         v = validate_separator(g, full, sep)
         assert v is not None and (v.kind, v.group, v.path) == ("structure", 0, 0)
@@ -121,9 +110,7 @@ class TestValidator:
         path = Path.from_vertices(g, (2,))
         sep = PathSeparator(
             (SeparatorGroup((path,), full),),
-            frozenset({2}),
             (VertexMask(5, [0, 1, 3, 4]),),  # not the true components
-            1,
         )
         v = validate_separator(g, full, sep)
         assert v is not None and v.kind == "flaps"
