@@ -64,13 +64,11 @@ from .decomposer import (
 from .verifier import (
     PaddingRecord,
     PaddingReport,
-    ThreatenerCount,
     ThreatenerReport,
     Violation,
     check_cluster_diameters,
     check_partition,
     check_recursion_depth,
-    count_threateners,
     estimate_padding,
     sample_vertices,
     threatener_report,

@@ -9,10 +9,11 @@ or unreadable inputs.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 
 from .generators import WEIGHT_MODES
-from .harness import DEFAULT_GAMMAS, FINDERS, SCHEMES, ConfigError, ExperimentConfig, run_experiment
+from .harness import FINDERS, SCHEMES, ConfigError, ExperimentConfig, run_experiment
 from .verifier import GAMMA_MAX
 
 
@@ -39,50 +40,45 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     run = sub.add_parser("run", help="decompose a graph and verify the guarantees")
     src = run.add_mutually_exclusive_group(required=True)
-    src.add_argument("--graph", metavar="FILE", help="edge-list graph file (n m header, then u v w lines)")
+    src.add_argument("--graph", dest="graph_file", metavar="FILE",
+                     help="edge-list graph file (n m header, then u v w lines)")
     src.add_argument("--gen", metavar="SPEC", help="generator spec: grid:R,C or ktree:N,K")
-    run.add_argument("--weights", choices=WEIGHT_MODES, default="unit",
-                     help="generator edge weights: all 1, or uniform in [1,2]")
-    run.add_argument("--gen-seed", type=int, default=0, help="generator seed (default 0)")
-    run.add_argument("--delta", metavar="D[,D...]",
+    run.add_argument("--weights", choices=WEIGHT_MODES,
+                     help="generator edge weights: all 1, or uniform in [1,2] "
+                          "(default %(default)s)")
+    run.add_argument("--gen-seed", type=int, help="generator seed (default %(default)s)")
+    run.add_argument("--delta", dest="deltas", metavar="D[,D...]",
                      help="cluster scale(s); default W/8,W/4,W/2 for diameter W")
-    run.add_argument("--gamma", metavar="G[,G...]",
+    run.add_argument("--gamma", dest="gammas", metavar="G[,G...]",
                      help=f"padding radii as fractions of delta, each in [0, {GAMMA_MAX}]; "
-                          "accepts 1/400 style fractions (default 0,1/400,1/200,1/100)")
-    run.add_argument("--trials", type=int, default=500, help="Monte-Carlo trials (default 500)")
-    run.add_argument("--seed", type=int, default=0, help="master seed (default 0)")
-    run.add_argument("--finder", choices=tuple(FINDERS), default="greedy",
-                     help="separator finder (centroid requires a tree)")
-    run.add_argument("--scheme", choices=SCHEMES, default="paper",
-                     help="decomposition scheme(s) to run")
+                          "accepts 1/400 style fractions (default %(default)s)")
+    run.add_argument("--trials", type=int, help="Monte-Carlo trials (default %(default)s)")
+    run.add_argument("--seed", type=int, help="master seed (default %(default)s)")
+    run.add_argument("--finder", choices=tuple(FINDERS),
+                     help="separator finder; centroid requires a tree (default %(default)s)")
+    run.add_argument("--scheme", choices=SCHEMES,
+                     help="decomposition scheme(s) to run (default %(default)s)")
     run.add_argument("--out", metavar="PATH", help="write the JSON report here (default stdout)")
     run.add_argument("--dump-partition", metavar="PREFIX",
                      help="also dump each partition to PREFIX.delta-<d>.<scheme>.txt")
+    # every option's dest is a config field, and the config holds every default
+    run.set_defaults(**{f.name: f.default for f in dataclasses.fields(ExperimentConfig)})
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    opts = vars(build_parser().parse_args(argv))
+    del opts["command"]
     try:
-        cfg = ExperimentConfig(
-            graph_file=args.graph,
-            gen=args.gen,
-            weights=args.weights,
-            gen_seed=args.gen_seed,
-            deltas=_parse_floats(args.delta, "delta") if args.delta else None,
-            gammas=_parse_floats(args.gamma, "gamma") if args.gamma else DEFAULT_GAMMAS,
-            trials=args.trials,
-            seed=args.seed,
-            finder=args.finder,
-            scheme=args.scheme,
-            out=args.out,
-            dump_partition=args.dump_partition,
-        )
+        for field, what in (("deltas", "delta"), ("gammas", "gamma")):
+            if isinstance(opts[field], str):
+                opts[field] = _parse_floats(opts[field], what)
+        cfg = ExperimentConfig(**opts)
         report = run_experiment(cfg)
     except (ConfigError, ValueError, OSError) as exc:
         print(f"decomp: error: {exc}", file=sys.stderr)
         return 2
-    if not args.out:
+    if not cfg.out:
         import json
 
         print(json.dumps(report, indent=2, sort_keys=True))

@@ -13,6 +13,7 @@ from datetime import datetime, timezone
 
 from .decomposer import (
     DecompositionParams,
+    _require_valid_delta,
     baseline_decompose,
     carve,
     choose_centers,
@@ -25,23 +26,23 @@ from . import verifier
 
 FINDERS = {"greedy": greedy_find, "centroid": tree_centroid_find}
 SCHEMES = ("paper", "baseline", "both")
-DEFAULT_GAMMAS = (0.0, 1.0 / 400.0, 1.0 / 200.0, 1.0 / 100.0)
 
 
 class ConfigError(ValueError):
     """Invalid experiment configuration."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExperimentConfig:
-    """Everything one experiment needs; all state flows through this object."""
+    """Everything one experiment needs; all state flows through this object.
+    It is checked when built: a bad field raises ConfigError."""
 
     graph_file: str | None = None
     gen: str | None = None                 # "grid:R,C" or "ktree:N,K"
     weights: str = "unit"
     gen_seed: int = 0
     deltas: tuple[float, ...] | None = None  # None -> {W/8, W/4, W/2}
-    gammas: tuple[float, ...] = DEFAULT_GAMMAS
+    gammas: tuple[float, ...] = verifier.DEFAULT_GAMMAS
     trials: int = 500
     seed: int = 0
     finder: str = "greedy"
@@ -49,26 +50,26 @@ class ExperimentConfig:
     out: str | None = None
     dump_partition: str | None = None
 
-    def validate(self):
+    def __post_init__(self):
         if (self.graph_file is None) == (self.gen is None):
             raise ConfigError("provide exactly one of a graph file or a generator spec")
         if self.finder not in FINDERS:
             raise ConfigError(f"unknown finder {self.finder!r}; expected {'|'.join(FINDERS)}")
         if self.scheme not in SCHEMES:
             raise ConfigError(f"unknown scheme {self.scheme!r}; expected {'|'.join(SCHEMES)}")
-        if self.trials < 1:
-            raise ConfigError(f"trials must be >= 1, got {self.trials}")
-        if self.deltas is not None:
-            if not self.deltas:
-                raise ConfigError("deltas must not be empty")
-            for d in self.deltas:
-                if not 0 < d < float("inf"):  # nan fails too
-                    raise ConfigError(f"delta must be positive and finite, got {d}")
+        if self.deltas is not None and not self.deltas:
+            raise ConfigError("deltas must not be empty")
         if not self.gammas:
             raise ConfigError("gammas must not be empty")
-        for gamma in self.gammas:
-            if not 0.0 <= gamma <= verifier.GAMMA_MAX:
-                raise ConfigError(f"gamma must lie in [0, 1/100], got {gamma}")
+        # the library's own rules, re-raised as configuration errors
+        try:
+            verifier._require_trials(self.trials)
+            for delta in self.deltas or ():
+                _require_valid_delta(delta)
+            for gamma in self.gammas:
+                verifier._require_gamma_in_range(gamma)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
 
     def to_json_obj(self) -> dict:
         """Every field but the output paths, which do not change the report."""
@@ -180,7 +181,6 @@ def _run_scheme(g: WeightedGraph, delta: float, scheme: str, cfg: ExperimentConf
 def run_experiment(cfg: ExperimentConfig) -> dict:
     """Execute the experiment and return the report dict (also written to
     cfg.out when set). report["pass"] aggregates every check."""
-    cfg.validate()
     g, desc, extras = build_graph(cfg)
     diameter = weighted_diameter(g)
     deltas = cfg.deltas if cfg.deltas is not None else default_deltas(diameter)

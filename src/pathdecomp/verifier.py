@@ -30,6 +30,7 @@ from .sampler import RngStream, derive_seed
 from .separators import greedy_find
 
 GAMMA_MAX = 1.0 / 100.0
+DEFAULT_GAMMAS = (0.0, 1.0 / 400.0, 1.0 / 200.0, 1.0 / 100.0)
 WILSON_CONFIDENCE = 0.99
 MAX_EXHAUSTIVE_VERTICES = 256
 
@@ -90,29 +91,18 @@ def check_cluster_diameters(g: WeightedGraph, part: Partition, delta: float):
     return None
 
 
-def check_recursion_depth(centers: CenterSequence, n: int | None = None):
+def check_recursion_depth(centers: CenterSequence):
     """Separator recursion must not exceed ceil(log2 n) levels."""
-    if n is None:
-        n = centers.n
-    limit = ceil_log2(n)
+    limit = ceil_log2(centers.n)
     if centers.max_depth > limit:
         return Violation(
-            "recursion-depth", f"depth {centers.max_depth} exceeds ceil(log2 {n}) = {limit}"
+            "recursion-depth", f"depth {centers.max_depth} exceeds ceil(log2 {centers.n}) = {limit}"
         )
     return None
 
 
 def threatener_bound(p_eff: int, n: int) -> int:
     return 4 * p_eff * max(1, ceil_log2(n))
-
-
-@dataclass(frozen=True)
-class ThreatenerCount:
-    vertex: int
-    gamma: float
-    count: int
-    bound: int
-    ok: bool
 
 
 @dataclass(frozen=True)
@@ -131,18 +121,6 @@ class ThreatenerReport:
         return max(self.counts)
 
 
-def count_threateners(g: WeightedGraph, centers: CenterSequence,
-                      params: DecompositionParams, x: int, gamma: float) -> ThreatenerCount:
-    """Count centers t with B_{G_t}(t, 2*delta/5) intersecting B_G(x, gamma*delta).
-
-    This is the support condition for t's ball ever touching x's ball, since
-    radii range over [delta/4, 2*delta/5] with full support. The count is a
-    property of the center sequence alone, independent of the radii.
-    """
-    rep = threatener_report(g, centers, params, gamma, [x])
-    return ThreatenerCount(x, gamma, rep.counts[0], rep.bound, rep.counts[0] <= rep.bound)
-
-
 def _require_gamma_in_range(gamma: float) -> None:
     if not 0.0 <= gamma <= GAMMA_MAX:
         raise ValueError(f"gamma must lie in [0, 1/100], got {gamma}")
@@ -151,8 +129,14 @@ def _require_gamma_in_range(gamma: float) -> None:
 def threatener_report(g: WeightedGraph, centers: CenterSequence,
                       params: DecompositionParams, gamma: float,
                       vertices=None) -> ThreatenerReport:
-    """count_threateners over many vertices at once: per vertex x, the number
-    of distinct records among the ball-index incidences of B_G(x, gamma*delta)."""
+    """Per vertex x (default: all), count the centers t with B_{G_t}(t, 2*delta/5)
+    intersecting B_G(x, gamma*delta): the distinct records among the
+    ball-index incidences of B_G(x, gamma*delta).
+
+    This is the support condition for t's ball ever touching x's ball, since
+    radii range over [delta/4, 2*delta/5] with full support. The count is a
+    property of the center sequence alone, independent of the radii.
+    """
     _require_gamma_in_range(gamma)
     _require_same_delta(centers, params.delta)
     vertices = np.arange(g.n) if vertices is None else np.asarray(sorted(vertices), dtype=np.int64)
@@ -173,11 +157,15 @@ def threatener_report(g: WeightedGraph, centers: CenterSequence,
     )
 
 
+def _require_trials(trials: int) -> None:
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
+
+
 def wilson_lower_bound(successes: int, trials: int) -> float:
     """One-sided Wilson score lower bound, at confidence WILSON_CONFIDENCE,
     for a binomial proportion."""
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
+    _require_trials(trials)
     z = float(ndtri(WILSON_CONFIDENCE))
     p = successes / trials
     denom = 1.0 + z * z / trials
@@ -202,9 +190,6 @@ class PaddingRecord:
     wilson_lb: float
     floor: float
     passed: bool
-
-    def to_json_obj(self) -> dict:
-        return asdict(self, dict_factory=_json_fields)
 
 
 @dataclass(frozen=True)
@@ -276,7 +261,7 @@ def _flatten_balls(g: WeightedGraph, delta: float, gammas, vertices):
 
 
 def estimate_padding(g: WeightedGraph, delta: float, finder=greedy_find,
-                     gammas=(0.0, 1.0 / 400.0, 1.0 / 200.0, 1.0 / 100.0),
+                     gammas=DEFAULT_GAMMAS,
                      trials: int = 1000, seed: int = 0,
                      scheme: str = "paper",
                      centers: CenterSequence | None = None) -> PaddingReport:
@@ -296,8 +281,7 @@ def estimate_padding(g: WeightedGraph, delta: float, finder=greedy_find,
         raise ValueError("need at least one gamma")
     for gamma in gammas:
         _require_gamma_in_range(gamma)
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
+    _require_trials(trials)
     if scheme not in ("paper", "baseline"):
         raise ValueError(f"unknown scheme {scheme!r}")
     if centers is not None:

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import re
 
@@ -31,22 +32,22 @@ def masked(report_text: str) -> str:
 class TestConfig:
     def test_needs_exactly_one_source(self):
         with pytest.raises(ConfigError):
-            ExperimentConfig().validate()
+            ExperimentConfig()
         with pytest.raises(ConfigError):
-            ExperimentConfig(gen="grid:2,2", graph_file="x").validate()
+            ExperimentConfig(gen="grid:2,2", graph_file="x")
 
     def test_rejects_bad_gamma(self):
         with pytest.raises(ConfigError):
-            quick_cfg(gammas=(0.5,)).validate()
+            quick_cfg(gammas=(0.5,))
 
     @pytest.mark.parametrize("delta", [0.0, float("inf"), float("nan")])
     def test_rejects_bad_delta(self, delta):
         with pytest.raises(ConfigError, match=r"^delta must be positive and finite"):
-            quick_cfg(deltas=(3.0, delta)).validate()
+            quick_cfg(deltas=(3.0, delta))
 
     def test_rejects_bad_trials(self):
         with pytest.raises(ConfigError):
-            quick_cfg(trials=0).validate()
+            quick_cfg(trials=0)
 
     def test_rejects_empty_deltas_and_gammas(self):
         with pytest.raises(ConfigError, match=r"^deltas must not be empty"):
@@ -56,9 +57,14 @@ class TestConfig:
 
     def test_rejects_bad_finder_and_scheme(self):
         with pytest.raises(ConfigError):
-            quick_cfg(finder="magic").validate()
+            quick_cfg(finder="magic")
         with pytest.raises(ConfigError):
-            quick_cfg(scheme="fastest").validate()
+            quick_cfg(scheme="fastest")
+
+    def test_frozen(self):
+        cfg = quick_cfg()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            cfg.trials = 0
 
     def test_parse_gen_spec(self):
         assert parse_gen_spec("grid:4,7") == ("grid", (4, 7))
@@ -165,6 +171,11 @@ class TestCli:
         assert list(choices["finder"]) == list(FINDERS)
         assert list(choices["scheme"]) == list(SCHEMES)
 
+    def test_defaults_come_from_the_config(self):
+        opts = vars(build_parser().parse_args(["run", "--gen", "grid:4,4"]))
+        del opts["command"]
+        assert opts == dataclasses.asdict(ExperimentConfig(gen="grid:4,4"))
+
     def test_run_writes_report_and_exits_zero(self, tmp_path):
         out = tmp_path / "r.json"
         rc = main(["run", "--gen", "grid:4,4", "--delta", "3", "--trials", "30",
@@ -206,6 +217,13 @@ class TestCli:
         rc = main(["run", "--gen", "grid:3,3", "--gamma", "0.5", "--trials", "5"])
         assert rc == 2
         assert "error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("option, what", [(["--delta", ""], "delta"),
+                                              (["--delta", "2", "--gamma", ""], "gamma")])
+    def test_empty_value_is_usage_error(self, capsys, option, what):
+        rc = main(["run", "--gen", "grid:3,3", *option, "--trials", "5"])
+        assert rc == 2
+        assert f"decomp: error: cannot parse {what} value ''" in capsys.readouterr().err
 
     def test_unreadable_graph_is_usage_error(self, capsys):
         rc = main(["run", "--graph", "/no/such/file", "--trials", "5"])

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -10,7 +12,6 @@ from pathdecomp import (
     check_partition,
     check_recursion_depth,
     choose_centers,
-    count_threateners,
     decompose,
     estimate_padding,
     gen_grid,
@@ -155,7 +156,7 @@ class TestRecursionDepth:
     def test_violation_reported_against_smaller_n(self):
         g = gen_grid(4, 4)
         seq = choose_centers(g, 3.0)
-        v = check_recursion_depth(seq, n=2)
+        v = check_recursion_depth(dataclasses.replace(seq, n=2))
         if seq.max_depth > 1:
             assert v is not None and v.kind == "recursion-depth"
 
@@ -165,10 +166,10 @@ class TestThreateners:
         g = WeightedGraph(1, [])
         seq = choose_centers(g, 1.0)
         params = DecompositionParams.for_graph(1.0, 0, seq.p_eff, 1)
-        tc = count_threateners(g, seq, params, 0, 0.01)
-        assert tc.count == 1
-        assert tc.bound >= 4
-        assert tc.ok
+        rep = threatener_report(g, seq, params, 0.01, [0])
+        assert rep.counts == (1,)
+        assert rep.bound >= 4
+        assert rep.all_ok()
 
     def test_count_nondecreasing_in_gamma(self):
         g = gen_grid(8, 8)
@@ -176,7 +177,7 @@ class TestThreateners:
         params = DecompositionParams.for_graph(8.0, 0, seq.p_eff, 64)
         prev = 0
         for gamma in (0.0, 0.0025, 0.005, 0.01):
-            c = count_threateners(g, seq, params, 27, gamma).count
+            (c,) = threatener_report(g, seq, params, gamma, [27]).counts
             assert c >= prev
             prev = c
 
@@ -194,7 +195,7 @@ class TestThreateners:
         params = DecompositionParams.for_graph(3.0, 0, seq.p_eff, 50)
         rep = threatener_report(g, seq, params, 0.01)
         for x in (0, 13, 49):
-            assert count_threateners(g, seq, params, x, 0.01).count == rep.counts[x]
+            assert threatener_report(g, seq, params, 0.01, [x]).counts == (rep.counts[x],)
 
     def test_all_vertices_across_source_blocks(self):
         g = gen_ktree(600, 2, seed=1).graph
@@ -204,7 +205,7 @@ class TestThreateners:
         rep = threatener_report(g, seq, params, 0.01)
         assert rep.vertices == tuple(range(g.n))
         for x in (0, 255, 256, g.n - 1):
-            assert rep.counts[x] == count_threateners(g, seq, params, x, 0.01).count
+            assert (rep.counts[x],) == threatener_report(g, seq, params, 0.01, [x]).counts
         assert len(set(rep.counts)) > 1
 
     def test_gamma_out_of_range(self):
@@ -212,7 +213,7 @@ class TestThreateners:
         seq = choose_centers(g, 1.0)
         params = DecompositionParams.for_graph(1.0, 0, seq.p_eff, 4)
         with pytest.raises(ValueError):
-            count_threateners(g, seq, params, 0, 0.02)
+            threatener_report(g, seq, params, 0.02, [0])
 
 
 class TestWilson:
