@@ -37,6 +37,8 @@ def build_parser() -> argparse.ArgumentParser:
         prog="decomp",
         description="Randomized padded decompositions of weighted graphs, with checks.",
     )
+    # every option's dest is a config field, and the config holds every default
+    defaults = {f.name: f.default for f in dataclasses.fields(ExperimentConfig)}
     sub = parser.add_subparsers(dest="command", required=True)
     run = sub.add_parser("run", help="decompose a graph and verify the guarantees")
     src = run.add_mutually_exclusive_group(required=True)
@@ -51,7 +53,8 @@ def build_parser() -> argparse.ArgumentParser:
                      help="cluster scale(s); default W/8,W/4,W/2 for diameter W")
     run.add_argument("--gamma", dest="gammas", metavar="G[,G...]",
                      help=f"padding radii as fractions of delta, each in [0, {GAMMA_MAX}]; "
-                          "accepts 1/400 style fractions (default %(default)s)")
+                          "accepts 1/400 style fractions "
+                          f"(default {','.join(map(str, defaults['gammas']))})")
     run.add_argument("--trials", type=int, help="Monte-Carlo trials (default %(default)s)")
     run.add_argument("--seed", type=int, help="master seed (default %(default)s)")
     run.add_argument("--finder", choices=tuple(FINDERS),
@@ -61,8 +64,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--out", metavar="PATH", help="write the JSON report here (default stdout)")
     run.add_argument("--dump-partition", metavar="PREFIX",
                      help="also dump each partition to PREFIX.delta-<d>.<scheme>.txt")
-    # every option's dest is a config field, and the config holds every default
-    run.set_defaults(**{f.name: f.default for f in dataclasses.fields(ExperimentConfig)})
+    run.set_defaults(**defaults)
     return parser
 
 

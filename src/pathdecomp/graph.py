@@ -13,7 +13,9 @@ Every residual operation lives here, once:
 - A level union is a list of pairwise disjoint masks that no edge joins, such
   as the nodes of one recursion level. `_level_union` alone builds one (one
   slice, each vertex's mask) and raises ValueError otherwise: no sweep leaves its mask.
-- scipy's Dijkstra runs every sweep and every multi-source query:
+- scipy's Dijkstra runs every sweep and every multi-source query, directed on
+  the symmetric CSR, so no call copies a transpose (on an 8x8 grid a call
+  takes about 35 µs, against 107 µs undirected):
   - `distance_blocks`: distances from many sources, cut at a radius, in blocks
     of SOURCE_BLOCK rows of the residual's size. The BallIndex builds and the
     verifier's balls, threatener counts and diameter checks all use it.
@@ -46,6 +48,12 @@ from scipy.sparse.csgraph import connected_components
 from scipy.sparse.csgraph import dijkstra as csgraph_dijkstra
 
 INF = math.inf
+
+# Every scipy call here passes directed=True. csr() stores each edge in both
+# directions and _slice keeps a principal submatrix, so every matrix handed to
+# scipy is symmetric: its directed distances and weak components are the
+# undirected ones, and scipy's Dijkstra skips the transposed copy that an
+# undirected call makes each time.
 
 # Sources per scipy Dijkstra call in distance_blocks: a block holds this many
 # rows of the residual's size, and one block is alive at a time when the
@@ -91,7 +99,8 @@ class WeightedGraph:
         self.adj = adj
         self._csr = None
         self._cache: dict = {}
-        if n > 1 and connected_components(self.csr(), directed=False, return_labels=False) != 1:
+        if n > 1 and connected_components(self.csr(), directed=True, connection="weak",
+                                          return_labels=False) != 1:
             raise GraphError("graph is disconnected; only connected inputs are accepted")
 
     def edge_weight(self, u: int, v: int) -> float:
@@ -356,7 +365,7 @@ def distance_blocks(g: WeightedGraph, mask: VertexMask, sources, radius: float):
         # No local name keeps the block, so once the caller drops it, it is
         # freed before the next block is computed.
         yield first, np.atleast_2d(csgraph_dijkstra(
-            sub, directed=False, indices=local[first:first + SOURCE_BLOCK], limit=radius)), verts
+            sub, directed=True, indices=local[first:first + SOURCE_BLOCK], limit=radius)), verts
 
 
 def level_balls(g: WeightedGraph, masks, rounds, radius: float):
@@ -371,7 +380,7 @@ def level_balls(g: WeightedGraph, masks, rounds, radius: float):
     sub, verts, owner = _level_union(g, masks)
     for sources in rounds:
         local = np.searchsorted(verts, [src for src in sources if src is not None])
-        dist = csgraph_dijkstra(sub, directed=False, indices=local, limit=radius, min_only=True)
+        dist = csgraph_dijkstra(sub, directed=True, indices=local, limit=radius, min_only=True)
         hit = np.flatnonzero(np.isfinite(dist))
         yield owner[hit], verts[hit], dist[hit]
 
@@ -380,7 +389,7 @@ def _sweep(sub: sp.csr_matrix, owner: np.ndarray, sources: np.ndarray):
     """One scipy sweep over a level union from one local source per mask:
     each mask's farthest reached local index (ties: the smallest), the
     distances and the predecessors."""
-    dist, pred, _ = csgraph_dijkstra(sub, directed=False, indices=sources, min_only=True,
+    dist, pred, _ = csgraph_dijkstra(sub, directed=True, indices=sources, min_only=True,
                                      return_predecessors=True)
     key = np.where(np.isinf(dist), -INF, dist)
     best = np.full(len(sources), -INF)
@@ -430,7 +439,7 @@ def level_components(g: WeightedGraph, masks) -> list[list[VertexMask]]:
     if not any(len(mask) for mask in masks):
         return out
     sub, verts, owner = _level_union(g, masks)
-    count, label = connected_components(sub, directed=False)
+    count, label = connected_components(sub, directed=True, connection="weak")
     # number the components by their smallest vertex, the first local index with their label
     first = np.full(count, len(verts))
     np.minimum.at(first, label, np.arange(len(verts)))
@@ -450,7 +459,7 @@ def level_components(g: WeightedGraph, masks) -> list[list[VertexMask]]:
 def weighted_diameter(g: WeightedGraph) -> float:
     """Weighted diameter: exact all-pairs for n <= 512, double-sweep bound above."""
     if g.n <= 512:
-        return float(csgraph_dijkstra(g.csr(), directed=False).max())
+        return float(csgraph_dijkstra(g.csr(), directed=True).max())
     return double_sweep(g, [VertexMask.full(g.n)], [0])[0].length
 
 

@@ -51,6 +51,11 @@ class ExperimentConfig:
     dump_partition: str | None = None
 
     def __post_init__(self):
+        # tuples, so that no caller can change a checked field through its own list
+        for name in ("deltas", "gammas"):
+            value = getattr(self, name)
+            if value is not None:
+                object.__setattr__(self, name, tuple(value))
         if (self.graph_file is None) == (self.gen is None):
             raise ConfigError("provide exactly one of a graph file or a generator spec")
         if self.finder not in FINDERS:

@@ -431,6 +431,32 @@ class TestDoubleSweep:
             double_sweep(grid8, masks, [0, 2])
 
 
+class TestWholeGraphTies:
+    """The library's directed sweeps against plain directed=False scipy calls
+    on whole graphs with many ties, from 16 fixed sources."""
+
+    @pytest.mark.parametrize("make", [
+        lambda: gen_grid(64, 64),
+        lambda: gen_ktree(2048, 2).graph,
+        lambda: gen_ktree(1000, 3, "uniform").graph,
+    ], ids=["unit-grid64", "unit-ktree2048-k2", "uniform-ktree1000-k3"])
+    def test_sweeps_match_undirected_scipy(self, make):
+        g = make()
+        full = VertexMask.full(g.n)
+        for src in np.linspace(0, g.n - 1, 16).astype(int).tolist():
+            dist = csgraph_dijkstra(g.csr(), directed=False, indices=src)
+            far = int(np.argmax(dist))
+            assert farthest(g, full, src) == (far, dist[far])
+            assert double_sweep(g, [full], [src]) == [scipy_double_sweep(g, full, src)]
+
+    def test_level_components_on_grid_blocks(self):
+        g, blocks = grid_blocks(64, set(range(8, 64, 8)), "unit", 0)
+        rng = np.random.default_rng(11)
+        masks = [b.without(v for v in b.alive if rng.random() < 0.3) for b in blocks]
+        assert level_components(g, blocks) == [components(g, b) for b in blocks]
+        assert level_components(g, masks) == [components(g, m) for m in masks]
+
+
 class TestLevelComponents:
     def test_equals_components_of_each_mask(self):
         # blocks of a grid, each with random holes, so most fall apart
@@ -549,6 +575,24 @@ def test_scipy_dijkstra_is_imported_only_by_graph():
             if imported or (isinstance(node, ast.Attribute) and node.attr == "dijkstra"):
                 users.add(source.name)
     assert users == {"graph.py"}
+
+
+def test_graph_calls_scipy_directed():
+    # every CSR handed to scipy is symmetric, so the directed calls give the
+    # undirected answers without scipy's transposed copy
+    source = pathlib.Path(pathdecomp.__file__).with_name("graph.py").read_text(encoding="utf-8")
+    assert "directed=False" not in source
+    seen = set()
+    for node in ast.walk(ast.parse(source)):
+        name = getattr(getattr(node, "func", None), "id", None)
+        if isinstance(node, ast.Call) and name in ("csgraph_dijkstra", "connected_components"):
+            seen.add(name)
+            kw = {k.arg: ast.literal_eval(k.value) for k in node.keywords
+                  if k.arg in ("directed", "connection")}
+            assert kw.get("directed") is True, f"{name} at line {node.lineno}"
+            if name == "connected_components":
+                assert kw.get("connection") == "weak", f"{name} at line {node.lineno}"
+    assert seen == {"csgraph_dijkstra", "connected_components"}
 
 
 class TestFileFormat:

@@ -66,6 +66,14 @@ class TestConfig:
         with pytest.raises(dataclasses.FrozenInstanceError):
             cfg.trials = 0
 
+    def test_list_fields_are_stored_as_tuples(self):
+        gammas = [0.0]
+        cfg = quick_cfg(deltas=[2.0], gammas=gammas)
+        gammas.append(0.5)
+        assert cfg.deltas == (2.0,) and cfg.gammas == (0.0,)
+        with pytest.raises(AttributeError):
+            cfg.gammas.append(0.5)
+
     def test_parse_gen_spec(self):
         assert parse_gen_spec("grid:4,7") == ("grid", (4, 7))
         assert parse_gen_spec("ktree:100,3") == ("ktree", (100, 3))
@@ -175,6 +183,18 @@ class TestCli:
         opts = vars(build_parser().parse_args(["run", "--gen", "grid:4,4"]))
         del opts["command"]
         assert opts == dataclasses.asdict(ExperimentConfig(gen="grid:4,4"))
+
+    def test_help_shows_a_gamma_default_that_gamma_accepts(self, capsys, tmp_path):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["run", "--help"])
+        gamma_help = capsys.readouterr().out.split("--gamma G")[-1].split("--trials")[0]
+        # the help wraps lines at whitespace; the default is what follows "(default"
+        shown = "".join(gamma_help.split("(default", 1)[1].split()).removesuffix(")")
+        out = tmp_path / "r.json"
+        rc = main(["run", "--gen", "grid:3,3", "--delta", "2", "--trials", "20",
+                   "--gamma", shown, "--out", str(out)])
+        assert rc == 0
+        assert json.loads(out.read_text())["config"]["gammas"] == list(verifier.DEFAULT_GAMMAS)
 
     def test_run_writes_report_and_exits_zero(self, tmp_path):
         out = tmp_path / "r.json"
