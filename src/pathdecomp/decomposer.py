@@ -255,8 +255,33 @@ class Partition:
         return len(self.clusters)
 
 
+def _graph_cached(g: WeightedGraph, slot: str, delta: float, finder, build):
+    """The value g keeps in `slot`, if it was built for an equal delta and
+    this very finder (`is`); else build(), kept in the slot in its place.
+
+    Every cache of derived structures on a graph goes through here (the
+    slots are listed at WeightedGraph._cache). A slot holds (delta, finder,
+    value) of the latest build only. The old value leaves the slot before
+    the build, so a build that raises leaves the slot empty. The finder
+    object itself is kept, so its id cannot be reused while it is compared.
+    Sharing the value is safe: the graph is immutable and the values frozen.
+    """
+    kept = g._cache.get(slot)
+    if kept is not None and kept[0] == delta and kept[1] is finder:
+        return kept[2]
+    g._cache.pop(slot, None)
+    kept = None  # let the old value go before the build
+    value = build()
+    g._cache[slot] = (delta, finder, value)
+    return value
+
+
 def choose_centers(g: WeightedGraph, delta: float, finder=greedy_find) -> CenterSequence:
     """Deterministic center/subgraph sequence for carving at scale delta.
+
+    The sequence depends on (g, delta, finder) only, so the graph keeps the
+    latest one: a call with an equal delta and the same finder object
+    returns that sequence, and any other call builds a new one in its place.
 
     The separators are found level by level: the nodes of one depth are
     pairwise disjoint and non-adjacent, so greedy_find runs over each level
@@ -266,6 +291,11 @@ def choose_centers(g: WeightedGraph, delta: float, finder=greedy_find) -> Center
     points in path order), then recurses into its flaps in smallest-id order.
     """
     _require_valid_delta(delta)
+    return _graph_cached(g, "centers", delta, finder,
+                         lambda: _build_centers(g, delta, finder))
+
+
+def _build_centers(g: WeightedGraph, delta: float, finder) -> CenterSequence:
     if finder is greedy_find:
         find_level = greedy_find_level
     else:
@@ -352,19 +382,18 @@ def carve(g: WeightedGraph, centers: CenterSequence, params: DecompositionParams
 
 def decompose(g: WeightedGraph, delta: float, seed: int, finder=greedy_find) -> Partition:
     """Full pipeline: choose centers, measure p_eff, carve. Deterministic in
-    (graph, delta, seed)."""
+    (graph, delta, seed). Calls for several seeds at one delta build the
+    centers once: choose_centers reuses the sequence the graph keeps."""
     seq = choose_centers(g, delta, finder)
     params = DecompositionParams.for_graph(delta, seed, seq.p_eff, g.n)
     return carve(g, seq, params)
 
 
 def _baseline_index(g: WeightedGraph, delta: float) -> BallIndex:
-    """All-vertices index at scale delta. The graph caches the latest one
+    """All-vertices index at scale delta. The graph keeps the latest one
     only, so at most one baseline index per graph stays in memory."""
-    index = g._cache.get("baseline_index")
-    if index is None or index.delta != delta:
-        index = g._cache["baseline_index"] = BallIndex.of_all_vertices(g, delta)
-    return index
+    return _graph_cached(g, "baseline_index", delta, None,
+                         lambda: BallIndex.of_all_vertices(g, delta))
 
 
 def _baseline_labels(g: WeightedGraph, delta: float, seed: int) -> tuple:

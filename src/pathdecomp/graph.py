@@ -51,9 +51,9 @@ INF = math.inf
 
 # Every scipy call here passes directed=True. csr() stores each edge in both
 # directions and _slice keeps a principal submatrix, so every matrix handed to
-# scipy is symmetric: its directed distances and weak components are the
-# undirected ones, and scipy's Dijkstra skips the transposed copy that an
-# undirected call makes each time.
+# scipy is symmetric: its directed distances and strong components are the
+# undirected ones, and scipy skips the transposed copy that an undirected
+# Dijkstra, or a weak-components call, makes each time.
 
 # Sources per scipy Dijkstra call in distance_blocks: a block holds this many
 # rows of the residual's size, and one block is alive at a time when the
@@ -98,8 +98,12 @@ class WeightedGraph:
         self.edges = tuple(edges)
         self.adj = adj
         self._csr = None
+        # derived structures, each kept for its latest (delta, finder) only and
+        # written only by decomposer._graph_cached: "centers" holds (delta,
+        # finder, CenterSequence) from choose_centers, and "baseline_index"
+        # (delta, None, BallIndex) from the baseline carving
         self._cache: dict = {}
-        if n > 1 and connected_components(self.csr(), directed=True, connection="weak",
+        if n > 1 and connected_components(self.csr(), directed=True, connection="strong",
                                           return_labels=False) != 1:
             raise GraphError("graph is disconnected; only connected inputs are accepted")
 
@@ -439,7 +443,7 @@ def level_components(g: WeightedGraph, masks) -> list[list[VertexMask]]:
     if not any(len(mask) for mask in masks):
         return out
     sub, verts, owner = _level_union(g, masks)
-    count, label = connected_components(sub, directed=True, connection="weak")
+    count, label = connected_components(sub, directed=True, connection="strong")
     # number the components by their smallest vertex, the first local index with their label
     first = np.full(count, len(verts))
     np.minimum.at(first, label, np.arange(len(verts)))

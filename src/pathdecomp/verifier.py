@@ -274,7 +274,10 @@ def estimate_padding(g: WeightedGraph, delta: float, finder=greedy_find,
     gamma = 0 the event holds surely, so the check is successes == trials.
 
     The paper scheme carves `centers` when given (chosen at this delta; the
-    finder is then unused), else choose_centers(g, delta, finder).
+    finder is then unused), else choose_centers(g, delta, finder), which
+    returns the sequence the graph keeps when the latest call built it for
+    an equal delta and the same finder. The baseline reuses the all-vertices
+    index the graph keeps for this delta.
     """
     gammas = tuple(float(gamma) for gamma in gammas)
     if not gammas:

@@ -18,6 +18,7 @@ from pathdecomp import (
     check_partition,
     choose_centers,
     decompose,
+    estimate_padding,
     format_partition,
     gen_grid,
     gen_ktree,
@@ -27,6 +28,7 @@ from pathdecomp import (
     tree_centroid_find,
     weighted_diameter,
 )
+from pathdecomp.decomposer import _baseline_index
 
 
 def unit_path(n):
@@ -149,6 +151,77 @@ class TestChooseCenters:
         assert len(calls) <= 120
 
 
+def _count_calls(monkeypatch, module, name):
+    """Count the calls of module.name, which still runs."""
+    calls = []
+    real = getattr(module, name)
+    monkeypatch.setattr(module, name, lambda *a, **kw: calls.append(1) or real(*a, **kw))
+    return calls
+
+
+def _index_arrays(seq):
+    return [seq.index.record, seq.index.distance, seq.index.starts]
+
+
+class TestCenterCache:
+    def test_repeat_returns_the_kept_sequence_without_scipy(self, monkeypatch):
+        import pathdecomp.graph as graph_module
+
+        g = gen_grid(8, 8)
+        seq = choose_centers(g, 3.0)
+        calls = _count_calls(monkeypatch, graph_module, "csgraph_dijkstra")
+        assert choose_centers(g, 3.0) is seq
+        assert choose_centers(g, 3, greedy_find) is seq  # an equal delta
+        assert calls == []
+        assert choose_centers(gen_grid(8, 8), 3.0) is not seq
+        assert calls  # the counter sees a build
+
+    def test_other_delta_or_finder_rebuilds(self):
+        g = gen_ktree(80, 1, "uniform", seed=2).graph
+        first = choose_centers(g, 3.0)
+        other = choose_centers(g, 5.0)
+        centroid = choose_centers(g, 5.0, tree_centroid_find)
+        assert other is not first and centroid is not other
+        assert centroid.separators != other.separators
+        assert centroid.separators == choose_centers(gen_ktree(80, 1, "uniform", seed=2).graph,
+                                                     5.0, tree_centroid_find).separators
+        again = choose_centers(g, 3.0)
+        assert again is not first
+        assert all(np.array_equal(a, b) for a, b in zip(_index_arrays(again),
+                                                       _index_arrays(first)))
+        assert [r.center for r in again.records] == [r.center for r in first.records]
+
+    def test_estimate_padding_reuses_the_sequence(self, monkeypatch):
+        import pathdecomp.decomposer as decomposer_module
+
+        g = gen_grid(8, 8)
+        choose_centers(g, 3.0)
+        calls = _count_calls(monkeypatch, decomposer_module, "greedy_find_level")
+        estimate_padding(g, 3.0, greedy_find, gammas=(0.0,), trials=5)
+        assert calls == []
+        estimate_padding(gen_grid(8, 8), 3.0, greedy_find, gammas=(0.0,), trials=5)
+        assert calls  # the counter sees a build
+
+    def test_raising_finder_leaves_no_slot(self):
+        g = gen_grid(4, 4)
+        seq = choose_centers(g, 2.0)
+
+        def broken(g, mask):
+            raise RuntimeError("finder failed")
+
+        with pytest.raises(RuntimeError, match="finder failed"):
+            choose_centers(g, 2.0, broken)
+        assert "centers" not in g._cache
+        assert choose_centers(g, 2.0) is not seq
+
+    def test_baseline_index_kept_per_delta(self):
+        g = gen_grid(6, 6)
+        index = _baseline_index(g, 3.0)
+        assert _baseline_index(g, 3.0) is index
+        assert _baseline_index(g, 4.0) is not index
+        assert _baseline_index(g, 4.0).delta == 4.0
+
+
 class TestDecompositionParams:
     @pytest.mark.parametrize("delta", [0.0, -1.0, math.inf, math.nan])
     def test_rejects_bad_delta(self, delta):
@@ -185,9 +258,9 @@ class TestCarve:
             assert len(part) == 1
 
     def test_deterministic(self):
-        g = gen_grid(8, 8)
-        a = decompose(g, 6.0, seed=42)
-        b = decompose(g, 6.0, seed=42)
+        # two graphs, so the second call builds its centers instead of reusing them
+        a = decompose(gen_grid(8, 8), 6.0, seed=42)
+        b = decompose(gen_grid(8, 8), 6.0, seed=42)
         assert np.array_equal(a.cluster_of, b.cluster_of)
 
     def test_grid_diameter_bound(self):

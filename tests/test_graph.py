@@ -578,8 +578,8 @@ def test_scipy_dijkstra_is_imported_only_by_graph():
 
 
 def test_graph_calls_scipy_directed():
-    # every CSR handed to scipy is symmetric, so the directed calls give the
-    # undirected answers without scipy's transposed copy
+    # every CSR handed to scipy is symmetric, so the directed calls and strong
+    # components give the undirected answers without scipy's transposed copy
     source = pathlib.Path(pathdecomp.__file__).with_name("graph.py").read_text(encoding="utf-8")
     assert "directed=False" not in source
     seen = set()
@@ -591,7 +591,7 @@ def test_graph_calls_scipy_directed():
                   if k.arg in ("directed", "connection")}
             assert kw.get("directed") is True, f"{name} at line {node.lineno}"
             if name == "connected_components":
-                assert kw.get("connection") == "weak", f"{name} at line {node.lineno}"
+                assert kw.get("connection") == "strong", f"{name} at line {node.lineno}"
     assert seen == {"csgraph_dijkstra", "connected_components"}
 
 

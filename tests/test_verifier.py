@@ -247,16 +247,19 @@ class TestEstimatePadding:
         assert rep.all_pass()
 
     def test_reproducible(self):
-        g = gen_grid(5, 5)
-        a = estimate_padding(g, 4.0, trials=50, seed=7)
-        b = estimate_padding(g, 4.0, trials=50, seed=7)
+        # two graphs, so the second call builds its centers instead of reusing them
+        a = estimate_padding(gen_grid(5, 5), 4.0, trials=50, seed=7)
+        b = estimate_padding(gen_grid(5, 5), 4.0, trials=50, seed=7)
         assert a == b
 
     def test_given_centers_give_the_same_report(self):
-        g = gen_ktree(300, 2, "uniform", seed=4).graph
+        def make():
+            return gen_ktree(300, 2, "uniform", seed=4).graph
+
+        g = make()
         seq = choose_centers(g, 2.5)
         assert estimate_padding(g, 2.5, trials=40, seed=3, centers=seq) == \
-            estimate_padding(g, 2.5, trials=40, seed=3)
+            estimate_padding(make(), 2.5, trials=40, seed=3)
 
     def test_centers_with_baseline_scheme_rejected(self):
         g = gen_grid(4, 4)
