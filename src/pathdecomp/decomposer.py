@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .graph import Path, VertexMask, WeightedGraph, distance_blocks, level_balls
+from .graph import Path, VertexMask, WeightedGraph, balls, level_balls
 from .nets import PathMetricView, greedy_net
 from .sampler import RngStream, TexpParams, texp_sample_many
 from .separators import greedy_find, greedy_find_level
@@ -60,6 +60,11 @@ def _beta_of_k(k: int) -> float:
 def _require_valid_delta(delta: float) -> None:
     if not 0 < delta < math.inf:  # nan fails too
         raise ValueError(f"delta must be positive and finite, got {delta}")
+
+
+def max_radius(delta: float) -> float:
+    """2*delta/5: the largest carving radius, and the radius of every indexed ball."""
+    return 0.4 * delta
 
 
 def beta_bound(p_eff: int, n: int) -> float:
@@ -115,20 +120,18 @@ class BallIndex:
             batch.setdefault(id(rec.subgraph), (rec.subgraph, []))[1].append(i)
         centers = np.array([rec.center for rec in records], dtype=np.int64)
         parts = (part for batch in batches.values()
-                 for part in _incidences(g, list(batch.values()), centers, 0.4 * delta))
-        return cls._assemble(g.n, len(records), delta, parts)
+                 for part in _incidences(g, list(batch.values()), centers, max_radius(delta)))
+        return cls._assemble(g.n, len(records), delta, *(np.concatenate(a) for a in zip(*parts)))
 
     @classmethod
     def of_all_vertices(cls, g: WeightedGraph, delta: float) -> "BallIndex":
         """Index of every vertex's ball in the full graph; record v is vertex v."""
-        ids = np.arange(g.n, dtype=np.int64)
-        batch = [(VertexMask.full(g.n), ids)]
-        return cls._assemble(g.n, g.n, delta, _incidences(g, batch, ids, 0.4 * delta))
+        full = VertexMask.full(g.n)
+        return cls._assemble(g.n, g.n, delta, *balls(g, full, np.arange(g.n), max_radius(delta)))
 
     @classmethod
-    def _assemble(cls, n: int, count: int, delta: float, parts) -> "BallIndex":
+    def _assemble(cls, n: int, count: int, delta: float, rec, vert, dist) -> "BallIndex":
         """Index from (record, vertex, distance) incidence arrays."""
-        rec, vert, dist = (np.concatenate(a) for a in zip(*parts))
         order = np.lexsort((rec, vert))
         starts = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(np.bincount(vert, minlength=n), out=starts[1:])
@@ -152,20 +155,19 @@ class BallIndex:
 
 def _incidences(g: WeightedGraph, batch, centers: np.ndarray, radius: float):
     """(record, vertex, distance) arrays of the balls of a batch [(subgraph,
-    record ids)], centers[r] being record r's center. Several subgraphs must be
-    disjoint and non-adjacent: round t sweeps their union from the t-th center
-    of each that has one (graph.level_balls)."""
+    record ids)], centers[r] being record r's center. One subgraph is one
+    graph.balls query. Several must be disjoint and non-adjacent: round t
+    sweeps their union from the t-th center of each that has one
+    (graph.level_balls)."""
     if len(batch) == 1:
         (mask, ids), = batch
-        for first, dmat, verts in distance_blocks(g, mask, centers[ids], radius):
-            row, col = np.nonzero(np.isfinite(dmat))
-            yield np.asarray(ids)[first + row], verts[col], dmat[row, col]
-            del dmat  # one block alive at a time
+        row, vert, dist = balls(g, mask, centers[ids], radius)
+        yield np.asarray(ids)[row], vert, dist
         return
     rounds = range(max(len(ids) for _, ids in batch))
     sources = [[centers[ids[t]] if t < len(ids) else None for _, ids in batch] for t in rounds]
-    balls = level_balls(g, [mask for mask, _ in batch], sources, radius)
-    for t, (owner, verts, dist) in zip(rounds, balls):
+    swept = level_balls(g, [mask for mask, _ in batch], sources, radius)
+    for t, (owner, verts, dist) in zip(rounds, swept):
         record = np.array([ids[t] if t < len(ids) else -1 for _, ids in batch])
         yield record[owner], verts, dist
 
@@ -224,7 +226,7 @@ class DecompositionParams:
         return _beta_of_k(self.K)
 
     def texp(self) -> TexpParams:
-        return TexpParams(self.lam, self.delta / 4.0, 0.4 * self.delta)
+        return TexpParams(self.lam, self.delta / 4.0, max_radius(self.delta))
 
 
 @dataclass

@@ -17,8 +17,11 @@ Every residual operation lives here, once:
   the symmetric CSR, so no call copies a transpose (on an 8x8 grid a call
   takes about 35 µs, against 107 µs undirected):
   - `distance_blocks`: distances from many sources, cut at a radius, in blocks
-    of SOURCE_BLOCK rows of the residual's size. The BallIndex builds and the
-    verifier's balls, threatener counts and diameter checks all use it.
+    of SOURCE_BLOCK rows of the residual's size. Only `balls` and the
+    verifier's diameter check read it.
+  - `balls`: the same query as sparse (row, vertex, distance) entries. Every
+    other multi-source ball is read through it: a BallIndex key held by one
+    subgraph, the baseline index, the threatener counts and the padding balls.
   - `level_balls`: per round, one sweep over a level union cut at a radius,
     from at most one source per mask (the BallIndex's level sweeps).
   - `double_sweep`: one path per mask of a level union (the separator
@@ -370,6 +373,18 @@ def distance_blocks(g: WeightedGraph, mask: VertexMask, sources, radius: float):
         # freed before the next block is computed.
         yield first, np.atleast_2d(csgraph_dijkstra(
             sub, directed=True, indices=local[first:first + SOURCE_BLOCK], limit=radius)), verts
+
+
+def balls(g: WeightedGraph, mask: VertexMask, sources, radius: float):
+    """The residual balls of many sources, sparse: (row, vert, dist), one entry
+    per source position row and alive vertex vert at distance dist <= radius
+    from sources[row], sorted by (row, vert). One distance block is alive at a time."""
+    parts = [(np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64), np.empty(0))]
+    for first, dist, verts in distance_blocks(g, mask, sources, radius):
+        row, col = np.nonzero(np.isfinite(dist))
+        parts.append((first + row, verts[col], dist[row, col]))
+        del dist
+    return tuple(np.concatenate(a) for a in zip(*parts))
 
 
 def level_balls(g: WeightedGraph, masks, rounds, radius: float):

@@ -175,11 +175,6 @@ def tree_centroid_find(g: WeightedGraph, mask: VertexMask) -> PathSeparator:
     if n_alive == 0:
         raise ValueError("cannot separate an empty residual graph")
     alive = mask.alive
-    # each edge, parallel ones included, appears once in each endpoint's list
-    edge_count = sum(1 for u in alive for v, _ in g.adj[u] if v in alive) // 2
-    if edge_count != n_alive - 1 or len(components(g, mask)) != 1:
-        raise NotATreeError("residual graph is not a tree")
-
     root = min(alive)
     order = []
     parent = {root: -1}
@@ -191,6 +186,12 @@ def tree_centroid_find(g: WeightedGraph, mask: VertexMask) -> PathSeparator:
             if v in alive and v not in parent:
                 parent[v] = u
                 stack.append(v)
+    # a tree is connected (the walk reached every vertex) with n - 1 edges;
+    # each edge, parallel ones included, appears once in each endpoint's list
+    edge_count = sum(1 for u in alive for v, _ in g.adj[u] if v in alive) // 2
+    if len(order) != n_alive or edge_count != n_alive - 1:
+        raise NotATreeError("residual graph is not a tree")
+
     size = {u: 1 for u in order}
     worst = {u: 0 for u in order}
     for u in reversed(order):

@@ -24,8 +24,9 @@ from .decomposer import (
     _require_same_delta,
     ceil_log2,
     choose_centers,
+    max_radius,
 )
-from .graph import VertexMask, WeightedGraph, concat_ranges, distance_blocks
+from .graph import VertexMask, WeightedGraph, balls, concat_ranges, distance_blocks
 from .sampler import RngStream, derive_seed
 from .separators import greedy_find
 
@@ -69,7 +70,7 @@ def check_partition(g: WeightedGraph, part: Partition):
 def check_cluster_diameters(g: WeightedGraph, part: Partition, delta: float):
     """Every cluster's full-graph diameter must be at most 4*delta/5. One distance_blocks query
     runs from all non-singleton clusters' vertices; each row is read at its cluster's columns."""
-    bound = 0.8 * delta
+    bound = 2 * max_radius(delta)
     cids = [cid for cid, cl in enumerate(part.clusters) if len(cl.vertices) > 1]
     if not cids:
         return None
@@ -140,17 +141,14 @@ def threatener_report(g: WeightedGraph, centers: CenterSequence,
     _require_gamma_in_range(gamma)
     _require_same_delta(centers, params.delta)
     vertices = np.arange(g.n) if vertices is None else np.asarray(sorted(vertices), dtype=np.int64)
-    index, radius = centers.index, gamma * params.delta
-    counts = np.zeros(len(vertices), dtype=np.int64)
-    for first, dist, ids in distance_blocks(g, VertexMask.full(g.n), vertices, radius):
-        row, col = np.nonzero(np.isfinite(dist))
-        # every incidence of every ball vertex, tagged with the row of its ball
-        lo = index.starts[ids[col]]
-        sizes = index.starts[ids[col] + 1] - lo
-        pairs = np.unique((first + np.repeat(row, sizes)) * index.n_records
-                          + index.record[concat_ranges(lo, sizes)])
-        counts += np.bincount(pairs // index.n_records, minlength=len(vertices))
-        del dist  # one block alive at a time
+    index = centers.index
+    row, members, _ = balls(g, VertexMask.full(g.n), vertices, gamma * params.delta)
+    # every incidence of every ball member, tagged with the row of its ball
+    lo = index.starts[members]
+    sizes = index.starts[members + 1] - lo
+    pairs = np.unique(np.repeat(row, sizes) * index.n_records
+                      + index.record[concat_ranges(lo, sizes)])
+    counts = np.bincount(pairs // index.n_records, minlength=len(vertices))
     return ThreatenerReport(
         gamma, tuple(int(v) for v in vertices), tuple(int(c) for c in counts),
         threatener_bound(params.p_eff, params.n),
@@ -240,26 +238,6 @@ def sample_vertices(g: WeightedGraph, seed: int) -> np.ndarray:
     return np.sort(picked.astype(np.int64))
 
 
-def _flatten_balls(g: WeightedGraph, delta: float, gammas, vertices):
-    """Concatenated ball vertex lists for every (vertex, gamma) pair, with
-    segment starts and the anchor vertex repeated per element."""
-    radii = np.asarray(gammas) * delta
-    flat, anchors, sizes = [], [], []
-    for first, dist, ids in distance_blocks(g, VertexMask.full(g.n), vertices, radii.max()):
-        row, col = np.nonzero(np.isfinite(dist))
-        # (gamma, element) pairs, then ordered by (row, gamma); the sort is
-        # stable, so members stay in increasing id order
-        k, e = np.nonzero(dist[row, col] <= radii[:, None])
-        seg = row[e] * len(radii) + k
-        order = np.argsort(seg, kind="stable")
-        flat.append(ids[col[e[order]]])
-        anchors.append(vertices[first + row[e[order]]])
-        sizes.append(np.bincount(seg, minlength=len(dist) * len(radii)))
-        del dist  # one block alive at a time
-    sizes = np.concatenate(sizes)
-    return np.concatenate(flat), np.concatenate(anchors), np.cumsum(sizes) - sizes
-
-
 def estimate_padding(g: WeightedGraph, delta: float, finder=greedy_find,
                      gammas=DEFAULT_GAMMAS,
                      trials: int = 1000, seed: int = 0,
@@ -269,9 +247,12 @@ def estimate_padding(g: WeightedGraph, delta: float, finder=greedy_find,
 
     Runs `trials` independent decompositions with per-trial seeds derived from
     the master seed, and counts, per sampled vertex x and per gamma, the
-    trials in which B_G(x, gamma*delta) stayed inside x's cluster. Acceptance
-    per (x, gamma): Wilson 99% lower bound >= floor for gamma > 0; for
-    gamma = 0 the event holds surely, so the check is successes == trials.
+    trials in which B_G(x, gamma*delta) stayed inside x's cluster. Each ball
+    is read once, at the largest gamma (graph.balls); in a trial, the closed
+    ball at gamma is padded iff x's nearest member in another cluster lies
+    farther than gamma*delta. Acceptance per (x, gamma): Wilson 99% lower
+    bound >= floor for gamma > 0; for gamma = 0 the event holds surely, so
+    the check is successes == trials.
 
     The paper scheme carves `centers` when given (chosen at this delta; the
     finder is then unused), else choose_centers(g, delta, finder), which
@@ -293,7 +274,10 @@ def estimate_padding(g: WeightedGraph, delta: float, finder=greedy_find,
         _require_same_delta(centers, delta)
 
     vertices = sample_vertices(g, seed)
-    flat, anchors, starts = _flatten_balls(g, delta, gammas, vertices)
+    radii = np.asarray(gammas) * delta
+    row, members, dist = balls(g, VertexMask.full(g.n), vertices, radii.max())
+    anchors = vertices[row]
+    starts = np.searchsorted(row, np.arange(len(vertices)))  # no ball is empty: x is in B(x, r)
 
     if scheme == "paper":
         seq = choose_centers(g, delta, finder) if centers is None else centers
@@ -311,17 +295,16 @@ def estimate_padding(g: WeightedGraph, delta: float, finder=greedy_find,
     beta = params.beta()
 
     # first-claim labels are cluster ranks: equal labels, same cluster
-    successes = np.zeros(len(starts), dtype=np.int64)
+    successes = np.zeros((len(vertices), len(radii)), dtype=np.int64)
     for t in range(trials):
         labels = trial_labels(t)
-        ok = labels[flat] == labels[anchors]
-        successes += np.logical_and.reduceat(ok, starts)
+        split = np.where(labels[members] != labels[anchors], dist, np.inf)
+        successes += np.minimum.reduceat(split, starts)[:, None] > radii
 
     records_out = []
-    i = 0
-    for x in vertices:
-        for gamma in gammas:
-            s = int(successes[i])
+    for i, x in enumerate(vertices):
+        for k, gamma in enumerate(gammas):
+            s = int(successes[i, k])
             emp = s / trials
             lb = wilson_lower_bound(s, trials)
             floor = 2.0 ** (-beta * gamma)
@@ -329,7 +312,6 @@ def estimate_padding(g: WeightedGraph, delta: float, finder=greedy_find,
             records_out.append(
                 PaddingRecord(int(x), gamma, trials, s, emp, lb, floor, passed)
             )
-            i += 1
 
     return PaddingReport(
         scheme, delta, gammas, trials, int(seed), g.n, p_eff, beta,

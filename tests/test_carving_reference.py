@@ -294,6 +294,9 @@ def reference_successes(ref, scheme, trials, seed, vertices):
     ("grid16x16 spread", lambda: spread_weights(pd.gen_grid(16, 16), 1)),
     ("ktree k=2 n=512", lambda: pd.gen_ktree(512, 2, seed=10).graph),
     ("ktree k=2 n=512 spread", lambda: spread_weights(pd.gen_ktree(512, 2, seed=10).graph, 2)),
+    # W = 400, so at gamma = 1/100 the radius is 1.0: the ball is closed, and
+    # the unit edges at exactly that distance are in it
+    ("path401 closed", lambda: pd.gen_grid(1, 401)),
 ])
 def test_padding_successes_match_reference(name, make):
     g = make()
@@ -307,8 +310,27 @@ def test_padding_successes_match_reference(name, make):
         expect = reference_successes(ref, scheme, trials, seed, np.array(rep.vertices))
         assert [r.successes for r in rep.records] == expect.tolist(), (name, scheme)
         nontrivial += int((expect < trials).sum())
-    if "spread" in name:
+    if "spread" in name or "closed" in name:
         assert nontrivial > 0, name  # some ball was split, so the check has teeth
+
+
+@pytest.mark.parametrize("scheme", ["paper", "baseline"])
+def test_padding_records_match_one_gamma_calls(scheme):
+    # each ball is read once, at the largest gamma: unsorted gammas with a
+    # duplicate must still give every (x, gamma) record of a one-gamma call
+    g = spread_weights(pd.gen_grid(16, 16), 1)
+    delta = pd.weighted_diameter(g) / 4
+    gammas = (1 / 200, 0.0, 1 / 100, 1 / 400, 1 / 200)
+    trials, seed = 40, 13
+    rep = pd.estimate_padding(g, delta, gammas=gammas, trials=trials, seed=seed, scheme=scheme)
+    single = {gamma: pd.estimate_padding(g, delta, gammas=(gamma,), trials=trials, seed=seed,
+                                         scheme=scheme).records
+              for gamma in set(gammas)}
+    assert rep.records == tuple(single[gamma][i] for i in range(len(rep.vertices))
+                                for gamma in gammas)
+    full = VertexMask.full(g.n)
+    assert any(len(pd.ball(g, full, x, max(gammas) * delta)) > 1 for x in rep.vertices)
+    assert any(0 < r.successes < trials for r in rep.records)
 
 
 # ---------------------------------------------------------------------------

@@ -27,6 +27,7 @@ from pathdecomp import (
 )
 from pathdecomp.graph import (
     SOURCE_BLOCK,
+    balls,
     distance_blocks,
     double_sweep,
     induced,
@@ -309,31 +310,58 @@ class TestDiameter:
         assert len(calls) == 2
 
 
+def grid_with_zero_edges(side):
+    """A unit grid whose every seventh edge weighs 0."""
+    g = gen_grid(side, side)
+    return WeightedGraph(g.n, [(u, v, 0.0 if i % 7 == 0 else w)
+                               for i, (u, v, w) in enumerate(g.edges)])
+
+
 class TestDistanceBlocks:
     @pytest.mark.parametrize("make,radius", [
         # column 10 deleted: two components, and unit distances equal to the radius
         (lambda: gen_grid(30, 30), 7.0),
         (lambda: gen_ktree(700, 2, "uniform", seed=5).graph, 2.5),
-    ], ids=["grid30", "ktree700-uniform"])
+        # radius 0 reaches along zero-weight edges only; 3.5 falls between distances
+        (lambda: grid_with_zero_edges(30), 0.0),
+        (lambda: grid_with_zero_edges(30), 3.5),
+    ], ids=["grid30", "ktree700-uniform", "grid30-zero-edges-r0", "grid30-zero-edges-r3.5"])
     def test_masked_residual_matches_heap_search(self, make, radius):
         g = make()
         mask = VertexMask.full(g.n).without(range(10, g.n, 30))
         sources = np.random.default_rng(0).permutation(sorted(mask.alive))
         assert len(sources) > 2 * SOURCE_BLOCK
+        heap = {src: sssp(g, mask, src).dist for src in sources.tolist()}
         rows = 0
         for first, dist, verts in distance_blocks(g, mask, sources, radius):
             assert first == rows and 1 <= len(dist) <= SOURCE_BLOCK
             assert verts.tolist() == sorted(mask.alive)
             for i, row in enumerate(dist):
-                heap = sssp(g, mask, int(sources[first + i])).dist
-                assert row.tolist() == [heap[v] if heap[v] <= radius else INF for v in verts]
+                d = heap[int(sources[first + i])]
+                assert row.tolist() == [d[v] if d[v] <= radius else INF for v in verts]
             rows += len(dist)
         assert rows == len(sources)
+
+        # balls: the heap ball of every source, with its distances, in (row, vert) order
+        row, vert, dist = balls(g, mask, sources, radius)
+        assert np.all(np.diff(row) >= 0)
+        cuts = np.searchsorted(row, np.arange(1, len(sources)))
+        for src, members, d in zip(sources.tolist(), np.split(vert, cuts), np.split(dist, cuts)):
+            assert members.tolist() == sorted(ball(g, mask, src, radius))
+            assert d.tolist() == [heap[src][v] for v in members.tolist()]
+        if radius == 0.0:
+            assert len(row) > len(sources)  # zero-weight edges put neighbours in some ball
 
     def test_dead_source_raises(self, chain):
         mask = VertexMask(3, [0, 1])
         with pytest.raises(MaskError):
             next(distance_blocks(chain, mask, [0, 2], 1.0))
+        with pytest.raises(MaskError):
+            balls(chain, mask, [0, 2], 1.0)
+
+    def test_balls_of_no_sources_are_empty(self, chain):
+        out = balls(chain, VertexMask.full(3), [], 1.0)
+        assert len(out) == 3 and all(a.size == 0 for a in out)
 
     def test_consuming_loop_holds_one_block(self):
         # every source of a 32x32 grid: 8 blocks of SOURCE_BLOCK x 1024 floats

@@ -234,6 +234,14 @@ class TestCentroidFinder:
         with pytest.raises(NotATreeError):
             tree_centroid_find(g, VertexMask(4, [0, 1, 3]))
 
+    def test_disconnected_with_tree_edge_count_rejected(self):
+        # a triangle 0-1-2 with the pendant path 2-3-4-5, vertex 4 masked out:
+        # five vertices and four edges, as in a tree, but 5 is cut off
+        g = WeightedGraph(6, [(0, 1, 1.0), (1, 2, 1.0), (2, 0, 1.0),
+                              (2, 3, 1.0), (3, 4, 1.0), (4, 5, 1.0)])
+        with pytest.raises(NotATreeError):
+            tree_centroid_find(g, VertexMask(6, [0, 1, 2, 3, 5]))
+
     def test_random_trees_validate(self):
         for seed in range(15):
             g = gen_ktree(63, 1, "uniform", seed=seed).graph
