@@ -62,6 +62,11 @@ def _require_valid_delta(delta: float) -> None:
         raise ValueError(f"delta must be positive and finite, got {delta}")
 
 
+def min_radius(delta: float) -> float:
+    """delta/4: the smallest carving radius and the net spacing; coverage needs both equal."""
+    return delta / 4.0
+
+
 def max_radius(delta: float) -> float:
     """2*delta/5: the largest carving radius, and the radius of every indexed ball."""
     return 0.4 * delta
@@ -180,8 +185,8 @@ class CenterSequence:
     record came from; separators holds (node mask, separator) per recursion
     node, in visit order. p_eff is the largest number of separator paths any
     single recursion node needed. delta is the scale the nets were built
-    for; carving at another scale is refused. index holds the records'
-    maximal balls at that scale.
+    for; carve refuses params or a graph the sequence was not built for.
+    index holds the records' maximal balls at that scale.
     """
 
     records: tuple[CenterRecord, ...]
@@ -226,7 +231,7 @@ class DecompositionParams:
         return _beta_of_k(self.K)
 
     def texp(self) -> TexpParams:
-        return TexpParams(self.lam, self.delta / 4.0, max_radius(self.delta))
+        return TexpParams(self.lam, min_radius(self.delta), max_radius(self.delta))
 
 
 @dataclass
@@ -317,7 +322,7 @@ def _build_centers(g: WeightedGraph, delta: float, finder) -> CenterSequence:
     records: list[CenterRecord] = []
     paths: list[Path] = []
     separators = []
-    r = delta / 4.0
+    r = min_radius(delta)
     p_eff = 1
     max_depth = 0
     stack = [(0, 0)]
@@ -346,11 +351,13 @@ def _build_centers(g: WeightedGraph, delta: float, finder) -> CenterSequence:
     )
 
 
-def _require_same_delta(centers: CenterSequence, delta: float) -> None:
-    """Refuse a scale other than the one the centers were chosen for."""
-    if delta != centers.delta:
-        raise ValueError(f"delta={delta!r} differs from the delta={centers.delta!r} "
-                         f"the centers were chosen for")
+def _require_matching(g: WeightedGraph, seq: CenterSequence, params: DecompositionParams) -> None:
+    """Refuse params whose delta, p_eff or n, or a graph whose n, is not the sequence's."""
+    for name, got, want in (("delta", params.delta, seq.delta), ("graph n", g.n, seq.n),
+                            ("p_eff", params.p_eff, seq.p_eff), ("n", params.n, seq.n)):
+        if got != want:
+            raise ValueError(f"{name}={got!r} differs from the {name}={want!r} "
+                             f"the centers were chosen for")
 
 
 def _partition(labels: np.ndarray, radii: np.ndarray,
@@ -376,8 +383,8 @@ def _carve_labels(centers: CenterSequence, params: DecompositionParams) -> tuple
 
 
 def carve(g: WeightedGraph, centers: CenterSequence, params: DecompositionParams) -> Partition:
-    """Random-radius ball carving over a center sequence built at the same delta."""
-    _require_same_delta(centers, params.delta)
+    """Random-radius ball carving over the centers chosen for g and params' delta, p_eff and n."""
+    _require_matching(g, centers, params)
     labels, radii = _carve_labels(centers, params)
     return _partition(labels, radii, centers.records.__getitem__)
 

@@ -152,7 +152,6 @@ def _run_scheme(g: WeightedGraph, delta: float, scheme: str, cfg: ExperimentConf
         result["threatener_bound"] = threat.bound
         result["threatener_worst"] = threat.worst()
     else:
-        seq = None
         params = DecompositionParams.for_baseline(delta, cfg.seed, g.n)
         part = baseline_decompose(g, delta, cfg.seed)
         result["lambda"] = params.lam
@@ -162,7 +161,7 @@ def _run_scheme(g: WeightedGraph, delta: float, scheme: str, cfg: ExperimentConf
     result["clusters"] = len(part.clusters)
 
     padding = verifier.estimate_padding(
-        g, delta, FINDERS[cfg.finder], cfg.gammas, cfg.trials, cfg.seed, scheme, seq
+        g, delta, FINDERS[cfg.finder], cfg.gammas, cfg.trials, cfg.seed, scheme
     )
     checks["padding"] = "ok" if padding.all_pass() else (
         "[padding] " + "; ".join(

@@ -21,7 +21,7 @@ from .decomposer import (
     Partition,
     _baseline_labels,
     _carve_labels,
-    _require_same_delta,
+    _require_matching,
     ceil_log2,
     choose_centers,
     max_radius,
@@ -136,10 +136,11 @@ def threatener_report(g: WeightedGraph, centers: CenterSequence,
 
     This is the support condition for t's ball ever touching x's ball, since
     radii range over [delta/4, 2*delta/5] with full support. The count is a
-    property of the center sequence alone, independent of the radii.
+    property of the center sequence alone, independent of the radii. Like
+    carve, it refuses a graph or params the centers were not chosen for.
     """
     _require_gamma_in_range(gamma)
-    _require_same_delta(centers, params.delta)
+    _require_matching(g, centers, params)
     vertices = np.arange(g.n) if vertices is None else np.asarray(sorted(vertices), dtype=np.int64)
     index = centers.index
     row, members, _ = balls(g, VertexMask.full(g.n), vertices, gamma * params.delta)
@@ -239,10 +240,8 @@ def sample_vertices(g: WeightedGraph, seed: int) -> np.ndarray:
 
 
 def estimate_padding(g: WeightedGraph, delta: float, finder=greedy_find,
-                     gammas=DEFAULT_GAMMAS,
-                     trials: int = 1000, seed: int = 0,
-                     scheme: str = "paper",
-                     centers: CenterSequence | None = None) -> PaddingReport:
+                     gammas=DEFAULT_GAMMAS, trials: int = 1000, seed: int = 0,
+                     scheme: str = "paper") -> PaddingReport:
     """Monte-Carlo padding probabilities against the 2^(-beta*gamma) floor.
 
     Runs `trials` independent decompositions with per-trial seeds derived from
@@ -254,11 +253,9 @@ def estimate_padding(g: WeightedGraph, delta: float, finder=greedy_find,
     bound >= floor for gamma > 0; for gamma = 0 the event holds surely, so
     the check is successes == trials.
 
-    The paper scheme carves `centers` when given (chosen at this delta; the
-    finder is then unused), else choose_centers(g, delta, finder), which
-    returns the sequence the graph keeps when the latest call built it for
-    an equal delta and the same finder. The baseline reuses the all-vertices
-    index the graph keeps for this delta.
+    The paper scheme carves choose_centers(g, delta, finder), the sequence
+    the graph keeps for an equal delta and the same finder; the baseline,
+    the all-vertices index the graph keeps for this delta.
     """
     gammas = tuple(float(gamma) for gamma in gammas)
     if not gammas:
@@ -268,10 +265,6 @@ def estimate_padding(g: WeightedGraph, delta: float, finder=greedy_find,
     _require_trials(trials)
     if scheme not in ("paper", "baseline"):
         raise ValueError(f"unknown scheme {scheme!r}")
-    if centers is not None:
-        if scheme != "paper":
-            raise ValueError(f"centers apply to the paper scheme only, not scheme={scheme!r}")
-        _require_same_delta(centers, delta)
 
     vertices = sample_vertices(g, seed)
     radii = np.asarray(gammas) * delta
@@ -280,7 +273,7 @@ def estimate_padding(g: WeightedGraph, delta: float, finder=greedy_find,
     starts = np.searchsorted(row, np.arange(len(vertices)))  # no ball is empty: x is in B(x, r)
 
     if scheme == "paper":
-        seq = choose_centers(g, delta, finder) if centers is None else centers
+        seq = choose_centers(g, delta, finder)
         params = DecompositionParams.for_graph(delta, seed, seq.p_eff, g.n)
         p_eff = seq.p_eff
 

@@ -368,6 +368,30 @@ class TestCarve:
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             use(g, seq, params)
 
+    @pytest.mark.parametrize("use", [
+        pytest.param(carve, id="carve"),
+        pytest.param(lambda g, seq, params: threatener_report(g, seq, params, 0.0),
+                     id="threatener_report"),
+    ])
+    @pytest.mark.parametrize("name,got,want", [
+        ("p_eff", 1, 5),
+        ("n", 1024, 256),
+        ("graph n", 64, 256),
+    ])
+    def test_rejects_another_p_eff_n_or_graph(self, use, name, got, want):
+        # centers netted on grid 16x16 (p_eff 5); another p_eff or n used to
+        # change lambda and the threatener bound silently, and an 8x8 graph
+        # to get a partition of the sequence's 256 vertices
+        seq = choose_centers(gen_grid(16, 16), 8.0)
+        assert (seq.p_eff, seq.n) == (5, 256)
+        p_eff = got if name == "p_eff" else seq.p_eff
+        n = got if name == "n" else seq.n
+        g = gen_grid(8, 8) if name == "graph n" else gen_grid(16, 16)
+        params = DecompositionParams.for_graph(8.0, 0, p_eff, n)
+        message = f"{name}={got} differs from the {name}={want} the centers were chosen for"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            use(g, seq, params)
+
 
 class TestBaseline:
     def test_single_vertex(self):

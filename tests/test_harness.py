@@ -136,18 +136,18 @@ class TestRunExperiment:
         assert "planted" in report["results"][0]["checks"]["partition"]
 
     def test_centers_are_chosen_once_per_delta(self, monkeypatch):
-        # _run_scheme hands the sequence it built to estimate_padding
-        from pathdecomp import decomposer, harness
+        # _run_scheme and estimate_padding both call choose_centers; the
+        # second call gets the sequence the graph keeps
+        from pathdecomp import decomposer
 
         calls = []
-        real = decomposer.choose_centers
+        real = decomposer._build_centers
 
-        def counted(*args, **kwargs):
-            calls.append(args[1])
-            return real(*args, **kwargs)
+        def counted(g, delta, finder):
+            calls.append(delta)
+            return real(g, delta, finder)
 
-        monkeypatch.setattr(harness, "choose_centers", counted)
-        monkeypatch.setattr(verifier, "choose_centers", counted)
+        monkeypatch.setattr(decomposer, "_build_centers", counted)
         rep = run_experiment(quick_cfg(deltas=(2.0, 3.0), scheme="both"))
         assert rep["pass"] and calls == [2.0, 3.0]
 
