@@ -2,6 +2,8 @@
 
 Exact checks: partition validity, cluster diameters (at most 4*delta/5 in the
 full-graph metric), recursion depth, and the deterministic threatener bound.
+The diameter check clears most clusters from one ball around a center, as in
+the paper's proof, and searches all pairs only in the clusters it cannot clear.
 Statistical check: Monte-Carlo estimation of the padding probability
 Pr[B(x, gamma*delta) stays in one cluster], accepted when the one-sided
 Wilson 99% lower confidence bound clears the floor 2^(-beta*gamma).
@@ -46,13 +48,17 @@ class Violation:
 
 
 def check_partition(g: WeightedGraph, part: Partition):
-    """Disjointness, coverage, no empty cluster; first Violation or None."""
+    """Vertex ids in [0, n), disjointness, coverage, no empty cluster; first
+    Violation or None."""
     owner = np.full(g.n, -1, dtype=np.int64)
     for cid, cl in enumerate(part.clusters):
         if len(cl.vertices) == 0:
             return Violation("empty-cluster", f"cluster {cid} is empty")
         for v in cl.vertices:
             v = int(v)
+            if not 0 <= v < g.n:  # a negative id would index owner from the end
+                return Violation("vertex-id", f"cluster {cid} holds vertex {v}, "
+                                 f"outside 0..{g.n - 1}")
             if owner[v] >= 0:
                 return Violation(
                     "disjointness", f"vertex {v} appears in clusters {owner[v]} and {cid}"
@@ -68,11 +74,65 @@ def check_partition(g: WeightedGraph, part: Partition):
 
 
 def check_cluster_diameters(g: WeightedGraph, part: Partition, delta: float):
-    """Every cluster's full-graph diameter must be at most 4*delta/5. One distance_blocks query
-    runs from all non-singleton clusters' vertices; each row is read at its cluster's columns."""
+    """Every cluster's full-graph diameter must be at most 4*delta/5; the first
+    Violation (first row in cluster order, then first column) or None.
+
+    Two passes give the answer of an all-pairs search. The center check
+    (_fail_center_check) clears, with one graph.balls query, every cluster
+    that lies in one small ball: a sufficient condition, as in the paper's
+    argument that a cluster inside B(t, 2*delta/5) has diameter at most
+    4*delta/5. The clusters it does not clear, and only those, go to the
+    exact all-pairs pass (_all_pairs_violation), in cluster order. A cleared
+    cluster holds no violation, so the first violation of the clusters left
+    is the first of all.
+    """
     bound = 2 * max_radius(delta)
-    cids = [cid for cid, cl in enumerate(part.clusters) if len(cl.vertices) > 1]
-    if not cids:
+    cids = np.array([cid for cid, cl in enumerate(part.clusters) if len(cl.vertices) > 1],
+                    dtype=np.int64)
+    if not len(cids):
+        return None
+    return _all_pairs_violation(g, part, cids[_fail_center_check(g, part, cids, bound)], bound)
+
+
+def _fail_center_check(g: WeightedGraph, part: Partition, cids: np.ndarray, bound: float):
+    """Per cluster of cids, True unless every member lies in its hub's ball of
+    radius r = bound/2 * (1 - 1e-9). The hub is the cluster's record center,
+    or its smallest vertex for a hand-built cluster; it need not be a member.
+
+    Members u, v with d(h, u), d(h, v) <= r are within 2r < bound of each
+    other. The margin covers rounding, so the pair also passes the all-pairs
+    pass's float test, scipy's d(u, v) <= bound. scipy's distance from s to x
+    is the float sum, left to right, of the weights on its tree path from s.
+    Rounded addition is monotone and weights are nonnegative, so it is also at
+    most the float sum along any other s-x walk (the limit drops only walks
+    whose running sum already exceeds it). A float sum of k nonnegative terms
+    is within a factor (1 +- eps)^(k-1) of the exact sum, eps = 2^-53. The
+    hub's tree paths to u and v have at most n - 1 edges each, so d(u, v) is
+    at most the float sum along the walk u -> h -> v:
+    (1 + eps)^(2n) / (1 - eps)^n * (1 - 1e-9) * bound
+    <= (1 + 3.1 n eps) * (1 - 1e-9) * bound <= bound for n <= 2.9e6,
+    far past any graph whose all-pairs pass could run at all.
+    """
+    clusters = [part.clusters[cid] for cid in cids]
+    hubs = [int(np.min(cl.vertices)) if cl.record is None else cl.record.center
+            for cl in clusters]
+    row, vert, _ = balls(g, VertexMask.full(g.n), hubs, bound / 2 * (1 - 1e-9))
+    sizes = np.array([len(cl.vertices) for cl in clusters])
+    members = np.concatenate([cl.vertices for cl in clusters])
+    # (position in cids, vertex) as one key, sorted in `reached` as balls sorts
+    # by (row, vert); an id outside [0, n) is never reached
+    key = np.repeat(np.arange(len(cids)), sizes) * g.n + members
+    reached = row * g.n + vert
+    hit = ((members >= 0) & (members < g.n)
+           & (reached.take(np.searchsorted(reached, key), mode="clip") == key))
+    return ~np.logical_and.reduceat(hit, np.cumsum(sizes) - sizes)
+
+
+def _all_pairs_violation(g: WeightedGraph, part: Partition, cids: np.ndarray, bound: float):
+    """The first pair farther apart than bound in clusters cids (each of two or
+    more vertices), by an exact search: one distance_blocks query runs from all
+    their vertices, and each row is read at its cluster's columns."""
+    if not len(cids):
         return None
     sizes = np.array([len(part.clusters[cid].vertices) for cid in cids])
     sources = np.concatenate([part.clusters[cid].vertices for cid in cids])

@@ -2,12 +2,18 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pathdecomp import (
+    CenterRecord,
+    Cluster,
     DecompositionParams,
     Partition,
     VertexMask,
     WeightedGraph,
+    baseline_decompose,
+    ball,
     check_cluster_diameters,
     check_partition,
     check_recursion_depth,
@@ -22,13 +28,42 @@ from pathdecomp import (
     tree_centroid_find,
     wilson_lower_bound,
 )
-from pathdecomp.graph import SOURCE_BLOCK
+from pathdecomp import verifier
+from pathdecomp.graph import SOURCE_BLOCK, distance_blocks, weighted_diameter
 
 
 def unit_path(n, order=None):
     """Unit-weight path visiting the vertices in `order` (default: by id)."""
     order = list(range(n)) if order is None else order
     return WeightedGraph(n, [(order[i], order[i + 1], 1.0) for i in range(n - 1)])
+
+
+def first_far_pair(part, delta, search):
+    """The diameter message of a per-pair search: the first cluster in id order,
+    then its first vertex u in list order, then the first v in list order with
+    v not in search(u, bound), the set of vertices within bound of u."""
+    bound = 0.8 * delta
+    for cid, cl in enumerate(part.clusters):
+        for u in cl.vertices:
+            near = search(int(u), bound)
+            far = [v for v in cl.vertices if v not in near]
+            if far:
+                return f"cluster {cid}: d({u},{far[0]}) = inf exceeds 4*delta/5 = {bound}"
+    return None
+
+
+def spy_on_all_pairs(monkeypatch):
+    """Sources of every all-pairs pass (verifier.distance_blocks call) that
+    check_cluster_diameters makes from now on; the center check's ball query
+    goes through graph.balls, which is not watched."""
+    calls = []
+
+    def spy(g, mask, sources, radius):
+        calls.append([int(v) for v in sources])
+        return distance_blocks(g, mask, sources, radius)
+
+    monkeypatch.setattr(verifier, "distance_blocks", spy)
+    return calls
 
 
 class TestCheckPartition:
@@ -61,6 +96,19 @@ class TestCheckPartition:
         part.cluster_of[0] = 1
         v = check_partition(g, part)
         assert v is not None and v.kind == "index"
+
+    def test_negative_vertex_id_flagged(self):
+        # -1 would alias to vertex 8 and hide that vertex 8 is in no cluster
+        g = gen_grid(3, 3)
+        part = Partition.from_sets(9, [{0, 1, 2, 3}, {4, 5, 6, 7, -1}])
+        assert str(check_partition(g, part)) == "[vertex-id] cluster 1 holds vertex -1, outside 0..8"
+
+    def test_vertex_id_past_n_flagged(self):
+        g = gen_grid(3, 3)
+        part = Partition(np.array([0, 0, 0, 0, 1, 1, 1, 1, 1]),
+                         [Cluster(np.arange(4), None, 0.0),
+                          Cluster(np.array([4, 5, 6, 7, 9]), None, 0.0)])
+        assert str(check_partition(g, part)) == "[vertex-id] cluster 1 holds vertex 9, outside 0..8"
 
 
 class TestCheckDiameters:
@@ -137,6 +185,93 @@ class TestCheckDiameters:
                 far = [v for v in cl.vertices if dist[v] > bound]
                 if far and expect is None:
                     expect = f"cluster {cid}: d({u},{far[0]}) = inf exceeds 4*delta/5 = {bound}"
+        v = check_cluster_diameters(g, part, delta)
+        assert (v and v.message) == expect
+
+    def test_hub_missing_a_member_goes_to_all_pairs(self, monkeypatch):
+        # unit path 0..4 at bound 4: the hub, vertex 0, misses 2..4, but the
+        # diameter is exactly the bound, which the all-pairs pass accepts
+        calls = spy_on_all_pairs(monkeypatch)
+        part = Partition.from_sets(5, [range(5)])
+        assert check_cluster_diameters(unit_path(5), part, 5.0) is None
+        assert calls == [[0, 1, 2, 3, 4]]
+
+    @pytest.mark.parametrize("members", [[0, 1, 2, 3, 4], [0, 4]])
+    def test_members_exactly_half_the_bound_from_the_hub(self, monkeypatch, members):
+        # the hub, vertex 2 (a member or not), lies exactly bound/2 from 0 and
+        # 4; the center check's margin sends the cluster to the all-pairs pass,
+        # which accepts d(0,4) = 4 at bound 4 and refuses it just below
+        calls = spy_on_all_pairs(monkeypatch)
+        g = unit_path(5)
+        hub = CenterRecord(2, VertexMask.full(5), 0, 0, 0)
+        rest = [Cluster(np.array([v]), None, 0.0) for v in range(5) if v not in members]
+        part = Partition(np.zeros(5, dtype=np.int64), [Cluster(np.array(members), hub, 2.0), *rest])
+        assert check_cluster_diameters(g, part, 5.0) is None
+        v = check_cluster_diameters(g, part, 4.99)
+        assert v.message == f"cluster 0: d(0,4) = inf exceeds 4*delta/5 = {0.8 * 4.99}"
+        assert calls == [members, members]
+
+    @pytest.mark.parametrize("graph, div", [
+        (gen_grid(32, 32), 8), (gen_ktree(1000, 2, "uniform", seed=1).graph, 4),
+    ], ids=["grid32-W/8", "uniform-ktree1000-W/4"])
+    def test_honest_partitions_never_reach_all_pairs(self, monkeypatch, graph, div):
+        def refuse(*args):
+            raise AssertionError("an honest cluster reached the all-pairs pass")
+
+        monkeypatch.setattr(verifier, "distance_blocks", refuse)
+        delta = weighted_diameter(graph) / div
+        for seed in range(3):
+            for part in (decompose(graph, delta, seed), baseline_decompose(graph, delta, seed)):
+                assert check_cluster_diameters(graph, part, delta) is None
+
+    @pytest.mark.parametrize("scheme", [decompose, baseline_decompose])
+    def test_merged_cluster_mutants_match_per_cluster_search(self, monkeypatch, scheme):
+        # clusters 0..7 stay as carved and clear the center check; from 8 on,
+        # clusters 2i and 2i + 1 merge under the first one's record, so its hub
+        # misses the second half. The first violation lies past cluster 8 in
+        # the paper scheme and at it in the baseline, whose merged clusters lie
+        # far apart. The search is the heap Dijkstra cut at the bound.
+        calls = spy_on_all_pairs(monkeypatch)
+        g = gen_grid(64, 64)
+        delta = weighted_diameter(g) / 8
+        cl = scheme(g, delta, 1).clusters
+        merged = cl[:8] + [Cluster(np.union1d(a.vertices, b.vertices), a.record, a.radius)
+                           for a, b in zip(cl[8::2], cl[9::2])]
+        part = Partition(np.zeros(g.n, dtype=np.int64), merged)
+        full = VertexMask.full(g.n)
+        expect = first_far_pair(part, delta, lambda u, bound: ball(g, full, u, bound))
+        assert expect is not None
+        assert check_cluster_diameters(g, part, delta).message == expect
+        assert not set(calls[0]) & set(np.concatenate([c.vertices for c in cl[:8]]).tolist())
+
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_random_partitions_match_per_pair_search(self, data):
+        # small connected graphs with integer weights (exact sums) or float
+        # ones, including zero; clusters hand-built with no record, with a
+        # record whose center is any vertex (a member or not), or carved
+        n = data.draw(st.integers(2, 12))
+        weight = st.one_of(st.integers(0, 3).map(float), st.floats(0.0, 3.0))
+        edges = [(data.draw(st.integers(0, v - 1)), v, data.draw(weight)) for v in range(1, n)]
+        edges += data.draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1), weight)
+                                    .filter(lambda e: e[0] != e[1]), max_size=n))
+        g = WeightedGraph(n, edges)
+        delta = data.draw(st.integers(1, 40)) / 4
+        kind = data.draw(st.sampled_from(["no record", "any center", "paper", "baseline"]))
+        if kind in ("paper", "baseline"):
+            carve = decompose if kind == "paper" else baseline_decompose
+            part = carve(g, delta, data.draw(st.integers(0, 3)))
+        else:
+            labels = np.array(data.draw(st.lists(st.integers(0, 3), min_size=n, max_size=n)))
+            sets = [np.flatnonzero(labels == k) for k in np.unique(labels)]
+            records = [None if kind == "no record" else
+                       CenterRecord(data.draw(st.integers(0, n - 1)), VertexMask.full(n), k, 0, 0)
+                       for k in range(len(sets))]
+            part = Partition(np.unique(labels, return_inverse=True)[1],
+                             [Cluster(vs, rec, 0.0) for vs, rec in zip(sets, records)])
+        full = VertexMask.full(n)
+        expect = first_far_pair(
+            part, delta, lambda u, bound: {x for x, d in enumerate(sssp(g, full, u).dist) if d <= bound})
         v = check_cluster_diameters(g, part, delta)
         assert (v and v.message) == expect
 
