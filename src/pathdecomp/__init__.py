@@ -37,7 +37,6 @@ from .nets import PathMetricView, greedy_net
 from .separators import (
     NotATreeError,
     PathSeparator,
-    SeparatorGroup,
     SeparatorViolation,
     greedy_find,
     separator_lines,

@@ -332,15 +332,18 @@ def _build_centers(g: WeightedGraph, delta: float, finder) -> CenterSequence:
         separators.append((mask, sep))
         p_eff = max(p_eff, sep.total_paths)
         max_depth = max(max_depth, depth)
-        for gi, group in enumerate(sep.groups):
-            for path in group.paths:
+        # group gi's residual: the mask minus groups 0..gi-1, one object for all
+        # its records (BallIndex batches by subgraph identity), none after the last
+        residuals = itertools.accumulate(
+            sep.groups[:-1], lambda m, grp: m.without(v for p in grp for v in p.vertices),
+            initial=mask)
+        for gi, (group, residual) in enumerate(zip(sep.groups, residuals)):
+            for path in group:
                 pid = len(paths)
                 paths.append(path)
                 view = PathMetricView.from_path(g, path)
                 for c in greedy_net(view, r):
-                    records.append(
-                        CenterRecord(c, group.residual_before, len(records), depth, pid, gi)
-                    )
+                    records.append(CenterRecord(c, residual, len(records), depth, pid, gi))
         # LIFO stack: push children reversed so they are visited in smallest-id order
         first = first_child[depth][i]
         stack.extend((depth + 1, j) for j in reversed(range(first, first + len(sep.flaps))))

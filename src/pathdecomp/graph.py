@@ -26,7 +26,8 @@ Every residual operation lives here, once:
     from at most one source per mask (the BallIndex's level sweeps).
   - `double_sweep`: one path per mask of a level union (the separator
     finder's targets of one level and round), from two sweeps of one source
-    per mask, rebuilt from the second sweep's predecessors. The paths equal
+    per mask, rebuilt from the second sweep's predecessors, its length the
+    second sweep's distance (the edge-weight sum, bit for bit). The paths equal
     one-mask calls, which the tests pin on many tied blocks in any source
     order. One mask serves `farthest` (its first sweep) and
     `weighted_diameter` (exact all-pairs at n <= 512).
@@ -433,7 +434,8 @@ def double_sweep(g: WeightedGraph, masks, sources) -> list[Path]:
     to v, farthest from u; smallest-id ties. The masks must be pairwise
     disjoint and non-adjacent: each of the two sweeps is one scipy call over
     their union, from one vertex in each, and the paths are rebuilt from the
-    second sweep's predecessors."""
+    second sweep's predecessors, with the second sweep's distance to v as
+    their length."""
     for mask, src in zip(masks, sources, strict=True):
         if src not in mask:
             raise MaskError(f"source {src} is not alive in the mask")
@@ -441,13 +443,17 @@ def double_sweep(g: WeightedGraph, masks, sources) -> list[Path]:
         return [Path((int(src),), 0.0) for src in sources]
     sub, verts, owner = _level_union(g, masks)
     u, _, _ = _sweep(sub, owner, np.searchsorted(verts, sources))
-    v, _, pred = _sweep(sub, owner, u)
+    v, dist, pred = _sweep(sub, owner, u)
+    # dist[v] is Path.from_vertices' length, bit for bit: scipy sets dist[x] =
+    # dist[pred[x]] + w(pred[x], x) with dist[u] = 0.0, w the CSR weight, which
+    # is the lightest parallel edge, as in edge_weight. So dist[v] is the same
+    # left-to-right float sum over the same edges, starting from 0.0.
     paths = []
     for a, b in zip(u.tolist(), v.tolist()):
         walk = [b]
         while walk[-1] != a:
             walk.append(int(pred[walk[-1]]))
-        paths.append(Path.from_vertices(g, verts[walk[::-1]].tolist()))
+        paths.append(Path(tuple(verts[walk[::-1]].tolist()), float(dist[b])))
     return paths
 
 

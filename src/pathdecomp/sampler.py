@@ -62,10 +62,6 @@ class RngStream:
         self.seed = int(seed) & _MASK64
         self._gen = np.random.Generator(np.random.Philox(key=self.seed))
 
-    @classmethod
-    def derived(cls, master: int, index: int) -> "RngStream":
-        return cls(derive_seed(master, index))
-
     def uniform(self) -> float:
         """One uniform draw from [0, 1)."""
         return float(self._gen.random())

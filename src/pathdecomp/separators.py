@@ -3,7 +3,8 @@
 A separator is an ordered list of groups; group j consists of paths that are
 shortest paths of the residual graph left after deleting all earlier groups.
 Deleting the whole separator must leave only components of at most half the
-original alive count (the flaps).
+original alive count (the flaps). A certificate holds only paths and flaps:
+group j's residual is the node mask minus groups 0..j-1, derived where it is read.
 
 The greedy finder repeatedly removes an approximate-diameter shortest path
 from the largest oversized component. It runs over a whole recursion level
@@ -33,34 +34,26 @@ class NotATreeError(ValueError):
 
 
 @dataclass(frozen=True)
-class SeparatorGroup:
-    """One group: paths that are shortest paths in the residual graph
-    `residual_before` (the graph left after deleting all earlier groups)."""
-
-    paths: tuple[Path, ...]
-    residual_before: VertexMask
-
-
-@dataclass(frozen=True)
 class PathSeparator:
-    """Separator certificate: ordered groups and the flaps of their union S."""
+    """Separator certificate: ordered groups of paths, each a shortest path of
+    the residual with all earlier groups deleted, and the flaps of their union S."""
 
-    groups: tuple[SeparatorGroup, ...]
+    groups: tuple[tuple[Path, ...], ...]
     flaps: tuple[VertexMask, ...]
 
     @property
     def separator_vertices(self) -> frozenset:
         """S, the vertices of every group's paths."""
-        return frozenset(v for grp in self.groups for p in grp.paths for v in p.vertices)
+        return frozenset(v for grp in self.groups for p in grp for v in p.vertices)
 
     @property
     def total_paths(self) -> int:
-        return sum(len(grp.paths) for grp in self.groups)
+        return sum(map(len, self.groups))
 
 
 @dataclass(frozen=True)
 class SeparatorViolation:
-    kind: str                # "structure" | "mask-chain" | "not-shortest" | "flaps" | "balance"
+    kind: str                # "structure" | "not-shortest" | "flaps" | "balance"
     group: int | None
     path: int | None
     message: str
@@ -72,22 +65,15 @@ class SeparatorViolation:
 def validate_separator(g: WeightedGraph, mask: VertexMask, sep: PathSeparator):
     """Check a separator certificate; returns the first SeparatorViolation or None.
 
-    Verified: every path is a shortest path of its group's residual graph
-    (its length equals the Dijkstra distance between its endpoints, exactly),
-    residual masks chain by deleting each group in turn, the stored flaps are
-    the components of residual-minus-S, and every flap has at most
-    floor(|alive|/2) vertices.
+    Verified: every path is a shortest path of its group's residual graph,
+    the mask with all earlier groups deleted (its stored length equals both
+    its edge-weight sum and the Dijkstra distance between its endpoints,
+    exactly), the stored flaps are the components of the mask minus S, and
+    every flap has at most floor(|alive|/2) vertices.
     """
-    expected = mask
+    alive = mask
     for gi, group in enumerate(sep.groups):
-        if group.residual_before != expected:
-            return SeparatorViolation(
-                "mask-chain", gi, None,
-                f"group {gi} residual mask is not the original mask with all "
-                f"earlier groups deleted",
-            )
-        alive = group.residual_before
-        for pi, path in enumerate(group.paths):
+        for pi, path in enumerate(group):
             verts = path.vertices
             if not verts:
                 return SeparatorViolation("structure", gi, pi, "empty path")
@@ -117,9 +103,9 @@ def validate_separator(g: WeightedGraph, mask: VertexMask, sep: PathSeparator):
                     f"path of length {path.length} between {verts[0]} and {verts[-1]} "
                     f"but residual distance is {dist}",
                 )
-        expected = expected.without(v for p in group.paths for v in p.vertices)
-    # expected is now the mask with S deleted
-    if list(sep.flaps) != components(g, expected):
+        alive = alive.without(v for p in group for v in p.vertices)
+    # alive is now the mask with S deleted
+    if list(sep.flaps) != components(g, alive):
         return SeparatorViolation(
             "flaps", None, None, "stored flaps differ from the components of residual minus S"
         )
@@ -155,13 +141,13 @@ def greedy_find_level(g: WeightedGraph, masks) -> list[PathSeparator]:
     if any(len(c) != 1 for c in comps):
         raise ValueError("greedy_find requires a connected residual graph")
     residual = list(masks)
-    groups: list[list[SeparatorGroup]] = [[] for _ in masks]
+    groups: list[list[tuple[Path]]] = [[] for _ in masks]
     todo = list(range(len(masks)))  # nodes with a component over half their alive count
     while todo:
         targets = [max(comps[i], key=len) for i in todo]  # ties: first in smallest-id order
         paths = double_sweep(g, targets, [min(target.alive) for target in targets])
         for i, path in zip(todo, paths):
-            groups[i].append(SeparatorGroup((path,), residual[i]))
+            groups[i].append((path,))
             residual[i] = residual[i].without(path.vertices)
         for i, c in zip(todo, level_components(g, [residual[i] for i in todo])):
             comps[i] = c
@@ -203,15 +189,14 @@ def tree_centroid_find(g: WeightedGraph, mask: VertexMask) -> PathSeparator:
         worst[u] = max(worst[u], n_alive - size[u])
     centroid = min(sorted(worst), key=lambda u: worst[u])
 
-    group = SeparatorGroup((Path((centroid,), 0.0),), mask)
     flaps = tuple(components(g, mask.without((centroid,))))
-    return PathSeparator((group,), flaps)
+    return PathSeparator(((Path((centroid,), 0.0),),), flaps)
 
 
 def separator_lines(sep: PathSeparator) -> list[str]:
     """Audit dump: one line `group j: v_a v_b ... v_z` per group."""
     lines = []
     for j, group in enumerate(sep.groups):
-        verts = " ".join(str(v) for p in group.paths for v in p.vertices)
+        verts = " ".join(str(v) for p in group for v in p.vertices)
         lines.append(f"group {j}: {verts}")
     return lines

@@ -47,9 +47,14 @@ class Violation:
         return f"[{self.kind}] {self.message}"
 
 
+def _vertex_id_violation(cid: int, v: int, n: int) -> Violation:
+    return Violation("vertex-id", f"cluster {cid} holds vertex {v}, outside 0..{n - 1}")
+
+
 def check_partition(g: WeightedGraph, part: Partition):
-    """Vertex ids in [0, n), disjointness, coverage, no empty cluster; first
-    Violation or None."""
+    """Vertex ids in [0, n), disjointness, coverage, no empty cluster, and a
+    cluster_of of n entries that agrees with the clusters; first Violation or
+    None."""
     owner = np.full(g.n, -1, dtype=np.int64)
     for cid, cl in enumerate(part.clusters):
         if len(cl.vertices) == 0:
@@ -57,8 +62,7 @@ def check_partition(g: WeightedGraph, part: Partition):
         for v in cl.vertices:
             v = int(v)
             if not 0 <= v < g.n:  # a negative id would index owner from the end
-                return Violation("vertex-id", f"cluster {cid} holds vertex {v}, "
-                                 f"outside 0..{g.n - 1}")
+                return _vertex_id_violation(cid, v, g.n)
             if owner[v] >= 0:
                 return Violation(
                     "disjointness", f"vertex {v} appears in clusters {owner[v]} and {cid}"
@@ -67,6 +71,9 @@ def check_partition(g: WeightedGraph, part: Partition):
     uncovered = np.nonzero(owner < 0)[0]
     if uncovered.size:
         return Violation("coverage", f"vertex {int(uncovered[0])} belongs to no cluster")
+    if np.shape(part.cluster_of) != owner.shape:
+        return Violation("index", f"cluster_of has shape {np.shape(part.cluster_of)}, "
+                         f"expected {owner.shape}")
     if not np.array_equal(owner, part.cluster_of):
         bad = int(np.nonzero(owner != part.cluster_of)[0][0])
         return Violation("index", f"cluster_of[{bad}] disagrees with the cluster lists")
@@ -75,7 +82,8 @@ def check_partition(g: WeightedGraph, part: Partition):
 
 def check_cluster_diameters(g: WeightedGraph, part: Partition, delta: float):
     """Every cluster's full-graph diameter must be at most 4*delta/5; the first
-    Violation (first row in cluster order, then first column) or None.
+    Violation (first row in cluster order, then first column) or None. A vertex
+    id outside [0, n) is reported before either pass, as check_partition does.
 
     Two passes give the answer of an all-pairs search. The center check
     (_fail_center_check) clears, with one graph.balls query, every cluster
@@ -86,9 +94,14 @@ def check_cluster_diameters(g: WeightedGraph, part: Partition, delta: float):
     cluster holds no violation, so the first violation of the clusters left
     is the first of all.
     """
+    sizes = np.array([len(cl.vertices) for cl in part.clusters], dtype=np.int64)
+    flat = np.concatenate([np.empty(0, dtype=np.int64), *(cl.vertices for cl in part.clusters)])
+    outside = np.flatnonzero((flat < 0) | (flat >= g.n))
+    if outside.size:
+        cid = int(np.searchsorted(np.cumsum(sizes), outside[0], side="right"))
+        return _vertex_id_violation(cid, int(flat[outside[0]]), g.n)
     bound = 2 * max_radius(delta)
-    cids = np.array([cid for cid, cl in enumerate(part.clusters) if len(cl.vertices) > 1],
-                    dtype=np.int64)
+    cids = np.flatnonzero(sizes > 1)
     if not len(cids):
         return None
     return _all_pairs_violation(g, part, cids[_fail_center_check(g, part, cids, bound)], bound)
@@ -120,11 +133,10 @@ def _fail_center_check(g: WeightedGraph, part: Partition, cids: np.ndarray, boun
     sizes = np.array([len(cl.vertices) for cl in clusters])
     members = np.concatenate([cl.vertices for cl in clusters])
     # (position in cids, vertex) as one key, sorted in `reached` as balls sorts
-    # by (row, vert); an id outside [0, n) is never reached
+    # by (row, vert); the caller has checked that every id lies in [0, n)
     key = np.repeat(np.arange(len(cids)), sizes) * g.n + members
     reached = row * g.n + vert
-    hit = ((members >= 0) & (members < g.n)
-           & (reached.take(np.searchsorted(reached, key), mode="clip") == key))
+    hit = reached.take(np.searchsorted(reached, key), mode="clip") == key
     return ~np.logical_and.reduceat(hit, np.cumsum(sizes) - sizes)
 
 

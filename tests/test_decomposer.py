@@ -30,6 +30,9 @@ from pathdecomp import (
 )
 from pathdecomp.decomposer import _baseline_index
 
+from test_golden import GRAPHS, WEIGHTS
+from test_golden import _graph as golden_graph
+
 
 def unit_path(n):
     return WeightedGraph(n, [(i, i + 1, 1.0) for i in range(n - 1)])
@@ -149,6 +152,42 @@ class TestChooseCenters:
         seq = choose_centers(g, delta)
         assert len(seq.records) == 2048
         assert len(calls) <= 120
+
+
+def _record_subgraph_cases():
+    for kind, a, b in GRAPHS:
+        for weights in WEIGHTS:
+            yield pytest.param(kind, a, b, weights, greedy_find,
+                               id=f"{kind}{a},{b}-{weights}-greedy")
+            if kind == "ktree" and b == 1:
+                yield pytest.param(kind, a, b, weights, tree_centroid_find,
+                                   id=f"{kind}{a},{b}-{weights}-centroid")
+
+
+@pytest.mark.parametrize("kind,a,b,weights,finder", list(_record_subgraph_cases()))
+def test_record_subgraphs_are_the_derived_residuals(kind, a, b, weights, finder):
+    # the golden graphs: every record of group j of a node lives in the node's
+    # mask minus groups 0..j-1, one mask object per group, the node's own at j = 0
+    g = golden_graph(kind, a, b, weights)
+    seq = choose_centers(g, weighted_diameter(g) / 4, finder)
+    records_of = {}
+    for rec in seq.records:
+        records_of.setdefault(rec.path_id, []).append(rec)
+    pid = 0
+    for mask, sep in seq.separators:
+        residual = mask
+        for j, group in enumerate(sep.groups):
+            recs = []
+            for path in group:
+                assert seq.paths[pid] is path
+                recs += records_of[pid]
+                pid += 1
+            assert recs and all(rec.group == j for rec in recs)
+            assert recs[0].subgraph == residual
+            assert all(rec.subgraph is recs[0].subgraph for rec in recs)
+            assert j or recs[0].subgraph is mask
+            residual = residual.without(v for p in group for v in p.vertices)
+    assert pid == len(seq.paths)
 
 
 def _count_calls(monkeypatch, module, name):

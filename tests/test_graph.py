@@ -35,6 +35,8 @@ from pathdecomp.graph import (
     level_components,
 )
 
+from test_carving_reference import spread_weights
+
 INF = math.inf
 
 
@@ -435,6 +437,27 @@ class TestDoubleSweep:
         assert level == one
         assert one == [scipy_double_sweep(g, m, s) for m, s in zip(masks, sources)]
 
+    @pytest.mark.parametrize("make", [
+        lambda: gen_grid(24, 24),
+        lambda: gen_grid(24, 24, "uniform", 1),
+        lambda: spread_weights(gen_grid(24, 24), 1),
+        lambda: gen_ktree(600, 2).graph,
+        lambda: gen_ktree(600, 2, "uniform", seed=2).graph,
+        lambda: spread_weights(gen_ktree(600, 2).graph, 2),
+        lambda: grid_with_zero_edges(24),
+    ], ids=["grid24-unit", "grid24-uniform", "grid24-loguniform", "ktree600-unit",
+            "ktree600-uniform", "ktree600-loguniform", "grid24-zero-edges"])
+    def test_lengths_are_edge_weight_sums_at_every_level(self, make):
+        # a path's length is the second sweep's distance to its far end; it must
+        # be Path.from_vertices' sum bit for bit, on every path of the greedy
+        # recursion (one double sweep per level and round)
+        g = make()
+        seq = pathdecomp.choose_centers(g, weighted_diameter(g))
+        assert seq.max_depth > 1 and any(len(p) > 1 for p in seq.paths[1:])
+        for path in seq.paths:
+            assert path.length == Path.from_vertices(g, path.vertices).length
+        assert weighted_diameter(g) == seq.paths[0].length  # n > 512: the root sweep
+
     def test_one_vertex_masks_make_no_scipy_call(self, grid8, monkeypatch):
         import pathdecomp.graph as graph_module
 
@@ -515,7 +538,7 @@ class TestInduced:
         g = gen_grid(a, b, weights, 0) if kind == "grid" else gen_ktree(a, b, weights, 0).graph
         seq = pathdecomp.choose_centers(g, weighted_diameter(g) / 4)
         masks = [mask for mask, _ in seq.separators]
-        masks += [group.residual_before for _, sep in seq.separators for group in sep.groups]
+        masks += {id(rec.subgraph): rec.subgraph for rec in seq.records}.values()
         rng = np.random.default_rng(a + b)
         masks += [VertexMask(g.n, rng.choice(g.n, size=k, replace=False))
                   for k in rng.integers(0, g.n, size=20)]

@@ -175,10 +175,5 @@ class TestSeedDerivation:
         seeds = {derive_seed(1234, i) for i in range(-1, 1000)}
         assert len(seeds) == 1001
 
-    def test_derived_stream_matches_direct(self):
-        a = RngStream.derived(10, 3)
-        b = RngStream(derive_seed(10, 3))
-        assert np.array_equal(a.uniforms(8), b.uniforms(8))
-
     def test_negative_master_ok(self):
         assert 0 <= derive_seed(-5, 0) < 2**64

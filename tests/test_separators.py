@@ -5,7 +5,6 @@ from pathdecomp import (
     NotATreeError,
     Path,
     PathSeparator,
-    SeparatorGroup,
     VertexMask,
     WeightedGraph,
     components,
@@ -33,7 +32,7 @@ def hand_separator(g, mask, path_vertices):
     """Single-group separator from explicit path vertices."""
     path = Path.from_vertices(g, path_vertices)
     residual = mask.without(path.vertices)
-    return PathSeparator((SeparatorGroup((path,), mask),), tuple(components(g, residual)))
+    return PathSeparator(((path,),), tuple(components(g, residual)))
 
 
 class TestValidator:
@@ -69,24 +68,24 @@ class TestValidator:
         assert v is not None and v.kind == "not-shortest"
         assert v.message == "path of length 3.0 between 0 and 1 but residual distance is 2.0"
 
-    def test_broken_mask_chain_flagged(self):
+    def test_path_through_an_earlier_group_flagged(self):
+        # group 1's residual is derived from group 0: vertex 3 is deleted there
         g = unit_path(6)
         full = VertexMask.full(6)
-        p1 = Path.from_vertices(g, (2, 3))
-        p2 = Path.from_vertices(g, (0,))
         sep = PathSeparator(
-            (SeparatorGroup((p1,), full), SeparatorGroup((p2,), full)),  # second mask wrong
-            tuple(components(g, full.without((0, 2, 3)))),
+            ((Path.from_vertices(g, (2, 3)),), (Path.from_vertices(g, (3, 4)),)),
+            tuple(components(g, full.without((2, 3, 4)))),
         )
         v = validate_separator(g, full, sep)
-        assert v is not None and v.kind == "mask-chain"
+        assert (v.kind, v.group, v.path) == ("structure", 1, 0)
+        assert v.message == "path vertex 3 is not alive in its residual"
 
     def test_wrong_length_flagged(self):
         g = unit_path(4)
         full = VertexMask.full(4)
         bad = Path((1, 2), 99.0)
         sep = PathSeparator(
-            (SeparatorGroup((bad,), full),),
+            ((bad,),),
             tuple(components(g, full.without((1, 2)))),
         )
         v = validate_separator(g, full, sep)
@@ -97,7 +96,7 @@ class TestValidator:
         full = VertexMask.full(5)
         gap = Path((1, 3), 2.0)  # 1 and 3 are two hops apart, not neighbours
         sep = PathSeparator(
-            (SeparatorGroup((gap,), full),),
+            ((gap,),),
             tuple(components(g, full.without((1, 3)))),
         )
         v = validate_separator(g, full, sep)
@@ -109,7 +108,7 @@ class TestValidator:
         full = VertexMask.full(5)
         path = Path.from_vertices(g, (2,))
         sep = PathSeparator(
-            (SeparatorGroup((path,), full),),
+            ((path,),),
             (VertexMask(5, [0, 1, 3, 4]),),  # not the true components
         )
         v = validate_separator(g, full, sep)
@@ -128,7 +127,7 @@ class TestGreedyFinder:
         g = unit_path(5)
         sep = greedy_find(g, VertexMask.full(5))
         assert sep.total_paths == 1
-        path = sep.groups[0].paths[0]
+        (path,), = sep.groups
         assert set(path.vertices) == set(range(5))
         assert {path.vertices[0], path.vertices[-1]} == {0, 4}
         assert sep.flaps == ()

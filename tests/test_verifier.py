@@ -110,12 +110,31 @@ class TestCheckPartition:
                           Cluster(np.array([4, 5, 6, 7, 9]), None, 0.0)])
         assert str(check_partition(g, part)) == "[vertex-id] cluster 1 holds vertex 9, outside 0..8"
 
+    @pytest.mark.parametrize("size", [8, 10], ids=["short", "long"])
+    def test_cluster_of_of_wrong_length_flagged(self, size):
+        g = gen_grid(3, 3)
+        clusters = Partition.from_sets(9, [range(9)]).clusters
+        part = Partition(np.zeros(size, dtype=np.int64), clusters)
+        assert str(check_partition(g, part)) == (
+            f"[index] cluster_of has shape ({size},), expected (9,)")
+
 
 class TestCheckDiameters:
     def test_singletons_have_zero_diameter(self):
         g = gen_grid(3, 3)
         part = Partition.from_sets(9, [{v} for v in range(9)])
         assert check_cluster_diameters(g, part, 0.001) is None
+
+    @pytest.mark.parametrize("bad", [-1, 9])
+    def test_vertex_id_outside_range_flagged_before_either_pass(self, monkeypatch, bad):
+        calls = spy_on_all_pairs(monkeypatch)
+        g = gen_grid(3, 3)
+        part = Partition(np.zeros(9, dtype=np.int64),
+                         [Cluster(np.array([0, 1, 2, 3, 4, 5, 6, 7, bad]), None, 0.0)])
+        assert str(check_cluster_diameters(g, part, 10.0)) == (
+            f"[vertex-id] cluster 0 holds vertex {bad}, outside 0..8")
+        assert str(check_cluster_diameters(g, part, 10.0)) == str(check_partition(g, part))
+        assert calls == []
 
     def test_planted_far_pair(self):
         g = unit_path(10)
