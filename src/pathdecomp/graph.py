@@ -16,12 +16,11 @@ Every residual operation lives here, once:
 - scipy's Dijkstra runs every sweep and every multi-source query, directed on
   the symmetric CSR, so no call copies a transpose (on an 8x8 grid a call
   takes about 35 µs, against 107 µs undirected):
-  - `distance_blocks`: distances from many sources, cut at a radius, in blocks
-    of SOURCE_BLOCK rows of the residual's size. Only `balls` and the
-    verifier's diameter check read it.
-  - `balls`: the same query as sparse (row, vertex, distance) entries. Every
-    other multi-source ball is read through it: a BallIndex key held by one
-    subgraph, the baseline index, the threatener counts and the padding balls.
+  - `balls`: the one multi-source distance query, cut at a radius, as sparse
+    (row, vertex, distance) entries, computed in dense blocks of SOURCE_BLOCK
+    rows of the residual's size. Every multi-source ball is read through it:
+    a BallIndex key held by one subgraph, the baseline index, the threatener
+    counts, the padding balls and both passes of the cluster-diameter check.
   - `level_balls`: per round, one sweep over a level union cut at a radius,
     from at most one source per mask (the BallIndex's level sweeps).
   - `double_sweep`: one path per mask of a level union (the separator
@@ -59,9 +58,8 @@ INF = math.inf
 # undirected ones, and scipy skips the transposed copy that an undirected
 # Dijkstra, or a weak-components call, makes each time.
 
-# Sources per scipy Dijkstra call in distance_blocks: a block holds this many
-# rows of the residual's size, and one block is alive at a time when the
-# caller drops each block at the end of its loop body.
+# Sources per scipy Dijkstra call in balls: a dense block holds this many rows
+# of the residual's size, and one block is alive at a time.
 # On a 64x64 grid run, 128 instead of 256 cut peak RSS by 10 MB at equal speed.
 SOURCE_BLOCK = 128
 
@@ -358,33 +356,24 @@ def concat_ranges(first: np.ndarray, count: np.ndarray) -> np.ndarray:
     return np.arange(int(count.sum())) + np.repeat(first - np.cumsum(count) + count, count)
 
 
-def distance_blocks(g: WeightedGraph, mask: VertexMask, sources, radius: float):
-    """Residual distances from many sources, cut at radius: yields (first,
-    dist, verts) per block of SOURCE_BLOCK sources. verts are the sorted alive
-    ids; dist[i, j] is the distance from sources[first + i] to verts[j] when
-    it is at most radius, inf otherwise. A caller that drops each block
-    before asking for the next holds one block at a time."""
+def balls(g: WeightedGraph, mask: VertexMask, sources, radius: float):
+    """The residual balls of many sources, sparse: (row, vert, dist), one entry
+    per source position row and alive vertex vert at distance dist <= radius
+    from sources[row], sorted by (row, vert). Each scipy call runs from
+    SOURCE_BLOCK sources, and its dense block of the residual's size is
+    dropped once read."""
     sub, verts = induced(g, mask)
     local = np.searchsorted(verts, sources)
     if not np.array_equal(verts.take(local, mode="clip"), sources):
         raise MaskError("every source must be alive in the mask")
-    for first in range(0, len(local), SOURCE_BLOCK):
-        # scipy's limit is inclusive: a pair farther apart than radius gets inf.
-        # No local name keeps the block, so once the caller drops it, it is
-        # freed before the next block is computed.
-        yield first, np.atleast_2d(csgraph_dijkstra(
-            sub, directed=True, indices=local[first:first + SOURCE_BLOCK], limit=radius)), verts
-
-
-def balls(g: WeightedGraph, mask: VertexMask, sources, radius: float):
-    """The residual balls of many sources, sparse: (row, vert, dist), one entry
-    per source position row and alive vertex vert at distance dist <= radius
-    from sources[row], sorted by (row, vert). One distance block is alive at a time."""
     parts = [(np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64), np.empty(0))]
-    for first, dist, verts in distance_blocks(g, mask, sources, radius):
+    for first in range(0, len(local), SOURCE_BLOCK):
+        # scipy's limit is inclusive: a vertex farther than radius gets inf
+        dist = np.atleast_2d(csgraph_dijkstra(
+            sub, directed=True, indices=local[first:first + SOURCE_BLOCK], limit=radius))
         row, col = np.nonzero(np.isfinite(dist))
         parts.append((first + row, verts[col], dist[row, col]))
-        del dist
+        del dist  # freed before the next block is computed
     return tuple(np.concatenate(a) for a in zip(*parts))
 
 

@@ -3,7 +3,9 @@
 Exact checks: partition validity, cluster diameters (at most 4*delta/5 in the
 full-graph metric), recursion depth, and the deterministic threatener bound.
 The diameter check clears most clusters from one ball around a center, as in
-the paper's proof, and searches all pairs only in the clusters it cannot clear.
+the paper's proof, and searches all pairs only in the clusters it cannot clear;
+both passes ask one question, which members lie outside a hub's ball, through
+one graph.balls query per call.
 Statistical check: Monte-Carlo estimation of the padding probability
 Pr[B(x, gamma*delta) stays in one cluster], accepted when the one-sided
 Wilson 99% lower confidence bound clears the floor 2^(-beta*gamma).
@@ -24,11 +26,12 @@ from .decomposer import (
     _baseline_labels,
     _carve_labels,
     _require_matching,
+    _require_valid_delta,
     ceil_log2,
     choose_centers,
     max_radius,
 )
-from .graph import VertexMask, WeightedGraph, balls, concat_ranges, distance_blocks
+from .graph import SOURCE_BLOCK, VertexMask, WeightedGraph, balls, concat_ranges
 from .sampler import RngStream, derive_seed
 from .separators import greedy_find
 
@@ -85,82 +88,82 @@ def check_cluster_diameters(g: WeightedGraph, part: Partition, delta: float):
     Violation (first row in cluster order, then first column) or None. A vertex
     id outside [0, n) is reported before either pass, as check_partition does.
 
-    Two passes give the answer of an all-pairs search. The center check
-    (_fail_center_check) clears, with one graph.balls query, every cluster
-    that lies in one small ball: a sufficient condition, as in the paper's
-    argument that a cluster inside B(t, 2*delta/5) has diameter at most
-    4*delta/5. The clusters it does not clear, and only those, go to the
-    exact all-pairs pass (_all_pairs_violation), in cluster order. A cleared
-    cluster holds no violation, so the first violation of the clusters left
-    is the first of all.
+    Both passes ask _misses which members lie outside a hub's full-graph ball.
+    The center check asks it once, from one hub per cluster of two or more
+    vertices at half the bound: a cluster inside B(t, 2*delta/5) has diameter
+    at most 4*delta/5, as in the paper's argument. The clusters it does not
+    clear, and only those, go to the exact pass (_all_pairs_violation), in
+    cluster order. A cleared cluster holds no violation, so the first
+    violation of the clusters left is the first of all.
     """
+    _require_valid_delta(delta)
+    # the layout of every cluster, shared by the id scan and both passes:
+    # cluster c's members are members[starts[c]:starts[c] + sizes[c]]
     sizes = np.array([len(cl.vertices) for cl in part.clusters], dtype=np.int64)
-    flat = np.concatenate([np.empty(0, dtype=np.int64), *(cl.vertices for cl in part.clusters)])
-    outside = np.flatnonzero((flat < 0) | (flat >= g.n))
+    starts = np.cumsum(sizes) - sizes
+    members = np.concatenate([np.empty(0, dtype=np.int64), *(cl.vertices for cl in part.clusters)])
+    outside = np.flatnonzero((members < 0) | (members >= g.n))
     if outside.size:
-        cid = int(np.searchsorted(np.cumsum(sizes), outside[0], side="right"))
-        return _vertex_id_violation(cid, int(flat[outside[0]]), g.n)
+        cid = int(np.searchsorted(starts + sizes, outside[0], side="right"))
+        return _vertex_id_violation(cid, int(members[outside[0]]), g.n)
+    layout = (sizes, starts, members)
     bound = 2 * max_radius(delta)
     cids = np.flatnonzero(sizes > 1)
-    if not len(cids):
-        return None
-    return _all_pairs_violation(g, part, cids[_fail_center_check(g, part, cids, bound)], bound)
-
-
-def _fail_center_check(g: WeightedGraph, part: Partition, cids: np.ndarray, bound: float):
-    """Per cluster of cids, True unless every member lies in its hub's ball of
-    radius r = bound/2 * (1 - 1e-9). The hub is the cluster's record center,
-    or its smallest vertex for a hand-built cluster; it need not be a member.
-
-    Members u, v with d(h, u), d(h, v) <= r are within 2r < bound of each
-    other. The margin covers rounding, so the pair also passes the all-pairs
-    pass's float test, scipy's d(u, v) <= bound. scipy's distance from s to x
-    is the float sum, left to right, of the weights on its tree path from s.
-    Rounded addition is monotone and weights are nonnegative, so it is also at
-    most the float sum along any other s-x walk (the limit drops only walks
-    whose running sum already exceeds it). A float sum of k nonnegative terms
-    is within a factor (1 +- eps)^(k-1) of the exact sum, eps = 2^-53. The
-    hub's tree paths to u and v have at most n - 1 edges each, so d(u, v) is
-    at most the float sum along the walk u -> h -> v:
-    (1 + eps)^(2n) / (1 - eps)^n * (1 - 1e-9) * bound
-    <= (1 + 3.1 n eps) * (1 - 1e-9) * bound <= bound for n <= 2.9e6,
-    far past any graph whose all-pairs pass could run at all.
-    """
-    clusters = [part.clusters[cid] for cid in cids]
+    # a cluster's hub is its record's center, or its smallest vertex for a
+    # hand-built cluster; it need not be a member
     hubs = [int(np.min(cl.vertices)) if cl.record is None else cl.record.center
-            for cl in clusters]
-    row, vert, _ = balls(g, VertexMask.full(g.n), hubs, bound / 2 * (1 - 1e-9))
-    sizes = np.array([len(cl.vertices) for cl in clusters])
-    members = np.concatenate([cl.vertices for cl in clusters])
-    # (position in cids, vertex) as one key, sorted in `reached` as balls sorts
-    # by (row, vert); the caller has checked that every id lies in [0, n)
-    key = np.repeat(np.arange(len(cids)), sizes) * g.n + members
-    reached = row * g.n + vert
-    hit = reached.take(np.searchsorted(reached, key), mode="clip") == key
-    return ~np.logical_and.reduceat(hit, np.cumsum(sizes) - sizes)
+            for cl in (part.clusters[cid] for cid in cids)]
+    # Members u, v with d(h, u), d(h, v) <= r = bound/2 * (1 - 1e-9) are
+    # within 2r < bound of each other. The margin covers rounding, so the pair
+    # also passes the exact pass's float test, scipy's d(u, v) <= bound.
+    # scipy's distance from s to x is the float sum, left to right, of the
+    # weights on its tree path from s. Rounded addition is monotone and
+    # weights are nonnegative, so it is also at most the float sum along any
+    # other s-x walk (the limit drops only walks whose running sum already
+    # exceeds it). A float sum of k nonnegative terms is within a factor
+    # (1 +- eps)^(k-1) of the exact sum, eps = 2^-53. The hub's tree paths to
+    # u and v have at most n - 1 edges each, so d(u, v) is at most the float
+    # sum along the walk u -> h -> v:
+    # (1 + eps)^(2n) / (1 - eps)^n * (1 - 1e-9) * bound
+    # <= (1 + 3.1 n eps) * (1 - 1e-9) * bound <= bound for n <= 2.9e6,
+    # far past any graph whose exact pass could run at all.
+    row, _ = _misses(g, hubs, cids, layout, bound / 2 * (1 - 1e-9))
+    left = cids[np.unique(row)]
+    return _all_pairs_violation(g, left, layout, bound) if len(left) else None
 
 
-def _all_pairs_violation(g: WeightedGraph, part: Partition, cids: np.ndarray, bound: float):
-    """The first pair farther apart than bound in clusters cids (each of two or
-    more vertices), by an exact search: one distance_blocks query runs from all
-    their vertices, and each row is read at its cluster's columns."""
-    if not len(cids):
-        return None
-    sizes = np.array([len(part.clusters[cid].vertices) for cid in cids])
-    sources = np.concatenate([part.clusters[cid].vertices for cid in cids])
-    starts, cluster_of_row = np.cumsum(sizes) - sizes, np.repeat(np.arange(len(cids)), sizes)
-    for first, dist, _ in distance_blocks(g, VertexMask.full(g.n), sources, bound):
-        # a full mask's column j is vertex j; a row's columns are its cluster's vertices
-        k = cluster_of_row[first:first + len(dist)]
-        row = np.repeat(np.arange(len(dist)), sizes[k])
-        cols = sources[concat_ranges(starts[k], sizes[k])]
-        inside = dist[row, cols]
-        if np.isinf(inside).any():
-            t = int(np.argmax(inside))
-            i, j = row[t], int(cols[t])
-            return Violation("diameter", f"cluster {cids[k[i]]}: d({int(sources[first + i])},{j}) "
-                             f"= {inside[t]} exceeds 4*delta/5 = {bound}")
-        del dist  # one block alive at a time
+def _misses(g: WeightedGraph, hubs, owner: np.ndarray, layout, radius: float):
+    """(row, vertex) for each member vertex of cluster owner[row] that lies
+    outside the full-graph ball B(hubs[row], radius), in hub order, then in
+    cluster-list order: one graph.balls query."""
+    sizes, starts, members = layout
+    row = np.repeat(np.arange(len(hubs)), sizes[owner])
+    vert = members[concat_ranges(starts[owner], sizes[owner])]
+    ball_row, ball_vert, _ = balls(g, VertexMask.full(g.n), hubs, radius)
+    # (row, vertex) as one key, sorted in `reached` as balls sorts by (row,
+    # vert); the caller has checked that every id lies in [0, n)
+    key = row * g.n + vert
+    reached = ball_row * g.n + ball_vert
+    miss = reached.take(np.searchsorted(reached, key), mode="clip") != key
+    return row[miss], vert[miss]
+
+
+def _all_pairs_violation(g: WeightedGraph, cids: np.ndarray, layout, bound: float):
+    """The first pair farther apart than bound in clusters cids, by an exact
+    search: every member is a hub of its own cluster at radius bound. The
+    hubs go SOURCE_BLOCK at a time, so one block's balls are alive at a
+    time (all at once would be the members squared), and the search stops
+    at the first block with a miss."""
+    sizes, starts, members = layout
+    hubs = members[concat_ranges(starts[cids], sizes[cids])]
+    owner = np.repeat(cids, sizes[cids])
+    for first in range(0, len(hubs), SOURCE_BLOCK):
+        block = slice(first, first + SOURCE_BLOCK)
+        row, vert = _misses(g, hubs[block], owner[block], layout, bound)
+        if len(row):
+            i = first + row[0]
+            return Violation("diameter", f"cluster {owner[i]}: d({hubs[i]},{vert[0]}) "
+                             f"= inf exceeds 4*delta/5 = {bound}")
     return None
 
 
@@ -214,6 +217,8 @@ def threatener_report(g: WeightedGraph, centers: CenterSequence,
     _require_gamma_in_range(gamma)
     _require_matching(g, centers, params)
     vertices = np.arange(g.n) if vertices is None else np.asarray(sorted(vertices), dtype=np.int64)
+    if not len(vertices):
+        raise ValueError("need at least one vertex")
     index = centers.index
     row, members, _ = balls(g, VertexMask.full(g.n), vertices, gamma * params.delta)
     # every incidence of every ball member, tagged with the row of its ball

@@ -28,7 +28,6 @@ from pathdecomp import (
 from pathdecomp.graph import (
     SOURCE_BLOCK,
     balls,
-    distance_blocks,
     double_sweep,
     induced,
     level_balls,
@@ -320,6 +319,8 @@ def grid_with_zero_edges(side):
 
 
 class TestDistanceBlocks:
+    """The multi-source distance query, graph.balls."""
+
     @pytest.mark.parametrize("make,radius", [
         # column 10 deleted: two components, and unit distances equal to the radius
         (lambda: gen_grid(30, 30), 7.0),
@@ -334,17 +335,7 @@ class TestDistanceBlocks:
         sources = np.random.default_rng(0).permutation(sorted(mask.alive))
         assert len(sources) > 2 * SOURCE_BLOCK
         heap = {src: sssp(g, mask, src).dist for src in sources.tolist()}
-        rows = 0
-        for first, dist, verts in distance_blocks(g, mask, sources, radius):
-            assert first == rows and 1 <= len(dist) <= SOURCE_BLOCK
-            assert verts.tolist() == sorted(mask.alive)
-            for i, row in enumerate(dist):
-                d = heap[int(sources[first + i])]
-                assert row.tolist() == [d[v] if d[v] <= radius else INF for v in verts]
-            rows += len(dist)
-        assert rows == len(sources)
-
-        # balls: the heap ball of every source, with its distances, in (row, vert) order
+        # the heap ball of every source, with its distances, in (row, vert) order
         row, vert, dist = balls(g, mask, sources, radius)
         assert np.all(np.diff(row) >= 0)
         cuts = np.searchsorted(row, np.arange(1, len(sources)))
@@ -357,8 +348,6 @@ class TestDistanceBlocks:
     def test_dead_source_raises(self, chain):
         mask = VertexMask(3, [0, 1])
         with pytest.raises(MaskError):
-            next(distance_blocks(chain, mask, [0, 2], 1.0))
-        with pytest.raises(MaskError):
             balls(chain, mask, [0, 2], 1.0)
 
     def test_balls_of_no_sources_are_empty(self, chain):
@@ -366,22 +355,21 @@ class TestDistanceBlocks:
         assert len(out) == 3 and all(a.size == 0 for a in out)
 
     def test_consuming_loop_holds_one_block(self):
-        # every source of a 32x32 grid: 8 blocks of SOURCE_BLOCK x 1024 floats
+        # every source of a 32x32 grid: 8 dense blocks of SOURCE_BLOCK x 1024
+        # floats; at radius 0.5 every ball is its source alone, so the output
+        # is small and the peak is one block
         g = gen_grid(32, 32)
         full = VertexMask.full(g.n)
         g.csr()
         block = SOURCE_BLOCK * g.n * 8
-        rows = 0
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
-            for first, dist, verts in distance_blocks(g, full, np.arange(g.n), INF):
-                rows += len(dist)
-                del dist
+            row, vert, _ = balls(g, full, np.arange(g.n), 0.5)
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
-        assert rows == g.n
+        assert row.tolist() == vert.tolist() == list(range(g.n))
         assert peak < 1.5 * block
 
     def test_full_mask_is_not_sliced(self, grid8):

@@ -1,4 +1,6 @@
 import dataclasses
+import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -29,7 +31,7 @@ from pathdecomp import (
     wilson_lower_bound,
 )
 from pathdecomp import verifier
-from pathdecomp.graph import SOURCE_BLOCK, distance_blocks, weighted_diameter
+from pathdecomp.graph import SOURCE_BLOCK, weighted_diameter
 
 
 def unit_path(n, order=None):
@@ -53,16 +55,18 @@ def first_far_pair(part, delta, search):
 
 
 def spy_on_all_pairs(monkeypatch):
-    """Sources of every all-pairs pass (verifier.distance_blocks call) that
-    check_cluster_diameters makes from now on; the center check's ball query
-    goes through graph.balls, which is not watched."""
+    """Sources of every all-pairs pass (verifier._all_pairs_violation call),
+    the members of its clusters in cluster order, that check_cluster_diameters
+    makes from now on; the center check is not watched."""
     calls = []
+    real = verifier._all_pairs_violation
 
-    def spy(g, mask, sources, radius):
-        calls.append([int(v) for v in sources])
-        return distance_blocks(g, mask, sources, radius)
+    def spy(g, cids, layout, bound):
+        sizes, starts, members = layout
+        calls.append([int(v) for cid in cids for v in members[starts[cid]:starts[cid] + sizes[cid]]])
+        return real(g, cids, layout, bound)
 
-    monkeypatch.setattr(verifier, "distance_blocks", spy)
+    monkeypatch.setattr(verifier, "_all_pairs_violation", spy)
     return calls
 
 
@@ -124,6 +128,14 @@ class TestCheckDiameters:
         g = gen_grid(3, 3)
         part = Partition.from_sets(9, [{v} for v in range(9)])
         assert check_cluster_diameters(g, part, 0.001) is None
+
+    @pytest.mark.parametrize("delta", [-1.0, 0.0, math.nan, math.inf])
+    @pytest.mark.parametrize("sets", [[{v} for v in range(16)], [range(16)]],
+                             ids=["singletons", "one-cluster"])
+    def test_invalid_delta_refused(self, delta, sets):
+        g = gen_grid(4, 4)
+        with pytest.raises(ValueError, match="delta must be positive and finite"):
+            check_cluster_diameters(g, Partition.from_sets(16, sets), delta)
 
     @pytest.mark.parametrize("bad", [-1, 9])
     def test_vertex_id_outside_range_flagged_before_either_pass(self, monkeypatch, bad):
@@ -237,7 +249,7 @@ class TestCheckDiameters:
         def refuse(*args):
             raise AssertionError("an honest cluster reached the all-pairs pass")
 
-        monkeypatch.setattr(verifier, "distance_blocks", refuse)
+        monkeypatch.setattr(verifier, "_all_pairs_violation", refuse)
         delta = weighted_diameter(graph) / div
         for seed in range(3):
             for part in (decompose(graph, delta, seed), baseline_decompose(graph, delta, seed)):
@@ -262,6 +274,24 @@ class TestCheckDiameters:
         assert expect is not None
         assert check_cluster_diameters(g, part, delta).message == expect
         assert not set(calls[0]) & set(np.concatenate([c.vertices for c in cl[:8]]).tolist())
+
+    def test_exact_pass_holds_one_block_of_hubs(self):
+        # one valid cluster of all 4,096 vertices: the hub, vertex 0, misses
+        # the far corner at half the bound, so every vertex is a hub of the
+        # exact pass. All hubs at once would hold n^2 ball entries (over 400
+        # MB); SOURCE_BLOCK hubs at a time stay near 11 blocks of n floats.
+        g = gen_grid(64, 64)
+        part = Partition.from_sets(g.n, [range(g.n)])
+        delta = weighted_diameter(g) / 0.8
+        block = SOURCE_BLOCK * g.n * 8
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            assert check_cluster_diameters(g, part, delta) is None
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * block
 
     @given(st.data())
     @settings(max_examples=150, deadline=None)
@@ -368,6 +398,13 @@ class TestThreateners:
         params = DecompositionParams.for_graph(1.0, 0, seq.p_eff, 4)
         with pytest.raises(ValueError):
             threatener_report(g, seq, params, 0.02, [0])
+
+    def test_no_vertices_refused(self):
+        g = gen_grid(2, 2)
+        seq = choose_centers(g, 1.0)
+        params = DecompositionParams.for_graph(1.0, 0, seq.p_eff, 4)
+        with pytest.raises(ValueError, match="need at least one vertex"):
+            threatener_report(g, seq, params, 0.01, [])
 
 
 class TestWilson:
