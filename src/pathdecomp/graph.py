@@ -21,6 +21,8 @@ Every residual operation lives here, once:
     rows of the residual's size. Every multi-source ball is read through it:
     a BallIndex key held by one subgraph, the baseline index, the threatener
     counts, the padding balls and both passes of the cluster-diameter check.
+    It also serves the separator validator's path check on residuals of more
+    than PATH_CHECK_HEAP_MAX alive vertices, one source per path.
   - `level_balls`: per round, one sweep over a level union cut at a radius,
     from at most one source per mask (the BallIndex's level sweeps).
   - `double_sweep`: one path per mask of a level union (the separator
@@ -32,10 +34,11 @@ Every residual operation lives here, once:
     `weighted_diameter` (exact all-pairs at n <= 512).
 - `level_components` is `components` for each mask of a level union, from
   one scipy `connected_components` call. `components` itself, and the heap
-  Dijkstra below behind `sssp`, `ball` and the separator validator, touch
-  only alive vertices and their edges: on the 1-10 vertex residuals of most
-  recursion nodes that is over ten times faster than slicing a CSR for scipy
-  (measured, see the README).
+  Dijkstra below behind `sssp`, `ball` and the validator's path check on
+  residuals of at most PATH_CHECK_HEAP_MAX alive vertices, touch only alive
+  vertices and their edges, and the heap keeps only the vertices it reaches:
+  on the 1-10 vertex residuals of most recursion nodes that is over ten
+  times faster than slicing a CSR for scipy (measured, see the README).
 """
 
 from __future__ import annotations
@@ -62,6 +65,13 @@ INF = math.inf
 # of the residual's size, and one block is alive at a time.
 # On a 64x64 grid run, 128 instead of 256 cut peak RSS by 10 MB at equal speed.
 SOURCE_BLOCK = 128
+
+# Alive vertices up to which the separator validator checks a path with the
+# heap, which touches only what it reaches; above it, through balls, which
+# pays a CSR slice and a scipy call (about 0.14 ms) however small the
+# residual. Any cut from 64 to 512 timed within noise on a 64x64 unit grid
+# and on gen_ktree(2048, 2).
+PATH_CHECK_HEAP_MAX = 128
 
 
 class GraphError(ValueError):
@@ -226,16 +236,15 @@ class ShortestPaths:
         return Path.from_vertices(g, chain)
 
 
-def _dijkstra(g: WeightedGraph, mask: VertexMask, src: int, cutoff: float | None = None):
-    """Masked Dijkstra engine. Returns (dist, parent) lists over all n vertices.
+def _dijkstra(g: WeightedGraph, mask: VertexMask, src: int, cutoff: float = INF):
+    """Masked Dijkstra engine. Returns (dist, parent) dicts over the vertices it
+    reaches, so a search costs what it reaches, not n.
 
     Relaxation is strict (<), so the parent tree is determined by adjacency
     order alone; ties never rewrite a parent.
     """
-    n = g.n
-    dist = [INF] * n
-    parent = [-1] * n
-    dist[src] = 0.0
+    dist = {src: 0.0}
+    parent = {src: -1}
     heap = [(0.0, src)]
     adj = g.adj
     alive = mask.alive
@@ -247,9 +256,9 @@ def _dijkstra(g: WeightedGraph, mask: VertexMask, src: int, cutoff: float | None
             if v not in alive:
                 continue
             nd = d + w
-            if cutoff is not None and nd > cutoff:
+            if nd > cutoff:
                 continue
-            if nd < dist[v]:
+            if nd < dist.get(v, INF):
                 dist[v] = nd
                 parent[v] = u
                 heappush(heap, (nd, v))
@@ -264,7 +273,12 @@ def sssp(g: WeightedGraph, mask: VertexMask, src: int) -> ShortestPaths:
     """
     if src not in mask:
         raise MaskError(f"source {src} is not alive in the mask")
-    dist, parent = _dijkstra(g, mask, src)
+    reached, tree = _dijkstra(g, mask, src)
+    dist = [INF] * g.n
+    parent = [-1] * g.n
+    for v, d in reached.items():
+        dist[v] = d
+        parent[v] = tree[v]
     return ShortestPaths(src, tuple(dist), tuple(parent))
 
 
@@ -275,9 +289,32 @@ def ball(g: WeightedGraph, mask: VertexMask, center: int, radius: float) -> froz
     if radius < 0:
         raise ValueError(f"radius must be non-negative, got {radius}")
     dist, _ = _dijkstra(g, mask, center, cutoff=radius)
-    # dist[v] == INF marks unreachable vertices; they are never in the ball,
-    # even at radius == INF (where the ball is the whole component)
-    return frozenset(v for v in mask.alive if dist[v] <= radius and dist[v] != INF)
+    # only reached vertices have a (finite) distance; unreachable ones are
+    # never in the ball, even at radius == INF (where it is the whole component)
+    return frozenset(v for v, d in dist.items() if d <= radius)
+
+
+def _path_distance(g: WeightedGraph, mask: VertexMask, path: Path) -> float:
+    """The residual distance between the ends of a multi-vertex path if it is
+    at most path.length, else inf: the separator validator's path check. A
+    residual of more than PATH_CHECK_HEAP_MAX alive vertices asks balls for
+    one source; a smaller one runs the heap. Both are cut at path.length."""
+    # The two engines return the same float, bit for bit. Each relaxes
+    # d(v) = d(u) + w, so each returns the least left-to-right float sum over
+    # residual walks from the first vertex: fl(x + w) is monotone in x and at
+    # least x for w >= 0, so the sums along a walk never decrease and the least
+    # ones settle in pop order, in floats as in reals. By the same monotonicity
+    # only a pair's lightest edge, the one the CSR keeps, can give a least sum.
+    # The cut hides no walk that reaches the far end at or below path.length,
+    # since every prefix of such a walk is at or below it too; past the cut
+    # both report inf (the heap sets no distance above it, scipy's limit is
+    # inclusive and balls returns finite entries only).
+    a, b = path.vertices[0], path.vertices[-1]
+    if len(mask) <= PATH_CHECK_HEAP_MAX:
+        return _dijkstra(g, mask, a, cutoff=path.length)[0].get(b, INF)
+    _, vert, dist = balls(g, mask, [a], path.length)
+    hit = np.flatnonzero(vert == b)
+    return float(dist[hit[0]]) if len(hit) else INF
 
 
 def components(g: WeightedGraph, mask: VertexMask) -> list[VertexMask]:

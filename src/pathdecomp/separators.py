@@ -22,7 +22,7 @@ from .graph import (
     Path,
     VertexMask,
     WeightedGraph,
-    _dijkstra,
+    _path_distance,
     components,
     double_sweep,
     level_components,
@@ -69,8 +69,11 @@ def validate_separator(g: WeightedGraph, mask: VertexMask, sep: PathSeparator):
     the mask with all earlier groups deleted (its stored length equals both
     its edge-weight sum and the Dijkstra distance between its endpoints,
     exactly), the stored flaps are the components of the mask minus S, and
-    every flap has at most floor(|alive|/2) vertices.
+    every flap has at most floor(|alive|/2) vertices. A mask over another
+    vertex count than the graph's raises ValueError.
     """
+    if mask.n != g.n:
+        raise ValueError(f"mask is over {mask.n} vertices but the graph has {g.n}")
     alive = mask
     for gi, group in enumerate(sep.groups):
         for pi, path in enumerate(group):
@@ -93,10 +96,7 @@ def validate_separator(g: WeightedGraph, mask: VertexMask, sep: PathSeparator):
                     "structure", gi, pi,
                     f"stored length {path.length} != sum of edge weights {total}",
                 )
-            # one vertex is at distance 0; monotone rounding keeps a longer path's
-            # far end within a search cut at the path's own float sum
-            dist = 0.0 if len(verts) == 1 else (
-                _dijkstra(g, alive, verts[0], cutoff=path.length)[0][verts[-1]])
+            dist = 0.0 if len(verts) == 1 else _path_distance(g, alive, path)
             if dist != path.length:
                 return SeparatorViolation(
                     "not-shortest", gi, pi,

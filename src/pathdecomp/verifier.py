@@ -212,13 +212,20 @@ def threatener_report(g: WeightedGraph, centers: CenterSequence,
     This is the support condition for t's ball ever touching x's ball, since
     radii range over [delta/4, 2*delta/5] with full support. The count is a
     property of the center sequence alone, independent of the radii. Like
-    carve, it refuses a graph or params the centers were not chosen for.
+    carve, it refuses a graph or params the centers were not chosen for; it
+    refuses an id outside [0, n) or given twice with a ValueError naming it.
     """
     _require_gamma_in_range(gamma)
     _require_matching(g, centers, params)
     vertices = np.arange(g.n) if vertices is None else np.asarray(sorted(vertices), dtype=np.int64)
     if not len(vertices):
         raise ValueError("need at least one vertex")
+    outside = vertices[(vertices < 0) | (vertices >= g.n)]
+    if len(outside):
+        raise ValueError(f"vertex {outside[0]} is outside 0..{g.n - 1}")
+    repeated = vertices[1:][vertices[1:] == vertices[:-1]]
+    if len(repeated):
+        raise ValueError(f"vertex {repeated[0]} is given twice")
     index = centers.index
     row, members, _ = balls(g, VertexMask.full(g.n), vertices, gamma * params.delta)
     # every incidence of every ball member, tagged with the row of its ball

@@ -27,6 +27,7 @@ from pathdecomp import (
 )
 from pathdecomp.graph import (
     SOURCE_BLOCK,
+    _dijkstra,
     balls,
     double_sweep,
     induced,
@@ -146,6 +147,22 @@ class TestSssp:
         dmat = csgraph_dijkstra(g.csr(), directed=False, indices=[0, 7, 25])
         for row, src in zip(dmat, (0, 7, 25)):
             assert tuple(row) == sssp(g, full, src).dist
+
+    def test_heap_search_allocates_what_it_reaches(self):
+        # a 3-vertex residual of a 16,384-vertex grid: no n-length list, which
+        # alone would take n x 8 bytes
+        g = gen_grid(128, 128)
+        mask = VertexMask(g.n, [0, 1, 2])
+        _dijkstra(g, mask, 0)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            dist, parent = _dijkstra(g, mask, 0)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert dist == {0: 0.0, 1: 1.0, 2: 2.0} and parent == {0: -1, 1: 0, 2: 1}
+        assert peak < g.n * 8 / 16
 
 
 class TestBall:

@@ -1,6 +1,7 @@
 import pytest
 
 import pathdecomp as pd
+from pathdecomp import graph
 from pathdecomp import (
     NotATreeError,
     Path,
@@ -15,9 +16,13 @@ from pathdecomp import (
     tree_centroid_find,
     validate_separator,
 )
+from pathdecomp.graph import PATH_CHECK_HEAP_MAX, _dijkstra, _path_distance, balls
 from pathdecomp.separators import greedy_find_level
 
 from test_acceptance import DELTA_FRACTIONS, corpus_specs
+from test_carving_reference import spread_weights
+from test_golden import GRAPHS, WEIGHTS, _graph
+from test_graph import grid_with_zero_edges
 
 
 def star(leaves=5):
@@ -113,6 +118,96 @@ class TestValidator:
         )
         v = validate_separator(g, full, sep)
         assert v is not None and v.kind == "flaps"
+
+    def test_mask_of_another_size_refused(self):
+        g = gen_grid(4, 4)
+        sep = hand_separator(g, VertexMask.full(16), (1, 5, 9, 13))
+        with pytest.raises(ValueError, match="mask is over 20 vertices but the graph has 16"):
+            validate_separator(g, VertexMask.full(20), sep)
+
+
+def residual_paths(g, seq):
+    """(residual, path) for every multi-vertex path of a center sequence's
+    separators, the residual being the node mask minus the earlier groups."""
+    out = []
+    for mask, sep in seq.separators:
+        alive = mask
+        for group in sep.groups:
+            out.extend((alive, p) for p in group if len(p) > 1)
+            alive = alive.without(v for p in group for v in p.vertices)
+    return out
+
+
+PATH_CHECK_GRAPHS = [(f"{kind}:{a},{b}:{w}", lambda kind=kind, a=a, b=b, w=w: _graph(kind, a, b, w))
+                     for kind, a, b in GRAPHS for w in WEIGHTS] + [
+    ("grid:24,24:loguniform", lambda: spread_weights(gen_grid(24, 24), 3)),
+    ("ktree:600,2:loguniform", lambda: spread_weights(gen_ktree(600, 2).graph, 4)),
+    ("grid:24,24:zero-edges", lambda: grid_with_zero_edges(24)),
+]
+
+
+class TestPathCheck:
+    """The validator's path check: the heap at most PATH_CHECK_HEAP_MAX alive
+    vertices, one balls query above."""
+
+    @pytest.mark.parametrize("make", [m for _, m in PATH_CHECK_GRAPHS],
+                             ids=[name for name, _ in PATH_CHECK_GRAPHS])
+    def test_heap_and_balls_agree_on_every_separator_path(self, make):
+        g = make()
+        sides = set()
+        for alive, p in residual_paths(g, pd.choose_centers(g, pd.weighted_diameter(g) / 8)):
+            a, b = p.vertices[0], p.vertices[-1]
+            heap = _dijkstra(g, alive, a, cutoff=p.length)[0][b]
+            _, vert, dist = balls(g, alive, [a], p.length)
+            assert heap == dist[vert == b][0] == _path_distance(g, alive, p) == p.length
+            sides.add(len(alive) > PATH_CHECK_HEAP_MAX)
+        assert sides == ({False, True} if g.n > PATH_CHECK_HEAP_MAX else {False})
+
+    @pytest.mark.parametrize("weights", ["unit", "loguniform"])
+    def test_non_shortest_path_above_the_cut_reads_as_the_heap(self, monkeypatch, weights):
+        g = gen_grid(16, 16) if weights == "unit" else spread_weights(gen_grid(16, 16), 5)
+        full = VertexMask.full(g.n)
+        assert g.n > PATH_CHECK_HEAP_MAX
+        # 0 to 1 round one unit square, 0 to 16 round two: 3 and 5 edges for a distance of 1
+        mutants = [hand_separator(g, full, verts) for verts in [(0, 16, 17, 1), (0, 1, 2, 18, 17, 16)]]
+        above = [validate_separator(g, full, sep) for sep in mutants]
+        monkeypatch.setattr(graph, "PATH_CHECK_HEAP_MAX", g.n)
+        assert [validate_separator(g, full, sep) for sep in mutants] == above
+        if weights == "unit":
+            assert [(v.kind, v.group, v.path, v.message) for v in above] == [
+                ("not-shortest", 0, 0, "path of length 3.0 between 0 and 1 but residual distance is 1.0"),
+                ("not-shortest", 0, 0, "path of length 5.0 between 0 and 16 but residual distance is 1.0"),
+            ]
+
+    def test_large_residual_asks_balls(self, monkeypatch):
+        g = gen_grid(32, 32)
+        full = VertexMask.full(g.n)
+        sep = greedy_find(g, full)
+        calls = []
+
+        def spy(g, mask, sources, radius):
+            calls.append((len(mask), list(sources), radius))
+            return balls(g, mask, sources, radius)
+
+        monkeypatch.setattr(graph, "balls", spy)
+        assert validate_separator(g, full, sep) is None
+        root = sep.groups[0][0]
+        assert calls[0] == (g.n, [root.vertices[0]], root.length)
+        assert all(size > PATH_CHECK_HEAP_MAX for size, _, _ in calls)
+
+    def test_small_residuals_make_no_scipy_call(self, monkeypatch):
+        g = gen_ktree(2048, 2).graph
+        seq = pd.choose_centers(g, pd.weighted_diameter(g) / 4)
+        small = [(mask, sep) for mask, sep in seq.separators if len(mask) <= PATH_CHECK_HEAP_MAX]
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("scipy called on a small residual")
+
+        monkeypatch.setattr(graph, "csgraph_dijkstra", refuse)
+        monkeypatch.setattr(graph, "connected_components", refuse)
+        monkeypatch.setattr(graph, "balls", refuse)
+        assert sum(len(p) > 1 for _, sep in small for grp in sep.groups for p in grp) > 100
+        assert all(validate_separator(g, mask, sep) is None for mask, sep in small)
 
 
 class TestGreedyFinder:

@@ -406,6 +406,18 @@ class TestThreateners:
         with pytest.raises(ValueError, match="need at least one vertex"):
             threatener_report(g, seq, params, 0.01, [])
 
+    @pytest.mark.parametrize("vertices,message", [
+        ([7], "vertex 7 is outside 0..3"),
+        ([-1], "vertex -1 is outside 0..3"),
+        ([2, 0, 0], "vertex 0 is given twice"),
+    ])
+    def test_bad_vertex_ids_refused(self, vertices, message):
+        g = gen_grid(2, 2)
+        seq = choose_centers(g, 1.0)
+        params = DecompositionParams.for_graph(1.0, 0, seq.p_eff, 4)
+        with pytest.raises(ValueError, match=message):
+            threatener_report(g, seq, params, 0.01, vertices)
+
 
 class TestWilson:
     def test_bounds_and_monotonicity(self):
