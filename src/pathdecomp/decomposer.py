@@ -15,6 +15,12 @@ order. The first claim wins: a vertex joins the first center in that order
 whose ball of the drawn radius reaches it. Over the index that is one numpy
 reduction per trial, with no loop over centers: a vertex's label is the
 smallest rank among its incidences that lie within their record's radius.
+A padding trial (verifier.estimate_padding) reads the labels of the ball
+members only, so it runs that reduction over BallIndex.restrict(members).
+That is exact when no radius is below the index's reach, the largest
+nearest-incidence distance of any vertex: every vertex is then claimed.
+A trial with a smaller radius labels the whole graph, which raises the
+CoverageError of carving.
 
 A comparison baseline carves balls in the full graph around all vertices in
 random order; there a center's rank is its position in the seed's
@@ -27,10 +33,11 @@ import itertools
 import math
 from collections.abc import Callable
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
-from .graph import Path, VertexMask, WeightedGraph, balls, level_balls
+from .graph import Path, VertexMask, WeightedGraph, balls, concat_ranges, level_balls
 from .nets import PathMetricView, greedy_net
 from .sampler import RngStream, TexpParams, texp_sample_many
 from .separators import greedy_find, greedy_find_level
@@ -141,6 +148,28 @@ class BallIndex:
         starts = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(np.bincount(vert, minlength=n), out=starts[1:])
         return cls(n, count, float(delta), rec[order], dist[order], starts)
+
+    @cached_property
+    def reach(self) -> float:
+        """The largest, over all vertices, of a vertex's nearest incidence
+        distance; inf if some vertex has none. When every radius is at least
+        reach, labels claims every vertex."""
+        seg = self.starts[:-1]
+        if not np.all(seg < self.starts[1:]):
+            return math.inf
+        return float(np.minimum.reduceat(self.distance, seg).max(initial=0.0))
+
+    def restrict(self, vertices: np.ndarray) -> "BallIndex":
+        """The index of the given vertices only: its vertex i is vertices[i],
+        with all of that vertex's incidences and the same records. Its labels
+        are labels()[vertices] whenever labels() claims every vertex."""
+        lo = self.starts[vertices]
+        sizes = self.starts[vertices + 1] - lo
+        take = concat_ranges(lo, sizes)
+        starts = np.zeros(len(vertices) + 1, dtype=np.int64)
+        np.cumsum(sizes, out=starts[1:])
+        return BallIndex(len(vertices), self.n_records, self.delta,
+                         self.record[take], self.distance[take], starts)
 
     def labels(self, radius: np.ndarray, rank: np.ndarray) -> np.ndarray:
         """First claim per vertex: the smallest rank[r] over the records r whose
@@ -378,18 +407,18 @@ def _partition(labels: np.ndarray, radii: np.ndarray,
     return Partition(cluster_of, clusters)
 
 
-def _carve_labels(centers: CenterSequence, params: DecompositionParams) -> tuple:
-    """First-claim labels of one paper-scheme trial (rank = record position),
-    and the radii drawn for it, one per record in sequence order."""
+def _paper_draw(centers: CenterSequence, params: DecompositionParams) -> tuple:
+    """The radius and the rank of each record in one paper-scheme trial: the
+    radii are drawn in sequence order, and a record's rank is its position."""
     radii = texp_sample_many(params.texp(), RngStream(params.seed), len(centers.records))
-    return centers.index.labels(radii, np.arange(len(radii))), radii
+    return radii, np.arange(len(radii))
 
 
 def carve(g: WeightedGraph, centers: CenterSequence, params: DecompositionParams) -> Partition:
     """Random-radius ball carving over the centers chosen for g and params' delta, p_eff and n."""
     _require_matching(g, centers, params)
-    labels, radii = _carve_labels(centers, params)
-    return _partition(labels, radii, centers.records.__getitem__)
+    radii, rank = _paper_draw(centers, params)
+    return _partition(centers.index.labels(radii, rank), radii, centers.records.__getitem__)
 
 
 def decompose(g: WeightedGraph, delta: float, seed: int, finder=greedy_find) -> Partition:
@@ -408,30 +437,32 @@ def _baseline_index(g: WeightedGraph, delta: float) -> BallIndex:
                          lambda: BallIndex.of_all_vertices(g, delta))
 
 
-def _baseline_labels(g: WeightedGraph, delta: float, seed: int) -> tuple:
-    """First-claim labels of one baseline trial, the carving order, and the
-    radii: the seed's stream gives the permutation first, then one radius per
-    position. A vertex's rank is its position in the permutation."""
-    params = DecompositionParams.for_baseline(delta, seed, g.n)
+def _baseline_draw(n: int, delta: float, seed: int) -> tuple:
+    """The carving order of one baseline trial, and the radius and the rank
+    of each record (vertex): the seed's stream gives the permutation first,
+    then one radius per position. A vertex's rank is its position in the
+    permutation."""
+    params = DecompositionParams.for_baseline(delta, seed, n)
     rng = RngStream(seed)
-    order = rng.permutation(g.n)
-    radii = texp_sample_many(params.texp(), rng, g.n)
-    rank = np.empty(g.n, dtype=np.int64)
-    rank[order] = np.arange(g.n)
-    return _baseline_index(g, delta).labels(radii[rank], rank), order, radii
+    order = rng.permutation(n)
+    radii = texp_sample_many(params.texp(), rng, n)
+    rank = np.empty(n, dtype=np.int64)
+    rank[order] = np.arange(n)
+    return order, radii[rank], rank
 
 
 def baseline_decompose(g: WeightedGraph, delta: float, seed: int) -> Partition:
     """Ball carving in the full graph with all vertices as centers, in an order
     shuffled by the seed; the classical all-centers comparison scheme."""
-    labels, order, radii = _baseline_labels(g, delta, seed)
+    order, radius, rank = _baseline_draw(g.n, delta, seed)
+    labels = _baseline_index(g, delta).labels(radius, rank)
     full = VertexMask.full(g.n)
 
     def record_of(rank: int) -> CenterRecord:
         v = int(order[rank])
         return CenterRecord(v, full, v, 0, -1)
 
-    return _partition(labels, radii, record_of)
+    return _partition(labels, radius[order], record_of)
 
 
 def format_partition(part: Partition, header: dict) -> str:

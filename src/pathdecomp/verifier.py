@@ -20,11 +20,13 @@ import numpy as np
 from scipy.special import ndtri
 
 from .decomposer import (
+    BallIndex,
     CenterSequence,
     DecompositionParams,
     Partition,
-    _baseline_labels,
-    _carve_labels,
+    _baseline_draw,
+    _baseline_index,
+    _paper_draw,
     _require_matching,
     _require_valid_delta,
     ceil_log2,
@@ -245,16 +247,18 @@ def _require_trials(trials: int) -> None:
         raise ValueError(f"trials must be >= 1, got {trials}")
 
 
-def wilson_lower_bound(successes: int, trials: int) -> float:
+def wilson_lower_bound(successes, trials: int):
     """One-sided Wilson score lower bound, at confidence WILSON_CONFIDENCE,
-    for a binomial proportion."""
+    for a binomial proportion. successes is an int, giving a float, or an
+    array of ints, giving the bound of each entry."""
     _require_trials(trials)
     z = float(ndtri(WILSON_CONFIDENCE))
-    p = successes / trials
+    p = np.asarray(successes) / trials
     denom = 1.0 + z * z / trials
     centre = p + z * z / (2.0 * trials)
-    rad = z * math.sqrt(p * (1.0 - p) / trials + z * z / (4.0 * trials * trials))
-    return max(0.0, (centre - rad) / denom)
+    rad = z * np.sqrt(p * (1.0 - p) / trials + z * z / (4.0 * trials * trials))
+    lb = np.maximum(0.0, (centre - rad) / denom)
+    return float(lb) if lb.ndim == 0 else lb
 
 
 def _json_fields(items) -> dict:
@@ -323,6 +327,18 @@ def sample_vertices(g: WeightedGraph, seed: int) -> np.ndarray:
     return np.sort(picked.astype(np.int64))
 
 
+def _padding_labels(index: BallIndex, held_index: BallIndex, held: np.ndarray,
+                    radius: np.ndarray, rank: np.ndarray) -> np.ndarray:
+    """First-claim labels of the vertices held in one trial, held_index being
+    index.restrict(held). When no radius is below index.reach, every vertex
+    of the graph has an incidence within its record's radius, so held_index
+    gives the labels alone; otherwise the full index runs, and raises the
+    CoverageError of a whole-graph trial."""
+    if radius.min() >= index.reach:
+        return held_index.labels(radius, rank)
+    return index.labels(radius, rank)[held]
+
+
 def estimate_padding(g: WeightedGraph, delta: float, finder=greedy_find,
                      gammas=DEFAULT_GAMMAS, trials: int = 1000, seed: int = 0,
                      scheme: str = "paper") -> PaddingReport:
@@ -336,6 +352,13 @@ def estimate_padding(g: WeightedGraph, delta: float, finder=greedy_find,
     farther than gamma*delta. Acceptance per (x, gamma): Wilson 99% lower
     bound >= floor for gamma > 0; for gamma = 0 the event holds surely, so
     the check is successes == trials.
+
+    A trial labels only the ball members, through the index restricted to
+    them (BallIndex.restrict), with the radii and ranks carve or
+    baseline_decompose would draw at its seed. That is exact when no radius
+    is below the index's reach, as every vertex is then claimed; a trial
+    with a smaller radius labels the whole graph, and raises the
+    CoverageError that carving at its seed raises.
 
     The paper scheme carves choose_centers(g, delta, finder), the sequence
     the graph keeps for an equal delta and the same finder; the baseline,
@@ -353,44 +376,51 @@ def estimate_padding(g: WeightedGraph, delta: float, finder=greedy_find,
     vertices = sample_vertices(g, seed)
     radii = np.asarray(gammas) * delta
     row, members, dist = balls(g, VertexMask.full(g.n), vertices, radii.max())
-    anchors = vertices[row]
     starts = np.searchsorted(row, np.arange(len(vertices)))  # no ball is empty: x is in B(x, r)
 
     if scheme == "paper":
         seq = choose_centers(g, delta, finder)
         params = DecompositionParams.for_graph(delta, seed, seq.p_eff, g.n)
         p_eff = seq.p_eff
+        index = seq.index
 
-        def trial_labels(t):
-            return _carve_labels(seq, replace(params, seed=derive_seed(seed, t)))[0]
+        def draw(t):
+            return _paper_draw(seq, replace(params, seed=derive_seed(seed, t)))
     else:
         params = DecompositionParams.for_baseline(delta, seed, g.n)
         p_eff = None
+        index = _baseline_index(g, delta)
 
-        def trial_labels(t):
-            return _baseline_labels(g, delta, derive_seed(seed, t))[0]
+        def draw(t):
+            _, radius, rank = _baseline_draw(g.n, delta, derive_seed(seed, t))
+            return radius, rank
     beta = params.beta()
 
+    # the trials label the ball members only; members and anchors become
+    # positions in `held`
+    held = np.unique(members)
+    held_index = index.restrict(held)
+    local = np.searchsorted(held, members)
+    anchors = np.searchsorted(held, vertices)[row]
     # first-claim labels are cluster ranks: equal labels, same cluster
     successes = np.zeros((len(vertices), len(radii)), dtype=np.int64)
     for t in range(trials):
-        labels = trial_labels(t)
-        split = np.where(labels[members] != labels[anchors], dist, np.inf)
+        labels = _padding_labels(index, held_index, held, *draw(t))
+        split = np.where(labels[local] != labels[anchors], dist, np.inf)
         successes += np.minimum.reduceat(split, starts)[:, None] > radii
 
-    records_out = []
-    for i, x in enumerate(vertices):
-        for k, gamma in enumerate(gammas):
-            s = int(successes[i, k])
-            emp = s / trials
-            lb = wilson_lower_bound(s, trials)
-            floor = 2.0 ** (-beta * gamma)
-            passed = (s == trials) if gamma == 0.0 else (lb >= floor)
-            records_out.append(
-                PaddingRecord(int(x), gamma, trials, s, emp, lb, floor, passed)
-            )
+    floors = [2.0 ** (-beta * gamma) for gamma in gammas]
+    wilson = wilson_lower_bound(successes, trials)
+    passed = np.where(np.asarray(gammas) == 0.0, successes == trials, wilson >= floors)
+    rows = zip(vertices.tolist(), *(a.tolist() for a in
+                                    (successes, successes / trials, wilson, passed)))
+    records_out = tuple(
+        PaddingRecord(x, gamma, trials, s, emp, lb, floor, ok)
+        for x, *per_gamma in rows
+        for gamma, floor, s, emp, lb, ok in zip(gammas, floors, *per_gamma)
+    )
 
     return PaddingReport(
         scheme, delta, gammas, trials, int(seed), g.n, p_eff, beta,
-        tuple(int(v) for v in vertices), tuple(records_out),
+        tuple(vertices.tolist()), records_out,
     )

@@ -30,7 +30,9 @@ from pathdecomp import (
     derive_seed,
     texp_sample_many,
 )
+from pathdecomp.decomposer import _baseline_index
 from pathdecomp.graph import induced
+from pathdecomp.verifier import _padding_labels
 
 from test_acceptance import DELTA_FRACTIONS, corpus_specs
 from test_decomposer import unit_path
@@ -374,6 +376,91 @@ def test_dropped_record_error_matches_reference():
             else:
                 assert_same_partition(pd.carve(g, cut, params), expect, (i, seed))
     assert raised > 0
+
+
+# ---------------------------------------------------------------------------
+# padding trials on the ball members only
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("name,make", [
+    ("grid16x16", lambda: pd.gen_grid(16, 16)),
+    ("grid16x16 spread", lambda: spread_weights(pd.gen_grid(16, 16), 1)),
+    ("ktree k=2 n=512", lambda: pd.gen_ktree(512, 2, seed=10).graph),
+])
+def test_restricted_labels_match_full_labels(name, make):
+    g = make()
+    delta = pd.weighted_diameter(g) / 4
+    rng = np.random.default_rng(5)
+    below = 0
+    for index in (pd.choose_centers(g, delta).index, _baseline_index(g, delta)):
+        vertices = np.sort(rng.choice(g.n, size=g.n // 3, replace=False))
+        held_index = index.restrict(vertices)
+        for trial in range(40):
+            # every fourth trial may draw radii below reach, down to reach/2
+            low = index.reach / 2 if trial % 4 == 0 else delta / 4
+            radius = rng.uniform(low, 0.4 * delta, index.n_records)
+            rank = rng.permutation(index.n_records)
+            below += bool(radius.min() < index.reach)
+            try:
+                full = index.labels(radius, rank)
+            except CoverageError as exc:
+                with pytest.raises(CoverageError, match=rf"^{exc}$"):
+                    _padding_labels(index, held_index, vertices, radius, rank)
+                continue
+            assert np.array_equal(held_index.labels(radius, rank), full[vertices]), (name, trial)
+            assert np.array_equal(_padding_labels(index, held_index, vertices, radius, rank),
+                                  full[vertices]), (name, trial)
+    # the k-tree's vertices are all centers (reach 0); the grids' are not
+    assert (below > 0) == name.startswith("grid"), name
+
+
+def test_padding_coverage_error_matches_carve():
+    g = pd.gen_grid(12, 12)
+    delta = pd.weighted_diameter(g) / 6
+    seq = pd.choose_centers(g, delta)
+    seed, trials = 4, 30
+
+    def carve_error(cut):
+        """Message and trial of the first trial seed at which carve raises."""
+        for t in range(trials):
+            params = DecompositionParams.for_graph(delta, derive_seed(seed, t), seq.p_eff, g.n)
+            try:
+                pd.carve(g, cut, params)
+            except CoverageError as exc:
+                return str(exc), t
+        return None, None
+
+    # the first cut whose failing trial comes after trials that pass
+    for i in range(len(seq.records)):
+        cut = without_records(g, seq, i)
+        message, first = carve_error(cut)
+        if message is not None and first > 0:
+            break
+    else:
+        pytest.fail("no cut sequence fails a later trial")
+    g._cache["centers"] = (delta, pd.greedy_find, cut)
+    assert pd.choose_centers(g, delta) is cut
+    with pytest.raises(CoverageError, match=rf"^{message}$"):
+        pd.estimate_padding(g, delta, trials=trials, seed=seed)
+
+
+def test_padding_trials_never_label_the_whole_graph(monkeypatch):
+    g = pd.gen_grid(32, 32)
+    delta = pd.weighted_diameter(g) / 8
+    sizes = []
+    labels = BallIndex.labels
+
+    def spy(index, radius, rank):
+        sizes.append(index.n)
+        return labels(index, radius, rank)
+
+    monkeypatch.setattr(BallIndex, "labels", spy)
+    for scheme in ("paper", "baseline"):
+        sizes.clear()
+        rep = pd.estimate_padding(g, delta, trials=20, seed=1, scheme=scheme)
+        # unit weights and gamma*delta < 1: each ball is its anchor alone
+        assert sizes == [len(rep.vertices)] * 20, scheme
+        assert len(rep.vertices) < g.n
 
 
 # ---------------------------------------------------------------------------

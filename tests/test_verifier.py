@@ -434,6 +434,22 @@ class TestWilson:
     def test_all_successes_below_one(self):
         assert 0.9 < wilson_lower_bound(1000, 1000) < 1.0
 
+    @pytest.mark.parametrize("trials", [1, 2, 3, 7, 16, 60, 300, 1000, 10007])
+    def test_array_form_matches_scalar_formula(self, trials):
+        # the formula in Python floats, one success count at a time
+        z = float(verifier.ndtri(verifier.WILSON_CONFIDENCE))
+        denom = 1.0 + z * z / trials
+        expect = []
+        for s in range(trials + 1):
+            p = s / trials
+            rad = z * math.sqrt(p * (1.0 - p) / trials + z * z / (4.0 * trials * trials))
+            expect.append(max(0.0, (p + z * z / (2.0 * trials) - rad) / denom))
+        got = wilson_lower_bound(np.arange(trials + 1).reshape(1, -1), trials)
+        assert got.shape == (1, trials + 1)
+        assert got.ravel().tolist() == expect
+        assert [wilson_lower_bound(s, trials) for s in (0, trials)] == [expect[0], expect[-1]]
+        assert type(wilson_lower_bound(trials, trials)) is float
+
 
 class TestEstimatePadding:
     def test_gamma_zero_always_passes(self):
