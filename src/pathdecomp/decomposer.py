@@ -407,17 +407,18 @@ def _partition(labels: np.ndarray, radii: np.ndarray,
     return Partition(cluster_of, clusters)
 
 
-def _paper_draw(centers: CenterSequence, params: DecompositionParams) -> tuple:
-    """The radius and the rank of each record in one paper-scheme trial: the
-    radii are drawn in sequence order, and a record's rank is its position."""
-    radii = texp_sample_many(params.texp(), RngStream(params.seed), len(centers.records))
+def _paper_draw(centers: CenterSequence, texp: TexpParams, seed: int) -> tuple:
+    """The radius and the rank of each record in one paper-scheme trial at
+    seed: the radii are drawn in sequence order, and a record's rank is its
+    position."""
+    radii = texp_sample_many(texp, RngStream(seed), len(centers.records))
     return radii, np.arange(len(radii))
 
 
 def carve(g: WeightedGraph, centers: CenterSequence, params: DecompositionParams) -> Partition:
     """Random-radius ball carving over the centers chosen for g and params' delta, p_eff and n."""
     _require_matching(g, centers, params)
-    radii, rank = _paper_draw(centers, params)
+    radii, rank = _paper_draw(centers, params.texp(), params.seed)
     return _partition(centers.index.labels(radii, rank), radii, centers.records.__getitem__)
 
 
@@ -437,15 +438,14 @@ def _baseline_index(g: WeightedGraph, delta: float) -> BallIndex:
                          lambda: BallIndex.of_all_vertices(g, delta))
 
 
-def _baseline_draw(n: int, delta: float, seed: int) -> tuple:
-    """The carving order of one baseline trial, and the radius and the rank
-    of each record (vertex): the seed's stream gives the permutation first,
-    then one radius per position. A vertex's rank is its position in the
-    permutation."""
-    params = DecompositionParams.for_baseline(delta, seed, n)
+def _baseline_draw(n: int, texp: TexpParams, seed: int) -> tuple:
+    """The carving order of one baseline trial at seed, and the radius and the
+    rank of each record (vertex): the seed's stream gives the permutation
+    first, then one radius per position. A vertex's rank is its position in
+    the permutation."""
     rng = RngStream(seed)
     order = rng.permutation(n)
-    radii = texp_sample_many(params.texp(), rng, n)
+    radii = texp_sample_many(texp, rng, n)
     rank = np.empty(n, dtype=np.int64)
     rank[order] = np.arange(n)
     return order, radii[rank], rank
@@ -454,7 +454,8 @@ def _baseline_draw(n: int, delta: float, seed: int) -> tuple:
 def baseline_decompose(g: WeightedGraph, delta: float, seed: int) -> Partition:
     """Ball carving in the full graph with all vertices as centers, in an order
     shuffled by the seed; the classical all-centers comparison scheme."""
-    order, radius, rank = _baseline_draw(g.n, delta, seed)
+    texp = DecompositionParams.for_baseline(delta, seed, g.n).texp()
+    order, radius, rank = _baseline_draw(g.n, texp, seed)
     labels = _baseline_index(g, delta).labels(radius, rank)
     full = VertexMask.full(g.n)
 

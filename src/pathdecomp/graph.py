@@ -17,11 +17,17 @@ Every residual operation lives here, once:
   the symmetric CSR, so no call copies a transpose (on an 8x8 grid a call
   takes about 35 µs, against 107 µs undirected):
   - `balls`: the one multi-source distance query, cut at a radius, as sparse
-    (row, vertex, distance) entries, computed in dense blocks of SOURCE_BLOCK
-    rows of the residual's size. Every multi-source ball is read through it:
-    a BallIndex key held by one subgraph, the baseline index, the threatener
-    counts, the padding balls and both passes of the cluster-diameter check.
-    It also serves the separator validator's path check on residuals of more
+    (row, vertex, distance) entries, SOURCE_BLOCK sources at a time. Its cost
+    follows its output: one source is one min_only sweep, and a full block
+    runs its dense call on the union of its balls, found by a min_only
+    sweep, unless that union is most of the residual. On unit
+    gen_ktree(16384, 2) at W/8 the baseline index, all singleton balls,
+    went from 1.2 s and a 20.7 MB tracemalloc peak to 57 ms and 2.3 MB; on
+    a 64x64 grid at W/8, from 121 to 66 ms, and the 256 padding balls from
+    4.1 to 0.9 ms. Every multi-source ball is read through it: a BallIndex
+    key held by one subgraph, the baseline index, the threatener counts,
+    the padding balls and both passes of the cluster-diameter check. It
+    also serves the separator validator's path check on residuals of more
     than PATH_CHECK_HEAP_MAX alive vertices, one source per path.
   - `level_balls`: per round, one sweep over a level union cut at a radius,
     from at most one source per mask (the BallIndex's level sweeps).
@@ -62,8 +68,12 @@ INF = math.inf
 # Dijkstra, or a weak-components call, makes each time.
 
 # Sources per scipy Dijkstra call in balls: a dense block holds this many rows
-# of the residual's size, and one block is alive at a time.
-# On a 64x64 grid run, 128 instead of 256 cut peak RSS by 10 MB at equal speed.
+# of the size of the block's balls' union (or of the residual, for a last,
+# partial block), and one block is alive at a time. On a 64x64 grid run, 128
+# instead of 256 cut peak RSS by 10 MB at equal speed, when every block was
+# of the residual's size. With the union, the baseline index of unit
+# gen_ktree(16384, 2) at W/8 peaks at 2.3 MB under tracemalloc, against the
+# 16.8 MB of one block of the whole graph (2-vCPU machine).
 SOURCE_BLOCK = 128
 
 # Alive vertices up to which the separator validator checks a path with the
@@ -282,12 +292,16 @@ def sssp(g: WeightedGraph, mask: VertexMask, src: int) -> ShortestPaths:
     return ShortestPaths(src, tuple(dist), tuple(parent))
 
 
+def _require_radius(radius: float) -> None:
+    if not radius >= 0:  # nan fails too
+        raise ValueError(f"radius must be non-negative, got {radius}")
+
+
 def ball(g: WeightedGraph, mask: VertexMask, center: int, radius: float) -> frozenset:
     """Closed ball {v alive : d_residual(center, v) <= radius}."""
     if center not in mask:
         raise MaskError(f"center {center} is not alive in the mask")
-    if radius < 0:
-        raise ValueError(f"radius must be non-negative, got {radius}")
+    _require_radius(radius)
     dist, _ = _dijkstra(g, mask, center, cutoff=radius)
     # only reached vertices have a (finite) distance; unreachable ones are
     # never in the ball, even at radius == INF (where it is the whole component)
@@ -393,23 +407,54 @@ def concat_ranges(first: np.ndarray, count: np.ndarray) -> np.ndarray:
     return np.arange(int(count.sum())) + np.repeat(first - np.cumsum(count) + count, count)
 
 
+def _reach(sub: sp.csr_matrix, sources: np.ndarray, radius: float):
+    """One min_only scipy sweep from sources, cut at radius: the local indices
+    within radius of some source, sorted, and their least distance."""
+    # scipy's limit is inclusive: a vertex farther than radius gets inf
+    dist = csgraph_dijkstra(sub, directed=True, indices=sources, limit=radius, min_only=True)
+    hit = np.flatnonzero(np.isfinite(dist))
+    return hit, dist[hit]
+
+
 def balls(g: WeightedGraph, mask: VertexMask, sources, radius: float):
     """The residual balls of many sources, sparse: (row, vert, dist), one entry
     per source position row and alive vertex vert at distance dist <= radius
-    from sources[row], sorted by (row, vert). Each scipy call runs from
-    SOURCE_BLOCK sources, and its dense block of the residual's size is
-    dropped once read."""
+    from sources[row], sorted by (row, vert).
+
+    The sources go SOURCE_BLOCK at a time. One source is a single min_only
+    sweep. A full block first sweeps from all its sources at once, which
+    gives the union U of its balls; unless U is most of the residual, the
+    dense call then runs on the slice of U, so its block is SOURCE_BLOCK x |U|
+    and not SOURCE_BLOCK x the residual. A last, partial block makes the
+    dense call on the residual. Each dense block is dropped once read."""
+    _require_radius(radius)
     sub, verts = induced(g, mask)
     local = np.searchsorted(verts, sources)
     if not np.array_equal(verts.take(local, mode="clip"), sources):
         raise MaskError("every source must be alive in the mask")
     parts = [(np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64), np.empty(0))]
     for first in range(0, len(local), SOURCE_BLOCK):
-        # scipy's limit is inclusive: a vertex farther than radius gets inf
-        dist = np.atleast_2d(csgraph_dijkstra(
-            sub, directed=True, indices=local[first:first + SOURCE_BLOCK], limit=radius))
+        block = local[first:first + SOURCE_BLOCK]
+        if len(block) == 1:
+            hit, dist = _reach(sub, block, radius)
+            parts.append((np.full(len(hit), first), verts[hit], dist))
+            continue
+        # Slicing to U changes no entry, bit for bit. Each engine returns the
+        # least left-to-right float sum over walks from the source (see
+        # _path_distance). Every prefix sum of a least walk of sum at most
+        # radius is at most radius too, so every vertex on it is within radius
+        # of the block, that is in U, and the walk survives the slice. The
+        # slice only removes walks, so no sum gets smaller. U keeps the
+        # residual's id order, so the (row, vert) order is kept.
+        block_sub, ids = sub, verts
+        if len(block) == SOURCE_BLOCK:
+            union, _ = _reach(sub, block, radius)
+            if 2 * len(union) <= len(verts):
+                block_sub, ids = _slice(g, verts[union])
+                block = np.searchsorted(union, block)
+        dist = csgraph_dijkstra(block_sub, directed=True, indices=block, limit=radius)
         row, col = np.nonzero(np.isfinite(dist))
-        parts.append((first + row, verts[col], dist[row, col]))
+        parts.append((first + row, ids[col], dist[row, col]))
         del dist  # freed before the next block is computed
     return tuple(np.concatenate(a) for a in zip(*parts))
 
@@ -426,9 +471,8 @@ def level_balls(g: WeightedGraph, masks, rounds, radius: float):
     sub, verts, owner = _level_union(g, masks)
     for sources in rounds:
         local = np.searchsorted(verts, [src for src in sources if src is not None])
-        dist = csgraph_dijkstra(sub, directed=True, indices=local, limit=radius, min_only=True)
-        hit = np.flatnonzero(np.isfinite(dist))
-        yield owner[hit], verts[hit], dist[hit]
+        hit, dist = _reach(sub, local, radius)
+        yield owner[hit], verts[hit], dist
 
 
 def _sweep(sub: sp.csr_matrix, owner: np.ndarray, sources: np.ndarray):

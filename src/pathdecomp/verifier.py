@@ -14,7 +14,7 @@ Wilson 99% lower confidence bound clears the floor 2^(-beta*gamma).
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 
 import numpy as np
 from scipy.special import ndtri
@@ -113,8 +113,12 @@ def check_cluster_diameters(g: WeightedGraph, part: Partition, delta: float):
     cids = np.flatnonzero(sizes > 1)
     # a cluster's hub is its record's center, or its smallest vertex for a
     # hand-built cluster; it need not be a member
-    hubs = [int(np.min(cl.vertices)) if cl.record is None else cl.record.center
-            for cl in (part.clusters[cid] for cid in cids)]
+    hubs = np.array([int(np.min(cl.vertices)) if cl.record is None else cl.record.center
+                     for cl in (part.clusters[cid] for cid in cids)], dtype=np.int64)
+    # hubs go to balls in id order: where near ids are near vertices, as on
+    # grids, a block of them has a small union of balls for balls to slice
+    # to; in cluster order, the baseline's hubs are scattered over the graph
+    by_id = np.argsort(hubs, kind="stable")
     # Members u, v with d(h, u), d(h, v) <= r = bound/2 * (1 - 1e-9) are
     # within 2r < bound of each other. The margin covers rounding, so the pair
     # also passes the exact pass's float test, scipy's d(u, v) <= bound.
@@ -129,8 +133,8 @@ def check_cluster_diameters(g: WeightedGraph, part: Partition, delta: float):
     # (1 + eps)^(2n) / (1 - eps)^n * (1 - 1e-9) * bound
     # <= (1 + 3.1 n eps) * (1 - 1e-9) * bound <= bound for n <= 2.9e6,
     # far past any graph whose exact pass could run at all.
-    row, _ = _misses(g, hubs, cids, layout, bound / 2 * (1 - 1e-9))
-    left = cids[np.unique(row)]
+    row, _ = _misses(g, hubs[by_id], cids[by_id], layout, bound / 2 * (1 - 1e-9))
+    left = cids[np.unique(by_id[row])]
     return _all_pairs_violation(g, left, layout, bound) if len(left) else None
 
 
@@ -372,6 +376,7 @@ def estimate_padding(g: WeightedGraph, delta: float, finder=greedy_find,
     _require_trials(trials)
     if scheme not in ("paper", "baseline"):
         raise ValueError(f"unknown scheme {scheme!r}")
+    _require_valid_delta(delta)
 
     vertices = sample_vertices(g, seed)
     radii = np.asarray(gammas) * delta
@@ -385,15 +390,17 @@ def estimate_padding(g: WeightedGraph, delta: float, finder=greedy_find,
         index = seq.index
 
         def draw(t):
-            return _paper_draw(seq, replace(params, seed=derive_seed(seed, t)))
+            return _paper_draw(seq, texp, derive_seed(seed, t))
     else:
         params = DecompositionParams.for_baseline(delta, seed, g.n)
         p_eff = None
         index = _baseline_index(g, delta)
 
         def draw(t):
-            _, radius, rank = _baseline_draw(g.n, delta, derive_seed(seed, t))
+            _, radius, rank = _baseline_draw(g.n, texp, derive_seed(seed, t))
             return radius, rank
+    # the radius law depends on delta and K, not on the seed: built once
+    texp = params.texp()
     beta = params.beta()
 
     # the trials label the ball members only; members and anchors become

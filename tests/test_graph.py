@@ -10,6 +10,7 @@ from scipy.sparse.csgraph import dijkstra as csgraph_dijkstra
 
 import pathdecomp
 from pathdecomp import (
+    BallIndex,
     GraphError,
     MaskError,
     Path,
@@ -192,8 +193,13 @@ class TestBall:
         assert ball(chain, mask, 0, math.inf) == {0}
 
     def test_negative_radius_raises(self, chain):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="radius must be non-negative, got -1.0"):
             ball(chain, VertexMask.full(3), 0, -1.0)
+
+    def test_nan_radius_raises(self, chain):
+        # a nan radius would otherwise give the empty set, without the center
+        with pytest.raises(ValueError, match="radius must be non-negative, got nan"):
+            ball(chain, VertexMask.full(3), 0, math.nan)
 
 
 class TestComponents:
@@ -351,16 +357,47 @@ class TestDistanceBlocks:
         mask = VertexMask.full(g.n).without(range(10, g.n, 30))
         sources = np.random.default_rng(0).permutation(sorted(mask.alive))
         assert len(sources) > 2 * SOURCE_BLOCK
-        heap = {src: sssp(g, mask, src).dist for src in sources.tolist()}
-        # the heap ball of every source, with its distances, in (row, vert) order
-        row, vert, dist = balls(g, mask, sources, radius)
-        assert np.all(np.diff(row) >= 0)
-        cuts = np.searchsorted(row, np.arange(1, len(sources)))
-        for src, members, d in zip(sources.tolist(), np.split(vert, cuts), np.split(dist, cuts)):
-            assert members.tolist() == sorted(ball(g, mask, src, radius))
-            assert d.tolist() == [heap[src][v] for v in members.tolist()]
+        row, _, _ = assert_balls_match_heap_search(g, mask, sources, radius)
         if radius == 0.0:
             assert len(row) > len(sources)  # zero-weight edges put neighbours in some ball
+
+    @pytest.mark.parametrize("make,sources,radius,blocks", [
+        # a full block of the first rows: its balls' union is under half the residual
+        (lambda: gen_grid(40, 40), range(128), 2.0, ["slice"]),
+        # the same block at a radius that covers the residual
+        (lambda: gen_grid(40, 40), range(128), 60.0, ["whole"]),
+        # a full block and a partial block, unsorted and with repeats
+        (lambda: gen_grid(40, 40), [700, 3, 3, *range(900, 1025), 41, 41, 5, 1300, 12],
+         2.5, ["slice", "partial"]),
+        (lambda: gen_grid(40, 40), [*range(500, 628), 9], 3.0, ["slice", "one"]),
+        (lambda: gen_grid(40, 40), [77], 4.0, ["one"]),
+        # zero-weight edges at radius 0, and a radius between two distances
+        (lambda: grid_with_zero_edges(40), range(128), 0.0, ["slice"]),
+        (lambda: gen_grid(40, 40, "uniform", 3), range(128), 3.3, ["slice"]),
+    ], ids=["slice", "whole", "unsorted-repeated", "block-then-one", "one",
+            "zero-edges-r0", "uniform-between-distances"])
+    def test_every_block_rule_matches_heap_search(self, make, sources, radius, blocks,
+                                                  monkeypatch):
+        # column 7 deleted: the residual is a strict subset of the graph
+        g = make()
+        mask = VertexMask.full(g.n).without(range(7, g.n, 40))
+        sources = np.array(sorted(mask.alive))[list(sources)]  # positions among the alive
+        calls = spy_on_scipy(monkeypatch)
+        row, _, _ = assert_balls_match_heap_search(g, mask, sources, radius)
+        assert block_rules(calls, len(mask)) == blocks
+        if radius == 0.0:
+            assert len(row) > len(sources)
+
+    def test_partial_block_makes_one_dense_call(self, monkeypatch):
+        g = gen_grid(40, 40)
+        calls = spy_on_scipy(monkeypatch)
+        balls(g, VertexMask.full(g.n), np.arange(SOURCE_BLOCK - 1), 2.0)
+        assert calls == [(g.n, SOURCE_BLOCK - 1, False)]
+
+    @pytest.mark.parametrize("radius", [-1.0, math.nan])
+    def test_bad_radius_raises(self, chain, radius):
+        with pytest.raises(ValueError, match=f"radius must be non-negative, got {radius}"):
+            balls(chain, VertexMask.full(3), [0, 1], radius)
 
     def test_dead_source_raises(self, chain):
         mask = VertexMask(3, [0, 1])
@@ -372,9 +409,9 @@ class TestDistanceBlocks:
         assert len(out) == 3 and all(a.size == 0 for a in out)
 
     def test_consuming_loop_holds_one_block(self):
-        # every source of a 32x32 grid: 8 dense blocks of SOURCE_BLOCK x 1024
-        # floats; at radius 0.5 every ball is its source alone, so the output
-        # is small and the peak is one block
+        # every source of a 32x32 grid, 8 full blocks; at radius 0.5 every
+        # ball is its source alone, so the output is small, and the peak stays
+        # below one dense block of SOURCE_BLOCK x 1024 floats
         g = gen_grid(32, 32)
         full = VertexMask.full(g.n)
         g.csr()
@@ -389,9 +426,72 @@ class TestDistanceBlocks:
         assert row.tolist() == vert.tolist() == list(range(g.n))
         assert peak < 1.5 * block
 
+    def test_singleton_balls_allocate_no_block_of_the_graph(self):
+        # the baseline index of a unit 16k k-tree at W/8: every ball is its
+        # center, so each full block's dense call runs on 128 vertices, not n
+        g = gen_ktree(16384, 2).graph
+        delta = weighted_diameter(g) / 8
+        g.csr()
+        block = SOURCE_BLOCK * g.n * 8
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            index = BallIndex.of_all_vertices(g, delta)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert index.record.tolist() == list(range(g.n))
+        assert peak < block
+
     def test_full_mask_is_not_sliced(self, grid8):
         sub, verts = induced(grid8, VertexMask.full(64))
         assert sub is grid8.csr() and verts.tolist() == list(range(64))
+
+
+def assert_balls_match_heap_search(g, mask, sources, radius):
+    """balls(g, mask, sources, radius) is the heap ball of every source, with
+    its distances, in (row, vert) order; returns it."""
+    heap = {src: sssp(g, mask, src).dist for src in sources.tolist()}
+    row, vert, dist = balls(g, mask, sources, radius)
+    assert np.all(np.diff(row) >= 0)
+    cuts = np.searchsorted(row, np.arange(1, len(sources)))
+    for src, members, d in zip(sources.tolist(), np.split(vert, cuts), np.split(dist, cuts)):
+        assert members.tolist() == sorted(ball(g, mask, src, radius))
+        assert d.tolist() == [heap[src][v] for v in members.tolist()]
+    return row, vert, dist
+
+
+def spy_on_scipy(monkeypatch):
+    """Record (matrix rows, sources, min_only) of each scipy Dijkstra call in graph.py."""
+    import pathdecomp.graph as graph_module
+    calls = []
+
+    def spy(csgraph, indices, min_only=False, **kw):
+        calls.append((csgraph.shape[0], len(indices), min_only))
+        return csgraph_dijkstra(csgraph, indices=indices, min_only=min_only, **kw)
+
+    monkeypatch.setattr(graph_module, "csgraph_dijkstra", spy)
+    return calls
+
+
+def block_rules(calls, residual):
+    """The rule balls took for each block of sources, read from its scipy
+    calls: one source's sweep, a full block's sweep then a dense call on a
+    slice or on the residual, or a partial block's dense call."""
+    rules, calls = [], list(calls)
+    while calls:
+        rows, sources, min_only = calls.pop(0)
+        if min_only and sources == 1:
+            rules.append("one")
+        elif min_only:
+            assert sources == SOURCE_BLOCK and rows == residual
+            dense_rows, dense_sources, dense_min_only = calls.pop(0)
+            assert dense_sources == SOURCE_BLOCK and not dense_min_only
+            rules.append("slice" if dense_rows < residual else "whole")
+        else:
+            assert 1 < sources < SOURCE_BLOCK and rows == residual
+            rules.append("partial")
+    return rules
 
 
 def scipy_double_sweep(g, mask, src):

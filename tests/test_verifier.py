@@ -531,6 +531,12 @@ class TestEstimatePadding:
         with pytest.raises(ValueError):
             estimate_padding(g, 1.0, trials=5, scheme="nope")
 
+    @pytest.mark.parametrize("delta", [-1.0, 0.0, math.nan, math.inf])
+    @pytest.mark.parametrize("scheme", ["paper", "baseline"])
+    def test_invalid_delta_refused(self, delta, scheme):
+        with pytest.raises(ValueError, match="delta must be positive and finite"):
+            estimate_padding(gen_grid(2, 2), delta, trials=5, scheme=scheme)
+
     def test_json_shape(self):
         g = gen_grid(3, 3)
         rep = estimate_padding(g, 2.0, trials=10, seed=0)
