@@ -17,14 +17,14 @@ Every residual operation lives here, once:
   the symmetric CSR, so no call copies a transpose (on an 8x8 grid a call
   takes about 35 µs, against 107 µs undirected):
   - `balls`: the one multi-source distance query, cut at a radius, as sparse
-    (row, vertex, distance) entries, SOURCE_BLOCK sources at a time. Its cost
-    follows its output: one source is one min_only sweep, and a full block
-    runs its dense call on the union of its balls, found by a min_only
-    sweep, unless that union is most of the residual. On unit
+    (row, vertex, distance) entries, SOURCE_BLOCK sources at a time. A
+    call of fewer sources makes one dense call on the residual. In a call
+    of more, every block runs its dense call on the union of its balls,
+    found by a min_only sweep, so its cost follows its output. On unit
     gen_ktree(16384, 2) at W/8 the baseline index, all singleton balls,
-    went from 1.2 s and a 20.7 MB tracemalloc peak to 57 ms and 2.3 MB; on
-    a 64x64 grid at W/8, from 121 to 66 ms, and the 256 padding balls from
-    4.1 to 0.9 ms. Every multi-source ball is read through it: a BallIndex
+    went from 1.5 s and a 20.7 MB tracemalloc peak to 75 ms and 2.3 MB; on
+    a 64x64 grid at W/8, from 135 to 78 ms, and the 256 padding balls from
+    5.7 to 1.4 ms. Every multi-source ball is read through it: a BallIndex
     key held by one subgraph, the baseline index, the threatener counts,
     the padding balls and both passes of the cluster-diameter check. It
     also serves the separator validator's path check on residuals of more
@@ -68,8 +68,8 @@ INF = math.inf
 # Dijkstra, or a weak-components call, makes each time.
 
 # Sources per scipy Dijkstra call in balls: a dense block holds this many rows
-# of the size of the block's balls' union (or of the residual, for a last,
-# partial block), and one block is alive at a time. On a 64x64 grid run, 128
+# of the size of the block's balls' union (or of the residual, in a call of
+# fewer sources), and one block is alive at a time. On a 64x64 grid run, 128
 # instead of 256 cut peak RSS by 10 MB at equal speed, when every block was
 # of the residual's size. With the union, the baseline index of unit
 # gen_ktree(16384, 2) at W/8 peaks at 2.3 MB under tracemalloc, against the
@@ -421,37 +421,34 @@ def balls(g: WeightedGraph, mask: VertexMask, sources, radius: float):
     per source position row and alive vertex vert at distance dist <= radius
     from sources[row], sorted by (row, vert).
 
-    The sources go SOURCE_BLOCK at a time. One source is a single min_only
-    sweep. A full block first sweeps from all its sources at once, which
-    gives the union U of its balls; unless U is most of the residual, the
-    dense call then runs on the slice of U, so its block is SOURCE_BLOCK x |U|
-    and not SOURCE_BLOCK x the residual. A last, partial block makes the
-    dense call on the residual. Each dense block is dropped once read."""
+    The sources go SOURCE_BLOCK at a time, and one dense block of distances
+    is alive at a time. A call of fewer than SOURCE_BLOCK sources makes one
+    dense call on the residual. A call of more sweeps every block first, the
+    last one too: one min_only sweep from all its sources gives the union U
+    of its balls, and the block's dense call runs on the slice of U, so it
+    holds |block| x |U| floats and not |block| x the residual. U is small when
+    a block's sources are near each other: on graphs whose near ids are near
+    vertices, as grids, sources in id order make cheap blocks."""
     _require_radius(radius)
     sub, verts = induced(g, mask)
     local = np.searchsorted(verts, sources)
     if not np.array_equal(verts.take(local, mode="clip"), sources):
         raise MaskError("every source must be alive in the mask")
+    sweep = len(local) >= SOURCE_BLOCK
     parts = [(np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64), np.empty(0))]
     for first in range(0, len(local), SOURCE_BLOCK):
-        block = local[first:first + SOURCE_BLOCK]
-        if len(block) == 1:
-            hit, dist = _reach(sub, block, radius)
-            parts.append((np.full(len(hit), first), verts[hit], dist))
-            continue
-        # Slicing to U changes no entry, bit for bit. Each engine returns the
-        # least left-to-right float sum over walks from the source (see
-        # _path_distance). Every prefix sum of a least walk of sum at most
-        # radius is at most radius too, so every vertex on it is within radius
-        # of the block, that is in U, and the walk survives the slice. The
-        # slice only removes walks, so no sum gets smaller. U keeps the
-        # residual's id order, so the (row, vert) order is kept.
-        block_sub, ids = sub, verts
-        if len(block) == SOURCE_BLOCK:
+        block, block_sub, ids = local[first:first + SOURCE_BLOCK], sub, verts
+        if sweep:
+            # Slicing to U changes no entry, bit for bit. Each engine returns
+            # the least left-to-right float sum over walks from the source (see
+            # _path_distance). Every prefix sum of a least walk of sum at most
+            # radius is at most radius too, so every vertex on it is within
+            # radius of the block, that is in U, and the walk survives the
+            # slice. The slice only removes walks, so no sum gets smaller. U
+            # keeps the residual's id order, so the (row, vert) order is kept.
             union, _ = _reach(sub, block, radius)
-            if 2 * len(union) <= len(verts):
-                block_sub, ids = _slice(g, verts[union])
-                block = np.searchsorted(union, block)
+            block_sub, ids = _slice(g, verts[union])
+            block = np.searchsorted(union, block)
         dist = csgraph_dijkstra(block_sub, directed=True, indices=block, limit=radius)
         row, col = np.nonzero(np.isfinite(dist))
         parts.append((first + row, ids[col], dist[row, col]))

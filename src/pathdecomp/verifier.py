@@ -115,9 +115,9 @@ def check_cluster_diameters(g: WeightedGraph, part: Partition, delta: float):
     # hand-built cluster; it need not be a member
     hubs = np.array([int(np.min(cl.vertices)) if cl.record is None else cl.record.center
                      for cl in (part.clusters[cid] for cid in cids)], dtype=np.int64)
-    # hubs go to balls in id order: where near ids are near vertices, as on
-    # grids, a block of them has a small union of balls for balls to slice
-    # to; in cluster order, the baseline's hubs are scattered over the graph
+    # hubs go to balls in id order, which makes its blocks cheap where near
+    # ids are near vertices (see balls); in cluster order, the baseline's
+    # hubs are scattered over the graph
     by_id = np.argsort(hubs, kind="stable")
     # Members u, v with d(h, u), d(h, v) <= r = bound/2 * (1 - 1e-9) are
     # within 2r < bound of each other. The margin covers rounding, so the pair
@@ -386,6 +386,7 @@ def estimate_padding(g: WeightedGraph, delta: float, finder=greedy_find,
     if scheme == "paper":
         seq = choose_centers(g, delta, finder)
         params = DecompositionParams.for_graph(delta, seed, seq.p_eff, g.n)
+        texp = params.texp()  # the radius law depends on delta and K, not the seed
         p_eff = seq.p_eff
         index = seq.index
 
@@ -393,14 +394,13 @@ def estimate_padding(g: WeightedGraph, delta: float, finder=greedy_find,
             return _paper_draw(seq, texp, derive_seed(seed, t))
     else:
         params = DecompositionParams.for_baseline(delta, seed, g.n)
+        texp = params.texp()
         p_eff = None
         index = _baseline_index(g, delta)
 
         def draw(t):
             _, radius, rank = _baseline_draw(g.n, texp, derive_seed(seed, t))
             return radius, rank
-    # the radius law depends on delta and K, not on the seed: built once
-    texp = params.texp()
     beta = params.beta()
 
     # the trials label the ball members only; members and anchors become

@@ -362,20 +362,22 @@ class TestDistanceBlocks:
             assert len(row) > len(sources)  # zero-weight edges put neighbours in some ball
 
     @pytest.mark.parametrize("make,sources,radius,blocks", [
-        # a full block of the first rows: its balls' union is under half the residual
+        # a full block of the first rows: its balls' union is a strict subset
         (lambda: gen_grid(40, 40), range(128), 2.0, ["slice"]),
-        # the same block at a radius that covers the residual
-        (lambda: gen_grid(40, 40), range(128), 60.0, ["whole"]),
-        # a full block and a partial block, unsorted and with repeats
+        # the same block at a radius whose union is the whole residual
+        (lambda: gen_grid(40, 40), range(128), 60.0, ["slice-all"]),
+        # a full block and a partial one, unsorted and with repeats: both swept
         (lambda: gen_grid(40, 40), [700, 3, 3, *range(900, 1025), 41, 41, 5, 1300, 12],
-         2.5, ["slice", "partial"]),
-        (lambda: gen_grid(40, 40), [*range(500, 628), 9], 3.0, ["slice", "one"]),
-        (lambda: gen_grid(40, 40), [77], 4.0, ["one"]),
+         2.5, ["slice", "slice"]),
+        (lambda: gen_grid(40, 40), [*range(500, 628), 9], 3.0, ["slice", "slice"]),
+        # calls of fewer sources than a block: one dense call on the residual
+        (lambda: gen_grid(40, 40), [77], 4.0, ["dense"]),
+        (lambda: gen_grid(40, 40), [700, 3, 3, 41, 5, 1300, 12], 2.5, ["dense"]),
         # zero-weight edges at radius 0, and a radius between two distances
         (lambda: grid_with_zero_edges(40), range(128), 0.0, ["slice"]),
         (lambda: gen_grid(40, 40, "uniform", 3), range(128), 3.3, ["slice"]),
-    ], ids=["slice", "whole", "unsorted-repeated", "block-then-one", "one",
-            "zero-edges-r0", "uniform-between-distances"])
+    ], ids=["slice", "slice-all", "unsorted-repeated", "block-then-one", "one",
+            "partial-unsorted-repeated", "zero-edges-r0", "uniform-between-distances"])
     def test_every_block_rule_matches_heap_search(self, make, sources, radius, blocks,
                                                   monkeypatch):
         # column 7 deleted: the residual is a strict subset of the graph
@@ -388,7 +390,7 @@ class TestDistanceBlocks:
         if radius == 0.0:
             assert len(row) > len(sources)
 
-    def test_partial_block_makes_one_dense_call(self, monkeypatch):
+    def test_call_under_one_block_makes_one_dense_call(self, monkeypatch):
         g = gen_grid(40, 40)
         calls = spy_on_scipy(monkeypatch)
         balls(g, VertexMask.full(g.n), np.arange(SOURCE_BLOCK - 1), 2.0)
@@ -428,8 +430,9 @@ class TestDistanceBlocks:
 
     def test_singleton_balls_allocate_no_block_of_the_graph(self):
         # the baseline index of a unit 16k k-tree at W/8: every ball is its
-        # center, so each full block's dense call runs on 128 vertices, not n
-        g = gen_ktree(16384, 2).graph
+        # center, so each block's dense call runs on its own sources, not n;
+        # 16383 = 127 full blocks and a last block of 127 sources
+        g = gen_ktree(16383, 2).graph
         delta = weighted_diameter(g) / 8
         g.csr()
         block = SOURCE_BLOCK * g.n * 8
@@ -476,21 +479,18 @@ def spy_on_scipy(monkeypatch):
 
 def block_rules(calls, residual):
     """The rule balls took for each block of sources, read from its scipy
-    calls: one source's sweep, a full block's sweep then a dense call on a
-    slice or on the residual, or a partial block's dense call."""
+    calls: a dense call on the residual, or a sweep of the residual then a
+    dense call on a slice of it, strict or all of it."""
     rules, calls = [], list(calls)
     while calls:
         rows, sources, min_only = calls.pop(0)
-        if min_only and sources == 1:
-            rules.append("one")
-        elif min_only:
-            assert sources == SOURCE_BLOCK and rows == residual
+        assert rows == residual
+        if min_only:
             dense_rows, dense_sources, dense_min_only = calls.pop(0)
-            assert dense_sources == SOURCE_BLOCK and not dense_min_only
-            rules.append("slice" if dense_rows < residual else "whole")
+            assert dense_sources == sources and not dense_min_only
+            rules.append("slice" if dense_rows < residual else "slice-all")
         else:
-            assert 1 < sources < SOURCE_BLOCK and rows == residual
-            rules.append("partial")
+            rules.append("dense")
     return rules
 
 
