@@ -8,7 +8,11 @@ net points (spacing delta/4) on every separator path, and pairs each net
 point with the residual subgraph its path lived in. It also builds the
 sequence's BallIndex: every center's maximal ball (radius 2*delta/5),
 computed in the center's own subgraph, not the full graph, stored
-vertex-major as (record, distance) incidences, with one sweep per level.
+vertex-major as (record, distance) incidences. Under the greedy finder each
+finder round indexes the balls of its own paths' net points, on the slice of
+the residuals that the round already holds: one graph.balls query for one
+node, one sweep per net-point rank for several. Other finders' records are
+indexed after the walk, batched by (depth, group) key (BallIndex.of_records).
 
 Phase two draws one truncated-exponential radius per center, in sequence
 order. The first claim wins: a vertex joins the first center in that order
@@ -33,14 +37,24 @@ import itertools
 import math
 from collections.abc import Callable
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 
-from .graph import Path, VertexMask, WeightedGraph, balls, concat_ranges, level_balls
+from .graph import (
+    MaskError,
+    Path,
+    VertexMask,
+    WeightedGraph,
+    _balls_on,
+    _level_balls_on,
+    _level_union,
+    balls,
+    concat_ranges,
+)
 from .nets import PathMetricView, greedy_net
 from .sampler import RngStream, TexpParams, texp_sample_many
-from .separators import greedy_find, greedy_find_level
+from .separators import _greedy_find_level, greedy_find
 
 
 class CoverageError(RuntimeError):
@@ -125,14 +139,21 @@ class BallIndex:
     def of_records(cls, g: WeightedGraph, records, delta: float) -> "BallIndex":
         """Index of each record's ball in its subgraph. Records sharing a
         subgraph, or a batch key, are solved together. Raises ValueError when
-        subgraphs sharing a key overlap or are adjacent."""
+        subgraphs sharing a key overlap or are adjacent, and MaskError when a
+        center lies outside its subgraph."""
         batches: dict[tuple[int, int], dict[int, tuple[VertexMask, list[int]]]] = {}
         for i, rec in enumerate(records):
+            if rec.center not in rec.subgraph:
+                raise MaskError(f"center {rec.center} is not alive in its subgraph")
             batch = batches.setdefault((rec.depth, rec.group), {})
             batch.setdefault(id(rec.subgraph), (rec.subgraph, []))[1].append(i)
         centers = np.array([rec.center for rec in records], dtype=np.int64)
-        parts = (part for batch in batches.values()
-                 for part in _incidences(g, list(batch.values()), centers, max_radius(delta)))
+        parts = []
+        for batch in batches.values():
+            ids = [np.array(k_ids) for _, k_ids in batch.values()]
+            union = _level_union(g, [mask for mask, _ in batch.values()])
+            parts.extend(_incidences(g, union, ids, [centers[k_ids] for k_ids in ids],
+                                     max_radius(delta)))
         return cls._assemble(g.n, len(records), delta, *(np.concatenate(a) for a in zip(*parts)))
 
     @classmethod
@@ -187,23 +208,21 @@ class BallIndex:
         return out
 
 
-def _incidences(g: WeightedGraph, batch, centers: np.ndarray, radius: float):
-    """(record, vertex, distance) arrays of the balls of a batch [(subgraph,
-    record ids)], centers[r] being record r's center. One subgraph is one
-    graph.balls query. Several must be disjoint and non-adjacent: round t
-    sweeps their union from the t-th center of each that has one
-    (graph.level_balls)."""
-    if len(batch) == 1:
-        (mask, ids), = batch
-        row, vert, dist = balls(g, mask, centers[ids], radius)
-        yield np.asarray(ids)[row], vert, dist
+def _incidences(g: WeightedGraph, union, ids, centers, radius: float):
+    """(record, vertex, distance) arrays of the balls in a prebuilt level
+    union (graph._level_union): mask k holds the records ids[k], centered at
+    centers[k]. One mask is one graph.balls query. Round t of several sweeps
+    their union from the t-th center of each that has one (graph.level_balls)."""
+    sub, verts, _ = union
+    if len(ids) == 1:
+        row, vert, dist = _balls_on(g, sub, verts, np.searchsorted(verts, centers[0]), radius)
+        yield ids[0][row], vert, dist
         return
-    rounds = range(max(len(ids) for _, ids in batch))
-    sources = [[centers[ids[t]] if t < len(ids) else None for _, ids in batch] for t in rounds]
-    swept = level_balls(g, [mask for mask, _ in batch], sources, radius)
-    for t, (owner, verts, dist) in zip(rounds, swept):
-        record = np.array([ids[t] if t < len(ids) else -1 for _, ids in batch])
-        yield record[owner], verts, dist
+    rounds = range(max(map(len, ids)))
+    sources = [np.searchsorted(verts, [c[t] for c in centers if t < len(c)]) for t in rounds]
+    for t, (owner, vert, dist) in zip(rounds, _level_balls_on(union, sources, radius)):
+        record = np.array([k_ids[t] if t < len(k_ids) else -1 for k_ids in ids])
+        yield record[owner], vert, dist
 
 
 @dataclass(frozen=True)
@@ -332,26 +351,46 @@ def choose_centers(g: WeightedGraph, delta: float, finder=greedy_find) -> Center
 
 
 def _build_centers(g: WeightedGraph, delta: float, finder) -> CenterSequence:
-    if finder is greedy_find:
-        find_level = greedy_find_level
-    else:
-        def find_level(g, masks):
-            return [finder(g, mask) for mask in masks]
+    r = min_radius(delta)
+    greedy = finder is greedy_find
+    # Under greedy_find, each round of the level search indexes its own balls
+    # on the union it already holds: the residuals of its nodes, which are the
+    # subgraphs of batch key (depth, round). nets[depth, node, round] is the
+    # net of the node's path of that round and its first provisional record
+    # id; parts holds the incidences under those ids, which are mapped to
+    # emission order once the walk below has numbered the records.
+    nets: dict[tuple[int, int, int], tuple[int, list[int]]] = {}
+    parts = []
+    provisional = 0
+
+    def index_round(depth, t, todo, paths, union):
+        nonlocal provisional
+        ids, centers = [], []
+        for i, path in zip(todo, paths):
+            net = greedy_net(PathMetricView.from_path(g, path), r)
+            nets[depth, i, t] = (provisional, net)
+            ids.append(np.arange(provisional, provisional + len(net)))
+            centers.append(np.array(net, dtype=np.int64))
+            provisional += len(net)
+        parts.extend(_incidences(g, union, ids, centers, max_radius(delta)))
 
     # levels[d]: (mask, separator) per node of depth d; the children of node i
     # are the next level's nodes first_child[d][i] onwards, one per flap
     levels, first_child = [], []
     masks = [VertexMask.full(g.n)]
     while masks:
-        seps = find_level(g, masks)
+        if greedy:
+            seps = _greedy_find_level(g, masks, partial(index_round, len(levels)))
+        else:
+            seps = [finder(g, mask) for mask in masks]
         levels.append(list(zip(masks, seps)))
         first_child.append(list(itertools.accumulate((len(sep.flaps) for sep in seps), initial=0)))
         masks = [flap for sep in seps for flap in sep.flaps]
 
     records: list[CenterRecord] = []
+    emitted = []  # each record's provisional id, under greedy_find
     paths: list[Path] = []
     separators = []
-    r = min_radius(delta)
     p_eff = 1
     max_depth = 0
     stack = [(0, 0)]
@@ -370,16 +409,26 @@ def _build_centers(g: WeightedGraph, delta: float, finder) -> CenterSequence:
             for path in group:
                 pid = len(paths)
                 paths.append(path)
-                view = PathMetricView.from_path(g, path)
-                for c in greedy_net(view, r):
+                if greedy:
+                    start, net = nets[depth, i, gi]
+                    emitted.extend(range(start, start + len(net)))
+                else:
+                    net = greedy_net(PathMetricView.from_path(g, path), r)
+                for c in net:
                     records.append(CenterRecord(c, residual, len(records), depth, pid, gi))
         # LIFO stack: push children reversed so they are visited in smallest-id order
         first = first_child[depth][i]
         stack.extend((depth + 1, j) for j in reversed(range(first, first + len(sep.flaps))))
 
+    if greedy:
+        order = np.empty(len(records), dtype=np.int64)
+        order[emitted] = np.arange(len(records))
+        rec, vert, dist = (np.concatenate(a) for a in zip(*parts))
+        index = BallIndex._assemble(g.n, len(records), delta, order[rec], vert, dist)
+    else:
+        index = BallIndex.of_records(g, records, delta)
     return CenterSequence(
-        tuple(records), tuple(paths), tuple(separators), p_eff, max_depth, g.n, delta,
-        BallIndex.of_records(g, records, delta),
+        tuple(records), tuple(paths), tuple(separators), p_eff, max_depth, g.n, delta, index,
     )
 
 

@@ -13,6 +13,15 @@ Every residual operation lives here, once:
 - A level union is a list of pairwise disjoint masks that no edge joins, such
   as the nodes of one recursion level. `_level_union` alone builds one (one
   slice, each vertex's mask) and raises ValueError otherwise: no sweep leaves its mask.
+  `level_components`, `level_balls` and `double_sweep` each build one per
+  call and hand it to their core (`_component_labels`, `_level_balls_on`,
+  `_double_sweep_on`), as `balls` hands its residual's slice to `_balls_on`.
+  The greedy separator finder calls the cores itself: it builds one union
+  per level and one per round, of the residuals of the nodes still
+  unbalanced, and that union serves the round's components call, the next
+  round's double sweep and that round's center index (decomposer). Only
+  after a round that balances some of its nodes but not all is a second
+  union built, of the others.
 - scipy's Dijkstra runs every sweep and every multi-source query, directed on
   the symmetric CSR, so no call copies a transpose (on an 8x8 grid a call
   takes about 35 µs, against 107 µs undirected):
@@ -30,16 +39,18 @@ Every residual operation lives here, once:
     also serves the separator validator's path check on residuals of more
     than PATH_CHECK_HEAP_MAX alive vertices, one source per path.
   - `level_balls`: per round, one sweep over a level union cut at a radius,
-    from at most one source per mask (the BallIndex's level sweeps).
-  - `double_sweep`: one path per mask of a level union (the separator
-    finder's targets of one level and round), from two sweeps of one source
+    from at most one source per mask (through its core, the BallIndex's
+    level sweeps).
+  - `double_sweep`: one path per mask of a level union (through its core,
+    the separator finder's targets of one round), from two sweeps of one source
     per mask, rebuilt from the second sweep's predecessors, its length the
     second sweep's distance (the edge-weight sum, bit for bit). The paths equal
     one-mask calls, which the tests pin on many tied blocks in any source
     order. One mask serves `farthest` (its first sweep) and
     `weighted_diameter` (exact all-pairs at n <= 512).
 - `level_components` is `components` for each mask of a level union, from
-  one scipy `connected_components` call. `components` itself, and the heap
+  one scipy `connected_components` call (through its core, the separator
+  finder's rounds). `components` itself, and the heap
   Dijkstra below behind `sssp`, `ball` and the validator's path check on
   residuals of at most PATH_CHECK_HEAP_MAX alive vertices, touch only alive
   vertices and their edges, and the heap keeps only the vertices it reaches:
@@ -434,6 +445,14 @@ def balls(g: WeightedGraph, mask: VertexMask, sources, radius: float):
     local = np.searchsorted(verts, sources)
     if not np.array_equal(verts.take(local, mode="clip"), sources):
         raise MaskError("every source must be alive in the mask")
+    return _balls_on(g, sub, verts, local, radius)
+
+
+def _balls_on(g: WeightedGraph, sub: sp.csr_matrix, verts: np.ndarray, local: np.ndarray,
+              radius: float):
+    """balls on a prebuilt slice sub of the ids verts, from its local indices
+    local. The slice may hold vertices that no source reaches: they add no
+    entry."""
     sweep = len(local) >= SOURCE_BLOCK
     parts = [(np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64), np.empty(0))]
     for first in range(0, len(local), SOURCE_BLOCK):
@@ -465,9 +484,17 @@ def level_balls(g: WeightedGraph, masks, rounds, radius: float):
         for mask, src in zip(masks, sources, strict=True):
             if src is not None and src not in mask:
                 raise MaskError(f"source {src} is not alive in the mask")
-    sub, verts, owner = _level_union(g, masks)
-    for sources in rounds:
-        local = np.searchsorted(verts, [src for src in sources if src is not None])
+    union = _level_union(g, masks)
+    local = [np.searchsorted(union[1], [src for src in sources if src is not None])
+             for sources in rounds]
+    yield from _level_balls_on(union, local, radius)
+
+
+def _level_balls_on(union, rounds, radius: float):
+    """level_balls on a prebuilt level union (sub, verts, owner), rounds[t]
+    being round t's sources as local indices."""
+    sub, verts, owner = union
+    for local in rounds:
         hit, dist = _reach(sub, local, radius)
         yield owner[hit], verts[hit], dist
 
@@ -508,8 +535,18 @@ def double_sweep(g: WeightedGraph, masks, sources) -> list[Path]:
             raise MaskError(f"source {src} is not alive in the mask")
     if all(len(mask) == 1 for mask in masks):
         return [Path((int(src),), 0.0) for src in sources]
-    sub, verts, owner = _level_union(g, masks)
-    u, _, _ = _sweep(sub, owner, np.searchsorted(verts, sources))
+    union = _level_union(g, masks)
+    return _double_sweep_on(union, np.searchsorted(union[1], sources))
+
+
+def _double_sweep_on(union, sources: np.ndarray) -> list[Path]:
+    """double_sweep on a prebuilt level union (sub, verts, owner) from one
+    local source per mask. A mask may hold vertices that its source does not
+    reach, such as the other components of a residual: no edge joins them to
+    what it reaches, so the sweeps never see them, and the paths, their float
+    sums and their smallest-id ties are those of a union without them."""
+    sub, verts, owner = union
+    u, _, _ = _sweep(sub, owner, sources)
     v, dist, pred = _sweep(sub, owner, u)
     # dist[v] is Path.from_vertices' length, bit for bit: scipy sets dist[x] =
     # dist[pred[x]] + w(pred[x], x) with dist[u] = 0.0, w the CSR weight, which
@@ -527,20 +564,33 @@ def double_sweep(g: WeightedGraph, masks, sources) -> list[Path]:
 def level_components(g: WeightedGraph, masks) -> list[list[VertexMask]]:
     """components(g, mask) for each of pairwise disjoint, non-adjacent masks,
     from one scipy call over their union."""
-    out: list[list[VertexMask]] = [[] for _ in masks]
     if not any(len(mask) for mask in masks):
-        return out
-    sub, verts, owner = _level_union(g, masks)
+        return [[] for _ in masks]
+    union = _level_union(g, masks)
+    return _component_masks(g, masks, union, *_component_labels(union[0]))
+
+
+def _component_labels(sub: sp.csr_matrix) -> tuple[np.ndarray, np.ndarray]:
+    """The components of a level union's slice, numbered by their smallest
+    vertex: label[i] is local vertex i's component, first[c] the smallest
+    local index in component c."""
     count, label = connected_components(sub, directed=True, connection="strong")
-    # number the components by their smallest vertex, the first local index with their label
-    first = np.full(count, len(verts))
-    np.minimum.at(first, label, np.arange(len(verts)))
+    first = np.full(count, sub.shape[0])
+    np.minimum.at(first, label, np.arange(sub.shape[0]))
     order = np.argsort(first)
     rank = np.empty(count, dtype=np.int64)
     rank[order] = np.arange(count)
-    ids = verts[np.argsort(rank[label], kind="stable")].tolist()
-    ends = np.cumsum(np.bincount(label, minlength=count)[order]).tolist()
-    owners = owner[first[order]].tolist()
+    return rank[label], first[order]
+
+
+def _component_masks(g: WeightedGraph, masks, union, label: np.ndarray,
+                     first: np.ndarray) -> list[list[VertexMask]]:
+    """level_components from a union of masks and its _component_labels."""
+    _, verts, owner = union
+    out: list[list[VertexMask]] = [[] for _ in masks]
+    ids = verts[np.argsort(label, kind="stable")].tolist()
+    ends = np.cumsum(np.bincount(label, minlength=len(first))).tolist()
+    owners = owner[first].tolist()
     connected = np.bincount(owners, minlength=len(masks)) == 1
     for k, a, b in zip(owners, [0] + ends, ends):
         # a connected mask is its own single component

@@ -43,7 +43,7 @@ def greedy_net(view: PathMetricView, r: float) -> list[int]:
     point exceeds r; on a path that reduces to checking the last added point.
     Returns vertex ids.
     """
-    if r < 0:
+    if not r >= 0:  # nan fails too
         raise ValueError(f"net radius must be non-negative, got {r}")
     verts = view.path.vertices
     if not verts:

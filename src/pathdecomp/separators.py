@@ -8,24 +8,30 @@ group j's residual is the node mask minus groups 0..j-1, derived where it is rea
 
 The greedy finder repeatedly removes an approximate-diameter shortest path
 from the largest oversized component. It runs over a whole recursion level
-at once (greedy_find_level), one double sweep per round over the level's
-targets; greedy_find is its one-node call. The centroid finder is the exact
-one-path witness for trees.
+at once (greedy_find_level): each round is one double sweep and one
+components call, both on one slice of the residuals of the nodes still
+unbalanced (graph's level union). greedy_find is its one-node call. The
+centroid finder is the exact one-path witness for trees.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
+
+import numpy as np
 
 from .graph import (
     GraphError,
     Path,
     VertexMask,
     WeightedGraph,
+    _component_labels,
+    _component_masks,
+    _double_sweep_on,
+    _level_union,
     _path_distance,
     components,
-    double_sweep,
-    level_components,
 )
 
 
@@ -133,26 +139,72 @@ def greedy_find(g: WeightedGraph, mask: VertexMask) -> PathSeparator:
 def greedy_find_level(g: WeightedGraph, masks) -> list[PathSeparator]:
     """greedy_find for each of pairwise disjoint, non-adjacent masks, such as
     the nodes of one recursion level. Round t deletes the t-th path of every
-    node still unbalanced: one double sweep over the union of their targets,
-    then one components call over the union of their residuals."""
+    node still unbalanced: one double sweep from their targets and one
+    components call, over one union of their residuals."""
+    return _greedy_find_level(g, masks, None)
+
+
+def _greedy_find_level(g: WeightedGraph, masks, on_round) -> list[PathSeparator]:
+    """greedy_find_level. Each round runs on one level union (graph._level_union)
+    of the residuals of the nodes still unbalanced: the previous round's
+    components call built it, and the round's double sweep starts from each
+    node's target, its largest component, at the target's smallest vertex.
+    The node's other components share no edge with the target, so the sweep
+    never reaches them. After the round deletes its paths, one union of the
+    same nodes' residuals serves its components call; when some of these
+    nodes are then balanced, the others get a union of their own.
+
+    Unless on_round is None, round t calls on_round(t, todo, paths, union)
+    after its sweep and before it deletes its paths: node todo[k]'s t-th path
+    is paths[k], and mask k of union is that node's residual."""
     if any(len(mask) == 0 for mask in masks):
         raise ValueError("cannot separate an empty residual graph")
-    comps = level_components(g, masks)
-    if any(len(c) != 1 for c in comps):
+    union = _level_union(g, masks)
+    label, first = _component_labels(union[0])
+    if np.any(np.bincount(union[2][first], minlength=len(masks)) != 1):
         raise ValueError("greedy_find requires a connected residual graph")
     residual = list(masks)
     groups: list[list[tuple[Path]]] = [[] for _ in masks]
-    todo = list(range(len(masks)))  # nodes with a component over half their alive count
-    while todo:
-        targets = [max(comps[i], key=len) for i in todo]  # ties: first in smallest-id order
-        paths = double_sweep(g, targets, [min(target.alive) for target in targets])
+    flaps: list[tuple[VertexMask, ...]] = [()] * len(masks)
+    half = np.array([len(mask) // 2 for mask in masks])
+    todo = list(range(len(masks)))  # the nodes of the union
+    for t in itertools.count():
+        # a node is unbalanced when one of its components, its target, holds
+        # over half its alive count; two such would hold more than all of it
+        node = union[2][first]
+        big = np.flatnonzero(np.bincount(label) > half[todo][node])
+        still = np.zeros(len(todo), dtype=bool)
+        still[node[big]] = True
+        if not still.all():
+            for k, comps in enumerate(_component_masks(g, [residual[i] for i in todo], union,
+                                                       label, first)):
+                if not still[k]:
+                    flaps[todo[k]] = tuple(comps)
+            if not still.any():
+                break
+            # the others get a union of their own: renumber their components
+            # and first vertices into it, keeping the order
+            keep, kept = still[union[2]], still[node]
+            label, big = (np.cumsum(kept) - 1)[label[keep]], (np.cumsum(kept) - 1)[big]
+            first = (np.cumsum(keep) - 1)[first[kept]]
+            todo = [i for i, s in zip(todo, still.tolist()) if s]
+            union = _level_union(g, [residual[i] for i in todo])
+        _, verts, owner = union
+        target = big[np.argsort(owner[first[big]])]
+        if len(verts) == len(todo):  # single vertices, each its own path
+            paths = [Path((v,), 0.0) for v in verts[first[target]].tolist()]
+        else:
+            paths = _double_sweep_on(union, first[target])
+        if on_round is not None:
+            on_round(t, todo, paths, union)
         for i, path in zip(todo, paths):
             groups[i].append((path,))
             residual[i] = residual[i].without(path.vertices)
-        for i, c in zip(todo, level_components(g, [residual[i] for i in todo])):
-            comps[i] = c
-        todo = [i for i in todo if max(map(len, comps[i]), default=0) > len(masks[i]) // 2]
-    return [PathSeparator(tuple(grp), tuple(c)) for grp, c in zip(groups, comps)]
+        if not any(residual[i] for i in todo):
+            break  # no flaps
+        union = _level_union(g, [residual[i] for i in todo])
+        label, first = _component_labels(union[0])
+    return [PathSeparator(tuple(grp), c) for grp, c in zip(groups, flaps)]
 
 
 def tree_centroid_find(g: WeightedGraph, mask: VertexMask) -> PathSeparator:

@@ -235,7 +235,7 @@ class TestCenterCache:
 
         g = gen_grid(8, 8)
         choose_centers(g, 3.0)
-        calls = _count_calls(monkeypatch, decomposer_module, "greedy_find_level")
+        calls = _count_calls(monkeypatch, decomposer_module, "_greedy_find_level")
         estimate_padding(g, 3.0, greedy_find, gammas=(0.0,), trials=5)
         assert calls == []
         estimate_padding(gen_grid(8, 8), 3.0, greedy_find, gammas=(0.0,), trials=5)

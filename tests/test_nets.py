@@ -63,6 +63,12 @@ class TestExamples:
         with pytest.raises(ValueError):
             greedy_net(view, -0.1)
 
+    def test_nan_radius_rejected(self):
+        # every comparison with nan is false, so a scan would keep vertex 0 alone
+        view = view_from_weights([1.0] * 9)
+        with pytest.raises(ValueError, match=r"^net radius must be non-negative, got nan$"):
+            greedy_net(view, float("nan"))
+
     def test_from_path_uses_graph_weights(self):
         g = WeightedGraph(3, [(0, 1, 1.0), (1, 2, 2.0)])
         view = PathMetricView.from_path(g, Path.from_vertices(g, (0, 1, 2)))

@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 import pathdecomp as pd
@@ -16,7 +18,7 @@ from pathdecomp import (
     tree_centroid_find,
     validate_separator,
 )
-from pathdecomp.graph import PATH_CHECK_HEAP_MAX, _dijkstra, _path_distance, balls
+from pathdecomp.graph import PATH_CHECK_HEAP_MAX, _dijkstra, _path_distance, balls, double_sweep
 from pathdecomp.separators import greedy_find_level
 
 from test_acceptance import DELTA_FRACTIONS, corpus_specs
@@ -303,6 +305,113 @@ def test_choose_centers_separators_equal_per_node_finder_calls():
         assert list(seq.separators) == walk, label
         checked += finder is greedy_find
     assert checked > 50
+
+
+def reference_greedy_find(g, mask):
+    """The greedy finder from one-mask calls only: each round sweeps the
+    largest component alone, from its smallest vertex, then lists the
+    components of the residual left once its path is deleted."""
+    comps = components(g, mask)
+    if len(comps) != 1:
+        raise ValueError("greedy_find requires a connected residual graph")
+    groups, residual = [], mask
+    while max(map(len, comps), default=0) > len(mask) // 2:
+        target = max(comps, key=len)  # ties: first in smallest-id order
+        path, = double_sweep(g, [target], [min(target.alive)])
+        groups.append((path,))
+        residual = residual.without(path.vertices)
+        comps = components(g, residual)
+    return PathSeparator(tuple(groups), tuple(comps))
+
+
+def assert_levels_match_reference(g, masks):
+    """Run the recursion level by level from masks; every level's
+    greedy_find_level must equal the reference finder on each node."""
+    shared = 0  # levels of more than one node
+    while masks:
+        seps = greedy_find_level(g, masks)
+        assert seps == [reference_greedy_find(g, mask) for mask in masks]
+        shared += len(masks) > 1
+        masks = [flap for sep in seps for flap in sep.flaps]
+    return shared
+
+
+def test_greedy_find_level_equals_reference_finder_on_corpus():
+    # the acceptance-corpus instances the per-node test above samples
+    checked = shared = 0
+    for i, (_, g, finder, _) in enumerate(corpus_specs()):
+        if i % 8 == 0 and finder is greedy_find:
+            shared += assert_levels_match_reference(g, [VertexMask.full(g.n)])
+            checked += 1
+    assert checked > 50 and shared > 50
+
+
+def clique_broom(start, path_len, clique):
+    """Edges of a unit path start..start+path_len, a clique of `clique`
+    vertices next, its first vertex joined to the path's middle, and one
+    pendant vertex, last, joined to the path's third vertex. Deleting the
+    path, the broom's double-sweep diameter, leaves two components."""
+    ids = range(start + path_len + 1, start + path_len + 1 + clique)
+    edges = [(start + i, start + i + 1, 1.0) for i in range(path_len)]
+    edges += [(a, b, 1.0) for a, b in itertools.combinations(ids, 2)]
+    pendant = ids[-1] + 1
+    edges += [(start + path_len // 2, ids[0], 1.0), (start + 2, pendant, 1.0)]
+    return edges, list(range(start, pendant + 1))
+
+
+@pytest.mark.parametrize("swap", [False, True], ids=["big-first", "big-last"])
+def test_greedy_find_level_round_keeps_a_non_target_component(swap):
+    # Node `big` needs a second round, after its first path leaves the clique
+    # (over half its alive count) and the pendant vertex: round 1 sweeps a
+    # union holding the pendant too. Node `small` is balanced after one path,
+    # so round 1 also rebuilds the union for `big` alone. A bridge vertex,
+    # outside both nodes, keeps the graph connected.
+    big_edges, big = clique_broom(0, 10, 14)
+    small_edges, small = clique_broom(len(big), 10, 10)
+    bridge = len(big) + len(small)
+    g = WeightedGraph(bridge + 1, big_edges + small_edges
+                      + [(big[0], bridge, 1.0), (bridge, small[0], 1.0)])
+    masks = [VertexMask(g.n, big), VertexMask(g.n, small)]
+    if swap:
+        masks.reverse()
+    ref = [reference_greedy_find(g, mask) for mask in masks]
+    by_size = sorted(ref, key=lambda sep: -sum(len(f) for f in sep.flaps))
+    assert [sep.total_paths for sep in by_size] == [2, 1]
+    first_path = by_size[0].groups[0][0].vertices
+    assert len(components(g, VertexMask(g.n, big).without(first_path))) == 2
+    assert greedy_find_level(g, masks) == ref
+    assert_levels_match_reference(g, masks)
+
+
+def test_choose_centers_slices_once_per_level_and_round(monkeypatch):
+    # The greedy finder slices the CSR once per level; once per round whose
+    # deletions leave some vertex, for the round's components and the next
+    # round's sweep; and once more per round after which some but not all
+    # of its nodes are balanced, for the nodes left. The index slices
+    # nothing: each round indexes its balls on the round's union.
+    g = gen_grid(32, 32)
+    delta = pd.weighted_diameter(g) / 8
+    sliced = []
+    real = graph._slice
+    monkeypatch.setattr(graph, "_slice", lambda g, verts: sliced.append(len(verts)) or
+                        real(g, verts))
+    seq = pd.choose_centers(g, delta)
+    monkeypatch.undo()
+
+    node = dict(seq.separators)
+    level, expect = [VertexMask.full(g.n)], 0
+    while level:
+        expect += 1
+        residual = list(level)
+        for t in range(max(node[mask].total_paths for mask in level)):
+            todo = [k for k, mask in enumerate(level) if len(node[mask].groups) > t]
+            for k in todo:
+                residual[k] = residual[k].without(node[level[k]].groups[t][0].vertices)
+            expect += any(len(residual[k]) for k in todo)
+            left = sum(len(node[level[k]].groups) > t + 1 for k in todo)
+            expect += 0 < left < len(todo)
+        level = [flap for mask in level for flap in node[mask].flaps]
+    assert len(sliced) == expect == 39  # 102 when every set was sliced about three times
 
 
 class TestCentroidFinder:
