@@ -171,12 +171,22 @@ class BallIndex:
         return cls(n, count, float(delta), rec[order], dist[order], starts)
 
     @cached_property
+    def _segments(self) -> tuple:
+        """The reduceat layout of labels and reach: the first incidence of each
+        vertex that has one, and which vertices have one (None when all do)."""
+        seg = self.starts[:-1]
+        nonempty = seg < self.starts[1:]
+        if nonempty.all():
+            return seg, None
+        return seg[nonempty], nonempty
+
+    @cached_property
     def reach(self) -> float:
         """The largest, over all vertices, of a vertex's nearest incidence
         distance; inf if some vertex has none. When every radius is at least
         reach, labels claims every vertex."""
-        seg = self.starts[:-1]
-        if not np.all(seg < self.starts[1:]):
+        seg, nonempty = self._segments
+        if nonempty is not None:
             return math.inf
         return float(np.minimum.reduceat(self.distance, seg).max(initial=0.0))
 
@@ -198,10 +208,12 @@ class BallIndex:
         range(n_records). Raises CoverageError naming the smallest vertex that
         no ball reaches."""
         hit = np.where(self.distance <= radius[self.record], rank[self.record], self.n_records)
-        out = np.full(self.n, self.n_records, dtype=np.int64)
-        seg = self.starts[:-1]
-        nonempty = seg < self.starts[1:]
-        out[nonempty] = np.minimum.reduceat(hit, seg[nonempty])
+        seg, nonempty = self._segments
+        if nonempty is None:
+            out = np.minimum.reduceat(hit, seg)
+        else:
+            out = np.full(self.n, self.n_records, dtype=np.int64)
+            out[nonempty] = np.minimum.reduceat(hit, seg)
         missing = np.flatnonzero(out == self.n_records)
         if missing.size:
             raise CoverageError(f"vertex {int(missing[0])} was claimed by no ball")
@@ -448,27 +460,27 @@ def _partition(labels: np.ndarray, radii: np.ndarray,
     the radius and the record of the center that holds it."""
     ranks, cluster_of = np.unique(labels, return_inverse=True)
     by_cluster = np.argsort(cluster_of, kind="stable")
-    cuts = np.cumsum(np.bincount(cluster_of))[:-1]
+    # cluster c's vertices are by_cluster[bounds[c]:bounds[c + 1]]
+    bounds = [0, *np.cumsum(np.bincount(cluster_of)).tolist()]
     clusters = [
-        Cluster(verts, record_of(r), float(radii[r]))
-        for r, verts in zip(ranks.tolist(), np.split(by_cluster, cuts))
+        Cluster(by_cluster[lo:hi], record_of(r), float(radii[r]))
+        for r, lo, hi in zip(ranks.tolist(), bounds, bounds[1:])
     ]
     return Partition(cluster_of, clusters)
 
 
-def _paper_draw(centers: CenterSequence, texp: TexpParams, seed: int) -> tuple:
-    """The radius and the rank of each record in one paper-scheme trial at
-    seed: the radii are drawn in sequence order, and a record's rank is its
-    position."""
-    radii = texp_sample_many(texp, RngStream(seed), len(centers.records))
-    return radii, np.arange(len(radii))
+def _paper_draw(centers: CenterSequence, texp: TexpParams, rng: RngStream) -> np.ndarray:
+    """The radius of each record in one paper-scheme trial, drawn from rng in
+    sequence order. A record's rank is its position, in every trial."""
+    return texp_sample_many(texp, rng, len(centers.records))
 
 
 def carve(g: WeightedGraph, centers: CenterSequence, params: DecompositionParams) -> Partition:
     """Random-radius ball carving over the centers chosen for g and params' delta, p_eff and n."""
     _require_matching(g, centers, params)
-    radii, rank = _paper_draw(centers, params.texp(), params.seed)
-    return _partition(centers.index.labels(radii, rank), radii, centers.records.__getitem__)
+    radii = _paper_draw(centers, params.texp(), RngStream(params.seed))
+    labels = centers.index.labels(radii, np.arange(len(radii)))
+    return _partition(labels, radii, centers.records.__getitem__)
 
 
 def decompose(g: WeightedGraph, delta: float, seed: int, finder=greedy_find) -> Partition:
@@ -487,12 +499,10 @@ def _baseline_index(g: WeightedGraph, delta: float) -> BallIndex:
                          lambda: BallIndex.of_all_vertices(g, delta))
 
 
-def _baseline_draw(n: int, texp: TexpParams, seed: int) -> tuple:
-    """The carving order of one baseline trial at seed, and the radius and the
-    rank of each record (vertex): the seed's stream gives the permutation
-    first, then one radius per position. A vertex's rank is its position in
-    the permutation."""
-    rng = RngStream(seed)
+def _baseline_draw(n: int, texp: TexpParams, rng: RngStream) -> tuple:
+    """The carving order of one baseline trial, and the radius and the rank of
+    each record (vertex): rng gives the permutation first, then one radius
+    per position. A vertex's rank is its position in the permutation."""
     order = rng.permutation(n)
     radii = texp_sample_many(texp, rng, n)
     rank = np.empty(n, dtype=np.int64)
@@ -504,7 +514,7 @@ def baseline_decompose(g: WeightedGraph, delta: float, seed: int) -> Partition:
     """Ball carving in the full graph with all vertices as centers, in an order
     shuffled by the seed; the classical all-centers comparison scheme."""
     texp = DecompositionParams.for_baseline(delta, seed, g.n).texp()
-    order, radius, rank = _baseline_draw(g.n, texp, seed)
+    order, radius, rank = _baseline_draw(g.n, texp, RngStream(seed))
     labels = _baseline_index(g, delta).labels(radius, rank)
     full = VertexMask.full(g.n)
 

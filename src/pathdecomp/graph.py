@@ -187,7 +187,7 @@ class VertexMask:
 
     @classmethod
     def full(cls, n: int) -> "VertexMask":
-        return cls(n, range(n))
+        return cls._of_valid(n, frozenset(range(n)))  # a range's ids are valid
 
     @classmethod
     def _of_valid(cls, n: int, alive: frozenset) -> "VertexMask":

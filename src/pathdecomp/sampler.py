@@ -10,6 +10,11 @@ so the j-th sample of a stream depends only on (seed, j). Uniforms come from
 numpy's Philox 4x64 counter-based generator, which produces identical streams
 for identical keys on every platform; per-task seeds are derived from a master
 seed with a splitmix64 mix.
+
+A stream is keyed by its seed alone. The padding trials of one
+verifier.estimate_padding call share one stream and re-key it to each trial's
+seed (RngStream.rekey), which yields exactly the uniforms of a new stream at
+that seed without numpy's generator set-up; no stream's output changes.
 """
 
 from __future__ import annotations
@@ -21,6 +26,7 @@ import numpy as np
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
+_ZEROS = (0, 0, 0, 0)
 
 
 class ParameterError(ValueError):
@@ -61,6 +67,18 @@ class RngStream:
     def __init__(self, seed: int):
         self.seed = int(seed) & _MASK64
         self._gen = np.random.Generator(np.random.Philox(key=self.seed))
+
+    def rekey(self, seed: int) -> None:
+        """Restart in place as RngStream(seed) would start: the Philox key
+        becomes the seed, and the counter, the output buffer and the 32-bit
+        carry are reset. A new Generator pays numpy's seeding set-up; setting
+        the state does not."""
+        self.seed = int(seed) & _MASK64
+        self._gen.bit_generator.state = {
+            "bit_generator": "Philox",
+            "state": {"counter": _ZEROS, "key": (self.seed, 0)},
+            "buffer": _ZEROS, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0,
+        }  # buffer_pos 4: all four buffered words are spent, as in a new Philox
 
     def uniform(self) -> float:
         """One uniform draw from [0, 1)."""

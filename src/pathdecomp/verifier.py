@@ -56,23 +56,36 @@ def _vertex_id_violation(cid: int, v: int, n: int) -> Violation:
     return Violation("vertex-id", f"cluster {cid} holds vertex {v}, outside 0..{n - 1}")
 
 
+def _cluster_layout(part: Partition) -> tuple:
+    """(sizes, starts, members) of every cluster: cluster c's members are
+    members[starts[c]:starts[c] + sizes[c]], in cluster-list order."""
+    sizes = np.array([len(cl.vertices) for cl in part.clusters], dtype=np.int64)
+    members = np.concatenate([np.empty(0, dtype=np.int64), *(cl.vertices for cl in part.clusters)])
+    return sizes, np.cumsum(sizes) - sizes, members.astype(np.int64, copy=False)
+
+
 def check_partition(g: WeightedGraph, part: Partition):
     """Vertex ids in [0, n), disjointness, coverage, no empty cluster, and a
     cluster_of of n entries that agrees with the clusters; first Violation or
-    None."""
+    None. "First" is in (cluster, position) order: a cluster's emptiness, or
+    a member's id or repeat, is reported at its place in the cluster lists."""
+    sizes, _, members = _cluster_layout(part)
+    owner_of = np.repeat(np.arange(len(sizes)), sizes)  # the cluster of each position
+    # a position is bad if its id is outside [0, n) or came at an earlier position
+    first = np.zeros(len(members), dtype=bool)
+    first[np.unique(members, return_index=True)[1]] = True
+    faulty = np.flatnonzero(~first | (members < 0) | (members >= g.n))
+    empty = np.flatnonzero(sizes == 0)
+    if empty.size and (not faulty.size or empty[0] < owner_of[faulty[0]]):
+        return Violation("empty-cluster", f"cluster {int(empty[0])} is empty")
+    if faulty.size:
+        cid, v = int(owner_of[faulty[0]]), int(members[faulty[0]])
+        if not 0 <= v < g.n:
+            return _vertex_id_violation(cid, v, g.n)
+        earlier = int(owner_of[np.argmax(members == v)])
+        return Violation("disjointness", f"vertex {v} appears in clusters {earlier} and {cid}")
     owner = np.full(g.n, -1, dtype=np.int64)
-    for cid, cl in enumerate(part.clusters):
-        if len(cl.vertices) == 0:
-            return Violation("empty-cluster", f"cluster {cid} is empty")
-        for v in cl.vertices:
-            v = int(v)
-            if not 0 <= v < g.n:  # a negative id would index owner from the end
-                return _vertex_id_violation(cid, v, g.n)
-            if owner[v] >= 0:
-                return Violation(
-                    "disjointness", f"vertex {v} appears in clusters {owner[v]} and {cid}"
-                )
-            owner[v] = cid
+    owner[members] = owner_of
     uncovered = np.nonzero(owner < 0)[0]
     if uncovered.size:
         return Violation("coverage", f"vertex {int(uncovered[0])} belongs to no cluster")
@@ -99,11 +112,8 @@ def check_cluster_diameters(g: WeightedGraph, part: Partition, delta: float):
     violation of the clusters left is the first of all.
     """
     _require_valid_delta(delta)
-    # the layout of every cluster, shared by the id scan and both passes:
-    # cluster c's members are members[starts[c]:starts[c] + sizes[c]]
-    sizes = np.array([len(cl.vertices) for cl in part.clusters], dtype=np.int64)
-    starts = np.cumsum(sizes) - sizes
-    members = np.concatenate([np.empty(0, dtype=np.int64), *(cl.vertices for cl in part.clusters)])
+    # the layout of every cluster, shared by the id scan and both passes
+    sizes, starts, members = _cluster_layout(part)
     outside = np.flatnonzero((members < 0) | (members >= g.n))
     if outside.size:
         cid = int(np.searchsorted(starts + sizes, outside[0], side="right"))
@@ -271,7 +281,7 @@ def _json_fields(items) -> dict:
     return {("pass" if key == "passed" else key): value for key, value in items}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PaddingRecord:
     vertex: int
     gamma: float
@@ -383,23 +393,27 @@ def estimate_padding(g: WeightedGraph, delta: float, finder=greedy_find,
     row, members, dist = balls(g, VertexMask.full(g.n), vertices, radii.max())
     starts = np.searchsorted(row, np.arange(len(vertices)))  # no ball is empty: x is in B(x, r)
 
+    # one stream for the call, re-keyed to each trial's seed: it yields what
+    # RngStream(derive_seed(seed, t)) would
+    rng = RngStream(seed)
     if scheme == "paper":
         seq = choose_centers(g, delta, finder)
         params = DecompositionParams.for_graph(delta, seed, seq.p_eff, g.n)
         texp = params.texp()  # the radius law depends on delta and K, not the seed
         p_eff = seq.p_eff
         index = seq.index
+        rank = np.arange(len(seq.records))  # the same in every trial
 
-        def draw(t):
-            return _paper_draw(seq, texp, derive_seed(seed, t))
+        def draw():
+            return _paper_draw(seq, texp, rng), rank
     else:
         params = DecompositionParams.for_baseline(delta, seed, g.n)
         texp = params.texp()
         p_eff = None
         index = _baseline_index(g, delta)
 
-        def draw(t):
-            _, radius, rank = _baseline_draw(g.n, texp, derive_seed(seed, t))
+        def draw():
+            _, radius, rank = _baseline_draw(g.n, texp, rng)
             return radius, rank
     beta = params.beta()
 
@@ -412,7 +426,8 @@ def estimate_padding(g: WeightedGraph, delta: float, finder=greedy_find,
     # first-claim labels are cluster ranks: equal labels, same cluster
     successes = np.zeros((len(vertices), len(radii)), dtype=np.int64)
     for t in range(trials):
-        labels = _padding_labels(index, held_index, held, *draw(t))
+        rng.rekey(derive_seed(seed, t))
+        labels = _padding_labels(index, held_index, held, *draw())
         split = np.where(labels[local] != labels[anchors], dist, np.inf)
         successes += np.minimum.reduceat(split, starts)[:, None] > radii
 

@@ -177,3 +177,54 @@ class TestSeedDerivation:
 
     def test_negative_master_ok(self):
         assert 0 <= derive_seed(-5, 0) < 2**64
+
+
+DERIVED_SEEDS = [derive_seed(2024, i) for i in range(200)]
+
+
+def draws(rng):
+    """One of each kind of draw, in a fixed order, as plain Python values."""
+    return (rng.uniform(), rng.uniforms(5).tolist(), rng.permutation(9).tolist(),
+            rng.integer(1000), rng.integer(7), rng.sample_without_replacement(50, 6).tolist())
+
+
+class TestRekey:
+    """A re-keyed stream must be indistinguishable from a new one at its seed,
+    whatever the stream drew before."""
+
+    @pytest.mark.parametrize("seeds", [[0], [1], [2**63], [2**64 - 1], DERIVED_SEEDS],
+                             ids=["0", "1", "2^63", "2^64-1", "derived"])
+    def test_equals_a_new_stream(self, seeds):
+        # one stream re-keyed seed after seed, as the padding trials use it
+        rng = RngStream(12345)
+        for seed in seeds:
+            rng.rekey(seed)
+            assert rng.seed == seed
+            assert draws(rng) == draws(RngStream(seed))
+
+    @pytest.mark.parametrize("used", [1, 2, 3, 5])
+    @pytest.mark.parametrize("seed", [0, 1, 2**63, 2**64 - 1, derive_seed(7, 3)])
+    def test_after_a_partly_used_buffer(self, seed, used):
+        # small integer draws take 32 bits at a time, so an odd count leaves
+        # half of a 64-bit word in the carry; uniforms leave buffered words
+        rng = RngStream(derive_seed(seed, -1))
+        for _ in range(used):
+            rng.integer(10)
+        rng.uniforms(used)
+        rng.rekey(seed)
+        assert draws(rng) == draws(RngStream(seed))
+
+    def test_each_draw_kind_first(self):
+        rng = RngStream(5)
+        rng.integer(3)
+        for draw in (lambda r: r.uniform(), lambda r: r.uniforms(4).tolist(),
+                     lambda r: r.permutation(6).tolist(), lambda r: r.integer(13),
+                     lambda r: r.sample_without_replacement(20, 4).tolist()):
+            rng.rekey(99)
+            assert draw(rng) == draw(RngStream(99))
+
+    def test_seed_is_reduced_like_the_constructor(self):
+        rng = RngStream(0)
+        rng.rekey(-1)
+        assert rng.seed == RngStream(-1).seed == 2**64 - 1
+        assert rng.uniforms(3).tolist() == RngStream(-1).uniforms(3).tolist()

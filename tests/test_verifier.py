@@ -122,6 +122,57 @@ class TestCheckPartition:
         assert str(check_partition(g, part)) == (
             f"[index] cluster_of has shape ({size},), expected (9,)")
 
+    @pytest.mark.parametrize("lists,expected", [
+        # the repeat comes first in cluster order, the larger-id one too
+        ([[2, 7], [7, 2], [0, 1, 3, 4, 5, 6, 8]], "[disjointness] vertex 7 appears in clusters 0 and 1"),
+        # a bad id before a repeat in the same cluster, and after it
+        ([[0, 1, 2, 3], [4, 9, 1, 5, 6, 7, 8]], "[vertex-id] cluster 1 holds vertex 9, outside 0..8"),
+        ([[0, 1, 2, 3], [4, 1, 9, 5, 6, 7, 8]], "[disjointness] vertex 1 appears in clusters 0 and 1"),
+        # an empty cluster before and after a cluster with a repeat
+        ([[0, 1, 2, 3], [], [4, 4, 5, 6, 7, 8]], "[empty-cluster] cluster 1 is empty"),
+        ([[0, 1, 2, 3], [4, 4, 5, 6, 7, 8], []], "[disjointness] vertex 4 appears in clusters 1 and 1"),
+        # two repeats: the first by position, not the one first held earlier
+        ([[5], [0, 1, 2], [3, 4, 6, 1, 7, 8, 5]], "[disjointness] vertex 1 appears in clusters 1 and 2"),
+    ], ids=["repeat-order", "id-then-repeat", "repeat-then-id", "empty-first", "empty-last",
+            "two-repeats"])
+    def test_first_of_two_violations_reported(self, lists, expected):
+        g = gen_grid(3, 3)
+        part = Partition(np.zeros(9, dtype=np.int64),
+                         [Cluster(np.array(vs, dtype=np.int64), None, 0.0) for vs in lists])
+        assert str(check_partition(g, part)) == expected
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_matches_per_vertex_scan(self, data):
+        # the per-vertex loop the check replaces, as the reference
+        def reference(n, part):
+            owner = np.full(n, -1, dtype=np.int64)
+            for cid, cl in enumerate(part.clusters):
+                if len(cl.vertices) == 0:
+                    return f"[empty-cluster] cluster {cid} is empty"
+                for v in cl.vertices.tolist():
+                    if not 0 <= v < n:
+                        return f"[vertex-id] cluster {cid} holds vertex {v}, outside 0..{n - 1}"
+                    if owner[v] >= 0:
+                        return f"[disjointness] vertex {v} appears in clusters {owner[v]} and {cid}"
+                    owner[v] = cid
+            uncovered = np.flatnonzero(owner < 0)
+            if uncovered.size:
+                return f"[coverage] vertex {uncovered[0]} belongs to no cluster"
+            if not np.array_equal(owner, part.cluster_of):
+                return f"[index] cluster_of[{np.flatnonzero(owner != part.cluster_of)[0]}] " \
+                       "disagrees with the cluster lists"
+            return None
+
+        n = data.draw(st.integers(1, 12))
+        lists = data.draw(st.lists(st.lists(st.integers(-2, n + 1), max_size=5), max_size=6))
+        cluster_of = np.array(data.draw(st.lists(st.integers(-1, 5), min_size=n, max_size=n)),
+                              dtype=np.int64)
+        part = Partition(cluster_of, [Cluster(np.array(vs, dtype=np.int64), None, 0.0)
+                                      for vs in lists])
+        got = check_partition(unit_path(n), part)
+        assert (None if got is None else str(got)) == reference(n, part)
+
 
 class TestCheckDiameters:
     def test_singletons_have_zero_diameter(self):
@@ -470,6 +521,21 @@ class TestEstimatePadding:
         a = estimate_padding(gen_grid(5, 5), 4.0, trials=50, seed=7)
         b = estimate_padding(gen_grid(5, 5), 4.0, trials=50, seed=7)
         assert a == b
+
+    @pytest.mark.parametrize("scheme", ["paper", "baseline"])
+    def test_calls_in_a_row_are_equal(self, scheme):
+        # the trials re-key one stream per call: no stream state may carry
+        # over from a call, with the graph's centers or index kept or not
+        # weights from 1 down to 1e-3, so that some padding balls get split
+        edges = [(a, b, 10.0 ** (-0.75 * ((7 * a + b) % 5))) for a, b, _ in gen_grid(6, 6).edges]
+        first = estimate_padding(WeightedGraph(36, edges), 0.6, trials=40, seed=4, scheme=scheme)
+        g = WeightedGraph(36, edges)
+        reports = [estimate_padding(g, 0.6, trials=40, seed=4, scheme=scheme) for _ in range(2)]
+        other = "baseline" if scheme == "paper" else "paper"
+        estimate_padding(g, 0.6, trials=7, seed=5, scheme=other)
+        reports.append(estimate_padding(g, 0.6, trials=40, seed=4, scheme=scheme))
+        assert all(rep == first for rep in reports)
+        assert any(0 < r.successes < r.trials for r in first.records)
 
     def test_trials_are_independent_decompositions(self):
         # trial t must see exactly the partition decompose would produce
