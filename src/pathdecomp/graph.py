@@ -8,8 +8,11 @@ residual subgraph on the still-alive vertices.
 Every residual operation lives here, once:
 
 - A VertexMask is the graph size and a frozenset of alive ids, nothing else.
-- `induced` is the one place that slices the CSR by a vertex set (numpy
-  gathers, not scipy's fancy indexing); a full mask gets the graph's own CSR.
+- `induced` slices the CSR by a vertex set (numpy gathers, not scipy's fancy
+  indexing); a full mask gets the graph's own CSR. `_slice_without` cuts a
+  slice down to a smaller set without going back to the graph: the separator
+  validator derives each group's slice from the previous group's. Both run
+  one formula, `_principal`, and give the same arrays for the same set.
 - A level union is a list of pairwise disjoint masks that no edge joins, such
   as the nodes of one recursion level. `_level_union` alone builds one (one
   slice, each vertex's mask) and raises ValueError otherwise: no sweep leaves its mask.
@@ -35,9 +38,12 @@ Every residual operation lives here, once:
     a 64x64 grid at W/8, from 135 to 78 ms, and the 256 padding balls from
     5.7 to 1.4 ms. Every multi-source ball is read through it: a BallIndex
     key held by one subgraph, the baseline index, the threatener counts,
-    the padding balls and both passes of the cluster-diameter check. It
-    also serves the separator validator's path check on residuals of more
-    than PATH_CHECK_HEAP_MAX alive vertices, one source per path.
+    the padding balls and both passes of the cluster-diameter check. Each
+    dense block is read in one flat scan of its finite entries, which cost
+    as much as the block's Dijkstra when read as a 2-D nonzero and a gather.
+  - `_distance_on`: the separator validator's path check on a residual
+    above its heap cut, one dense one-source call on the group's slice, as
+    `balls` makes for one source.
   - `level_balls`: per round, one sweep over a level union cut at a radius,
     from at most one source per mask (through its core, the BallIndex's
     level sweeps).
@@ -50,10 +56,10 @@ Every residual operation lives here, once:
     `weighted_diameter` (exact all-pairs at n <= 512).
 - `level_components` is `components` for each mask of a level union, from
   one scipy `connected_components` call (through its core, the separator
-  finder's rounds). `components` itself, and the heap
-  Dijkstra below behind `sssp`, `ball` and the validator's path check on
-  residuals of at most PATH_CHECK_HEAP_MAX alive vertices, touch only alive
-  vertices and their edges, and the heap keeps only the vertices it reaches:
+  finder's rounds, and the validator's flaps above its heap cut).
+  `components` itself, and the heap Dijkstra below behind `sssp`, `ball` and
+  the validator's path check on small residuals, touch only alive vertices
+  and their edges, and the heap keeps only the vertices it reaches:
   on the 1-10 vertex residuals of most recursion nodes that is over ten
   times faster than slicing a CSR for scipy (measured, see the README).
 """
@@ -86,13 +92,6 @@ INF = math.inf
 # gen_ktree(16384, 2) at W/8 peaks at 2.3 MB under tracemalloc, against the
 # 16.8 MB of one block of the whole graph (2-vCPU machine).
 SOURCE_BLOCK = 128
-
-# Alive vertices up to which the separator validator checks a path with the
-# heap, which touches only what it reaches; above it, through balls, which
-# pays a CSR slice and a scipy call (about 0.14 ms) however small the
-# residual. Any cut from 64 to 512 timed within noise on a 64x64 unit grid
-# and on gen_ktree(2048, 2).
-PATH_CHECK_HEAP_MAX = 128
 
 
 class GraphError(ValueError):
@@ -230,13 +229,20 @@ class Path:
         vertices = tuple(int(v) for v in vertices)
         if not vertices:
             raise GraphError("a path needs at least one vertex")
-        total = 0.0
-        for a, b in zip(vertices, vertices[1:]):
-            total += g.edge_weight(a, b)
-        return cls(vertices, total)
+        return cls(vertices, _walk_length(g, vertices))
 
     def __len__(self):
         return len(self.vertices)
+
+
+def _walk_length(g: WeightedGraph, vertices) -> float:
+    """The left-to-right float sum from 0.0 of the lightest edge weight of
+    each consecutive pair of vertices; GraphError at the first pair that is
+    not adjacent."""
+    total = 0.0
+    for a, b in zip(vertices, vertices[1:]):
+        total += g.edge_weight(a, b)
+    return total
 
 
 @dataclass(frozen=True)
@@ -319,29 +325,6 @@ def ball(g: WeightedGraph, mask: VertexMask, center: int, radius: float) -> froz
     return frozenset(v for v, d in dist.items() if d <= radius)
 
 
-def _path_distance(g: WeightedGraph, mask: VertexMask, path: Path) -> float:
-    """The residual distance between the ends of a multi-vertex path if it is
-    at most path.length, else inf: the separator validator's path check. A
-    residual of more than PATH_CHECK_HEAP_MAX alive vertices asks balls for
-    one source; a smaller one runs the heap. Both are cut at path.length."""
-    # The two engines return the same float, bit for bit. Each relaxes
-    # d(v) = d(u) + w, so each returns the least left-to-right float sum over
-    # residual walks from the first vertex: fl(x + w) is monotone in x and at
-    # least x for w >= 0, so the sums along a walk never decrease and the least
-    # ones settle in pop order, in floats as in reals. By the same monotonicity
-    # only a pair's lightest edge, the one the CSR keeps, can give a least sum.
-    # The cut hides no walk that reaches the far end at or below path.length,
-    # since every prefix of such a walk is at or below it too; past the cut
-    # both report inf (the heap sets no distance above it, scipy's limit is
-    # inclusive and balls returns finite entries only).
-    a, b = path.vertices[0], path.vertices[-1]
-    if len(mask) <= PATH_CHECK_HEAP_MAX:
-        return _dijkstra(g, mask, a, cutoff=path.length)[0].get(b, INF)
-    _, vert, dist = balls(g, mask, [a], path.length)
-    hit = np.flatnonzero(vert == b)
-    return float(dist[hit[0]]) if len(hit) else INF
-
-
 def components(g: WeightedGraph, mask: VertexMask) -> list[VertexMask]:
     """Connected components of the residual graph, ordered by smallest member id."""
     alive = mask.alive
@@ -360,7 +343,8 @@ def components(g: WeightedGraph, mask: VertexMask) -> list[VertexMask]:
                     seen.add(v)
                     comp.append(v)
                     stack.append(v)
-        out.append(VertexMask(g.n, comp))
+        # the ids come from the adjacency lists, so they are valid
+        out.append(VertexMask._of_valid(g.n, frozenset(comp)))
     return out
 
 
@@ -377,19 +361,37 @@ def induced(g: WeightedGraph, mask: VertexMask) -> tuple[sp.csr_matrix, np.ndarr
 def _slice(g: WeightedGraph, verts: np.ndarray) -> tuple[sp.csr_matrix, np.ndarray]:
     """induced for sorted, distinct ids verts; all n of them get the graph's own CSR."""
     csr = g.csr()
-    if len(verts) == g.n:
-        return csr, verts
-    first, count = csr.indptr[verts], csr.indptr[verts + 1] - csr.indptr[verts]
-    # the rows' entries in stored order, kept where their column is alive; an
-    # n-entry id map, as scipy's indexing uses, beat binary search on big masks
+    return (csr if len(verts) == g.n else _principal(csr, verts)), verts
+
+
+def _slice_without(sub: sp.csr_matrix, verts: np.ndarray,
+                   gone) -> tuple[sp.csr_matrix, np.ndarray]:
+    """A slice (sub, verts) from induced without the vertices gone, each of
+    them in verts: the slice induced gives for the smaller set, array for
+    array, cut from sub rather than from the graph's CSR."""
+    keep = np.ones(len(verts), dtype=bool)
+    keep[np.searchsorted(verts, gone)] = False
+    kept = np.flatnonzero(keep)
+    return _principal(sub, kept), verts[kept]
+
+
+def _principal(csr: sp.csr_matrix, keep: np.ndarray) -> sp.csr_matrix:
+    """The principal submatrix of csr on its sorted, distinct indices keep,
+    each row's entries in stored order: the one slicing formula. Applied to
+    a principal submatrix of the graph's CSR it gives the submatrix of the
+    graph's CSR on the same vertices, array for array."""
+    first, count = csr.indptr[keep], csr.indptr[keep + 1] - csr.indptr[keep]
+    # the rows' entries in stored order, kept where their column is kept; an
+    # id map over csr's rows, as scipy's indexing uses, beat binary search on
+    # big masks
     at = concat_ranges(first, count)
-    local = np.full(g.n, -1, dtype=csr.indices.dtype)
-    local[verts] = np.arange(len(verts))
+    local = np.full(csr.shape[0], -1, dtype=csr.indices.dtype)
+    local[keep] = np.arange(len(keep))
     local = local[csr.indices[at]]
-    keep = local >= 0
-    indptr = np.concatenate(([0], np.cumsum(keep)))[np.concatenate(([0], np.cumsum(count)))]
-    return sp.csr_matrix((csr.data[at[keep]], local[keep], indptr.astype(csr.indptr.dtype)),
-                         shape=(len(verts),) * 2), verts
+    alive = local >= 0
+    indptr = np.concatenate(([0], np.cumsum(alive)))[np.concatenate(([0], np.cumsum(count)))]
+    return sp.csr_matrix((csr.data[at[alive]], local[alive], indptr.astype(csr.indptr.dtype)),
+                         shape=(len(keep),) * 2)
 
 
 def _level_union(g: WeightedGraph, masks) -> tuple[sp.csr_matrix, np.ndarray, np.ndarray]:
@@ -427,6 +429,13 @@ def _reach(sub: sp.csr_matrix, sources: np.ndarray, radius: float):
     return hit, dist[hit]
 
 
+def _distance_on(sub: sp.csr_matrix, a: int, b: int, limit: float) -> float:
+    """The distance from local index a to local index b of a slice if it is
+    at most limit, else inf: one dense one-source scipy call, the one balls
+    makes for a single source."""
+    return float(csgraph_dijkstra(sub, directed=True, indices=[a], limit=limit)[0, b])
+
+
 def balls(g: WeightedGraph, mask: VertexMask, sources, radius: float):
     """The residual balls of many sources, sparse: (row, vert, dist), one entry
     per source position row and alive vertex vert at distance dist <= radius
@@ -460,17 +469,22 @@ def _balls_on(g: WeightedGraph, sub: sp.csr_matrix, verts: np.ndarray, local: np
         if sweep:
             # Slicing to U changes no entry, bit for bit. Each engine returns
             # the least left-to-right float sum over walks from the source (see
-            # _path_distance). Every prefix sum of a least walk of sum at most
-            # radius is at most radius too, so every vertex on it is within
-            # radius of the block, that is in U, and the walk survives the
-            # slice. The slice only removes walks, so no sum gets smaller. U
-            # keeps the residual's id order, so the (row, vert) order is kept.
+            # separators.validate_separator). Every prefix sum of a least walk
+            # of sum at most radius is at most radius too, so every vertex on
+            # it is within radius of the block, that is in U, and the walk
+            # survives the slice. The slice only removes walks, so no sum gets
+            # smaller. U keeps the residual's id order, so the (row, vert)
+            # order is kept.
             union, _ = _reach(sub, block, radius)
             block_sub, ids = _slice(g, verts[union])
             block = np.searchsorted(union, block)
         dist = csgraph_dijkstra(block_sub, directed=True, indices=block, limit=radius)
-        row, col = np.nonzero(np.isfinite(dist))
-        parts.append((first + row, ids[col], dist[row, col]))
+        # one flat scan of the block, row-major as (row, vert) is sorted; no
+        # distance is nan, so < INF keeps exactly the finite ones
+        width = dist.shape[1]
+        flat = np.flatnonzero(dist < INF)
+        row = flat // width
+        parts.append((first + row, ids[flat - row * width], dist.ravel().take(flat)))
         del dist  # freed before the next block is computed
     return tuple(np.concatenate(a) for a in zip(*parts))
 

@@ -6,6 +6,11 @@ Deleting the whole separator must leave only components of at most half the
 original alive count (the flaps). A certificate holds only paths and flaps:
 group j's residual is the node mask minus groups 0..j-1, derived where it is read.
 
+The validator checks a small residual with the heap and components, and a
+residual above PATH_CHECK_HEAP_MAX on its CSR slice: one induced call per
+node, then each group's slice, and the flaps', derived from the previous one
+by dropping that group's vertices, one scipy call per multi-vertex path.
+
 The greedy finder repeatedly removes an approximate-diameter shortest path
 from the largest oversized component. It runs over a whole recursion level
 at once (greedy_find_level): each round is one double sweep and one
@@ -22,17 +27,30 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graph import (
+    INF,
     GraphError,
     Path,
     VertexMask,
     WeightedGraph,
     _component_labels,
     _component_masks,
+    _dijkstra,
+    _distance_on,
     _double_sweep_on,
     _level_union,
-    _path_distance,
+    _slice_without,
+    _walk_length,
     components,
+    induced,
 )
+
+# Alive vertices up to which the validator checks a group's paths with the
+# heap, which touches only what it reaches; above it, with one scipy call per
+# path on the group's CSR slice, which pays a slice per group and a call per
+# path however small the residual (about 0.14 ms together on a tiny one). Any
+# cut from 64 to 512 timed within noise on a 64x64 unit grid and on
+# gen_ktree(2048, 2).
+PATH_CHECK_HEAP_MAX = 128
 
 
 class NotATreeError(ValueError):
@@ -77,41 +95,44 @@ def validate_separator(g: WeightedGraph, mask: VertexMask, sep: PathSeparator):
     exactly), the stored flaps are the components of the mask minus S, and
     every flap has at most floor(|alive|/2) vertices. A mask over another
     vertex count than the graph's raises ValueError.
+
+    A multi-vertex path is searched from its first vertex, cut at its
+    length. A residual of at most PATH_CHECK_HEAP_MAX alive vertices runs the
+    heap; a larger one runs one scipy call per path on the group's CSR
+    slice. The node's first such slice is one induced call, and each later
+    group's, and the final residual's for the flaps, is the previous one
+    without the previous group's vertices.
     """
+    # The two engines return the same float, bit for bit. Each relaxes
+    # d(v) = d(u) + w, so each returns the least left-to-right float sum over
+    # residual walks from the first vertex: fl(x + w) is monotone in x and at
+    # least x for w >= 0, so the sums along a walk never decrease and the least
+    # ones settle in pop order, in floats as in reals. By the same monotonicity
+    # only a pair's lightest edge, the one the CSR keeps, can give a least sum.
+    # The cut hides no walk that reaches the far end at or below path.length,
+    # since every prefix of such a walk is at or below it too; past the cut
+    # both report inf (the heap sets no distance above it, scipy's limit is
+    # inclusive).
     if mask.n != g.n:
         raise ValueError(f"mask is over {mask.n} vertices but the graph has {g.n}")
-    alive = mask
+    alive, sliced, gone = mask, None, ()
     for gi, group in enumerate(sep.groups):
+        sliced = _next_slice(g, alive, sliced, gone)
         for pi, path in enumerate(group):
-            verts = path.vertices
-            if not verts:
-                return SeparatorViolation("structure", gi, pi, "empty path")
-            if len(set(verts)) != len(verts):
-                return SeparatorViolation("structure", gi, pi, "path repeats a vertex")
-            for v in verts:
-                if v not in alive:
-                    return SeparatorViolation(
-                        "structure", gi, pi, f"path vertex {v} is not alive in its residual"
-                    )
-            try:
-                total = Path.from_vertices(g, verts).length
-            except GraphError as exc:
-                return SeparatorViolation("structure", gi, pi, str(exc))
-            if total != path.length:
-                return SeparatorViolation(
-                    "structure", gi, pi,
-                    f"stored length {path.length} != sum of edge weights {total}",
-                )
-            dist = 0.0 if len(verts) == 1 else _path_distance(g, alive, path)
-            if dist != path.length:
-                return SeparatorViolation(
-                    "not-shortest", gi, pi,
-                    f"path of length {path.length} between {verts[0]} and {verts[-1]} "
-                    f"but residual distance is {dist}",
-                )
-        alive = alive.without(v for p in group for v in p.vertices)
+            fault = _path_fault(g, alive, sliced, path)
+            if fault is not None:
+                return SeparatorViolation(fault[0], gi, pi, fault[1])
+        gone = [v for p in group for v in p.vertices]
+        alive = alive.without(gone)
     # alive is now the mask with S deleted
-    if list(sep.flaps) != components(g, alive):
+    sliced = _next_slice(g, alive, sliced, gone)
+    if sliced is None:
+        flaps = components(g, alive)
+    else:
+        sub, verts = sliced
+        union = (sub, verts, np.zeros(len(verts), dtype=np.int64))
+        flaps = _component_masks(g, [alive], union, *_component_labels(sub))[0]
+    if list(sep.flaps) != flaps:
         return SeparatorViolation(
             "flaps", None, None, "stored flaps differ from the components of residual minus S"
         )
@@ -122,6 +143,47 @@ def validate_separator(g: WeightedGraph, mask: VertexMask, sep: PathSeparator):
                 "balance", None, None,
                 f"flap {fi} has {len(flap)} vertices, exceeding floor({len(mask)}/2)={limit}",
             )
+    return None
+
+
+def _next_slice(g: WeightedGraph, alive: VertexMask, sliced, gone):
+    """The induced slice (sub, verts) of the residual alive if it holds more
+    than PATH_CHECK_HEAP_MAX vertices, else None. sliced is the previous
+    residual's, or None, and gone the vertices deleted since."""
+    if len(alive) <= PATH_CHECK_HEAP_MAX:
+        return None
+    return induced(g, alive) if sliced is None else _slice_without(*sliced, gone)
+
+
+def _path_fault(g: WeightedGraph, alive: VertexMask, sliced, path: Path):
+    """(kind, message) for the first fault of a path of the group whose
+    residual is alive, or None. sliced is that residual's induced slice
+    (sub, verts), or None to search with the heap."""
+    verts = path.vertices
+    if not verts:
+        return "structure", "empty path"
+    if len(set(verts)) != len(verts):
+        return "structure", "path repeats a vertex"
+    if not alive.alive.issuperset(verts):
+        dead = next(v for v in verts if v not in alive)
+        return "structure", f"path vertex {dead} is not alive in its residual"
+    try:
+        total = _walk_length(g, verts)
+    except GraphError as exc:
+        return "structure", str(exc)
+    if total != path.length:
+        return "structure", f"stored length {path.length} != sum of edge weights {total}"
+    if len(verts) == 1:
+        return None  # its residual distance is 0.0, its length's sum
+    a, b = verts[0], verts[-1]
+    if sliced is None:
+        dist = _dijkstra(g, alive, a, cutoff=path.length)[0].get(b, INF)
+    else:
+        sub, ids = sliced
+        dist = _distance_on(sub, *np.searchsorted(ids, (a, b)).tolist(), path.length)
+    if dist != path.length:
+        return "not-shortest", (f"path of length {path.length} between {a} and {b} "
+                                f"but residual distance is {dist}")
     return None
 
 

@@ -29,6 +29,7 @@ from pathdecomp import (
 from pathdecomp.graph import (
     SOURCE_BLOCK,
     _dijkstra,
+    _slice_without,
     balls,
     double_sweep,
     induced,
@@ -450,6 +451,42 @@ class TestDistanceBlocks:
         sub, verts = induced(grid8, VertexMask.full(64))
         assert sub is grid8.csr() and verts.tolist() == list(range(64))
 
+    @pytest.mark.parametrize("sources", [40, 2 * SOURCE_BLOCK + 17], ids=["dense", "blocks"])
+    @pytest.mark.parametrize("radius", [0.0, 0.05, 0.4, INF])
+    @pytest.mark.parametrize("zero_edges", [False, True], ids=["loguniform", "zero-edges"])
+    def test_flat_scan_equals_two_dimensional_extraction(self, sources, radius, zero_edges):
+        # reference: one dense call on the residual from every source, read
+        # with a 2-D nonzero over the finite entries and a (row, col) gather
+        g = random_graph(400, 6, zero_edges, seed=sources)
+        mask = VertexMask.full(g.n).without(range(3, g.n, 11))
+        rng = np.random.default_rng(sources)
+        sources = rng.choice(np.array(sorted(mask.alive)), size=sources)  # repeats too
+        sub, verts = induced(g, mask)
+        dist = csgraph_dijkstra(sub, directed=True, indices=np.searchsorted(verts, sources),
+                                limit=radius)
+        row, col = np.nonzero(np.isfinite(dist))
+        expect = (row, verts[col], dist[row, col])
+        got = balls(g, mask, sources, radius)
+        for a, b in zip(got, expect):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+        if radius == 0.0 and not zero_edges:
+            assert got[0].tolist() == list(range(len(sources)))  # each row its source alone
+            assert got[1].tolist() == sources.tolist() and not got[2].any()
+        elif radius == 0.0:
+            assert len(got[0]) > len(sources)
+
+
+def random_graph(n, extra, zero_edges, seed):
+    """A connected random graph: a random tree plus extra * n random edges,
+    log-uniform weights in [1e-3, 1], every fifth one 0 with zero_edges."""
+    rng = np.random.default_rng(seed)
+    tree = [(int(rng.integers(v)), v) for v in range(1, n)]
+    more = [(int(a), int(b)) for a, b in rng.integers(n, size=(extra * n, 2)) if a != b]
+    weights = 10.0 ** (-3.0 * rng.random(len(tree) + len(more)))
+    if zero_edges:
+        weights[::5] = 0.0
+    return WeightedGraph(n, [(a, b, float(w)) for (a, b), w in zip(tree + more, weights)])
+
 
 def assert_balls_match_heap_search(g, mask, sources, radius):
     """balls(g, mask, sources, radius) is the heap ball of every source, with
@@ -654,6 +691,31 @@ class TestInduced:
             for name in ("indptr", "indices", "data"):
                 got, want = getattr(sub, name), getattr(expect, name)
                 assert got.dtype == want.dtype and np.array_equal(got, want), name
+
+    @pytest.mark.parametrize("make", [lambda: gen_grid(24, 24),
+                                      lambda: spread_weights(gen_ktree(600, 2).graph, 4)],
+                             ids=["grid24", "ktree600-loguniform"])
+    def test_slice_without_equals_induced(self, make):
+        # every group's residual of the separator recursion, each cut from
+        # the previous group's slice as the validator cuts it, then the
+        # residual minus S
+        g = make()
+        seq = pathdecomp.choose_centers(g, weighted_diameter(g) / 8)
+        derived = 0
+        for mask, sep in seq.separators:
+            alive, sliced = mask, induced(g, mask)
+            for group in sep.groups:
+                gone = [v for p in group for v in p.vertices]
+                alive = alive.without(gone)
+                sliced = _slice_without(*sliced, gone)
+                sub, verts = sliced
+                want, want_verts = induced(g, alive)
+                assert np.array_equal(verts, want_verts)
+                for name in ("indptr", "indices", "data"):
+                    got, expect = getattr(sub, name), getattr(want, name)
+                    assert got.dtype == expect.dtype and np.array_equal(got, expect), name
+                derived += 1
+        assert derived == sum(len(sep.groups) for _, sep in seq.separators) > 20
 
     def test_parallel_edges_keep_the_lightest(self):
         g = WeightedGraph(4, [(0, 1, 2.0), (1, 0, 1.0), (1, 2, 3.0), (2, 3, 1.0)])

@@ -1,9 +1,10 @@
 import itertools
 
+import numpy as np
 import pytest
 
 import pathdecomp as pd
-from pathdecomp import graph
+from pathdecomp import graph, separators
 from pathdecomp import (
     NotATreeError,
     Path,
@@ -18,8 +19,15 @@ from pathdecomp import (
     tree_centroid_find,
     validate_separator,
 )
-from pathdecomp.graph import PATH_CHECK_HEAP_MAX, _dijkstra, _path_distance, balls, double_sweep
-from pathdecomp.separators import greedy_find_level
+from pathdecomp.graph import (
+    _dijkstra,
+    _distance_on,
+    _slice_without,
+    balls,
+    double_sweep,
+    induced,
+)
+from pathdecomp.separators import PATH_CHECK_HEAP_MAX, greedy_find_level
 
 from test_acceptance import DELTA_FRACTIONS, corpus_specs
 from test_carving_reference import spread_weights
@@ -129,14 +137,17 @@ class TestValidator:
 
 
 def residual_paths(g, seq):
-    """(residual, path) for every multi-vertex path of a center sequence's
-    separators, the residual being the node mask minus the earlier groups."""
+    """(residual, slice, path) for every multi-vertex path of a center
+    sequence's separators: the residual is the node mask minus the earlier
+    groups, and the slice its CSR slice, cut from the previous group's as
+    the validator cuts it."""
     out = []
     for mask, sep in seq.separators:
-        alive = mask
+        alive, sliced = mask, induced(g, mask)
         for group in sep.groups:
-            out.extend((alive, p) for p in group if len(p) > 1)
-            alive = alive.without(v for p in group for v in p.vertices)
+            out.extend((alive, sliced, p) for p in group if len(p) > 1)
+            gone = [v for p in group for v in p.vertices]
+            alive, sliced = alive.without(gone), _slice_without(*sliced, gone)
     return out
 
 
@@ -148,20 +159,66 @@ PATH_CHECK_GRAPHS = [(f"{kind}:{a},{b}:{w}", lambda kind=kind, a=a, b=b, w=w: _g
 ]
 
 
+def broken_certificates(g):
+    """(name, mask, certificate) for hand-broken copies of greedy_find's
+    certificate of the whole graph, each with one fault: the faults of the
+    path check first, then those of the flaps."""
+    full = VertexMask.full(g.n)
+    sep = greedy_find(g, full)
+    assert len(sep.groups) > 2 and len(sep.flaps) > 2
+    later = full.without(sep.groups[0][0].vertices)
+
+    def detour(residual):
+        # the first two-edge walk that is longer than its ends' distance
+        for u in sorted(residual.alive):
+            dist = _dijkstra(g, residual, u)[0]
+            for x in sorted(x for x, _ in g.adj[u] if x in residual):
+                for v in sorted(v for v, _ in g.adj[x] if v in residual and v != u):
+                    path = Path.from_vertices(g, (u, x, v))
+                    if dist[v] < path.length:
+                        return path
+        raise AssertionError("no detour")
+
+    def swap_group(k, path):
+        groups = list(sep.groups)
+        groups[k] = (path,)
+        return PathSeparator(tuple(groups), sep.flaps)
+
+    def with_flaps(flaps):
+        return PathSeparator(sep.groups, tuple(flaps))
+
+    f = list(sep.flaps)
+    dead = sep.groups[0][0].vertices[0]
+    return [
+        ("group 0 not shortest", swap_group(0, detour(full))),
+        ("later group not shortest", swap_group(1, detour(later))),
+        ("through an earlier group", swap_group(1, Path.from_vertices(
+            g, (dead, next(v for v, _ in g.adj[dead] if v in later))))),
+        ("flaps out of order", with_flaps([f[1], f[0], *f[2:]])),
+        ("flap missing a vertex", with_flaps([f[0].without([max(f[0].alive)]), *f[1:]])),
+        ("two flaps merged", with_flaps([VertexMask(g.n, f[0].alive | f[1].alive), *f[2:]])),
+        ("stray flap", with_flaps([*f, VertexMask(g.n, [dead])])),
+    ]
+
+
 class TestPathCheck:
     """The validator's path check: the heap at most PATH_CHECK_HEAP_MAX alive
-    vertices, one balls query above."""
+    vertices, one scipy call on the group's derived slice above."""
 
     @pytest.mark.parametrize("make", [m for _, m in PATH_CHECK_GRAPHS],
                              ids=[name for name, _ in PATH_CHECK_GRAPHS])
     def test_heap_and_balls_agree_on_every_separator_path(self, make):
+        # the heap, the slice engine, balls' one-source call and the stored
+        # length are one float
         g = make()
         sides = set()
-        for alive, p in residual_paths(g, pd.choose_centers(g, pd.weighted_diameter(g) / 8)):
+        seq = pd.choose_centers(g, pd.weighted_diameter(g) / 8)
+        for alive, (sub, verts), p in residual_paths(g, seq):
             a, b = p.vertices[0], p.vertices[-1]
             heap = _dijkstra(g, alive, a, cutoff=p.length)[0][b]
+            sliced = _distance_on(sub, *np.searchsorted(verts, (a, b)).tolist(), p.length)
             _, vert, dist = balls(g, alive, [a], p.length)
-            assert heap == dist[vert == b][0] == _path_distance(g, alive, p) == p.length
+            assert heap == sliced == dist[vert == b][0] == p.length
             sides.add(len(alive) > PATH_CHECK_HEAP_MAX)
         assert sides == ({False, True} if g.n > PATH_CHECK_HEAP_MAX else {False})
 
@@ -173,29 +230,83 @@ class TestPathCheck:
         # 0 to 1 round one unit square, 0 to 16 round two: 3 and 5 edges for a distance of 1
         mutants = [hand_separator(g, full, verts) for verts in [(0, 16, 17, 1), (0, 1, 2, 18, 17, 16)]]
         above = [validate_separator(g, full, sep) for sep in mutants]
-        monkeypatch.setattr(graph, "PATH_CHECK_HEAP_MAX", g.n)
-        assert [validate_separator(g, full, sep) for sep in mutants] == above
+        for cut in (0, g.n):
+            monkeypatch.setattr(separators, "PATH_CHECK_HEAP_MAX", cut)
+            assert [validate_separator(g, full, sep) for sep in mutants] == above
         if weights == "unit":
             assert [(v.kind, v.group, v.path, v.message) for v in above] == [
                 ("not-shortest", 0, 0, "path of length 3.0 between 0 and 1 but residual distance is 1.0"),
                 ("not-shortest", 0, 0, "path of length 5.0 between 0 and 16 but residual distance is 1.0"),
             ]
 
-    def test_large_residual_asks_balls(self, monkeypatch):
-        g = gen_grid(32, 32)
+    @pytest.mark.parametrize("make", [lambda: gen_ktree(400, 3).graph,
+                                      lambda: spread_weights(gen_grid(16, 16), 4)],
+                             ids=["ktree400-unit", "grid16-loguniform"])
+    def test_mutants_read_the_same_at_every_cut(self, monkeypatch, make):
+        # a cut of 0 checks every group and the flaps on slices, a cut of n
+        # with the heap and components
+        g = make()
         full = VertexMask.full(g.n)
-        sep = greedy_find(g, full)
-        calls = []
+        cases = broken_certificates(g)
+        found = {}
+        for cut in (0, g.n):
+            monkeypatch.setattr(separators, "PATH_CHECK_HEAP_MAX", cut)
+            found[cut] = [validate_separator(g, full, sep) for _, sep in cases]
+        assert found[0] == found[g.n]
+        kinds = [(name, v.kind, v.group, v.path) for (name, _), v in zip(cases, found[0])]
+        assert kinds == [
+            ("group 0 not shortest", "not-shortest", 0, 0),
+            ("later group not shortest", "not-shortest", 1, 0),
+            ("through an earlier group", "structure", 1, 0),
+            *[(name, "flaps", None, None) for name, _ in cases[3:]],
+        ]
+        dead = cases[-1][1].flaps[-1]
+        assert found[0][2].message == f"path vertex {min(dead.alive)} is not alive in its residual"
 
-        def spy(g, mask, sources, radius):
-            calls.append((len(mask), list(sources), radius))
-            return balls(g, mask, sources, radius)
+    def test_large_residuals_derive_one_slice_per_group(self, monkeypatch):
+        # above the cut a node pays one induced call, each later group and
+        # the flaps one slice cut from the previous one, and each
+        # multi-vertex path one scipy call on it; nothing asks balls
+        g = gen_grid(32, 32)
+        seq = pd.choose_centers(g, pd.weighted_diameter(g) / 8)
+        calls = {"induced": [], "derived": [], "distance": 0}
 
-        monkeypatch.setattr(graph, "balls", spy)
-        assert validate_separator(g, full, sep) is None
-        root = sep.groups[0][0]
-        assert calls[0] == (g.n, [root.vertices[0]], root.length)
-        assert all(size > PATH_CHECK_HEAP_MAX for size, _, _ in calls)
+        def spy_induced(g, mask):
+            calls["induced"].append(len(mask))
+            return induced(g, mask)
+
+        def spy_derived(sub, verts, gone):
+            calls["derived"].append(len(verts) - len(set(gone)))
+            return _slice_without(sub, verts, gone)
+
+        def spy_distance(*args):
+            calls["distance"] += 1
+            return _distance_on(*args)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the validator asked balls")
+
+        monkeypatch.setattr(separators, "induced", spy_induced)
+        monkeypatch.setattr(separators, "_slice_without", spy_derived)
+        monkeypatch.setattr(separators, "_distance_on", spy_distance)
+        monkeypatch.setattr(graph, "balls", refuse)
+        assert all(validate_separator(g, mask, sep) is None for mask, sep in seq.separators)
+
+        big = lambda size: size > PATH_CHECK_HEAP_MAX  # noqa: E731
+        induced_sizes, derived_sizes, paths = [], [], 0
+        for mask, sep in seq.separators:
+            sizes, alive = [], mask
+            for group in sep.groups:
+                if big(len(alive)):
+                    paths += sum(len(p) > 1 for p in group)
+                sizes.append(len(alive))
+                alive = alive.without(v for p in group for v in p.vertices)
+            sizes = [size for size in sizes + [len(alive)] if big(size)]
+            induced_sizes += sizes[:1]
+            derived_sizes += sizes[1:]
+        assert calls["induced"] == induced_sizes and len(induced_sizes) > 1
+        assert calls["derived"] == derived_sizes and len(derived_sizes) > len(induced_sizes)
+        assert calls["distance"] == paths > 0
 
     def test_small_residuals_make_no_scipy_call(self, monkeypatch):
         g = gen_ktree(2048, 2).graph
