@@ -9,10 +9,16 @@ Every residual operation lives here, once:
 
 - A VertexMask is the graph size and a frozenset of alive ids, nothing else.
 - `induced` slices the CSR by a vertex set (numpy gathers, not scipy's fancy
-  indexing); a full mask gets the graph's own CSR. `_slice_without` cuts a
-  slice down to a smaller set without going back to the graph: the separator
-  validator derives each group's slice from the previous group's. Both run
-  one formula, `_principal`, and give the same arrays for the same set.
+  indexing) through the one slicing formula, `_principal`; a full mask gets
+  the graph's own CSR, which nothing writes.
+- A slice can also lose vertices by weight, in place: `_delete_in_place`
+  gives every edge into them weight inf, on a slice that owns its weights.
+  The invariant that makes this a deletion: every scipy Dijkstra call on
+  such a slice passes a finite limit, and scipy relaxes an edge only when
+  the sum it gives is at most the limit, so no inf edge is ever taken and
+  distances and predecessors are those of `induced` on the smaller set.
+  The separator validator keeps one slice per recursion node this way and
+  deletes each checked group from it.
 - A level union is a list of pairwise disjoint masks that no edge joins, such
   as the nodes of one recursion level. `_level_union` alone builds one (one
   slice, each vertex's mask) and raises ValueError otherwise: no sweep leaves its mask.
@@ -42,7 +48,8 @@ Every residual operation lives here, once:
     dense block is read in one flat scan of its finite entries, which cost
     as much as the block's Dijkstra when read as a 2-D nonzero and a gather.
   - `_distance_on`: the separator validator's path check on a residual
-    above its heap cut, one dense one-source call on the group's slice, as
+    above its heap cut, one dense one-source call on the node's slice with
+    the earlier groups deleted by weight, cut at the path's length, as
     `balls` makes for one source.
   - `level_balls`: per round, one sweep over a level union cut at a radius,
     from at most one source per mask (through its core, the BallIndex's
@@ -82,7 +89,10 @@ INF = math.inf
 # directions and _slice keeps a principal submatrix, so every matrix handed to
 # scipy is symmetric: its directed distances and strong components are the
 # undirected ones, and scipy skips the transposed copy that an undirected
-# Dijkstra, or a weak-components call, makes each time.
+# Dijkstra, or a weak-components call, makes each time. A slice with vertices
+# deleted by weight (_delete_in_place) is not symmetric, as only the edges
+# into them weigh inf, but a finite-limit Dijkstra on it walks only the
+# symmetric part between the vertices still alive.
 
 # Sources per scipy Dijkstra call in balls: a dense block holds this many rows
 # of the size of the block's balls' union (or of the residual, in a call of
@@ -364,22 +374,23 @@ def _slice(g: WeightedGraph, verts: np.ndarray) -> tuple[sp.csr_matrix, np.ndarr
     return (csr if len(verts) == g.n else _principal(csr, verts)), verts
 
 
-def _slice_without(sub: sp.csr_matrix, verts: np.ndarray,
-                   gone) -> tuple[sp.csr_matrix, np.ndarray]:
-    """A slice (sub, verts) from induced without the vertices gone, each of
-    them in verts: the slice induced gives for the smaller set, array for
-    array, cut from sub rather than from the graph's CSR."""
-    keep = np.ones(len(verts), dtype=bool)
-    keep[np.searchsorted(verts, gone)] = False
-    kept = np.flatnonzero(keep)
-    return _principal(sub, kept), verts[kept]
+def _delete_in_place(sub: sp.csr_matrix, gone: np.ndarray) -> None:
+    """Delete from the slice sub, by weight, the local vertices where the
+    boolean array gone is true: every edge into one of them gets weight inf,
+    written into sub.data, so sub must own its weights (a full mask's slice
+    is the graph's own CSR). Under a finite limit, scipy's Dijkstra then
+    gives the distances and predecessors of the slice without them (see
+    _distance_on). One scan of every entry: on the validator's slices it
+    timed below reading only the deleted vertices' neighbours' rows."""
+    sub.data[gone[sub.indices]] = INF
 
 
 def _principal(csr: sp.csr_matrix, keep: np.ndarray) -> sp.csr_matrix:
     """The principal submatrix of csr on its sorted, distinct indices keep,
     each row's entries in stored order: the one slicing formula. Applied to
     a principal submatrix of the graph's CSR it gives the submatrix of the
-    graph's CSR on the same vertices, array for array."""
+    graph's CSR on the same vertices, array for array, also after vertices
+    outside keep were deleted by weight (their edges are dropped)."""
     first, count = csr.indptr[keep], csr.indptr[keep + 1] - csr.indptr[keep]
     # the rows' entries in stored order, kept where their column is kept; an
     # id map over csr's rows, as scipy's indexing uses, beat binary search on
@@ -432,7 +443,10 @@ def _reach(sub: sp.csr_matrix, sources: np.ndarray, radius: float):
 def _distance_on(sub: sp.csr_matrix, a: int, b: int, limit: float) -> float:
     """The distance from local index a to local index b of a slice if it is
     at most limit, else inf: one dense one-source scipy call, the one balls
-    makes for a single source."""
+    makes for a single source. Vertices deleted by _delete_in_place are
+    absent: scipy relaxes an edge only when the sum it gives is at most the
+    limit, and a sum over an inf edge is inf, above any finite limit (even
+    at limit inf a vertex keeps inf, as d + inf < inf never holds)."""
     return float(csgraph_dijkstra(sub, directed=True, indices=[a], limit=limit)[0, b])
 
 

@@ -7,9 +7,10 @@ original alive count (the flaps). A certificate holds only paths and flaps:
 group j's residual is the node mask minus groups 0..j-1, derived where it is read.
 
 The validator checks a small residual with the heap and components, and a
-residual above PATH_CHECK_HEAP_MAX on its CSR slice: one induced call per
-node, then each group's slice, and the flaps', derived from the previous one
-by dropping that group's vertices, one scipy call per multi-vertex path.
+residual above PATH_CHECK_HEAP_MAX on one CSR slice per node: one induced
+call, on a copy of its weights, from which each checked group is deleted in
+place by weight (graph's _delete_in_place), one scipy call per multi-vertex
+path, and one slice of the final residual cut from it for the flaps.
 
 The greedy finder repeatedly removes an approximate-diameter shortest path
 from the largest oversized component. It runs over a whole recursion level
@@ -34,11 +35,12 @@ from .graph import (
     WeightedGraph,
     _component_labels,
     _component_masks,
+    _delete_in_place,
     _dijkstra,
     _distance_on,
     _double_sweep_on,
     _level_union,
-    _slice_without,
+    _principal,
     _walk_length,
     components,
     induced,
@@ -46,10 +48,10 @@ from .graph import (
 
 # Alive vertices up to which the validator checks a group's paths with the
 # heap, which touches only what it reaches; above it, with one scipy call per
-# path on the group's CSR slice, which pays a slice per group and a call per
-# path however small the residual (about 0.14 ms together on a tiny one). Any
-# cut from 64 to 512 timed within noise on a 64x64 unit grid and on
-# gen_ktree(2048, 2).
+# path on the node's CSR slice, which pays a slice per node and a call per
+# path however small the residual (about 0.14 ms together on a tiny one). Of
+# the cuts 64, 128 and 256, all three timed within noise on a 64x64 unit grid,
+# and 64 slower than the other two on gen_ktree(2048, 2).
 PATH_CHECK_HEAP_MAX = 128
 
 
@@ -94,14 +96,17 @@ def validate_separator(g: WeightedGraph, mask: VertexMask, sep: PathSeparator):
     its edge-weight sum and the Dijkstra distance between its endpoints,
     exactly), the stored flaps are the components of the mask minus S, and
     every flap has at most floor(|alive|/2) vertices. A mask over another
-    vertex count than the graph's raises ValueError.
+    vertex count than the graph's raises ValueError. The graph is not
+    written.
 
     A multi-vertex path is searched from its first vertex, cut at its
     length. A residual of at most PATH_CHECK_HEAP_MAX alive vertices runs the
-    heap; a larger one runs one scipy call per path on the group's CSR
-    slice. The node's first such slice is one induced call, and each later
-    group's, and the final residual's for the flaps, is the previous one
-    without the previous group's vertices.
+    heap; a larger one runs one scipy call per path on the node's CSR slice.
+    A node above the cut makes one induced call and copies its weights;
+    before each later group is checked there, every edge into the earlier
+    groups' vertices gets weight inf. No CSR is built per group. If the final
+    residual is above the cut too, its flaps come from one slice of the
+    node's, cut through _principal.
     """
     # The two engines return the same float, bit for bit. Each relaxes
     # d(v) = d(u) + w, so each returns the least left-to-right float sum over
@@ -112,26 +117,39 @@ def validate_separator(g: WeightedGraph, mask: VertexMask, sep: PathSeparator):
     # The cut hides no walk that reaches the far end at or below path.length,
     # since every prefix of such a walk is at or below it too; past the cut
     # both report inf (the heap sets no distance above it, scipy's limit is
-    # inclusive).
+    # inclusive). The deleted groups' inf edges change nothing: path.length
+    # equals its walk sum, so it is finite unless that sum overflows. Under a
+    # finite cut scipy never takes an inf edge, as its sum is above the cut;
+    # at a cut of inf a walk through an inf edge sums to inf, which is no
+    # less than any residual distance, so the residual distance is unchanged.
     if mask.n != g.n:
         raise ValueError(f"mask is over {mask.n} vertices but the graph has {g.n}")
-    alive, sliced, gone = mask, None, ()
+    alive, sliced = mask, None
+    if len(mask) > PATH_CHECK_HEAP_MAX:
+        sub, verts = induced(g, mask)
+        # a copy of the weights, which the deletions write (a full mask's
+        # slice is the graph's own CSR), and the node's deleted local ids
+        sliced, dead = (sub.copy(), verts), np.zeros(len(verts), dtype=bool)
     for gi, group in enumerate(sep.groups):
-        sliced = _next_slice(g, alive, sliced, gone)
         for pi, path in enumerate(group):
             fault = _path_fault(g, alive, sliced, path)
             if fault is not None:
                 return SeparatorViolation(fault[0], gi, pi, fault[1])
         gone = [v for p in group for v in p.vertices]
         alive = alive.without(gone)
+        if sliced is not None:
+            dead[np.searchsorted(verts, gone)] = True
+            if len(alive) <= PATH_CHECK_HEAP_MAX:
+                sliced = None  # the heap checks the rest
+            elif gi + 1 < len(sep.groups):  # the next group is checked on the slice
+                _delete_in_place(sliced[0], dead)
     # alive is now the mask with S deleted
-    sliced = _next_slice(g, alive, sliced, gone)
-    if sliced is None:
-        flaps = components(g, alive)
+    if sliced is not None:
+        kept = np.flatnonzero(~dead)
+        union = (_principal(sliced[0], kept), verts[kept], np.zeros(len(kept), dtype=np.int64))
+        flaps = _component_masks(g, [alive], union, *_component_labels(union[0]))[0]
     else:
-        sub, verts = sliced
-        union = (sub, verts, np.zeros(len(verts), dtype=np.int64))
-        flaps = _component_masks(g, [alive], union, *_component_labels(sub))[0]
+        flaps = components(g, alive)
     if list(sep.flaps) != flaps:
         return SeparatorViolation(
             "flaps", None, None, "stored flaps differ from the components of residual minus S"
@@ -146,19 +164,11 @@ def validate_separator(g: WeightedGraph, mask: VertexMask, sep: PathSeparator):
     return None
 
 
-def _next_slice(g: WeightedGraph, alive: VertexMask, sliced, gone):
-    """The induced slice (sub, verts) of the residual alive if it holds more
-    than PATH_CHECK_HEAP_MAX vertices, else None. sliced is the previous
-    residual's, or None, and gone the vertices deleted since."""
-    if len(alive) <= PATH_CHECK_HEAP_MAX:
-        return None
-    return induced(g, alive) if sliced is None else _slice_without(*sliced, gone)
-
-
 def _path_fault(g: WeightedGraph, alive: VertexMask, sliced, path: Path):
     """(kind, message) for the first fault of a path of the group whose
-    residual is alive, or None. sliced is that residual's induced slice
-    (sub, verts), or None to search with the heap."""
+    residual is alive, or None. sliced is (sub, verts), a slice of a superset
+    of alive whose other vertices are deleted by weight, or None to search
+    with the heap."""
     verts = path.vertices
     if not verts:
         return "structure", "empty path"

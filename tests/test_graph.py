@@ -28,8 +28,8 @@ from pathdecomp import (
 )
 from pathdecomp.graph import (
     SOURCE_BLOCK,
+    _delete_in_place,
     _dijkstra,
-    _slice_without,
     balls,
     double_sweep,
     induced,
@@ -692,30 +692,51 @@ class TestInduced:
                 got, want = getattr(sub, name), getattr(expect, name)
                 assert got.dtype == want.dtype and np.array_equal(got, want), name
 
-    @pytest.mark.parametrize("make", [lambda: gen_grid(24, 24),
-                                      lambda: spread_weights(gen_ktree(600, 2).graph, 4)],
-                             ids=["grid24", "ktree600-loguniform"])
-    def test_slice_without_equals_induced(self, make):
-        # every group's residual of the separator recursion, each cut from
-        # the previous group's slice as the validator cuts it, then the
-        # residual minus S
-        g = make()
+    @pytest.mark.parametrize("side", [16, 24, 33])
+    def test_weight_deleted_slice_equals_induced(self, side):
+        # scipy relaxes no inf edge under a finite limit, so one-source
+        # distances and predecessors on a slice with vertices deleted by
+        # weight are induced's on the smaller set, ties included. The slices:
+        # each recursion node's, with its groups deleted one by one, as the
+        # separator validator deletes them, and the whole grid with random
+        # holes; the limits: past every distance, and a third of the side
+        g = gen_grid(side, side)
+        rng = np.random.default_rng(side)
         seq = pathdecomp.choose_centers(g, weighted_diameter(g) / 8)
-        derived = 0
-        for mask, sep in seq.separators:
-            alive, sliced = mask, induced(g, mask)
-            for group in sep.groups:
-                gone = [v for p in group for v in p.vertices]
+        full = VertexMask.full(g.n)
+        holes = [[v for v in range(g.n) if rng.random() < frac] for frac in (0.1, 0.3)]
+        nodes = [(mask, [[v for p in grp for v in p.vertices] for grp in sep.groups])
+                 for mask, sep in seq.separators if len(mask) > 8] + [(full, holes)]
+        compared = 0
+        for mask, deletions in nodes:
+            sub, verts = induced(g, mask)
+            sub, dead = sub.copy(), np.zeros(len(verts), dtype=bool)
+            alive = mask
+            for gone in deletions:
                 alive = alive.without(gone)
-                sliced = _slice_without(*sliced, gone)
-                sub, verts = sliced
-                want, want_verts = induced(g, alive)
-                assert np.array_equal(verts, want_verts)
-                for name in ("indptr", "indices", "data"):
-                    got, expect = getattr(sub, name), getattr(want, name)
-                    assert got.dtype == expect.dtype and np.array_equal(got, expect), name
-                derived += 1
-        assert derived == sum(len(sep.groups) for _, sep in seq.separators) > 20
+                dead[np.searchsorted(verts, gone)] = True
+                _delete_in_place(sub, dead)
+                if not alive:
+                    continue
+                want_sub, want_verts = induced(g, alive)
+                on_node = np.searchsorted(verts, want_verts)
+                for src in rng.choice(want_verts, size=min(3, len(alive)), replace=False):
+                    for limit in (float(g.n), side / 3):
+                        dist, pred = csgraph_dijkstra(
+                            sub, directed=True, indices=[np.searchsorted(verts, src)],
+                            limit=limit, return_predecessors=True)
+                        want, want_pred = csgraph_dijkstra(
+                            want_sub, directed=True, indices=[np.searchsorted(want_verts, src)],
+                            limit=limit, return_predecessors=True)
+                        assert np.array_equal(dist[0, on_node], want[0])
+                        got_pred = pred[0, on_node]
+                        assert np.array_equal(got_pred < 0, want_pred[0] < 0)
+                        reached = got_pred >= 0
+                        assert np.array_equal(verts[got_pred[reached]],
+                                              want_verts[want_pred[0, reached]])
+                        assert np.all(np.isinf(dist[0, dead])) and np.all(pred[0, dead] < 0)
+                        compared += 1
+        assert compared > 50
 
     def test_parallel_edges_keep_the_lightest(self):
         g = WeightedGraph(4, [(0, 1, 2.0), (1, 0, 1.0), (1, 2, 3.0), (2, 3, 1.0)])

@@ -20,9 +20,10 @@ from pathdecomp import (
     validate_separator,
 )
 from pathdecomp.graph import (
+    _delete_in_place,
     _dijkstra,
     _distance_on,
-    _slice_without,
+    _principal,
     balls,
     double_sweep,
     induced,
@@ -137,18 +138,22 @@ class TestValidator:
 
 
 def residual_paths(g, seq):
-    """(residual, slice, path) for every multi-vertex path of a center
+    """Yield (residual, slice, path) for every multi-vertex path of a center
     sequence's separators: the residual is the node mask minus the earlier
-    groups, and the slice its CSR slice, cut from the previous group's as
-    the validator cuts it."""
-    out = []
+    groups, and the slice the node's CSR slice, on a copy of its weights,
+    with those groups deleted by weight as the validator deletes them. The
+    slice is written after each group, so read it before the next item."""
     for mask, sep in seq.separators:
-        alive, sliced = mask, induced(g, mask)
+        alive, (sub, verts) = mask, induced(g, mask)
+        sub, dead = sub.copy(), np.zeros(len(verts), dtype=bool)
         for group in sep.groups:
-            out.extend((alive, sliced, p) for p in group if len(p) > 1)
+            for p in group:
+                if len(p) > 1:
+                    yield alive, (sub, verts), p
             gone = [v for p in group for v in p.vertices]
-            alive, sliced = alive.without(gone), _slice_without(*sliced, gone)
-    return out
+            alive = alive.without(gone)
+            dead[np.searchsorted(verts, gone)] = True
+            _delete_in_place(sub, dead)
 
 
 PATH_CHECK_GRAPHS = [(f"{kind}:{a},{b}:{w}", lambda kind=kind, a=a, b=b, w=w: _graph(kind, a, b, w))
@@ -203,13 +208,14 @@ def broken_certificates(g):
 
 class TestPathCheck:
     """The validator's path check: the heap at most PATH_CHECK_HEAP_MAX alive
-    vertices, one scipy call on the group's derived slice above."""
+    vertices, one scipy call on the node's slice above, with the earlier
+    groups deleted by weight."""
 
     @pytest.mark.parametrize("make", [m for _, m in PATH_CHECK_GRAPHS],
                              ids=[name for name, _ in PATH_CHECK_GRAPHS])
     def test_heap_and_balls_agree_on_every_separator_path(self, make):
-        # the heap, the slice engine, balls' one-source call and the stored
-        # length are one float
+        # the heap, the slice engine on the weight-deleted node slice, balls'
+        # one-source call and the stored length are one float
         g = make()
         sides = set()
         seq = pd.choose_centers(g, pd.weighted_diameter(g) / 8)
@@ -252,6 +258,8 @@ class TestPathCheck:
         for cut in (0, g.n):
             monkeypatch.setattr(separators, "PATH_CHECK_HEAP_MAX", cut)
             found[cut] = [validate_separator(g, full, sep) for _, sep in cases]
+            # the unbroken certificate, with more than two flaps, reads valid
+            assert validate_separator(g, full, greedy_find(g, full)) is None
         assert found[0] == found[g.n]
         kinds = [(name, v.kind, v.group, v.path) for (name, _), v in zip(cases, found[0])]
         assert kinds == [
@@ -263,21 +271,26 @@ class TestPathCheck:
         dead = cases[-1][1].flaps[-1]
         assert found[0][2].message == f"path vertex {min(dead.alive)} is not alive in its residual"
 
-    def test_large_residuals_derive_one_slice_per_group(self, monkeypatch):
-        # above the cut a node pays one induced call, each later group and
-        # the flaps one slice cut from the previous one, and each
-        # multi-vertex path one scipy call on it; nothing asks balls
+    def test_large_residuals_slice_once_per_node(self, monkeypatch):
+        # above the cut a node pays one induced call, and its flaps one
+        # slice cut from the node's; no CSR is built per group; each
+        # multi-vertex path makes one scipy call; nothing asks balls
         g = gen_grid(32, 32)
         seq = pd.choose_centers(g, pd.weighted_diameter(g) / 8)
-        calls = {"induced": [], "derived": [], "distance": 0}
+        calls = {"induced": [], "principal": [], "dijkstra": 0, "distance": 0}
+        dijkstra = graph.csgraph_dijkstra
 
         def spy_induced(g, mask):
             calls["induced"].append(len(mask))
             return induced(g, mask)
 
-        def spy_derived(sub, verts, gone):
-            calls["derived"].append(len(verts) - len(set(gone)))
-            return _slice_without(sub, verts, gone)
+        def spy_principal(csr, keep):
+            calls["principal"].append((csr.shape[0], len(keep)))
+            return _principal(csr, keep)
+
+        def spy_dijkstra(*args, **kwargs):
+            calls["dijkstra"] += 1
+            return dijkstra(*args, **kwargs)
 
         def spy_distance(*args):
             calls["distance"] += 1
@@ -287,26 +300,55 @@ class TestPathCheck:
             raise AssertionError("the validator asked balls")
 
         monkeypatch.setattr(separators, "induced", spy_induced)
-        monkeypatch.setattr(separators, "_slice_without", spy_derived)
+        monkeypatch.setattr(separators, "_principal", spy_principal)
+        monkeypatch.setattr(graph, "_principal", spy_principal)
         monkeypatch.setattr(separators, "_distance_on", spy_distance)
+        monkeypatch.setattr(graph, "csgraph_dijkstra", spy_dijkstra)
         monkeypatch.setattr(graph, "balls", refuse)
         assert all(validate_separator(g, mask, sep) is None for mask, sep in seq.separators)
 
         big = lambda size: size > PATH_CHECK_HEAP_MAX  # noqa: E731
-        induced_sizes, derived_sizes, paths = [], [], 0
+        induced_sizes, principal, paths, flaps = [], [], 0, 0
         for mask, sep in seq.separators:
-            sizes, alive = [], mask
+            if not big(len(mask)):
+                continue
+            induced_sizes.append(len(mask))
+            if len(mask) < g.n:  # induced's own slice of the graph's CSR
+                principal.append((g.n, len(mask)))
+            alive = mask
             for group in sep.groups:
                 if big(len(alive)):
                     paths += sum(len(p) > 1 for p in group)
-                sizes.append(len(alive))
                 alive = alive.without(v for p in group for v in p.vertices)
-            sizes = [size for size in sizes + [len(alive)] if big(size)]
-            induced_sizes += sizes[:1]
-            derived_sizes += sizes[1:]
+            if big(len(alive)):  # the flaps' slice, cut from the node's
+                principal.append((len(mask), len(alive)))
+                flaps += 1
         assert calls["induced"] == induced_sizes and len(induced_sizes) > 1
-        assert calls["derived"] == derived_sizes and len(derived_sizes) > len(induced_sizes)
-        assert calls["distance"] == paths > 0
+        assert calls["principal"] == principal and flaps > 1
+        assert calls["dijkstra"] == calls["distance"] == paths > len(induced_sizes)
+
+    def test_the_graph_is_never_written(self, monkeypatch):
+        # the root's slice is the graph's own CSR: the deletions must land
+        # on a copy, at a cut of 0 (every node on a slice) and at the default
+        g = gen_grid(64, 64)
+        delta = pd.weighted_diameter(g) / 8
+        seq = pd.choose_centers(g, delta)
+        data, diameter = g.csr().data.copy(), pd.weighted_diameter(g)
+        for cut in (0, PATH_CHECK_HEAP_MAX):
+            monkeypatch.setattr(separators, "PATH_CHECK_HEAP_MAX", cut)
+            assert all(validate_separator(g, mask, sep) is None for mask, sep in seq.separators)
+        assert g.csr().data.tobytes() == data.tobytes()
+        assert pd.weighted_diameter(g) == diameter
+        g._cache.clear()
+        fresh = pd.choose_centers(g, delta)
+        assert fresh is not seq
+
+        def summary(s):  # records compare by identity
+            records = [(r.center, r.subgraph, r.order, r.depth, r.path_id, r.group)
+                       for r in s.records]
+            return records, s.paths, s.separators, s.p_eff, s.max_depth
+
+        assert summary(fresh) == summary(seq)
 
     def test_small_residuals_make_no_scipy_call(self, monkeypatch):
         g = gen_ktree(2048, 2).graph
