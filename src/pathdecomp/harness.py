@@ -68,12 +68,12 @@ class ExperimentConfig:
             raise ConfigError("gammas must not be empty")
         # the library's own rules, re-raised as configuration errors
         try:
-            verifier._require_trials(self.trials)
+            object.__setattr__(self, "trials", verifier._require_trials(self.trials))
             for delta in self.deltas or ():
                 _require_valid_delta(delta)
             for gamma in self.gammas:
                 verifier._require_gamma_in_range(gamma)
-        except ValueError as exc:
+        except (TypeError, ValueError) as exc:
             raise ConfigError(str(exc)) from exc
 
     def to_json_obj(self) -> dict:
@@ -163,14 +163,15 @@ def _run_scheme(g: WeightedGraph, delta: float, scheme: str, cfg: ExperimentConf
     padding = verifier.estimate_padding(
         g, delta, FINDERS[cfg.finder], cfg.gammas, cfg.trials, cfg.seed, scheme
     )
-    checks["padding"] = "ok" if padding.all_pass() else (
+    padding_obj = padding.to_json_obj()
+    checks["padding"] = "ok" if padding_obj["all_pass"] else (
         "[padding] " + "; ".join(
             f"vertex {r.vertex} gamma {r.gamma}: wilson {r.wilson_lb:.6f} < floor {r.floor:.6f}"
             for r in padding.failures()[:5]
         )
     )
-    result["padding"] = padding.to_json_obj()
-    result["fitted_beta"] = padding.fitted_beta()
+    result["padding"] = padding_obj
+    result["fitted_beta"] = padding_obj["fitted_beta"]
 
     result["checks"] = checks
     result["pass"] = all(v == "ok" for v in checks.values())

@@ -14,7 +14,10 @@ Wilson 99% lower confidence bound clears the floor 2^(-beta*gamma).
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+import operator
+from dataclasses import dataclass, fields
+from itertools import repeat
+from typing import NamedTuple
 
 import numpy as np
 from scipy.special import ndtri
@@ -256,16 +259,25 @@ def threatener_report(g: WeightedGraph, centers: CenterSequence,
     )
 
 
-def _require_trials(trials: int) -> None:
+def _require_trials(trials: int) -> int:
+    """trials as a Python int: an integer (numpy's too, through
+    operator.index) of at least 1, never a bool."""
+    if isinstance(trials, bool):
+        raise TypeError(f"trials must be an integer, got {trials!r}")
+    try:
+        trials = operator.index(trials)
+    except TypeError:
+        raise TypeError(f"trials must be an integer, got {trials!r}") from None
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
+    return trials
 
 
 def wilson_lower_bound(successes, trials: int):
     """One-sided Wilson score lower bound, at confidence WILSON_CONFIDENCE,
     for a binomial proportion. successes is an int, giving a float, or an
     array of ints, giving the bound of each entry."""
-    _require_trials(trials)
+    trials = _require_trials(trials)
     z = float(ndtri(WILSON_CONFIDENCE))
     p = np.asarray(successes) / trials
     denom = 1.0 + z * z / trials
@@ -275,14 +287,18 @@ def wilson_lower_bound(successes, trials: int):
     return float(lb) if lb.ndim == 0 else lb
 
 
-def _json_fields(items) -> dict:
-    """asdict's dict_factory for the padding report: a record's `passed` is
-    written as `pass`."""
-    return {("pass" if key == "passed" else key): value for key, value in items}
+class PaddingRecord(NamedTuple):
+    """One (vertex, gamma) padding estimate, every field a plain Python value.
 
+    vertex: the sampled vertex x; gamma: the ball's radius over delta;
+    trials: the decompositions run; successes: the trials in which
+    B(x, gamma*delta) stayed inside x's cluster; empirical = successes /
+    trials; wilson_lb: the one-sided Wilson 99% lower bound on the padding
+    probability; floor = 2^(-beta*gamma); passed: the acceptance rule,
+    successes == trials at gamma = 0 and wilson_lb >= floor otherwise,
+    written `pass` in JSON.
+    """
 
-@dataclass(frozen=True, slots=True)
-class PaddingRecord:
     vertex: int
     gamma: float
     trials: int
@@ -291,6 +307,11 @@ class PaddingRecord:
     wilson_lb: float
     floor: float
     passed: bool
+
+
+# a record's `passed` is written as `pass`
+_RECORD_JSON_KEYS = tuple("pass" if name == "passed" else name
+                          for name in PaddingRecord._fields)
 
 
 @dataclass(frozen=True)
@@ -327,7 +348,8 @@ class PaddingReport:
         return need
 
     def to_json_obj(self) -> dict:
-        return {**asdict(self, dict_factory=_json_fields),
+        return {**{f.name: getattr(self, f.name) for f in fields(self)},
+                "records": tuple(dict(zip(_RECORD_JSON_KEYS, r)) for r in self.records),
                 "all_pass": self.all_pass(), "fitted_beta": self.fitted_beta()}
 
 
@@ -365,7 +387,10 @@ def estimate_padding(g: WeightedGraph, delta: float, finder=greedy_find,
     ball at gamma is padded iff x's nearest member in another cluster lies
     farther than gamma*delta. Acceptance per (x, gamma): Wilson 99% lower
     bound >= floor for gamma > 0; for gamma = 0 the event holds surely, so
-    the check is successes == trials.
+    the check is successes == trials. The records, one PaddingRecord per
+    (x, gamma) in that order, are named tuples built in one pass from the
+    (vertex x gamma) count matrices: one plain-Python column per field,
+    zipped into tuples.
 
     A trial labels only the ball members, through the index restricted to
     them (BallIndex.restrict), with the radii and ranks carve or
@@ -383,7 +408,7 @@ def estimate_padding(g: WeightedGraph, delta: float, finder=greedy_find,
         raise ValueError("need at least one gamma")
     for gamma in gammas:
         _require_gamma_in_range(gamma)
-    _require_trials(trials)
+    trials = _require_trials(trials)
     if scheme not in ("paper", "baseline"):
         raise ValueError(f"unknown scheme {scheme!r}")
     _require_valid_delta(delta)
@@ -431,16 +456,17 @@ def estimate_padding(g: WeightedGraph, delta: float, finder=greedy_find,
         split = np.where(labels[local] != labels[anchors], dist, np.inf)
         successes += np.minimum.reduceat(split, starts)[:, None] > radii
 
-    floors = [2.0 ** (-beta * gamma) for gamma in gammas]
+    floors = tuple(2.0 ** (-beta * gamma) for gamma in gammas)
     wilson = wilson_lower_bound(successes, trials)
     passed = np.where(np.asarray(gammas) == 0.0, successes == trials, wilson >= floors)
-    rows = zip(vertices.tolist(), *(a.tolist() for a in
-                                    (successes, successes / trials, wilson, passed)))
-    records_out = tuple(
-        PaddingRecord(x, gamma, trials, s, emp, lb, floor, ok)
-        for x, *per_gamma in rows
-        for gamma, floor, s, emp, lb, ok in zip(gammas, floors, *per_gamma)
+    # one record per (vertex, gamma) cell, in row-major order, from one
+    # column per field
+    columns = (
+        np.repeat(vertices, len(gammas)).tolist(), gammas * len(vertices), repeat(trials),
+        successes.ravel().tolist(), (successes / trials).ravel().tolist(),
+        wilson.ravel().tolist(), floors * len(vertices), passed.ravel().tolist(),
     )
+    records_out = tuple(map(PaddingRecord._make, zip(*columns)))
 
     return PaddingReport(
         scheme, delta, gammas, trials, int(seed), g.n, p_eff, beta,

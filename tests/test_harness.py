@@ -2,6 +2,7 @@ import dataclasses
 import json
 import re
 
+import numpy as np
 import pytest
 
 from pathdecomp import (
@@ -46,8 +47,16 @@ class TestConfig:
             quick_cfg(deltas=(3.0, delta))
 
     def test_rejects_bad_trials(self):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match=r"^trials must be >= 1"):
             quick_cfg(trials=0)
+        for trials in (2.5, 10.0, True, "30"):
+            with pytest.raises(ConfigError, match=r"^trials must be an integer"):
+                quick_cfg(trials=trials)
+
+    def test_numpy_trials_stored_as_int(self):
+        cfg = quick_cfg(trials=np.int64(30))
+        assert type(cfg.trials) is int and cfg == quick_cfg(trials=30)
+        json.dumps(cfg.to_json_obj())
 
     def test_rejects_empty_deltas_and_gammas(self):
         with pytest.raises(ConfigError, match=r"^deltas must not be empty"):
@@ -113,6 +122,21 @@ class TestRunExperiment:
             (2.0, "paper"), (2.0, "baseline"), (4.0, "paper"), (4.0, "baseline"),
         ]
         assert all("fitted_beta" in r for r in report["results"])
+
+    def test_padding_queries_run_once_per_result(self, monkeypatch):
+        calls = {"all_pass": 0, "fitted_beta": 0}
+        for name in calls:
+            query = getattr(verifier.PaddingReport, name)
+
+            def counted(rep, name=name, query=query):
+                calls[name] += 1
+                return query(rep)
+            monkeypatch.setattr(verifier.PaddingReport, name, counted)
+        report = run_experiment(quick_cfg(scheme="both", deltas=(2.0, 4.0), trials=20))
+        assert calls == {"all_pass": 4, "fitted_beta": 4}
+        for res in report["results"]:
+            assert res["fitted_beta"] == res["padding"]["fitted_beta"]
+            assert (res["checks"]["padding"] == "ok") == res["padding"]["all_pass"]
 
     def test_ktree_report_carries_certificate(self):
         report = run_experiment(ExperimentConfig(gen="ktree:20,2", deltas=(2.0,), trials=30))

@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import math
 import tracemalloc
 
@@ -11,6 +12,7 @@ from pathdecomp import (
     CenterRecord,
     Cluster,
     DecompositionParams,
+    PaddingRecord,
     Partition,
     VertexMask,
     WeightedGraph,
@@ -32,6 +34,7 @@ from pathdecomp import (
 )
 from pathdecomp import verifier
 from pathdecomp.graph import SOURCE_BLOCK, weighted_diameter
+from test_carving_reference import spread_weights
 
 
 def unit_path(n, order=None):
@@ -501,6 +504,14 @@ class TestWilson:
         assert [wilson_lower_bound(s, trials) for s in (0, trials)] == [expect[0], expect[-1]]
         assert type(wilson_lower_bound(trials, trials)) is float
 
+    def test_trials_validated_as_integers(self):
+        for trials in (2.5, 10.0, True):
+            with pytest.raises(TypeError, match="trials must be an integer"):
+                wilson_lower_bound(1, trials)
+        with pytest.raises(ValueError, match="trials must be >= 1"):
+            wilson_lower_bound(0, 0)
+        assert wilson_lower_bound(3, np.int64(10)) == wilson_lower_bound(3, 10)
+
 
 class TestEstimatePadding:
     def test_gamma_zero_always_passes(self):
@@ -597,6 +608,24 @@ class TestEstimatePadding:
         with pytest.raises(ValueError):
             estimate_padding(g, 1.0, trials=5, scheme="nope")
 
+    @pytest.mark.parametrize("trials", [2.5, 10.0, True, False, "5", None])
+    def test_refuses_trials_that_are_not_integers(self, trials):
+        with pytest.raises(TypeError, match="trials must be an integer"):
+            estimate_padding(gen_grid(2, 2), 1.0, trials=trials)
+
+    @pytest.mark.parametrize("trials", [0, -3, np.int64(0)])
+    def test_refuses_trials_below_one(self, trials):
+        with pytest.raises(ValueError, match="trials must be >= 1"):
+            estimate_padding(gen_grid(2, 2), 1.0, trials=trials)
+
+    def test_numpy_trials_give_python_ints(self):
+        g = gen_grid(3, 3)
+        rep = estimate_padding(g, 2.0, trials=np.int64(5), seed=0)
+        assert type(rep.trials) is int
+        assert all(type(r.trials) is int for r in rep.records)
+        assert rep == estimate_padding(g, 2.0, trials=5, seed=0)
+        json.dumps(rep.to_json_obj())
+
     @pytest.mark.parametrize("delta", [-1.0, 0.0, math.nan, math.inf])
     @pytest.mark.parametrize("scheme", ["paper", "baseline"])
     def test_invalid_delta_refused(self, delta, scheme):
@@ -611,6 +640,97 @@ class TestEstimatePadding:
             "vertex", "gamma", "trials", "successes", "empirical",
             "wilson_lb", "floor", "pass",
         }
+
+
+@dataclasses.dataclass(frozen=True, slots=True)
+class DataclassRecord:
+    """The padding record as it was built before it became a named tuple."""
+
+    vertex: int
+    gamma: float
+    trials: int
+    successes: int
+    empirical: float
+    wilson_lb: float
+    floor: float
+    passed: bool
+
+
+def reference_records(rep):
+    """The per-(vertex, gamma) construction loop the column build replaced,
+    run on the report's own success counts."""
+    successes = np.array([r.successes for r in rep.records], dtype=np.int64)
+    successes = successes.reshape(len(rep.vertices), len(rep.gammas))
+    floors = [2.0 ** (-rep.beta * gamma) for gamma in rep.gammas]
+    wilson = wilson_lower_bound(successes, rep.trials)
+    passed = np.where(np.asarray(rep.gammas) == 0.0, successes == rep.trials, wilson >= floors)
+    rows = zip(list(rep.vertices), *(a.tolist() for a in
+                                     (successes, successes / rep.trials, wilson, passed)))
+    return tuple(
+        DataclassRecord(x, gamma, rep.trials, s, emp, lb, floor, ok)
+        for x, *per_gamma in rows
+        for gamma, floor, s, emp, lb, ok in zip(rep.gammas, floors, *per_gamma)
+    )
+
+
+def reference_json_obj(rep, records):
+    """The report's JSON object as asdict wrote it from dataclass records."""
+    def json_fields(items):
+        return {("pass" if key == "passed" else key): value for key, value in items}
+
+    need = 0.0
+    for r in records:
+        if r.gamma > 0.0:
+            need = None if need is None or r.successes == 0 else max(
+                need, -math.log2(r.empirical) / r.gamma)
+    return {**dataclasses.asdict(dataclasses.replace(rep, records=records),
+                                 dict_factory=json_fields),
+            "all_pass": all(r.passed for r in records), "fitted_beta": need}
+
+
+class TestPaddingRecords:
+    FIELDS = ("vertex", "gamma", "trials", "successes", "empirical",
+              "wilson_lb", "floor", "passed")
+
+    @pytest.fixture(scope="class")
+    def split_graph(self):
+        g = spread_weights(gen_grid(12, 12), 1)  # log-uniform weights: split balls
+        return g, weighted_diameter(g) / 4
+
+    @pytest.mark.parametrize("trials", [3, 40])
+    @pytest.mark.parametrize("scheme", ["paper", "baseline"])
+    def test_columns_match_the_record_loop(self, split_graph, scheme, trials):
+        g, delta = split_graph
+        rep = estimate_padding(g, delta, trials=trials, seed=1, scheme=scheme)
+        assert rep.gammas[0] == 0.0
+        assert any(0 < r.successes < r.trials for r in rep.records)
+        # 3 trials leave some records below their floor; 40 clear every floor
+        assert any(not r.passed for r in rep.records) == (trials == 3)
+        ref = reference_records(rep)
+        assert len(rep.records) == len(ref) == len(rep.vertices) * len(rep.gammas)
+        for got, want in zip(rep.records, ref):
+            assert type(got) is PaddingRecord
+            assert got == dataclasses.astuple(want)
+            for name in self.FIELDS:
+                value = getattr(got, name)
+                assert type(value) is type(getattr(want, name)), name
+                assert type(value) in (int, float, bool), name
+        obj, want_obj = rep.to_json_obj(), reference_json_obj(rep, ref)
+        assert obj == want_obj
+        assert json.dumps(obj, sort_keys=True) == json.dumps(want_obj, sort_keys=True)
+
+    def test_record_contract(self):
+        values = (3, 0.0025, 40, 39, 0.975, 0.88, 0.59, True)
+        r = PaddingRecord(*values)
+        assert PaddingRecord._fields == self.FIELDS
+        assert r == PaddingRecord(**dict(zip(self.FIELDS, values))) == values
+        assert hash(r) == hash(values)
+        assert r._replace(passed=False) == values[:-1] + (False,)
+        assert not dataclasses.is_dataclass(r)
+        with pytest.raises(AttributeError):
+            r.passed = False
+        with pytest.raises(AttributeError):
+            r.extra = 1
 
 
 class TestSampleVertices:
