@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from collections.abc import Callable
 from dataclasses import dataclass, field
 from functools import cached_property, partial
@@ -81,6 +82,17 @@ def _beta_of_k(k: int) -> float:
 def _require_valid_delta(delta: float) -> None:
     if not 0 < delta < math.inf:  # nan fails too
         raise ValueError(f"delta must be positive and finite, got {delta}")
+
+
+def _require_integer(name: str, value) -> int:
+    """value as a Python int: an integer (numpy's too, through
+    operator.index), never a bool or a float, which would run as its floor."""
+    if isinstance(value, bool):
+        raise TypeError(f"{name} must be an integer, got {value!r}")
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise TypeError(f"{name} must be an integer, got {value!r}") from None
 
 
 def min_radius(delta: float) -> float:
@@ -284,7 +296,8 @@ class DecompositionParams:
     def _with_k(cls, delta: float, seed: int, p_eff: int, n: int,
                 K: int) -> "DecompositionParams":
         _require_valid_delta(delta)
-        return cls(delta, int(seed), p_eff, n, K, delta / (10.0 * math.log(K)))
+        return cls(delta, _require_integer("seed", seed), p_eff, n, K,
+                   delta / (10.0 * math.log(K)))
 
     def beta(self) -> float:
         """Padding exponent 40*ln(K)/ln(2) of this scheme."""
@@ -322,24 +335,29 @@ class Partition:
         return len(self.clusters)
 
 
-def _graph_cached(g: WeightedGraph, slot: str, delta: float, finder, build):
-    """The value g keeps in `slot`, if it was built for an equal delta and
+def _graph_cached(g: WeightedGraph, slot: str, key, finder, build):
+    """The value g keeps in `slot`, if it was built for an equal key and
     this very finder (`is`); else build(), kept in the slot in its place.
 
-    Every cache of derived structures on a graph goes through here (the
-    slots are listed at WeightedGraph._cache). A slot holds (delta, finder,
-    value) of the latest build only. The old value leaves the slot before
-    the build, so a build that raises leaves the slot empty. The finder
-    object itself is kept, so its id cannot be reused while it is compared.
-    Sharing the value is safe: the graph is immutable and the values frozen.
+    Every cache of derived structures on a graph goes through here. The
+    slots, listed at WeightedGraph._cache, are "centers" (key delta, from
+    choose_centers), "baseline_index" (key delta, finder None, from the
+    baseline carving) and "sample_balls" (key (float(radius),
+    vertices.tobytes()) of int64 vertices, finder None: the full-graph balls
+    that verifier.threatener_report and verifier.estimate_padding read).
+    A slot holds (key, finder, value) of the latest build only. The old
+    value leaves the slot before the build, so a build that raises leaves
+    the slot empty. The finder object itself is kept, so its id cannot be
+    reused while it is compared. Sharing the value is safe: the graph is
+    immutable and the values frozen.
     """
     kept = g._cache.get(slot)
-    if kept is not None and kept[0] == delta and kept[1] is finder:
+    if kept is not None and kept[0] == key and kept[1] is finder:
         return kept[2]
     g._cache.pop(slot, None)
     kept = None  # let the old value go before the build
     value = build()
-    g._cache[slot] = (delta, finder, value)
+    g._cache[slot] = (key, finder, value)
     return value
 
 
@@ -513,8 +531,8 @@ def _baseline_draw(n: int, texp: TexpParams, rng: RngStream) -> tuple:
 def baseline_decompose(g: WeightedGraph, delta: float, seed: int) -> Partition:
     """Ball carving in the full graph with all vertices as centers, in an order
     shuffled by the seed; the classical all-centers comparison scheme."""
-    texp = DecompositionParams.for_baseline(delta, seed, g.n).texp()
-    order, radius, rank = _baseline_draw(g.n, texp, RngStream(seed))
+    params = DecompositionParams.for_baseline(delta, seed, g.n)
+    order, radius, rank = _baseline_draw(g.n, params.texp(), RngStream(params.seed))
     labels = _baseline_index(g, delta).labels(radius, rank)
     full = VertexMask.full(g.n)
 

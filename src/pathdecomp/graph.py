@@ -140,10 +140,12 @@ class WeightedGraph:
         self.edges = tuple(edges)
         self.adj = adj
         self._csr = None
-        # derived structures, each kept for its latest (delta, finder) only and
+        # derived structures, each kept for its latest (key, finder) only and
         # written only by decomposer._graph_cached: "centers" holds (delta,
-        # finder, CenterSequence) from choose_centers, and "baseline_index"
-        # (delta, None, BallIndex) from the baseline carving
+        # finder, CenterSequence) from choose_centers, "baseline_index"
+        # (delta, None, BallIndex) from the baseline carving, and
+        # "sample_balls" ((radius, vertex bytes), None, read-only (row,
+        # members, dist) arrays) from the verifier's sampled-ball query
         self._cache: dict = {}
         if n > 1 and connected_components(self.csr(), directed=True, connection="strong",
                                           return_labels=False) != 1:

@@ -13,6 +13,7 @@ from datetime import datetime, timezone
 
 from .decomposer import (
     DecompositionParams,
+    _require_integer,
     _require_valid_delta,
     baseline_decompose,
     carve,
@@ -69,6 +70,8 @@ class ExperimentConfig:
         # the library's own rules, re-raised as configuration errors
         try:
             object.__setattr__(self, "trials", verifier._require_trials(self.trials))
+            for name in ("seed", "gen_seed"):
+                object.__setattr__(self, name, _require_integer(name, getattr(self, name)))
             for delta in self.deltas or ():
                 _require_valid_delta(delta)
             for gamma in self.gammas:

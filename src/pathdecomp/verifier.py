@@ -9,12 +9,14 @@ one graph.balls query per call.
 Statistical check: Monte-Carlo estimation of the padding probability
 Pr[B(x, gamma*delta) stays in one cluster], accepted when the one-sided
 Wilson 99% lower confidence bound clears the floor 2^(-beta*gamma).
+The threatener report and both padding schemes read the sampled vertices'
+balls from one graph.balls query, which the graph keeps for its latest
+(radius, vertices).
 """
 
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass, fields
 from itertools import repeat
 from typing import NamedTuple
@@ -29,14 +31,16 @@ from .decomposer import (
     Partition,
     _baseline_draw,
     _baseline_index,
+    _graph_cached,
     _paper_draw,
+    _require_integer,
     _require_matching,
     _require_valid_delta,
     ceil_log2,
     choose_centers,
     max_radius,
 )
-from .graph import SOURCE_BLOCK, VertexMask, WeightedGraph, balls, concat_ranges
+from .graph import SOURCE_BLOCK, VertexMask, WeightedGraph, _distance_on, balls, concat_ranges
 from .sampler import RngStream, derive_seed
 from .separators import greedy_find
 
@@ -172,7 +176,8 @@ def _all_pairs_violation(g: WeightedGraph, cids: np.ndarray, layout, bound: floa
     search: every member is a hub of its own cluster at radius bound. The
     hubs go SOURCE_BLOCK at a time, so one block's balls are alive at a
     time (all at once would be the members squared), and the search stops
-    at the first block with a miss."""
+    at the first block with a miss. The message gives the pair's distance,
+    from one unbounded one-source query made only then."""
     sizes, starts, members = layout
     hubs = members[concat_ranges(starts[cids], sizes[cids])]
     owner = np.repeat(cids, sizes[cids])
@@ -181,8 +186,9 @@ def _all_pairs_violation(g: WeightedGraph, cids: np.ndarray, layout, bound: floa
         row, vert = _misses(g, hubs[block], owner[block], layout, bound)
         if len(row):
             i = first + row[0]
+            far = _distance_on(g.csr(), hubs[i], vert[0], math.inf)
             return Violation("diameter", f"cluster {owner[i]}: d({hubs[i]},{vert[0]}) "
-                             f"= inf exceeds 4*delta/5 = {bound}")
+                             f"= {far} exceeds 4*delta/5 = {bound}")
     return None
 
 
@@ -233,6 +239,8 @@ def threatener_report(g: WeightedGraph, centers: CenterSequence,
     property of the center sequence alone, independent of the radii. Like
     carve, it refuses a graph or params the centers were not chosen for; it
     refuses an id outside [0, n) or given twice with a ValueError naming it.
+    The balls come from the query the graph keeps (_sample_balls), which
+    estimate_padding reads too.
     """
     _require_gamma_in_range(gamma)
     _require_matching(g, centers, params)
@@ -246,7 +254,7 @@ def threatener_report(g: WeightedGraph, centers: CenterSequence,
     if len(repeated):
         raise ValueError(f"vertex {repeated[0]} is given twice")
     index = centers.index
-    row, members, _ = balls(g, VertexMask.full(g.n), vertices, gamma * params.delta)
+    row, members, _ = _sample_balls(g, vertices, gamma * params.delta)
     # every incidence of every ball member, tagged with the row of its ball
     lo = index.starts[members]
     sizes = index.starts[members + 1] - lo
@@ -260,14 +268,8 @@ def threatener_report(g: WeightedGraph, centers: CenterSequence,
 
 
 def _require_trials(trials: int) -> int:
-    """trials as a Python int: an integer (numpy's too, through
-    operator.index) of at least 1, never a bool."""
-    if isinstance(trials, bool):
-        raise TypeError(f"trials must be an integer, got {trials!r}")
-    try:
-        trials = operator.index(trials)
-    except TypeError:
-        raise TypeError(f"trials must be an integer, got {trials!r}") from None
+    """trials as a Python int (decomposer._require_integer) of at least 1."""
+    trials = _require_integer("trials", trials)
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     return trials
@@ -355,12 +357,32 @@ class PaddingReport:
 
 def sample_vertices(g: WeightedGraph, seed: int) -> np.ndarray:
     """All vertices when n <= 256; otherwise 256 drawn deterministically from
-    the master seed (stream index -1, reserved; trials use indices >= 0)."""
+    the master seed (stream index -1, reserved; trials use indices >= 0).
+    The seed must be an integer (decomposer._require_integer), even when
+    n <= 256."""
+    seed = _require_integer("seed", seed)
     if g.n <= MAX_EXHAUSTIVE_VERTICES:
         return np.arange(g.n, dtype=np.int64)
     rng = RngStream(derive_seed(seed, -1))
     picked = rng.sample_without_replacement(g.n, MAX_EXHAUSTIVE_VERTICES)
     return np.sort(picked.astype(np.int64))
+
+
+def _sample_balls(g: WeightedGraph, vertices: np.ndarray, radius: float) -> tuple:
+    """graph.balls(g, full graph, vertices, radius) as read-only (row,
+    members, dist) arrays. The graph keeps the latest answer (slot
+    "sample_balls"), so threatener_report and both padding schemes, which
+    ask it of one sample at one radius under the default gammas, share one
+    query. The key holds the ids as int64 bytes, so equal bytes mean equal ids."""
+    vertices = np.asarray(vertices, dtype=np.int64)
+
+    def build():
+        out = balls(g, VertexMask.full(g.n), vertices, radius)
+        for arr in out:
+            arr.flags.writeable = False
+        return out
+
+    return _graph_cached(g, "sample_balls", (float(radius), vertices.tobytes()), None, build)
 
 
 def _padding_labels(index: BallIndex, held_index: BallIndex, held: np.ndarray,
@@ -383,7 +405,9 @@ def estimate_padding(g: WeightedGraph, delta: float, finder=greedy_find,
     Runs `trials` independent decompositions with per-trial seeds derived from
     the master seed, and counts, per sampled vertex x and per gamma, the
     trials in which B_G(x, gamma*delta) stayed inside x's cluster. Each ball
-    is read once, at the largest gamma (graph.balls); in a trial, the closed
+    is read once, at the largest gamma, through the query the graph keeps
+    (_sample_balls): a call after threatener_report or the other scheme on
+    the same sample at the same radius makes none. In a trial, the closed
     ball at gamma is padded iff x's nearest member in another cluster lies
     farther than gamma*delta. Acceptance per (x, gamma): Wilson 99% lower
     bound >= floor for gamma > 0; for gamma = 0 the event holds surely, so
@@ -409,13 +433,14 @@ def estimate_padding(g: WeightedGraph, delta: float, finder=greedy_find,
     for gamma in gammas:
         _require_gamma_in_range(gamma)
     trials = _require_trials(trials)
+    seed = _require_integer("seed", seed)
     if scheme not in ("paper", "baseline"):
         raise ValueError(f"unknown scheme {scheme!r}")
     _require_valid_delta(delta)
 
     vertices = sample_vertices(g, seed)
     radii = np.asarray(gammas) * delta
-    row, members, dist = balls(g, VertexMask.full(g.n), vertices, radii.max())
+    row, members, dist = _sample_balls(g, vertices, radii.max())
     starts = np.searchsorted(row, np.arange(len(vertices)))  # no ball is empty: x is in B(x, r)
 
     # one stream for the call, re-keyed to each trial's seed: it yields what
@@ -469,6 +494,6 @@ def estimate_padding(g: WeightedGraph, delta: float, finder=greedy_find,
     records_out = tuple(map(PaddingRecord._make, zip(*columns)))
 
     return PaddingReport(
-        scheme, delta, gammas, trials, int(seed), g.n, p_eff, beta,
+        scheme, delta, gammas, trials, seed, g.n, p_eff, beta,
         tuple(vertices.tolist()), records_out,
     )

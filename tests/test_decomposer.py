@@ -269,6 +269,17 @@ class TestDecompositionParams:
         with pytest.raises(ValueError, match=r"^delta must be positive and finite"):
             DecompositionParams.for_baseline(delta, 0, 16)
 
+    @pytest.mark.parametrize("seed", [2.5, True])
+    def test_seed_must_be_an_integer(self, seed):
+        for make in (lambda: DecompositionParams.for_graph(4.0, seed, 1, 16),
+                     lambda: DecompositionParams.for_baseline(4.0, seed, 16)):
+            with pytest.raises(TypeError, match="seed must be an integer"):
+                make()
+
+    def test_numpy_seed_stored_as_int(self):
+        params = DecompositionParams.for_graph(4.0, np.int64(2), 1, 16)
+        assert type(params.seed) is int and params == DecompositionParams.for_graph(4.0, 2, 1, 16)
+
 
 class TestCarve:
     def test_single_vertex(self):
@@ -442,6 +453,14 @@ class TestBaseline:
         g = gen_grid(8, 8)
         a = baseline_decompose(g, 6.0, seed=9)
         b = baseline_decompose(g, 6.0, seed=9)
+        assert np.array_equal(a.cluster_of, b.cluster_of)
+
+    def test_seed_must_be_an_integer(self):
+        g = gen_grid(8, 8)
+        for seed in (2.5, True):
+            with pytest.raises(TypeError, match="seed must be an integer"):
+                baseline_decompose(g, 6.0, seed)
+        a, b = baseline_decompose(g, 6.0, np.int64(2)), baseline_decompose(g, 6.0, 2)
         assert np.array_equal(a.cluster_of, b.cluster_of)
 
     def test_valid_partition_with_diameter_bound(self):

@@ -58,6 +58,15 @@ class TestConfig:
         assert type(cfg.trials) is int and cfg == quick_cfg(trials=30)
         json.dumps(cfg.to_json_obj())
 
+    @pytest.mark.parametrize("name", ["seed", "gen_seed"])
+    def test_seeds_must_be_integers(self, name):
+        for seed in (2.5, True):
+            with pytest.raises(ConfigError, match=rf"^{name} must be an integer"):
+                quick_cfg(**{name: seed})
+        cfg = quick_cfg(**{name: np.int64(2)})
+        assert type(getattr(cfg, name)) is int and cfg == quick_cfg(**{name: 2})
+        json.dumps(cfg.to_json_obj())
+
     def test_rejects_empty_deltas_and_gammas(self):
         with pytest.raises(ConfigError, match=r"^deltas must not be empty"):
             run_experiment(ExperimentConfig(gen="grid:4,4", deltas=()))

@@ -33,7 +33,7 @@ from pathdecomp import (
     wilson_lower_bound,
 )
 from pathdecomp import verifier
-from pathdecomp.graph import SOURCE_BLOCK, weighted_diameter
+from pathdecomp.graph import SOURCE_BLOCK, balls, weighted_diameter
 from test_carving_reference import spread_weights
 
 
@@ -43,17 +43,19 @@ def unit_path(n, order=None):
     return WeightedGraph(n, [(order[i], order[i + 1], 1.0) for i in range(n - 1)])
 
 
-def first_far_pair(part, delta, search):
+def first_far_pair(g, part, delta, search):
     """The diameter message of a per-pair search: the first cluster in id order,
     then its first vertex u in list order, then the first v in list order with
-    v not in search(u, bound), the set of vertices within bound of u."""
+    v not in search(u, bound), the set of vertices within bound of u, and
+    their distance by the heap Dijkstra."""
     bound = 0.8 * delta
     for cid, cl in enumerate(part.clusters):
         for u in cl.vertices:
             near = search(int(u), bound)
             far = [v for v in cl.vertices if v not in near]
             if far:
-                return f"cluster {cid}: d({u},{far[0]}) = inf exceeds 4*delta/5 = {bound}"
+                d = sssp(g, VertexMask.full(g.n), int(u)).dist[far[0]]
+                return f"cluster {cid}: d({u},{far[0]}) = {d} exceeds 4*delta/5 = {bound}"
     return None
 
 
@@ -223,10 +225,10 @@ class TestCheckDiameters:
         g = unit_path(10)
         part = Partition.from_sets(10, [{0, 9}, set(range(1, 9))])
         v = check_cluster_diameters(g, part, 2.0)
-        assert str(v) == "[diameter] cluster 0: d(0,9) = inf exceeds 4*delta/5 = 1.6"
+        assert str(v) == "[diameter] cluster 0: d(0,9) = 9.0 exceeds 4*delta/5 = 1.6"
         part = Partition.from_sets(10, [{0}, {1, 2, 3}, set(range(4, 10))])
         v = check_cluster_diameters(g, part, 5.0)
-        assert v.message == "cluster 2: d(4,9) = inf exceeds 4*delta/5 = 4.0"
+        assert v.message == "cluster 2: d(4,9) = 5.0 exceeds 4*delta/5 = 4.0"
 
     def test_cluster_larger_than_a_source_block_passes(self):
         g = gen_grid(20, 20)  # diameter 38
@@ -234,13 +236,13 @@ class TestCheckDiameters:
         assert len(part.clusters[0].vertices) > SOURCE_BLOCK
         assert check_cluster_diameters(g, part, 47.5) is None  # 4*delta/5 = 38
         v = check_cluster_diameters(g, part, 47.4)
-        assert v.message == "cluster 0: d(0,399) = inf exceeds 4*delta/5 = 37.92"
+        assert v.message == "cluster 0: d(0,399) = 38.0 exceeds 4*delta/5 = 37.92"
 
     def test_cluster_larger_than_a_source_block_fails(self):
         g = unit_path(300)
         part = Partition.from_sets(300, [range(300)])
         v = check_cluster_diameters(g, part, 300.0)
-        assert v.message == "cluster 0: d(0,241) = inf exceeds 4*delta/5 = 240.0"
+        assert v.message == "cluster 0: d(0,241) = 241.0 exceeds 4*delta/5 = 240.0"
         assert check_cluster_diameters(g, part, 373.75) is None  # 4*delta/5 = 299
 
     def test_far_pair_only_in_second_source_block(self):
@@ -251,7 +253,7 @@ class TestCheckDiameters:
         g = unit_path(b + 44, [*range(b, b + 22), *range(b), *range(b + 22, b + 44)])
         part = Partition.from_sets(b + 44, [range(b + 44)])
         v = check_cluster_diameters(g, part, 1.25 * (b + 24))
-        assert v.message == f"cluster 0: d({b},{b + 25}) = inf exceeds 4*delta/5 = {b + 24.0}"
+        assert v.message == f"cluster 0: d({b},{b + 25}) = {b + 25.0} exceeds 4*delta/5 = {b + 24.0}"
 
     @pytest.mark.parametrize("delta", [13.7, 16.7, 18.3])
     def test_many_clusters_across_source_blocks_match_per_cluster_search(self, delta):
@@ -269,7 +271,8 @@ class TestCheckDiameters:
                 dist = sssp(g, full, int(u)).dist
                 far = [v for v in cl.vertices if dist[v] > bound]
                 if far and expect is None:
-                    expect = f"cluster {cid}: d({u},{far[0]}) = inf exceeds 4*delta/5 = {bound}"
+                    expect = (f"cluster {cid}: d({u},{far[0]}) = {dist[far[0]]} "
+                              f"exceeds 4*delta/5 = {bound}")
         v = check_cluster_diameters(g, part, delta)
         assert (v and v.message) == expect
 
@@ -293,7 +296,7 @@ class TestCheckDiameters:
         part = Partition(np.zeros(5, dtype=np.int64), [Cluster(np.array(members), hub, 2.0), *rest])
         assert check_cluster_diameters(g, part, 5.0) is None
         v = check_cluster_diameters(g, part, 4.99)
-        assert v.message == f"cluster 0: d(0,4) = inf exceeds 4*delta/5 = {0.8 * 4.99}"
+        assert v.message == f"cluster 0: d(0,4) = 4.0 exceeds 4*delta/5 = {0.8 * 4.99}"
         assert calls == [members, members]
 
     @pytest.mark.parametrize("graph, div", [
@@ -324,7 +327,7 @@ class TestCheckDiameters:
                            for a, b in zip(cl[8::2], cl[9::2])]
         part = Partition(np.zeros(g.n, dtype=np.int64), merged)
         full = VertexMask.full(g.n)
-        expect = first_far_pair(part, delta, lambda u, bound: ball(g, full, u, bound))
+        expect = first_far_pair(g, part, delta, lambda u, bound: ball(g, full, u, bound))
         assert expect is not None
         assert check_cluster_diameters(g, part, delta).message == expect
         assert not set(calls[0]) & set(np.concatenate([c.vertices for c in cl[:8]]).tolist())
@@ -374,7 +377,7 @@ class TestCheckDiameters:
                              [Cluster(vs, rec, 0.0) for vs, rec in zip(sets, records)])
         full = VertexMask.full(n)
         expect = first_far_pair(
-            part, delta, lambda u, bound: {x for x, d in enumerate(sssp(g, full, u).dist) if d <= bound})
+            g, part, delta, lambda u, bound: {x for x, d in enumerate(sssp(g, full, u).dist) if d <= bound})
         v = check_cluster_diameters(g, part, delta)
         assert (v and v.message) == expect
 
@@ -471,6 +474,89 @@ class TestThreateners:
         params = DecompositionParams.for_graph(1.0, 0, seq.p_eff, 4)
         with pytest.raises(ValueError, match=message):
             threatener_report(g, seq, params, 0.01, vertices)
+
+
+SAMPLE_BALL_GRAPHS = {
+    # n > 256, so the padding sample is drawn; the log-uniform grid's balls
+    # hold more than their anchor
+    "unit-grid": lambda: gen_grid(20, 20),
+    "unit-ktree": lambda: gen_ktree(400, 2, seed=3).graph,
+    "spread-grid": lambda: spread_weights(gen_grid(20, 20), 1),
+}
+
+
+def questions(seed, gamma=verifier.GAMMA_MAX, gammas=verifier.DEFAULT_GAMMAS, vertices=None):
+    """The threatener report and both padding reports at W/8, in the order a
+    run asks them, each a function of the graph."""
+    def report(g):
+        delta = weighted_diameter(g) / 8
+        seq = choose_centers(g, delta)
+        params = DecompositionParams.for_graph(delta, seed, seq.p_eff, g.n)
+        return threatener_report(g, seq, params, gamma,
+                                 sample_vertices(g, seed) if vertices is None else vertices)
+
+    def padding(scheme):
+        return lambda g: estimate_padding(g, weighted_diameter(g) / 8, gammas=gammas, trials=6,
+                                          seed=seed, scheme=scheme)
+
+    return [report, padding("paper"), padding("baseline")]
+
+
+def certify(g, seed, **kwargs):
+    """The three answers on one graph, which shares its ball query."""
+    return tuple(ask(g) for ask in questions(seed, **kwargs))
+
+
+def cold(make, seed, **kwargs):
+    """The three answers, each on a graph of its own."""
+    return tuple(ask(make()) for ask in questions(seed, **kwargs))
+
+
+class TestSampleBalls:
+    def test_one_query_for_the_three_and_none_for_a_repeat(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(verifier, "balls", lambda *a: calls.append(1) or balls(*a))
+        g = gen_grid(20, 20)
+        warm = certify(g, 7)
+        assert len(calls) == 1
+        assert certify(g, 7) == warm and len(calls) == 1
+
+    @pytest.mark.parametrize("make", SAMPLE_BALL_GRAPHS.values(), ids=SAMPLE_BALL_GRAPHS)
+    def test_warm_graph_equals_a_fresh_one_per_question(self, make):
+        warm = certify(make(), 7)
+        assert cold(make, 7) == warm
+        g = make()  # padding asks first, the report reads its answer
+        assert questions(7)[1](g) == warm[1] and certify(g, 7) == warm
+
+    def test_spread_grid_balls_hold_more_than_their_anchor(self):
+        g = SAMPLE_BALL_GRAPHS["spread-grid"]()
+        certify(g, 7)
+        sizes = np.bincount(g._cache["sample_balls"][2][0])
+        assert len(sizes) == 256 and (sizes > 1).sum() > 10
+
+    @pytest.mark.parametrize("change, queries", [
+        ({"seed": 8}, 1), ({"gamma": 0.005, "gammas": (0.0, 0.005)}, 1),
+        # the report asks of its own vertices, then padding of the sample again
+        ({"vertices": [0, 5, 399]}, 2),
+    ], ids=["seed", "max-gamma", "vertices"])
+    def test_another_question_replaces_the_slot(self, monkeypatch, change, queries):
+        make = SAMPLE_BALL_GRAPHS["spread-grid"]
+        g = make()
+        certify(g, 7)
+        calls = []
+        monkeypatch.setattr(verifier, "balls", lambda *a: calls.append(1) or balls(*a))
+        change = {"seed": 7, **change}
+        got = certify(g, **change)
+        assert len(calls) == queries
+        assert got == cold(make, **change)
+        assert certify(g, 7) == cold(make, 7)
+
+    def test_cached_arrays_are_read_only(self):
+        g = gen_grid(20, 20)
+        estimate_padding(g, 4.0, trials=2, seed=1)
+        for arr in g._cache["sample_balls"][2]:
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 0
 
 
 class TestWilson:
@@ -613,6 +699,18 @@ class TestEstimatePadding:
         with pytest.raises(TypeError, match="trials must be an integer"):
             estimate_padding(gen_grid(2, 2), 1.0, trials=trials)
 
+    @pytest.mark.parametrize("seed", [2.5, True])
+    @pytest.mark.parametrize("scheme", ["paper", "baseline"])
+    def test_refuses_seeds_that_are_not_integers(self, seed, scheme):
+        # a float seed would run as its floor
+        with pytest.raises(TypeError, match="seed must be an integer"):
+            estimate_padding(gen_grid(2, 2), 1.0, trials=5, seed=seed, scheme=scheme)
+
+    def test_numpy_seed_equals_the_int(self):
+        g = gen_ktree(300, 1, seed=0).graph
+        rep = estimate_padding(g, 4.0, trials=5, seed=np.int64(2))
+        assert type(rep.seed) is int and rep == estimate_padding(g, 4.0, trials=5, seed=2)
+
     @pytest.mark.parametrize("trials", [0, -3, np.int64(0)])
     def test_refuses_trials_below_one(self, trials):
         with pytest.raises(ValueError, match="trials must be >= 1"):
@@ -746,3 +844,11 @@ class TestSampleVertices:
         assert len(a) == 256
         assert len(set(a.tolist())) == 256
         assert not np.array_equal(a, sample_vertices(g, 43))
+
+    @pytest.mark.parametrize("n", [10, 300])
+    def test_seed_must_be_an_integer(self, n):
+        g = gen_ktree(n, 1, seed=0).graph
+        for seed in (2.5, True):
+            with pytest.raises(TypeError, match="seed must be an integer"):
+                sample_vertices(g, seed)
+        assert np.array_equal(sample_vertices(g, np.int64(2)), sample_vertices(g, 2))
