@@ -48,8 +48,8 @@ from .graph import (
     VertexMask,
     WeightedGraph,
     _balls_on,
-    _level_balls_on,
     _level_union,
+    _reach,
     balls,
     concat_ranges,
 )
@@ -235,18 +235,19 @@ class BallIndex:
 def _incidences(g: WeightedGraph, union, ids, centers, radius: float):
     """(record, vertex, distance) arrays of the balls in a prebuilt level
     union (graph._level_union): mask k holds the records ids[k], centered at
-    centers[k]. One mask is one graph.balls query. Round t of several sweeps
-    their union from the t-th center of each that has one (graph.level_balls)."""
-    sub, verts, _ = union
+    centers[k]. One mask is one graph.balls query. Round t of several is one
+    sweep of their union (graph._reach) from the t-th center of each that
+    has one; a reached vertex lies in the ball of its own mask's center."""
+    sub, verts, owner = union
     if len(ids) == 1:
         row, vert, dist = _balls_on(g, sub, verts, np.searchsorted(verts, centers[0]), radius)
         yield ids[0][row], vert, dist
         return
-    rounds = range(max(map(len, ids)))
-    sources = [np.searchsorted(verts, [c[t] for c in centers if t < len(c)]) for t in rounds]
-    for t, (owner, vert, dist) in zip(rounds, _level_balls_on(union, sources, radius)):
+    for t in range(max(map(len, ids))):
+        hit, dist = _reach(sub, np.searchsorted(verts, [c[t] for c in centers if t < len(c)]),
+                           radius)
         record = np.array([k_ids[t] if t < len(k_ids) else -1 for k_ids in ids])
-        yield record[owner], vert, dist
+        yield record[owner[hit]], verts[hit], dist
 
 
 @dataclass(frozen=True)
@@ -430,12 +431,9 @@ def _build_centers(g: WeightedGraph, delta: float, finder) -> CenterSequence:
         separators.append((mask, sep))
         p_eff = max(p_eff, sep.total_paths)
         max_depth = max(max_depth, depth)
-        # group gi's residual: the mask minus groups 0..gi-1, one object for all
-        # its records (BallIndex batches by subgraph identity), none after the last
-        residuals = itertools.accumulate(
-            sep.groups[:-1], lambda m, grp: m.without(v for p in grp for v in p.vertices),
-            initial=mask)
-        for gi, (group, residual) in enumerate(zip(sep.groups, residuals)):
+        # group gi's residual, one object for all its records (BallIndex
+        # batches by subgraph identity); zip never asks for mask - S
+        for gi, (group, residual) in enumerate(zip(sep.groups, sep.residuals(mask))):
             for path in group:
                 pid = len(paths)
                 paths.append(path)

@@ -1,8 +1,8 @@
 """Deterministic graph generators for experiments: grids and random k-trees.
 
-Grids give a planar family; k-trees give a bounded-treewidth family whose
-construction order doubles as a treewidth certificate (every vertex is
-simplicial at creation, so treewidth <= k).
+Grids give a planar family; k-trees give a bounded-treewidth family: every
+vertex is simplicial at creation, so eliminating the vertices newest-first
+witnesses treewidth <= k.
 """
 
 from __future__ import annotations
@@ -43,17 +43,13 @@ def gen_grid(rows: int, cols: int, weight_mode: str = "unit", seed: int = 0) -> 
 
 @dataclass(frozen=True)
 class KTreeSample:
-    """A generated k-tree plus its treewidth certificate.
-
-    elimination_order lists the vertices newest-first; eliminating them in
-    this order meets only cliques of size <= k, witnessing treewidth <= k
-    (for edge_keep_prob < 1 the graph is a partial k-tree and inherits the
-    bound from its k-tree supergraph).
-    """
+    """A generated k-tree and its k. Vertex v is created after vertices
+    0..v-1 (the first k + 1 form a clique), so eliminating n-1, ..., 0 meets
+    only cliques of size <= k; for edge_keep_prob < 1 the graph is a partial
+    k-tree and inherits the bound from its k-tree supergraph."""
 
     graph: WeightedGraph
     k: int
-    elimination_order: tuple[int, ...]
 
 
 def gen_ktree(n: int, k: int, weight_mode: str = "unit", seed: int = 0,
@@ -83,9 +79,7 @@ def gen_ktree(n: int, k: int, weight_mode: str = "unit", seed: int = 0,
         for u in base:
             cliques.append(tuple(sorted((set(base) - {u}) | {v})))
     w = _weights(weight_mode, len(pairs), rng)
-    graph = WeightedGraph(n, [(u, v, wi) for (u, v), wi in zip(pairs, w)])
-    order = tuple(range(n - 1, -1, -1))
-    return KTreeSample(graph, k, order)
+    return KTreeSample(WeightedGraph(n, [(u, v, wi) for (u, v), wi in zip(pairs, w)]), k)
 
 
 def expected_grid_edges(rows: int, cols: int) -> int:

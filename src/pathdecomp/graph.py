@@ -22,9 +22,8 @@ Every residual operation lives here, once:
 - A level union is a list of pairwise disjoint masks that no edge joins, such
   as the nodes of one recursion level. `_level_union` alone builds one (one
   slice, each vertex's mask) and raises ValueError otherwise: no sweep leaves its mask.
-  `level_components`, `level_balls` and `double_sweep` each build one per
-  call and hand it to their core (`_component_labels`, `_level_balls_on`,
-  `_double_sweep_on`), as `balls` hands its residual's slice to `_balls_on`.
+  `double_sweep` builds one per call and hands it to its core,
+  `_double_sweep_on`, as `balls` hands its residual's slice to `_balls_on`.
   The greedy separator finder calls the cores itself: it builds one union
   per level and one per round, of the residuals of the nodes still
   unbalanced, and that union serves the round's components call, the next
@@ -32,28 +31,24 @@ Every residual operation lives here, once:
   after a round that balances some of its nodes but not all is a second
   union built, of the others.
 - scipy's Dijkstra runs every sweep and every multi-source query, directed on
-  the symmetric CSR, so no call copies a transpose (on an 8x8 grid a call
-  takes about 35 µs, against 107 µs undirected):
+  the symmetric CSR, so no call copies a transpose:
   - `balls`: the one multi-source distance query, cut at a radius, as sparse
     (row, vertex, distance) entries, SOURCE_BLOCK sources at a time. A
     call of fewer sources makes one dense call on the residual. In a call
     of more, every block runs its dense call on the union of its balls,
-    found by a min_only sweep, so its cost follows its output. On unit
-    gen_ktree(16384, 2) at W/8 the baseline index, all singleton balls,
-    went from 1.5 s and a 20.7 MB tracemalloc peak to 75 ms and 2.3 MB; on
-    a 64x64 grid at W/8, from 135 to 78 ms, and the 256 padding balls from
-    5.7 to 1.4 ms. Every multi-source ball is read through it: a BallIndex
-    key held by one subgraph, the baseline index, the threatener counts,
-    the padding balls and both passes of the cluster-diameter check. Each
-    dense block is read in one flat scan of its finite entries, which cost
-    as much as the block's Dijkstra when read as a 2-D nonzero and a gather.
-  - `_distance_on`: the separator validator's path check on a residual
-    above its heap cut, one dense one-source call on the node's slice with
-    the earlier groups deleted by weight, cut at the path's length, as
-    `balls` makes for one source.
-  - `level_balls`: per round, one sweep over a level union cut at a radius,
-    from at most one source per mask (through its core, the BallIndex's
-    level sweeps).
+    found by a min_only sweep, so its cost follows its output. Every
+    multi-source ball is read through it: a BallIndex key held by one
+    subgraph, the baseline index, the threatener counts, the padding balls
+    and both passes of the cluster-diameter check. Each dense block is read
+    in one flat scan of its finite entries.
+  - `_reach`: one min_only sweep cut at a radius, from many sources: the
+    union of a `balls` block, and one round of a level's center index (one
+    source per mask of a level union, each reached vertex in its own
+    mask's ball).
+  - `_distance_on`: the separator validator's path check on a node above
+    its heap cut, one dense one-source call on the node's slice with the
+    earlier groups deleted by weight, cut at the path's length, as `balls`
+    makes for one source.
   - `double_sweep`: one path per mask of a level union (through its core,
     the separator finder's targets of one round), from two sweeps of one source
     per mask, rebuilt from the second sweep's predecessors, its length the
@@ -61,14 +56,15 @@ Every residual operation lives here, once:
     one-mask calls, which the tests pin on many tied blocks in any source
     order. One mask serves `farthest` (its first sweep) and
     `weighted_diameter` (exact all-pairs at n <= 512).
-- `level_components` is `components` for each mask of a level union, from
-  one scipy `connected_components` call (through its core, the separator
-  finder's rounds, and the validator's flaps above its heap cut).
+- `_component_labels` numbers the components of a level union's slice from
+  one scipy `connected_components` call, and `_component_masks` turns them
+  into each mask's `components` (the separator finder's rounds, and the
+  validator's flaps on a node above its heap cut).
   `components` itself, and the heap Dijkstra below behind `sssp`, `ball` and
-  the validator's path check on small residuals, touch only alive vertices
-  and their edges, and the heap keeps only the vertices it reaches:
-  on the 1-10 vertex residuals of most recursion nodes that is over ten
-  times faster than slicing a CSR for scipy (measured, see the README).
+  the validator's path check on small nodes, touch only alive vertices
+  and their edges, and the heap keeps only the vertices it reaches: most
+  recursion nodes hold 1-10 vertices, where a search costs less than
+  slicing a CSR for scipy (the README gives the numbers).
 """
 
 from __future__ import annotations
@@ -96,11 +92,8 @@ INF = math.inf
 
 # Sources per scipy Dijkstra call in balls: a dense block holds this many rows
 # of the size of the block's balls' union (or of the residual, in a call of
-# fewer sources), and one block is alive at a time. On a 64x64 grid run, 128
-# instead of 256 cut peak RSS by 10 MB at equal speed, when every block was
-# of the residual's size. With the union, the baseline index of unit
-# gen_ktree(16384, 2) at W/8 peaks at 2.3 MB under tracemalloc, against the
-# 16.8 MB of one block of the whole graph (2-vCPU machine).
+# fewer sources), and one block is alive at a time, so peak memory follows
+# the block size and the balls' size, not the graph's.
 SOURCE_BLOCK = 128
 
 
@@ -241,20 +234,20 @@ class Path:
         vertices = tuple(int(v) for v in vertices)
         if not vertices:
             raise GraphError("a path needs at least one vertex")
-        return cls(vertices, _walk_length(g, vertices))
+        return cls(vertices, _walk_sums(g, vertices)[-1])
 
     def __len__(self):
         return len(self.vertices)
 
 
-def _walk_length(g: WeightedGraph, vertices) -> float:
-    """The left-to-right float sum from 0.0 of the lightest edge weight of
-    each consecutive pair of vertices; GraphError at the first pair that is
-    not adjacent."""
-    total = 0.0
+def _walk_sums(g: WeightedGraph, vertices) -> list[float]:
+    """The left-to-right float prefix sums, from 0.0, of the lightest edge
+    weight of each consecutive pair of vertices: a walk's length is the last.
+    GraphError at the first pair that is not adjacent."""
+    sums = [0.0]
     for a, b in zip(vertices, vertices[1:]):
-        total += g.edge_weight(a, b)
-    return total
+        sums.append(sums[-1] + g.edge_weight(a, b))
+    return sums
 
 
 @dataclass(frozen=True)
@@ -382,8 +375,7 @@ def _delete_in_place(sub: sp.csr_matrix, gone: np.ndarray) -> None:
     written into sub.data, so sub must own its weights (a full mask's slice
     is the graph's own CSR). Under a finite limit, scipy's Dijkstra then
     gives the distances and predecessors of the slice without them (see
-    _distance_on). One scan of every entry: on the validator's slices it
-    timed below reading only the deleted vertices' neighbours' rows."""
+    _distance_on). One scan of every entry."""
     sub.data[gone[sub.indices]] = INF
 
 
@@ -394,9 +386,8 @@ def _principal(csr: sp.csr_matrix, keep: np.ndarray) -> sp.csr_matrix:
     graph's CSR on the same vertices, array for array, also after vertices
     outside keep were deleted by weight (their edges are dropped)."""
     first, count = csr.indptr[keep], csr.indptr[keep + 1] - csr.indptr[keep]
-    # the rows' entries in stored order, kept where their column is kept; an
-    # id map over csr's rows, as scipy's indexing uses, beat binary search on
-    # big masks
+    # the rows' entries in stored order, kept where their column is kept,
+    # through an id map over csr's rows, as scipy's indexing uses
     at = concat_ranges(first, count)
     local = np.full(csr.shape[0], -1, dtype=csr.indices.dtype)
     local[keep] = np.arange(len(keep))
@@ -505,30 +496,6 @@ def _balls_on(g: WeightedGraph, sub: sp.csr_matrix, verts: np.ndarray, local: np
     return tuple(np.concatenate(a) for a in zip(*parts))
 
 
-def level_balls(g: WeightedGraph, masks, rounds, radius: float):
-    """Balls over a level union, one scipy sweep per round: rounds[t][k] is
-    masks[k]'s t-th source, or None. Yields (owner, verts, dist) per round:
-    the reached vertices, the position in masks of each one's mask, and its
-    residual distance to that mask's source, at most radius."""
-    for sources in rounds:
-        for mask, src in zip(masks, sources, strict=True):
-            if src is not None and src not in mask:
-                raise MaskError(f"source {src} is not alive in the mask")
-    union = _level_union(g, masks)
-    local = [np.searchsorted(union[1], [src for src in sources if src is not None])
-             for sources in rounds]
-    yield from _level_balls_on(union, local, radius)
-
-
-def _level_balls_on(union, rounds, radius: float):
-    """level_balls on a prebuilt level union (sub, verts, owner), rounds[t]
-    being round t's sources as local indices."""
-    sub, verts, owner = union
-    for local in rounds:
-        hit, dist = _reach(sub, local, radius)
-        yield owner[hit], verts[hit], dist
-
-
 def _sweep(sub: sp.csr_matrix, owner: np.ndarray, sources: np.ndarray):
     """One scipy sweep over a level union from one local source per mask:
     each mask's farthest reached local index (ties: the smallest), the
@@ -591,15 +558,6 @@ def _double_sweep_on(union, sources: np.ndarray) -> list[Path]:
     return paths
 
 
-def level_components(g: WeightedGraph, masks) -> list[list[VertexMask]]:
-    """components(g, mask) for each of pairwise disjoint, non-adjacent masks,
-    from one scipy call over their union."""
-    if not any(len(mask) for mask in masks):
-        return [[] for _ in masks]
-    union = _level_union(g, masks)
-    return _component_masks(g, masks, union, *_component_labels(union[0]))
-
-
 def _component_labels(sub: sp.csr_matrix) -> tuple[np.ndarray, np.ndarray]:
     """The components of a level union's slice, numbered by their smallest
     vertex: label[i] is local vertex i's component, first[c] the smallest
@@ -615,7 +573,8 @@ def _component_labels(sub: sp.csr_matrix) -> tuple[np.ndarray, np.ndarray]:
 
 def _component_masks(g: WeightedGraph, masks, union, label: np.ndarray,
                      first: np.ndarray) -> list[list[VertexMask]]:
-    """level_components from a union of masks and its _component_labels."""
+    """components(g, mask) for each mask of a level union, from the union and
+    its _component_labels."""
     _, verts, owner = union
     out: list[list[VertexMask]] = [[] for _ in masks]
     ids = verts[np.argsort(label, kind="stable")].tolist()

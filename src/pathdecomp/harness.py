@@ -20,7 +20,7 @@ from .decomposer import (
     choose_centers,
     dump_partition,
 )
-from .generators import gen_grid, gen_ktree
+from .generators import WEIGHT_MODES, gen_grid, gen_ktree
 from .graph import WeightedGraph, load_graph, weighted_diameter
 from .separators import greedy_find, tree_centroid_find
 from . import verifier
@@ -59,6 +59,10 @@ class ExperimentConfig:
                 object.__setattr__(self, name, tuple(value))
         if (self.graph_file is None) == (self.gen is None):
             raise ConfigError("provide exactly one of a graph file or a generator spec")
+        if self.gen is not None:
+            parse_gen_spec(self.gen)
+        if self.weights not in WEIGHT_MODES:
+            raise ConfigError(f"unknown weights {self.weights!r}; expected {'|'.join(WEIGHT_MODES)}")
         if self.finder not in FINDERS:
             raise ConfigError(f"unknown finder {self.finder!r}; expected {'|'.join(FINDERS)}")
         if self.scheme not in SCHEMES:
@@ -73,6 +77,8 @@ class ExperimentConfig:
             for name in ("seed", "gen_seed"):
                 object.__setattr__(self, name, _require_integer(name, getattr(self, name)))
             for delta in self.deltas or ():
+                if isinstance(delta, bool):
+                    raise TypeError(f"delta must be a number, got {delta!r}")
                 _require_valid_delta(delta)
             for gamma in self.gammas:
                 verifier._require_gamma_in_range(gamma)
@@ -108,11 +114,13 @@ def build_graph(cfg: ExperimentConfig):
         return g, f"file:{cfg.graph_file}", {}
     kind, (a, b) = parse_gen_spec(cfg.gen)
     desc = f"gen:{kind}:{a},{b}:{cfg.weights}:seed{cfg.gen_seed}"
-    if kind == "grid":
-        return gen_grid(a, b, cfg.weights, cfg.gen_seed), desc, {}
-    sample = gen_ktree(a, b, cfg.weights, cfg.gen_seed)
-    extras = {"treewidth_certificate": list(sample.elimination_order), "k": sample.k}
-    return sample.graph, desc, extras
+    try:
+        if kind == "grid":
+            return gen_grid(a, b, cfg.weights, cfg.gen_seed), desc, {}
+        sample = gen_ktree(a, b, cfg.weights, cfg.gen_seed)
+    except ValueError as exc:  # the generator's own argument rules
+        raise ConfigError(f"generator {cfg.gen!r}: {exc}") from exc
+    return sample.graph, desc, {"k": sample.k}
 
 
 def default_deltas(w: float) -> tuple[float, ...]:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graph import GraphError, Path, WeightedGraph
+from .graph import GraphError, Path, WeightedGraph, _walk_sums
 
 
 @dataclass(frozen=True)
@@ -27,10 +27,7 @@ class PathMetricView:
 
     @classmethod
     def from_path(cls, g: WeightedGraph, path: Path) -> "PathMetricView":
-        cum = [0.0]
-        for a, b in zip(path.vertices, path.vertices[1:]):
-            cum.append(cum[-1] + g.edge_weight(a, b))
-        return cls(path, tuple(cum))
+        return cls(path, tuple(_walk_sums(g, path.vertices)))
 
     def distance(self, i: int, j: int) -> float:
         return abs(self.cumulative[i] - self.cumulative[j])

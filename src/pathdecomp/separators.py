@@ -4,13 +4,15 @@ A separator is an ordered list of groups; group j consists of paths that are
 shortest paths of the residual graph left after deleting all earlier groups.
 Deleting the whole separator must leave only components of at most half the
 original alive count (the flaps). A certificate holds only paths and flaps:
-group j's residual is the node mask minus groups 0..j-1, derived where it is read.
+group j's residual is the node mask minus groups 0..j-1, derived in one place,
+PathSeparator.residuals, by the validator and the center walk alike.
 
-The validator checks a small residual with the heap and components, and a
-residual above PATH_CHECK_HEAP_MAX on one CSR slice per node: one induced
-call, on a copy of its weights, from which each checked group is deleted in
-place by weight (graph's _delete_in_place), one scipy call per multi-vertex
-path, and one slice of the final residual cut from it for the flaps.
+The validator picks its engine once per node, from the node's size. A node
+of at most PATH_CHECK_HEAP_MAX vertices is checked with the heap and
+components. A larger one is checked on one CSR slice: one induced call, on a
+copy of its weights, from which each checked group is deleted in place by
+weight (graph's _delete_in_place), one scipy call per multi-vertex path, and
+one slice of the final residual cut from it for the flaps.
 
 The greedy finder repeatedly removes an approximate-diameter shortest path
 from the largest oversized component. It runs over a whole recursion level
@@ -41,17 +43,17 @@ from .graph import (
     _double_sweep_on,
     _level_union,
     _principal,
-    _walk_length,
+    _walk_sums,
     components,
     induced,
 )
 
-# Alive vertices up to which the validator checks a group's paths with the
-# heap, which touches only what it reaches; above it, with one scipy call per
-# path on the node's CSR slice, which pays a slice per node and a call per
-# path however small the residual (about 0.14 ms together on a tiny one). Of
-# the cuts 64, 128 and 256, all three timed within noise on a 64x64 unit grid,
-# and 64 slower than the other two on gen_ktree(2048, 2).
+# Node size up to which the validator checks a node with the heap and
+# components, which touch only what they reach; above it, on the node's CSR
+# slice, which pays a slice per node and a scipy call per path however small
+# the residual. Most recursion nodes hold a few vertices, and the few large
+# ones most of the paths' length, so each engine serves its own end (the
+# README gives the numbers).
 PATH_CHECK_HEAP_MAX = 128
 
 
@@ -75,6 +77,14 @@ class PathSeparator:
     @property
     def total_paths(self) -> int:
         return sum(map(len, self.groups))
+
+    def residuals(self, mask: VertexMask):
+        """Lazily, group j's residual for each group j, the node mask minus
+        groups 0..j-1 (the mask object itself at j = 0), then mask - S."""
+        yield mask
+        for group in self.groups:
+            mask = mask.without([v for p in group for v in p.vertices])
+            yield mask
 
 
 @dataclass(frozen=True)
@@ -100,13 +110,13 @@ def validate_separator(g: WeightedGraph, mask: VertexMask, sep: PathSeparator):
     written.
 
     A multi-vertex path is searched from its first vertex, cut at its
-    length. A residual of at most PATH_CHECK_HEAP_MAX alive vertices runs the
-    heap; a larger one runs one scipy call per path on the node's CSR slice.
-    A node above the cut makes one induced call and copies its weights;
-    before each later group is checked there, every edge into the earlier
-    groups' vertices gets weight inf. No CSR is built per group. If the final
-    residual is above the cut too, its flaps come from one slice of the
-    node's, cut through _principal.
+    length. The engine is chosen once, from the node's size: a node of at
+    most PATH_CHECK_HEAP_MAX vertices runs the heap and components; a larger
+    one makes one induced call, copies its weights, and runs one scipy call
+    per path on that slice, where before each later group is checked every
+    edge into the earlier groups' vertices gets weight inf. No CSR is built
+    per group; the flaps come from one slice of the node's, cut through
+    _principal.
     """
     # The two engines return the same float, bit for bit. Each relaxes
     # d(v) = d(u) + w, so each returns the least left-to-right float sum over
@@ -124,26 +134,22 @@ def validate_separator(g: WeightedGraph, mask: VertexMask, sep: PathSeparator):
     # less than any residual distance, so the residual distance is unchanged.
     if mask.n != g.n:
         raise ValueError(f"mask is over {mask.n} vertices but the graph has {g.n}")
-    alive, sliced = mask, None
+    sliced = None
     if len(mask) > PATH_CHECK_HEAP_MAX:
         sub, verts = induced(g, mask)
         # a copy of the weights, which the deletions write (a full mask's
         # slice is the graph's own CSR), and the node's deleted local ids
         sliced, dead = (sub.copy(), verts), np.zeros(len(verts), dtype=bool)
-    for gi, group in enumerate(sep.groups):
+    residuals = sep.residuals(mask)
+    for gi, (group, alive) in enumerate(zip(sep.groups, residuals)):
         for pi, path in enumerate(group):
             fault = _path_fault(g, alive, sliced, path)
             if fault is not None:
                 return SeparatorViolation(fault[0], gi, pi, fault[1])
-        gone = [v for p in group for v in p.vertices]
-        alive = alive.without(gone)
         if sliced is not None:
-            dead[np.searchsorted(verts, gone)] = True
-            if len(alive) <= PATH_CHECK_HEAP_MAX:
-                sliced = None  # the heap checks the rest
-            elif gi + 1 < len(sep.groups):  # the next group is checked on the slice
-                _delete_in_place(sliced[0], dead)
-    # alive is now the mask with S deleted
+            dead[np.searchsorted(verts, [v for p in group for v in p.vertices])] = True
+            _delete_in_place(sliced[0], dead)
+    alive = next(residuals)  # the mask minus S
     if sliced is not None:
         kept = np.flatnonzero(~dead)
         union = (_principal(sliced[0], kept), verts[kept], np.zeros(len(kept), dtype=np.int64))
@@ -178,7 +184,7 @@ def _path_fault(g: WeightedGraph, alive: VertexMask, sliced, path: Path):
         dead = next(v for v in verts if v not in alive)
         return "structure", f"path vertex {dead} is not alive in its residual"
     try:
-        total = _walk_length(g, verts)
+        total = _walk_sums(g, verts)[-1]
     except GraphError as exc:
         return "structure", str(exc)
     if total != path.length:

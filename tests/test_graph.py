@@ -28,13 +28,15 @@ from pathdecomp import (
 )
 from pathdecomp.graph import (
     SOURCE_BLOCK,
+    _component_labels,
+    _component_masks,
     _delete_in_place,
     _dijkstra,
+    _level_union,
+    _reach,
     balls,
     double_sweep,
     induced,
-    level_balls,
-    level_components,
 )
 
 from test_carving_reference import spread_weights
@@ -650,6 +652,13 @@ class TestWholeGraphTies:
         assert level_components(g, masks) == [components(g, m) for m in masks]
 
 
+def level_components(g, masks):
+    """components for each mask of a level union, through the cores that the
+    separator finder's rounds and the validator's flaps run."""
+    union = _level_union(g, masks)
+    return _component_masks(g, masks, union, *_component_labels(union[0]))
+
+
 class TestLevelComponents:
     def test_equals_components_of_each_mask(self):
         # blocks of a grid, each with random holes, so most fall apart
@@ -664,9 +673,13 @@ class TestLevelComponents:
         (only,), = level_components(grid8, [mask])
         assert only is mask
 
+    def test_empty_masks_have_no_components(self, grid8):
+        assert level_components(grid8, [VertexMask(64, [])]) == [[]]
+        assert level_components(grid8, [VertexMask(64, []), VertexMask(64, [])]) == [[], []]
+
     def test_adjacent_masks_raise(self, grid8):
         with pytest.raises(ValueError, match="edge joins"):
-            level_components(grid8, [VertexMask(64, [0, 1]), VertexMask(64, [2, 3])])
+            _level_union(grid8, [VertexMask(64, [0, 1]), VertexMask(64, [2, 3])])
 
 
 class TestInduced:
@@ -757,6 +770,16 @@ def heap_level_balls(g, masks, rounds, radius):
     return out
 
 
+def level_balls(g, masks, rounds, radius):
+    """Per round, (owner, verts, dist) of one _reach sweep over the level
+    union from that round's sources, as the center index runs it."""
+    sub, verts, owner = _level_union(g, masks)
+    for sources in rounds:
+        local = np.searchsorted(verts, [src for src in sources if src is not None])
+        hit, dist = _reach(sub, local, radius)
+        yield owner[hit], verts[hit], dist
+
+
 class TestLevelBalls:
     @pytest.mark.parametrize("shuffle", [False, True], ids=["given", "shuffled"])
     def test_one_mask_matches_heap_search(self, shuffle):
@@ -789,18 +812,6 @@ class TestLevelBalls:
         got = [(o.tolist(), v.tolist(), d.tolist())
                for o, v, d in level_balls(g, masks, rounds, radius)]
         assert got == [(o, v, d) for v, o, d in heap_level_balls(g, masks, rounds, radius)]
-
-    def test_source_outside_its_own_mask_raises(self, grid8):
-        # source 2 lies in the other mask, which the edge 1-2 also joins: the
-        # source is checked first
-        masks = [VertexMask(64, [0, 1]), VertexMask(64, [2, 3])]
-        with pytest.raises(MaskError, match="source 2 "):
-            next(level_balls(grid8, masks, [[2, 3]], 1.0))
-
-    def test_adjacent_masks_raise(self, grid8):
-        masks = [VertexMask(64, [0, 1]), VertexMask(64, [2, 3])]
-        with pytest.raises(ValueError, match="edge joins"):
-            next(level_balls(grid8, masks, [[0, None]], 1.0))
 
 
 def test_scipy_dijkstra_is_imported_only_by_graph():

@@ -164,6 +164,22 @@ PATH_CHECK_GRAPHS = [(f"{kind}:{a},{b}:{w}", lambda kind=kind, a=a, b=b, w=w: _g
 ]
 
 
+def detour(g, residual, edges=2):
+    """The first walk of `edges` edges in residual, from its ends in id
+    order, that is longer than its ends' residual distance."""
+    for u in sorted(residual.alive):
+        dist = _dijkstra(g, residual, u)[0]
+        walks = [(u,)]
+        for _ in range(edges):
+            walks = [w + (x,) for w in walks
+                     for x in sorted(x for x, _ in g.adj[w[-1]] if x in residual and x not in w)]
+        for w in walks:
+            path = Path.from_vertices(g, w)
+            if dist[w[-1]] < path.length:
+                return path
+    raise AssertionError("no detour")
+
+
 def broken_certificates(g):
     """(name, mask, certificate) for hand-broken copies of greedy_find's
     certificate of the whole graph, each with one fault: the faults of the
@@ -172,17 +188,6 @@ def broken_certificates(g):
     sep = greedy_find(g, full)
     assert len(sep.groups) > 2 and len(sep.flaps) > 2
     later = full.without(sep.groups[0][0].vertices)
-
-    def detour(residual):
-        # the first two-edge walk that is longer than its ends' distance
-        for u in sorted(residual.alive):
-            dist = _dijkstra(g, residual, u)[0]
-            for x in sorted(x for x, _ in g.adj[u] if x in residual):
-                for v in sorted(v for v, _ in g.adj[x] if v in residual and v != u):
-                    path = Path.from_vertices(g, (u, x, v))
-                    if dist[v] < path.length:
-                        return path
-        raise AssertionError("no detour")
 
     def swap_group(k, path):
         groups = list(sep.groups)
@@ -195,8 +200,8 @@ def broken_certificates(g):
     f = list(sep.flaps)
     dead = sep.groups[0][0].vertices[0]
     return [
-        ("group 0 not shortest", swap_group(0, detour(full))),
-        ("later group not shortest", swap_group(1, detour(later))),
+        ("group 0 not shortest", swap_group(0, detour(g, full))),
+        ("later group not shortest", swap_group(1, detour(g, later))),
         ("through an earlier group", swap_group(1, Path.from_vertices(
             g, (dead, next(v for v, _ in g.adj[dead] if v in later))))),
         ("flaps out of order", with_flaps([f[1], f[0], *f[2:]])),
@@ -271,10 +276,45 @@ class TestPathCheck:
         dead = cases[-1][1].flaps[-1]
         assert found[0][2].message == f"path vertex {min(dead.alive)} is not alive in its residual"
 
+    @pytest.mark.parametrize("weights,crossing", [("uniform", 12), ("unit", 1)])
+    def test_late_groups_below_the_cut_are_checked_on_the_slice(self, monkeypatch, weights,
+                                                                crossing):
+        # nodes above the cut whose residual falls to the cut or below after
+        # a group: uniform grid 128^2 at W/8 has 12, all after their last
+        # group, unit grid 64^2 one, after group 3 of 5. The node keeps its
+        # slice: a late group's path made non-shortest still fails, with
+        # the heap's message
+        side = 128 if weights == "uniform" else 64
+        g = gen_grid(side, side, weights, 0)
+        seq = pd.choose_centers(g, pd.weighted_diameter(g) / 8)
+        nodes = []
+        for mask, sep in seq.separators:
+            residuals = list(sep.residuals(mask))
+            if len(mask) > PATH_CHECK_HEAP_MAX and min(map(len, residuals)) <= PATH_CHECK_HEAP_MAX:
+                late = next((j for j, r in enumerate(residuals[:-1]) if len(r) <= PATH_CHECK_HEAP_MAX),
+                            len(sep.groups) - 1)
+                groups = list(sep.groups)
+                groups[late] = (detour(g, residuals[late], 3), *groups[late][1:])
+                nodes.append((mask, sep, PathSeparator(tuple(groups), sep.flaps), late))
+        assert len(nodes) == crossing
+        assert (weights == "unit") == any(late < len(sep.groups) - 1 for _, sep, _, late in nodes)
+        found = [validate_separator(g, mask, bad) for mask, _, bad, _ in nodes]
+        assert all(validate_separator(g, mask, sep) is None for mask, sep, _, _ in nodes)
+        monkeypatch.setattr(separators, "PATH_CHECK_HEAP_MAX", g.n)
+        assert [validate_separator(g, mask, bad) for mask, _, bad, _ in nodes] == found
+        for (mask, sep, bad, late), v in zip(nodes, found):
+            path = bad.groups[late][0]
+            a, b = path.vertices[0], path.vertices[-1]
+            dist = _dijkstra(g, list(sep.residuals(mask))[late], a)[0][b]
+            assert (v.kind, v.group, v.path) == ("not-shortest", late, 0)
+            assert v.message == (f"path of length {path.length} between {a} and {b} "
+                                 f"but residual distance is {dist}")
+
     def test_large_residuals_slice_once_per_node(self, monkeypatch):
         # above the cut a node pays one induced call, and its flaps one
         # slice cut from the node's; no CSR is built per group; each
-        # multi-vertex path makes one scipy call; nothing asks balls
+        # multi-vertex path of the node makes one scipy call, however small
+        # its residual; nothing asks balls
         g = gen_grid(32, 32)
         seq = pd.choose_centers(g, pd.weighted_diameter(g) / 8)
         calls = {"induced": [], "principal": [], "dijkstra": 0, "distance": 0}
@@ -315,14 +355,11 @@ class TestPathCheck:
             induced_sizes.append(len(mask))
             if len(mask) < g.n:  # induced's own slice of the graph's CSR
                 principal.append((g.n, len(mask)))
-            alive = mask
-            for group in sep.groups:
-                if big(len(alive)):
-                    paths += sum(len(p) > 1 for p in group)
-                alive = alive.without(v for p in group for v in p.vertices)
-            if big(len(alive)):  # the flaps' slice, cut from the node's
-                principal.append((len(mask), len(alive)))
-                flaps += 1
+            # every group's paths, also where the residual falls below the
+            # cut, and the flaps' slice, cut from the node's
+            paths += sum(len(p) > 1 for grp in sep.groups for p in grp)
+            principal.append((len(mask), len(mask) - len(sep.separator_vertices)))
+            flaps += 1
         assert calls["induced"] == induced_sizes and len(induced_sizes) > 1
         assert calls["principal"] == principal and flaps > 1
         assert calls["dijkstra"] == calls["distance"] == paths > len(induced_sizes)
