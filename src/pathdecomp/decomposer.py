@@ -21,10 +21,10 @@ reduction per trial, with no loop over centers: a vertex's label is the
 smallest rank among its incidences that lie within their record's radius.
 A padding trial (verifier.estimate_padding) reads the labels of the ball
 members only, so it runs that reduction over BallIndex.restrict(members).
-That is exact when no radius is below the index's reach, the largest
-nearest-incidence distance of any vertex: every vertex is then claimed.
-A trial with a smaller radius labels the whole graph, which raises the
-CoverageError of carving.
+That is exact when the smallest radius the law can draw is at least the
+index's reach, the largest nearest-incidence distance of any vertex: every
+vertex is then claimed. Otherwise the call's trials label the whole graph,
+which raises the CoverageError of carving.
 
 A comparison baseline carves balls in the full graph around all vertices in
 random order; there a center's rank is its position in the seed's
@@ -79,9 +79,19 @@ def _beta_of_k(k: int) -> float:
     return 40.0 * math.log(k) / math.log(2.0)
 
 
-def _require_valid_delta(delta: float) -> None:
+def _require_number(name: str, value) -> None:
+    """Refuse a bool, numpy's too, where a real number is due: it would run
+    as 0.0 or 1.0."""
+    if isinstance(value, (bool, np.bool_)):
+        raise TypeError(f"{name} must be a number, got {value!r}")
+
+
+def _require_valid_delta(delta: float) -> float:
+    """delta as a Python float, positive and finite."""
+    _require_number("delta", delta)
     if not 0 < delta < math.inf:  # nan fails too
         raise ValueError(f"delta must be positive and finite, got {delta}")
+    return float(delta)
 
 
 def _require_integer(name: str, value) -> int:
@@ -371,7 +381,8 @@ def choose_centers(g: WeightedGraph, delta: float, finder=greedy_find) -> Center
 
     The separators are found level by level: the nodes of one depth are
     pairwise disjoint and non-adjacent, so greedy_find runs over each level
-    at once (greedy_find_level); any other finder is called once per node.
+    at once (separators._greedy_find_level); any other finder is called once
+    per node.
     The records are then emitted depth-first over the recursion: each node
     emits net points for its groups in order (paths in finder order, net
     points in path order), then recurses into its flaps in smallest-id order.

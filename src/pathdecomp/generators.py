@@ -45,38 +45,26 @@ def gen_grid(rows: int, cols: int, weight_mode: str = "unit", seed: int = 0) -> 
 class KTreeSample:
     """A generated k-tree and its k. Vertex v is created after vertices
     0..v-1 (the first k + 1 form a clique), so eliminating n-1, ..., 0 meets
-    only cliques of size <= k; for edge_keep_prob < 1 the graph is a partial
-    k-tree and inherits the bound from its k-tree supergraph."""
+    only cliques of size <= k."""
 
     graph: WeightedGraph
     k: int
 
 
-def gen_ktree(n: int, k: int, weight_mode: str = "unit", seed: int = 0,
-              edge_keep_prob: float = 1.0) -> KTreeSample:
+def gen_ktree(n: int, k: int, weight_mode: str = "unit", seed: int = 0) -> KTreeSample:
     """Random k-tree: a (k+1)-clique, then each new vertex adopts a random
-    existing k-clique. edge_keep_prob < 1 drops clique edges independently,
-    always keeping at least one per new vertex so the graph stays connected."""
+    existing k-clique."""
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     if n <= k:
         raise ValueError(f"need n > k, got n={n}, k={k}")
-    if not 0.0 < edge_keep_prob <= 1.0:
-        raise ValueError(f"edge_keep_prob must lie in (0, 1], got {edge_keep_prob}")
     rng = RngStream(seed)
     pairs = [(i, j) for i in range(k + 1) for j in range(i + 1, k + 1)]
     cliques = [tuple(sorted(set(range(k + 1)) - {i})) for i in range(k + 1)]
     for v in range(k + 1, n):
         base = cliques[rng.integer(len(cliques))]
-        if edge_keep_prob >= 1.0:
-            kept = list(base)
-        else:
-            kept = [u for u in base if rng.uniform() < edge_keep_prob]
-            if not kept:
-                kept = [base[0]]
-        for u in kept:
-            pairs.append((u, v))
         for u in base:
+            pairs.append((u, v))
             cliques.append(tuple(sorted((set(base) - {u}) | {v})))
     w = _weights(weight_mode, len(pairs), rng)
     return KTreeSample(WeightedGraph(n, [(u, v, wi) for (u, v), wi in zip(pairs, w)]), k)

@@ -140,8 +140,8 @@ class WeightedGraph:
         # "sample_balls" ((radius, vertex bytes), None, read-only (row,
         # members, dist) arrays) from the verifier's sampled-ball query
         self._cache: dict = {}
-        if n > 1 and connected_components(self.csr(), directed=True, connection="strong",
-                                          return_labels=False) != 1:
+        if connected_components(self.csr(), directed=True, connection="strong",
+                                return_labels=False) != 1:
             raise GraphError("graph is disconnected; only connected inputs are accepted")
 
     def edge_weight(self, u: int, v: int) -> float:
@@ -530,8 +530,6 @@ def double_sweep(g: WeightedGraph, masks, sources) -> list[Path]:
     for mask, src in zip(masks, sources, strict=True):
         if src not in mask:
             raise MaskError(f"source {src} is not alive in the mask")
-    if all(len(mask) == 1 for mask in masks):
-        return [Path((int(src),), 0.0) for src in sources]
     union = _level_union(g, masks)
     return _double_sweep_on(union, np.searchsorted(union[1], sources))
 
@@ -571,19 +569,16 @@ def _component_labels(sub: sp.csr_matrix) -> tuple[np.ndarray, np.ndarray]:
     return rank[label], first[order]
 
 
-def _component_masks(g: WeightedGraph, masks, union, label: np.ndarray,
+def _component_masks(g: WeightedGraph, count: int, union, label: np.ndarray,
                      first: np.ndarray) -> list[list[VertexMask]]:
-    """components(g, mask) for each mask of a level union, from the union and
-    its _component_labels."""
+    """components(g, mask) for each of the count masks of a level union, from
+    the union and its _component_labels."""
     _, verts, owner = union
-    out: list[list[VertexMask]] = [[] for _ in masks]
+    out: list[list[VertexMask]] = [[] for _ in range(count)]
     ids = verts[np.argsort(label, kind="stable")].tolist()
     ends = np.cumsum(np.bincount(label, minlength=len(first))).tolist()
-    owners = owner[first].tolist()
-    connected = np.bincount(owners, minlength=len(masks)) == 1
-    for k, a, b in zip(owners, [0] + ends, ends):
-        # a connected mask is its own single component
-        out[k].append(masks[k] if connected[k] else VertexMask._of_valid(g.n, frozenset(ids[a:b])))
+    for k, a, b in zip(owner[first].tolist(), [0] + ends, ends):
+        out[k].append(VertexMask._of_valid(g.n, frozenset(ids[a:b])))
     return out
 
 

@@ -52,11 +52,6 @@ class ExperimentConfig:
     dump_partition: str | None = None
 
     def __post_init__(self):
-        # tuples, so that no caller can change a checked field through its own list
-        for name in ("deltas", "gammas"):
-            value = getattr(self, name)
-            if value is not None:
-                object.__setattr__(self, name, tuple(value))
         if (self.graph_file is None) == (self.gen is None):
             raise ConfigError("provide exactly one of a graph file or a generator spec")
         if self.gen is not None:
@@ -67,21 +62,21 @@ class ExperimentConfig:
             raise ConfigError(f"unknown finder {self.finder!r}; expected {'|'.join(FINDERS)}")
         if self.scheme not in SCHEMES:
             raise ConfigError(f"unknown scheme {self.scheme!r}; expected {'|'.join(SCHEMES)}")
-        if self.deltas is not None and not self.deltas:
-            raise ConfigError("deltas must not be empty")
-        if not self.gammas:
-            raise ConfigError("gammas must not be empty")
-        # the library's own rules, re-raised as configuration errors
+        # the library's own rules, re-raised as configuration errors; the
+        # checked values are kept as Python ints and floats, the lists as
+        # tuples, so that no caller can change a checked field through its own list
         try:
             object.__setattr__(self, "trials", verifier._require_trials(self.trials))
             for name in ("seed", "gen_seed"):
                 object.__setattr__(self, name, _require_integer(name, getattr(self, name)))
-            for delta in self.deltas or ():
-                if isinstance(delta, bool):
-                    raise TypeError(f"delta must be a number, got {delta!r}")
-                _require_valid_delta(delta)
-            for gamma in self.gammas:
-                verifier._require_gamma_in_range(gamma)
+            if self.deltas is not None:
+                object.__setattr__(self, "deltas", tuple(map(_require_valid_delta, self.deltas)))
+                if not self.deltas:
+                    raise ConfigError("deltas must not be empty")
+            object.__setattr__(self, "gammas",
+                               tuple(map(verifier._require_gamma_in_range, self.gammas)))
+            if not self.gammas:
+                raise ConfigError("gammas must not be empty")
         except (TypeError, ValueError) as exc:
             raise ConfigError(str(exc)) from exc
 
@@ -205,7 +200,7 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
     results = []
     for delta in deltas:
         for scheme in schemes:
-            results.append(_run_scheme(g, float(delta), scheme, cfg))
+            results.append(_run_scheme(g, delta, scheme, cfg))
 
     report = {
         "config": cfg.to_json_obj(),
@@ -217,7 +212,7 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
             "weighted_diameter": diameter,
             **extras,
         },
-        "deltas": [float(d) for d in deltas],
+        "deltas": list(deltas),
         "results": results,
         "pass": all(r["pass"] for r in results),
     }

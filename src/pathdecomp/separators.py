@@ -16,7 +16,7 @@ one slice of the final residual cut from it for the flaps.
 
 The greedy finder repeatedly removes an approximate-diameter shortest path
 from the largest oversized component. It runs over a whole recursion level
-at once (greedy_find_level): each round is one double sweep and one
+at once (_greedy_find_level): each round is one double sweep and one
 components call, both on one slice of the residuals of the nodes still
 unbalanced (graph's level union). greedy_find is its one-node call. The
 centroid finder is the exact one-path witness for trees.
@@ -153,7 +153,7 @@ def validate_separator(g: WeightedGraph, mask: VertexMask, sep: PathSeparator):
     if sliced is not None:
         kept = np.flatnonzero(~dead)
         union = (_principal(sliced[0], kept), verts[kept], np.zeros(len(kept), dtype=np.int64))
-        flaps = _component_masks(g, [alive], union, *_component_labels(union[0]))[0]
+        flaps = _component_masks(g, 1, union, *_component_labels(union[0]))[0]
     else:
         flaps = components(g, alive)
     if list(sep.flaps) != flaps:
@@ -211,22 +211,17 @@ def greedy_find(g: WeightedGraph, mask: VertexMask) -> PathSeparator:
     endpoints, and records it as a single-path group. The number of paths is
     whatever the process needed; it is measured, never assumed.
     """
-    return greedy_find_level(g, [mask])[0]
+    return _greedy_find_level(g, [mask])[0]
 
 
-def greedy_find_level(g: WeightedGraph, masks) -> list[PathSeparator]:
+def _greedy_find_level(g: WeightedGraph, masks, on_round=None) -> list[PathSeparator]:
     """greedy_find for each of pairwise disjoint, non-adjacent masks, such as
     the nodes of one recursion level. Round t deletes the t-th path of every
     node still unbalanced: one double sweep from their targets and one
-    components call, over one union of their residuals."""
-    return _greedy_find_level(g, masks, None)
-
-
-def _greedy_find_level(g: WeightedGraph, masks, on_round) -> list[PathSeparator]:
-    """greedy_find_level. Each round runs on one level union (graph._level_union)
-    of the residuals of the nodes still unbalanced: the previous round's
-    components call built it, and the round's double sweep starts from each
-    node's target, its largest component, at the target's smallest vertex.
+    components call, over one level union (graph._level_union) of their
+    residuals. The previous round's components call built it, and the
+    round's double sweep starts from each node's target, its largest
+    component, at the target's smallest vertex.
     The node's other components share no edge with the target, so the sweep
     never reaches them. After the round deletes its paths, one union of the
     same nodes' residuals serves its components call; when some of these
@@ -254,8 +249,7 @@ def _greedy_find_level(g: WeightedGraph, masks, on_round) -> list[PathSeparator]
         still = np.zeros(len(todo), dtype=bool)
         still[node[big]] = True
         if not still.all():
-            for k, comps in enumerate(_component_masks(g, [residual[i] for i in todo], union,
-                                                       label, first)):
+            for k, comps in enumerate(_component_masks(g, len(todo), union, label, first)):
                 if not still[k]:
                     flaps[todo[k]] = tuple(comps)
             if not still.any():
@@ -267,19 +261,13 @@ def _greedy_find_level(g: WeightedGraph, masks, on_round) -> list[PathSeparator]
             first = (np.cumsum(keep) - 1)[first[kept]]
             todo = [i for i, s in zip(todo, still.tolist()) if s]
             union = _level_union(g, [residual[i] for i in todo])
-        _, verts, owner = union
-        target = big[np.argsort(owner[first[big]])]
-        if len(verts) == len(todo):  # single vertices, each its own path
-            paths = [Path((v,), 0.0) for v in verts[first[target]].tolist()]
-        else:
-            paths = _double_sweep_on(union, first[target])
+        target = big[np.argsort(union[2][first[big]])]
+        paths = _double_sweep_on(union, first[target])
         if on_round is not None:
             on_round(t, todo, paths, union)
         for i, path in zip(todo, paths):
             groups[i].append((path,))
             residual[i] = residual[i].without(path.vertices)
-        if not any(residual[i] for i in todo):
-            break  # no flaps
         union = _level_union(g, [residual[i] for i in todo])
         label, first = _component_labels(union[0])
     return [PathSeparator(tuple(grp), c) for grp, c in zip(groups, flaps)]

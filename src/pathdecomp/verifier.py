@@ -25,7 +25,6 @@ import numpy as np
 from scipy.special import ndtri
 
 from .decomposer import (
-    BallIndex,
     CenterSequence,
     DecompositionParams,
     Partition,
@@ -35,6 +34,7 @@ from .decomposer import (
     _paper_draw,
     _require_integer,
     _require_matching,
+    _require_number,
     _require_valid_delta,
     ceil_log2,
     choose_centers,
@@ -152,7 +152,7 @@ def check_cluster_diameters(g: WeightedGraph, part: Partition, delta: float):
     # far past any graph whose exact pass could run at all.
     row, _ = _misses(g, hubs[by_id], cids[by_id], layout, bound / 2 * (1 - 1e-9))
     left = cids[np.unique(by_id[row])]
-    return _all_pairs_violation(g, left, layout, bound) if len(left) else None
+    return _all_pairs_violation(g, left, layout, bound)
 
 
 def _misses(g: WeightedGraph, hubs, owner: np.ndarray, layout, radius: float):
@@ -222,9 +222,12 @@ class ThreatenerReport:
         return max(self.counts)
 
 
-def _require_gamma_in_range(gamma: float) -> None:
+def _require_gamma_in_range(gamma: float) -> float:
+    """gamma as a Python float in [0, GAMMA_MAX]."""
+    _require_number("gamma", gamma)
     if not 0.0 <= gamma <= GAMMA_MAX:
         raise ValueError(f"gamma must lie in [0, 1/100], got {gamma}")
+    return float(gamma)
 
 
 def threatener_report(g: WeightedGraph, centers: CenterSequence,
@@ -385,18 +388,6 @@ def _sample_balls(g: WeightedGraph, vertices: np.ndarray, radius: float) -> tupl
     return _graph_cached(g, "sample_balls", (float(radius), vertices.tobytes()), None, build)
 
 
-def _padding_labels(index: BallIndex, held_index: BallIndex, held: np.ndarray,
-                    radius: np.ndarray, rank: np.ndarray) -> np.ndarray:
-    """First-claim labels of the vertices held in one trial, held_index being
-    index.restrict(held). When no radius is below index.reach, every vertex
-    of the graph has an incidence within its record's radius, so held_index
-    gives the labels alone; otherwise the full index runs, and raises the
-    CoverageError of a whole-graph trial."""
-    if radius.min() >= index.reach:
-        return held_index.labels(radius, rank)
-    return index.labels(radius, rank)[held]
-
-
 def estimate_padding(g: WeightedGraph, delta: float, finder=greedy_find,
                      gammas=DEFAULT_GAMMAS, trials: int = 1000, seed: int = 0,
                      scheme: str = "paper") -> PaddingReport:
@@ -416,22 +407,21 @@ def estimate_padding(g: WeightedGraph, delta: float, finder=greedy_find,
     (vertex x gamma) count matrices: one plain-Python column per field,
     zipped into tuples.
 
-    A trial labels only the ball members, through the index restricted to
-    them (BallIndex.restrict), with the radii and ranks carve or
-    baseline_decompose would draw at its seed. That is exact when no radius
-    is below the index's reach, as every vertex is then claimed; a trial
-    with a smaller radius labels the whole graph, and raises the
-    CoverageError that carving at its seed raises.
+    A trial labels the vertices with the radii and ranks carve or
+    baseline_decompose would draw at its seed. When the radius law's lower
+    end texp.lo is at least the index's reach, every vertex is claimed in
+    every trial, so the trials label only the ball members, through the
+    index restricted to them (BallIndex.restrict); otherwise every trial
+    labels the whole graph, and raises the CoverageError that carving at
+    its seed raises.
 
     The paper scheme carves choose_centers(g, delta, finder), the sequence
     the graph keeps for an equal delta and the same finder; the baseline,
     the all-vertices index the graph keeps for this delta.
     """
-    gammas = tuple(float(gamma) for gamma in gammas)
+    gammas = tuple(map(_require_gamma_in_range, gammas))
     if not gammas:
         raise ValueError("need at least one gamma")
-    for gamma in gammas:
-        _require_gamma_in_range(gamma)
     trials = _require_trials(trials)
     seed = _require_integer("seed", seed)
     if scheme not in ("paper", "baseline"):
@@ -467,17 +457,19 @@ def estimate_padding(g: WeightedGraph, delta: float, finder=greedy_find,
             return radius, rank
     beta = params.beta()
 
-    # the trials label the ball members only; members and anchors become
-    # positions in `held`
+    # members and anchors become positions in `held`. Every radius is at
+    # least texp.lo: when that clears the index's reach, every vertex is
+    # claimed, and the trials label the ball members only; otherwise they
+    # label the whole graph, which raises the CoverageError of carving
     held = np.unique(members)
-    held_index = index.restrict(held)
+    index, pick = (index.restrict(held), slice(None)) if texp.lo >= index.reach else (index, held)
     local = np.searchsorted(held, members)
     anchors = np.searchsorted(held, vertices)[row]
     # first-claim labels are cluster ranks: equal labels, same cluster
     successes = np.zeros((len(vertices), len(radii)), dtype=np.int64)
     for t in range(trials):
         rng.rekey(derive_seed(seed, t))
-        labels = _padding_labels(index, held_index, held, *draw())
+        labels = index.labels(*draw())[pick]
         split = np.where(labels[local] != labels[anchors], dist, np.inf)
         successes += np.minimum.reduceat(split, starts)[:, None] > radii
 

@@ -123,6 +123,13 @@ class TestChooseCenters:
         with pytest.raises(ValueError, match=r"^delta must be positive and finite"):
             choose_centers(unit_path(3), delta)
 
+    @pytest.mark.parametrize("delta", [True, False, np.True_])
+    def test_rejects_bool_delta(self, delta):
+        # True would run as delta 1.0
+        message = rf"^delta must be a number, got {re.escape(repr(delta))}$"
+        with pytest.raises(TypeError, match=message):
+            choose_centers(unit_path(3), delta)
+
     def test_index_build_makes_few_scipy_calls(self, monkeypatch):
         # one sweep per recursion level and round, not one call per subgraph
         import pathdecomp.graph as graph_module
@@ -273,6 +280,14 @@ class TestDecompositionParams:
             DecompositionParams.for_graph(delta, 0, 1, 16)
         with pytest.raises(ValueError, match=r"^delta must be positive and finite"):
             DecompositionParams.for_baseline(delta, 0, 16)
+
+    @pytest.mark.parametrize("delta", [True, False])
+    def test_rejects_bool_delta(self, delta):
+        # the params threatener_report and carve take
+        for make in (lambda: DecompositionParams.for_graph(delta, 0, 1, 16),
+                     lambda: DecompositionParams.for_baseline(delta, 0, 16)):
+            with pytest.raises(TypeError, match=rf"^delta must be a number, got {delta!r}$"):
+                make()
 
     @pytest.mark.parametrize("seed", [2.5, True])
     def test_seed_must_be_an_integer(self, seed):

@@ -103,12 +103,3 @@ class TestKTree:
     def test_n_not_above_k_rejected(self):
         with pytest.raises(ValueError):
             gen_ktree(3, 3)
-
-    def test_subsampled_stays_connected_with_treewidth_bound(self):
-        s = gen_ktree(80, 3, seed=4, edge_keep_prob=0.6)
-        assert s.graph.n == 80  # construction validates connectivity
-        assert len(s.graph.edges) <= expected_ktree_edges(80, 3)
-
-    def test_bad_keep_prob_rejected(self):
-        with pytest.raises(ValueError):
-            gen_ktree(10, 2, edge_keep_prob=0.0)

@@ -117,8 +117,21 @@ class TestConfig:
         for deltas in ((True,), (2.0, False)):
             with pytest.raises(ConfigError, match=r"^delta must be a number, got (True|False)$"):
                 quick_cfg(deltas=deltas)
-        cfg = quick_cfg(deltas=(np.float64(2.0), 3))
-        assert cfg.deltas == (2.0, 3)
+
+    def test_rejects_bool_gammas(self):
+        for gammas in ((False,), (0.0, True)):
+            with pytest.raises(ConfigError, match=r"^gamma must be a number, got (True|False)$"):
+                quick_cfg(gammas=gammas)
+
+    def test_deltas_and_gammas_stored_as_floats(self):
+        cfg = quick_cfg(deltas=(np.float64(2.0), 3), gammas=(0, np.float64(0.01)))
+        assert cfg.deltas == (2.0, 3.0) and cfg.gammas == (0.0, 0.01)
+        assert all(type(x) is float for x in cfg.deltas + cfg.gammas)
+        assert cfg == quick_cfg(deltas=(2.0, 3.0), gammas=(0.0, 0.01))
+        # deltas=(2,) once put [2] in the config and [2.0] in the report
+        report = run_experiment(dataclasses.replace(cfg, trials=5))
+        assert json.dumps([report["config"]["deltas"], report["deltas"],
+                           report["config"]["gammas"]]) == "[[2.0, 3.0], [2.0, 3.0], [0.0, 0.01]]"
 
     def test_parse_gen_spec(self):
         assert parse_gen_spec("grid:4,7") == ("grid", (4, 7))

@@ -28,7 +28,7 @@ from pathdecomp.graph import (
     double_sweep,
     induced,
 )
-from pathdecomp.separators import PATH_CHECK_HEAP_MAX, greedy_find_level
+from pathdecomp.separators import PATH_CHECK_HEAP_MAX, _greedy_find_level
 
 from test_acceptance import DELTA_FRACTIONS, corpus_specs
 from test_carving_reference import spread_weights
@@ -461,19 +461,26 @@ class TestGreedyFinder:
     def test_bad_node_in_a_level_rejected(self, bad, match):
         g = unit_path(9)
         with pytest.raises(ValueError, match=match):
-            greedy_find_level(g, [VertexMask(9, [0, 1, 2]), VertexMask(9, bad)])
+            _greedy_find_level(g, [VertexMask(9, [0, 1, 2]), VertexMask(9, bad)])
 
     def test_level_of_adjacent_nodes_rejected(self):
         g = unit_path(6)
         with pytest.raises(ValueError, match="edge joins"):
-            greedy_find_level(g, [VertexMask(6, [0, 1, 2]), VertexMask(6, [3, 4, 5])])
+            _greedy_find_level(g, [VertexMask(6, [0, 1, 2]), VertexMask(6, [3, 4, 5])])
 
     def test_level_equals_one_node_calls(self):
         # the flaps of a k-tree's greedy separator: one level of a recursion
         g = gen_ktree(300, 2, "uniform", seed=1).graph
         flaps = list(greedy_find(g, VertexMask.full(g.n)).flaps)
         assert len(flaps) > 1
-        assert greedy_find_level(g, flaps) == [greedy_find(g, flap) for flap in flaps]
+        assert _greedy_find_level(g, flaps) == [greedy_find(g, flap) for flap in flaps]
+
+    def test_level_of_one_vertex_nodes(self):
+        # every node is one vertex: one round, one single-vertex group each
+        g = pd.gen_grid(3, 3)
+        masks = [VertexMask(9, [v]) for v in (8, 0, 4)]
+        assert _greedy_find_level(g, masks) == [
+            PathSeparator(((Path((v,), 0.0),),), ()) for v in (8, 0, 4)]
 
 
 def test_choose_centers_separators_equal_per_node_finder_calls():
@@ -516,10 +523,10 @@ def reference_greedy_find(g, mask):
 
 def assert_levels_match_reference(g, masks):
     """Run the recursion level by level from masks; every level's
-    greedy_find_level must equal the reference finder on each node."""
+    _greedy_find_level must equal the reference finder on each node."""
     shared = 0  # levels of more than one node
     while masks:
-        seps = greedy_find_level(g, masks)
+        seps = _greedy_find_level(g, masks)
         assert seps == [reference_greedy_find(g, mask) for mask in masks]
         shared += len(masks) > 1
         masks = [flap for sep in seps for flap in sep.flaps]
@@ -569,16 +576,17 @@ def test_greedy_find_level_round_keeps_a_non_target_component(swap):
     assert [sep.total_paths for sep in by_size] == [2, 1]
     first_path = by_size[0].groups[0][0].vertices
     assert len(components(g, VertexMask(g.n, big).without(first_path))) == 2
-    assert greedy_find_level(g, masks) == ref
+    assert _greedy_find_level(g, masks) == ref
     assert_levels_match_reference(g, masks)
 
 
 def test_choose_centers_slices_once_per_level_and_round(monkeypatch):
-    # The greedy finder slices the CSR once per level; once per round whose
-    # deletions leave some vertex, for the round's components and the next
-    # round's sweep; and once more per round after which some but not all
-    # of its nodes are balanced, for the nodes left. The index slices
-    # nothing: each round indexes its balls on the round's union.
+    # The greedy finder slices the CSR once per level; once per round, for
+    # the round's components and the next round's sweep (after the last
+    # round of a level that leaves no vertex, the slice is empty); and once
+    # more per round after which some but not all of its nodes are
+    # balanced, for the nodes left. The index slices nothing: each round
+    # indexes its balls on the round's union.
     g = gen_grid(32, 32)
     delta = pd.weighted_diameter(g) / 8
     sliced = []
@@ -592,16 +600,12 @@ def test_choose_centers_slices_once_per_level_and_round(monkeypatch):
     level, expect = [VertexMask.full(g.n)], 0
     while level:
         expect += 1
-        residual = list(level)
         for t in range(max(node[mask].total_paths for mask in level)):
             todo = [k for k, mask in enumerate(level) if len(node[mask].groups) > t]
-            for k in todo:
-                residual[k] = residual[k].without(node[level[k]].groups[t][0].vertices)
-            expect += any(len(residual[k]) for k in todo)
             left = sum(len(node[level[k]].groups) > t + 1 for k in todo)
-            expect += 0 < left < len(todo)
+            expect += 1 + (0 < left < len(todo))
         level = [flap for mask in level for flap in node[mask].flaps]
-    assert len(sliced) == expect == 39  # 102 when every set was sliced about three times
+    assert len(sliced) == expect == 40  # 102 when every set was sliced about three times
 
 
 class TestCentroidFinder:

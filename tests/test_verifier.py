@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -60,15 +61,18 @@ def first_far_pair(g, part, delta, search):
 
 
 def spy_on_all_pairs(monkeypatch):
-    """Sources of every all-pairs pass (verifier._all_pairs_violation call),
-    the members of its clusters in cluster order, that check_cluster_diameters
-    makes from now on; the center check is not watched."""
+    """Sources of every all-pairs pass (verifier._all_pairs_violation call
+    with a cluster to search), the members of its clusters in cluster order,
+    that check_cluster_diameters makes from now on; the center check is not
+    watched."""
     calls = []
     real = verifier._all_pairs_violation
 
     def spy(g, cids, layout, bound):
         sizes, starts, members = layout
-        calls.append([int(v) for cid in cids for v in members[starts[cid]:starts[cid] + sizes[cid]]])
+        if len(cids):
+            calls.append([int(v) for cid in cids
+                          for v in members[starts[cid]:starts[cid] + sizes[cid]]])
         return real(g, cids, layout, bound)
 
     monkeypatch.setattr(verifier, "_all_pairs_violation", spy)
@@ -303,8 +307,8 @@ class TestCheckDiameters:
         (gen_grid(32, 32), 8), (gen_ktree(1000, 2, "uniform", seed=1).graph, 4),
     ], ids=["grid32-W/8", "uniform-ktree1000-W/4"])
     def test_honest_partitions_never_reach_all_pairs(self, monkeypatch, graph, div):
-        def refuse(*args):
-            raise AssertionError("an honest cluster reached the all-pairs pass")
+        def refuse(g, cids, *args):
+            assert not len(cids), "an honest cluster reached the all-pairs pass"
 
         monkeypatch.setattr(verifier, "_all_pairs_violation", refuse)
         delta = weighted_diameter(graph) / div
@@ -455,6 +459,16 @@ class TestThreateners:
         params = DecompositionParams.for_graph(1.0, 0, seq.p_eff, 4)
         with pytest.raises(ValueError):
             threatener_report(g, seq, params, 0.02, [0])
+
+    @pytest.mark.parametrize("gamma", [True, False, np.False_])
+    def test_bool_gamma_refused(self, gamma):
+        # False would run, and be reported, as gamma 0.0
+        g = gen_grid(2, 2)
+        seq = choose_centers(g, 1.0)
+        params = DecompositionParams.for_graph(1.0, 0, seq.p_eff, 4)
+        message = rf"^gamma must be a number, got {re.escape(repr(gamma))}$"
+        with pytest.raises(TypeError, match=message):
+            threatener_report(g, seq, params, gamma, [0])
 
     def test_no_vertices_refused(self):
         g = gen_grid(2, 2)
@@ -729,6 +743,21 @@ class TestEstimatePadding:
     def test_invalid_delta_refused(self, delta, scheme):
         with pytest.raises(ValueError, match="delta must be positive and finite"):
             estimate_padding(gen_grid(2, 2), delta, trials=5, scheme=scheme)
+
+    @pytest.mark.parametrize("value", [True, False])
+    @pytest.mark.parametrize("scheme", ["paper", "baseline"])
+    def test_bool_delta_and_gamma_refused(self, value, scheme):
+        g = gen_grid(2, 2)
+        with pytest.raises(TypeError, match=rf"^delta must be a number, got {value!r}$"):
+            estimate_padding(g, value, trials=5, scheme=scheme)
+        with pytest.raises(TypeError, match=rf"^gamma must be a number, got {value!r}$"):
+            estimate_padding(g, 1.0, gammas=(0.0, value), trials=5, scheme=scheme)
+
+    def test_numpy_gammas_reported_as_floats(self):
+        g = gen_grid(3, 3)
+        rep = estimate_padding(g, 2.0, gammas=(np.float64(0.0), 0), trials=5, seed=0)
+        assert rep.gammas == (0.0, 0.0) and all(type(x) is float for x in rep.gammas)
+        assert all(type(r.gamma) is float for r in rep.records)
 
     def test_json_shape(self):
         g = gen_grid(3, 3)
