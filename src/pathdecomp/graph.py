@@ -111,28 +111,42 @@ class WeightedGraph:
     Vertices are the integers 0..n-1. The graph must be connected as loaded;
     residual subgraphs obtained by masking may of course fall apart, and all
     operations below handle that.
+
+    edges is an iterable of (u, v, w) triples or an (m, 3) numpy array, as the
+    generators give. Ids must be integers (an integral float is one) and
+    weights real numbers; a bool is neither, nor is a string. One vectorised
+    pass checks the edges, builds the CSR and builds adj: adj[u] is the tuple
+    of (neighbour, weight) pairs of u's edges in edge order, parallel edges
+    included, with one int object per vertex and one float object per
+    distinct weight. The edges tuple is built from the same objects on first
+    use; m counts the edges without building it.
     """
 
-    __slots__ = ("n", "edges", "adj", "_csr", "_cache")
+    __slots__ = ("n", "m", "adj", "_edges", "_edge_source", "_csr", "_cache")
 
     def __init__(self, n: int, edges):
+        if isinstance(n, (bool, np.bool_)) or not isinstance(n, (int, np.integer)):
+            raise GraphError(f"the vertex count must be an integer, got {n!r}")
         if n <= 0:
             raise GraphError("graph needs at least one vertex")
-        edges = [(int(u), int(v), float(w)) for u, v, w in edges]
-        adj: list[list[tuple[int, float]]] = [[] for _ in range(n)]
-        for u, v, w in edges:
-            if not (0 <= u < n and 0 <= v < n):
-                raise GraphError(f"edge ({u},{v}) has a vertex id outside [0,{n})")
-            if u == v:
-                raise GraphError(f"self-loop at vertex {u}")
-            if not (w >= 0.0) or math.isinf(w):
-                raise GraphError(f"edge ({u},{v}) has invalid weight {w}")
-            adj[u].append((v, w))
-            adj[v].append((u, w))
-        self.n = n
-        self.edges = tuple(edges)
-        self.adj = adj
-        self._csr = None
+        n = int(n)
+        u, v, w = _edge_columns(n, edges)
+        self.n, self.m = n, len(w)
+        ids = np.arange(n).astype(object)
+        # one float object per distinct weight, told apart by its bits (0.0, -0.0)
+        bits, which = np.unique(w.view(np.int64), return_inverse=True)
+        weights = bits.view(np.float64).astype(object)
+        # adj: edge i goes to u_i's list as (v_i, w_i), then to v_i's as
+        # (u_i, w_i); a stable sort by list keeps each list in edge order
+        ends = np.column_stack((u, v)).ravel()
+        order = np.argsort(ends, kind="stable")
+        pairs = _pair_objects(ids, weights, np.column_stack((v, u)).ravel()[order],
+                              np.repeat(which, 2)[order])
+        cuts = np.cumsum(np.bincount(ends, minlength=n)).tolist()
+        self.adj = [pairs[a:b] for a, b in zip([0] + cuts, cuts)]
+        self._edges = None
+        self._edge_source = (ids, u, v, weights, which)
+        self._csr = _symmetric_csr(n, u, v, w)
         # derived structures, each kept for its latest (key, finder) only and
         # written only by decomposer._graph_cached: "centers" holds (delta,
         # finder, CenterSequence) from choose_centers, "baseline_index"
@@ -140,9 +154,19 @@ class WeightedGraph:
         # "sample_balls" ((radius, vertex bytes), None, read-only (row,
         # members, dist) arrays) from the verifier's sampled-ball query
         self._cache: dict = {}
-        if connected_components(self.csr(), directed=True, connection="strong",
+        if connected_components(self._csr, directed=True, connection="strong",
                                 return_labels=False) != 1:
             raise GraphError("graph is disconnected; only connected inputs are accepted")
+
+    @property
+    def edges(self) -> tuple:
+        """The edges in input order, each (u, v, w) as a Python int, int and
+        float: the objects adj holds."""
+        if self._edges is None:
+            ids, u, v, weights, which = self._edge_source
+            self._edges = tuple(zip(ids[u].tolist(), ids[v].tolist(), weights[which].tolist()))
+            self._edge_source = None
+        return self._edges
 
     def edge_weight(self, u: int, v: int) -> float:
         """Smallest weight among (u,v) edges; raises if u and v are not adjacent."""
@@ -156,24 +180,138 @@ class WeightedGraph:
 
     def csr(self) -> sp.csr_matrix:
         """Symmetric CSR adjacency (parallel edges coalesced to the min weight)."""
-        if self._csr is None:
-            e = np.array(self.edges, dtype=np.float64).reshape(-1, 3)
-            lo = np.minimum(e[:, 0], e[:, 1]).astype(np.int64)
-            hi = np.maximum(e[:, 0], e[:, 1]).astype(np.int64)
-            # per vertex pair, the lightest parallel edge sorts first and is kept
-            order = np.lexsort((e[:, 2], hi, lo))
-            lo, hi, w = lo[order], hi[order], e[order, 2]
-            first = np.ones(len(w), dtype=bool)
-            first[1:] = (lo[1:] != lo[:-1]) | (hi[1:] != hi[:-1])
-            lo, hi, w = lo[first], hi[first], w[first]
-            self._csr = sp.csr_matrix(
-                (np.concatenate([w, w]), (np.concatenate([lo, hi]), np.concatenate([hi, lo]))),
-                shape=(self.n, self.n),
-            )
         return self._csr
 
     def __repr__(self):
-        return f"WeightedGraph(n={self.n}, m={len(self.edges)})"
+        return f"WeightedGraph(n={self.n}, m={self.m})"
+
+
+def _pair_objects(ids: np.ndarray, weights: np.ndarray, nbr: np.ndarray,
+                  which: np.ndarray) -> tuple:
+    """The (ids[nbr[j]], weights[which[j]]) pairs as one tuple. Where the
+    weights take few values, as unit weights do, a (neighbour, weight) pair
+    met twice is one object: a table over every (vertex, weight) finds the
+    pairs met, and costs at most a pass over the pairs."""
+    width = len(weights)
+    if len(ids) * width >= len(nbr):
+        return tuple(zip(ids[nbr].tolist(), weights[which].tolist()))
+    key = nbr * width + which
+    met = np.zeros(len(ids) * width, dtype=bool)
+    met[key] = True
+    keys = np.flatnonzero(met)
+    table = np.fromiter(zip(ids[keys // width].tolist(), weights[keys % width].tolist()),
+                        dtype=object, count=len(keys))
+    return tuple(table[(np.cumsum(met) - 1)[key]].tolist())
+
+
+def _symmetric_csr(n: int, u: np.ndarray, v: np.ndarray, w: np.ndarray) -> sp.csr_matrix:
+    """The CSR of the edges (u, v, w), each stored in both directions."""
+    lo, hi = np.minimum(u, v), np.maximum(u, v)
+    key = lo * n + hi  # the (lo, hi) order
+    # a stable sort of presorted keys, as the generators give, costs a pass
+    order = np.argsort(key, kind="stable")
+    if np.any(key[order[1:]] == key[order[:-1]]):
+        # per vertex pair, the lightest parallel edge sorts first and is
+        # kept, the first given of equal weights (lexsort is stable)
+        order = np.lexsort((w, key))
+    lo, hi, w = lo[order], hi[order], w[order]
+    first = np.ones(len(w), dtype=bool)
+    first[1:] = (lo[1:] != lo[:-1]) | (hi[1:] != hi[:-1])
+    lo, hi, w = lo[first], hi[first], w[first]
+    return sp.csr_matrix(
+        (np.concatenate([w, w]), (np.concatenate([lo, hi]), np.concatenate([hi, lo]))),
+        shape=(n, n),
+    )
+
+
+def _numbers(values) -> np.ndarray:
+    """values (a 1-D array or an iterable) as an integer or float array, nan
+    where an entry is not a real number: a bool, a string, or what float()
+    refuses. An array or a sequence of Python and numpy ints and floats
+    converts in one call."""
+    if isinstance(values, np.ndarray) and values.dtype.kind in "iuf":
+        return values
+    values = values.tolist() if isinstance(values, np.ndarray) else list(values)
+    if all(issubclass(t, (int, float, np.integer, np.floating)) and not issubclass(t, bool)
+           for t in set(map(type, values))):
+        out = np.array(values)
+        if out.dtype.kind in "iuf":
+            return out
+    return np.array([_number(x) for x in values], dtype=np.float64)
+
+
+def _number(x) -> float:
+    """One entry of _numbers when its fast path does not apply."""
+    if isinstance(x, (bool, np.bool_, str, bytes)):
+        return math.nan
+    try:
+        return float(x)
+    except OverflowError:  # an int too large for a float
+        return math.inf if x > 0 else -math.inf
+    except (TypeError, ValueError):
+        return math.nan
+
+
+def _not_integer(ids: np.ndarray) -> np.ndarray:
+    """Where an array from _numbers holds no integer: nan, or a finite
+    non-integral float. An infinite id is an integer out of any range."""
+    if ids.dtype.kind != "f":
+        return np.zeros(len(ids), dtype=bool)
+    return np.isnan(ids) | (np.isfinite(ids) & (ids != np.trunc(ids)))
+
+
+def _vertex_ids(values) -> np.ndarray:
+    """values as int64 vertex ids, by the constructor's rule for edge ids:
+    ValueError at the first entry that is not an integer."""
+    values = values if isinstance(values, np.ndarray) else list(values)
+    ids = _numbers(values)
+    bad = np.flatnonzero(_not_integer(ids))
+    if len(bad):
+        raise ValueError(f"vertex {_shown(values[bad[0]])!r} is not an integer")
+    return ids.astype(np.int64)
+
+
+def _shown(x):
+    """x for a message: a numpy scalar as its Python value, an integral float
+    as an int."""
+    x = x.item() if isinstance(x, np.generic) else x
+    return int(x) if isinstance(x, float) and x.is_integer() else x
+
+
+def _edge_columns(n: int, edges) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The checked ids (int64) and weights (float64) of edges. GraphError at
+    the first bad edge in edge order, and in it at the first of: an id that
+    is not an integer or lies outside [0, n), a self-loop, a weight that is
+    not a number or is negative, nan or inf."""
+    if isinstance(edges, np.ndarray):
+        rows = edges.reshape(0, 3) if edges.size == 0 else edges
+        if rows.ndim != 2 or rows.shape[1] != 3:
+            raise GraphError(f"an edge array must have shape (m, 3), got {edges.shape}")
+        cols = rows.T
+    else:
+        rows = list(edges)
+        if set(map(len, rows)) - {3}:
+            bad = next(r for r in rows if len(r) != 3)
+            raise GraphError(f"edge {bad!r} is not a (u, v, w) triple")
+        cols = list(zip(*rows)) or [(), (), ()]
+    u, v, w = map(_numbers, cols)
+    not_integer = _not_integer(u) | _not_integer(v)
+    outside = ~((u >= 0) & (u < n) & (v >= 0) & (v < n))
+    bad = not_integer | outside | (u == v) | ~(w >= 0) | np.isinf(w)
+    if bad.any():
+        i = int(np.argmax(bad))
+        a, b, x = rows[i]
+        a, b = _shown(a), _shown(b)
+        if not_integer[i]:
+            raise GraphError(f"edge ({a!r},{b!r}) has a vertex id that is not an integer")
+        if outside[i]:
+            raise GraphError(f"edge ({a},{b}) has a vertex id outside [0,{n})")
+        if a == b:
+            raise GraphError(f"self-loop at vertex {a}")
+        x = x.item() if isinstance(x, np.generic) else x
+        x = float(x) if isinstance(x, int) and not isinstance(x, bool) else x
+        raise GraphError(f"edge ({a},{b}) has invalid weight {x!r}")
+    return u.astype(np.int64), v.astype(np.int64), w.astype(np.float64)
 
 
 class VertexMask:

@@ -208,7 +208,7 @@ def run_experiment(cfg: ExperimentConfig) -> dict:
         "graph": {
             "source": desc,
             "n": g.n,
-            "m": len(g.edges),
+            "m": g.m,
             "weighted_diameter": diameter,
             **extras,
         },

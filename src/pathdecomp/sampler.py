@@ -95,6 +95,12 @@ class RngStream:
         """One uniform integer from [0, n)."""
         return int(self._gen.integers(int(n)))
 
+    def integers(self, bounds: np.ndarray) -> np.ndarray:
+        """One uniform integer from [0, b) for each b in bounds: the draws,
+        and the stream state after them, of successive integer(b) calls
+        (numpy draws an array of bounds one bound at a time, in order)."""
+        return self._gen.integers(np.asarray(bounds, dtype=np.int64))
+
     def sample_without_replacement(self, n: int, k: int) -> np.ndarray:
         return self._gen.choice(int(n), size=int(k), replace=False)
 

@@ -40,7 +40,15 @@ from .decomposer import (
     choose_centers,
     max_radius,
 )
-from .graph import SOURCE_BLOCK, VertexMask, WeightedGraph, _distance_on, balls, concat_ranges
+from .graph import (
+    SOURCE_BLOCK,
+    VertexMask,
+    WeightedGraph,
+    _distance_on,
+    _vertex_ids,
+    balls,
+    concat_ranges,
+)
 from .sampler import RngStream, derive_seed
 from .separators import greedy_find
 
@@ -241,13 +249,15 @@ def threatener_report(g: WeightedGraph, centers: CenterSequence,
     radii range over [delta/4, 2*delta/5] with full support. The count is a
     property of the center sequence alone, independent of the radii. Like
     carve, it refuses a graph or params the centers were not chosen for; it
-    refuses an id outside [0, n) or given twice with a ValueError naming it.
+    refuses an id that is not an integer (graph._vertex_ids' rule, the
+    graph constructor's: a bool is none, an integral float is one), lies
+    outside [0, n) or is given twice with a ValueError naming it.
     The balls come from the query the graph keeps (_sample_balls), which
     estimate_padding reads too.
     """
     _require_gamma_in_range(gamma)
     _require_matching(g, centers, params)
-    vertices = np.arange(g.n) if vertices is None else np.asarray(sorted(vertices), dtype=np.int64)
+    vertices = np.arange(g.n) if vertices is None else np.sort(_vertex_ids(vertices))
     if not len(vertices):
         raise ValueError("need at least one vertex")
     outside = vertices[(vertices < 0) | (vertices >= g.n)]

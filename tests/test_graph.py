@@ -6,6 +6,7 @@ from collections import deque
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from scipy.sparse.csgraph import dijkstra as csgraph_dijkstra
 
 import pathdecomp
@@ -14,6 +15,7 @@ from pathdecomp import (
     GraphError,
     MaskError,
     Path,
+    RngStream,
     VertexMask,
     WeightedGraph,
     ball,
@@ -869,3 +871,199 @@ class TestFileFormat:
         f.write_text("4 2\n0 1 1.0\n2 3 1.0\n")
         with pytest.raises(GraphError):
             load_graph(f)
+
+
+def per_edge_graph(n, edges):
+    """Oracle: the per-edge constructor loop that built graphs before they were
+    built from arrays. Returns its (edges, adj, csr); GraphError at the first
+    bad edge, with the messages the library keeps for these faults."""
+    edges = [(int(u), int(v), float(w)) for u, v, w in edges]
+    adj = [[] for _ in range(n)]
+    for u, v, w in edges:
+        if not (0 <= u < n and 0 <= v < n):
+            raise GraphError(f"edge ({u},{v}) has a vertex id outside [0,{n})")
+        if u == v:
+            raise GraphError(f"self-loop at vertex {u}")
+        if not (w >= 0.0) or math.isinf(w):
+            raise GraphError(f"edge ({u},{v}) has invalid weight {w}")
+        adj[u].append((v, w))
+        adj[v].append((u, w))
+    e = np.array(edges, dtype=np.float64).reshape(-1, 3)
+    lo = np.minimum(e[:, 0], e[:, 1]).astype(np.int64)
+    hi = np.maximum(e[:, 0], e[:, 1]).astype(np.int64)
+    order = np.lexsort((e[:, 2], hi, lo))
+    lo, hi, w = lo[order], hi[order], e[order, 2]
+    first = np.ones(len(w), dtype=bool)
+    first[1:] = (lo[1:] != lo[:-1]) | (hi[1:] != hi[:-1])
+    lo, hi, w = lo[first], hi[first], w[first]
+    csr = sp.csr_matrix(
+        (np.concatenate([w, w]), (np.concatenate([lo, hi]), np.concatenate([hi, lo]))),
+        shape=(n, n),
+    )
+    return tuple(edges), adj, csr
+
+
+def per_edge_grid(rows, cols, weight_mode="unit", seed=0):
+    """Oracle: the grid generator's per-vertex loop, as (n, edges)."""
+    pairs = []
+    for r in range(rows):
+        for c in range(cols):
+            v = r * cols + c
+            if c + 1 < cols:
+                pairs.append((v, v + 1))
+            if r + 1 < rows:
+                pairs.append((v, v + cols))
+    rng = RngStream(seed)
+    w = [1.0] * len(pairs) if weight_mode == "unit" else [1.0 + u for u in rng.uniforms(len(pairs))]
+    return rows * cols, [(u, v, wi) for (u, v), wi in zip(pairs, w)]
+
+
+def per_edge_ktree(n, k, weight_mode="unit", seed=0):
+    """Oracle: the k-tree generator's loop over clique sets, as (n, edges)."""
+    rng = RngStream(seed)
+    pairs = [(i, j) for i in range(k + 1) for j in range(i + 1, k + 1)]
+    cliques = [tuple(sorted(set(range(k + 1)) - {i})) for i in range(k + 1)]
+    for v in range(k + 1, n):
+        base = cliques[rng.integer(len(cliques))]
+        for u in base:
+            pairs.append((u, v))
+            cliques.append(tuple(sorted((set(base) - {u}) | {v})))
+    w = [1.0] * len(pairs) if weight_mode == "unit" else [1.0 + u for u in rng.uniforms(len(pairs))]
+    return n, [(u, v, wi) for (u, v), wi in zip(pairs, w)]
+
+
+MULTIGRAPH = (4, [(0, 1, 2.0), (1, 0, 1.0), (1, 2, 0.0), (2, 3, 5.0), (3, 2, 5.0), (0, 1, 1.0),
+                  (3, 0, 0.0), (2, 1, 3.5), (0, 2, -0.0), (2, 0, 0.0)])
+
+ORACLE_CASES = {
+    "grid-1x1": (lambda: gen_grid(1, 1), lambda: per_edge_grid(1, 1)),
+    "grid-1x6": (lambda: gen_grid(1, 6), lambda: per_edge_grid(1, 6)),
+    "grid-5x1": (lambda: gen_grid(5, 1), lambda: per_edge_grid(5, 1)),
+    "grid-8x8": (lambda: gen_grid(8, 8), lambda: per_edge_grid(8, 8)),
+    "grid-64x64": (lambda: gen_grid(64, 64), lambda: per_edge_grid(64, 64)),
+    "uniform-7x9": (lambda: gen_grid(7, 9, "uniform", 3), lambda: per_edge_grid(7, 9, "uniform", 3)),
+    "uniform-32x32": (lambda: gen_grid(32, 32, "uniform", 1),
+                      lambda: per_edge_grid(32, 32, "uniform", 1)),
+    **{f"ktree-{n}-{k}-{mode}": (lambda n=n, k=k, mode=mode: gen_ktree(n, k, mode, 5).graph,
+                                 lambda n=n, k=k, mode=mode: per_edge_ktree(n, k, mode, 5))
+       for n, k, mode in [(2, 1, "unit"), (4, 3, "uniform"), (300, 1, "unit"), (300, 1, "uniform"),
+                          (2048, 2, "unit"), (500, 2, "uniform"), (700, 3, "unit"),
+                          (700, 3, "uniform")]},
+    "multigraph": (lambda: WeightedGraph(*MULTIGRAPH), lambda: MULTIGRAPH),
+    "multigraph-array": (lambda: WeightedGraph(MULTIGRAPH[0], np.array(MULTIGRAPH[1])),
+                         lambda: MULTIGRAPH),
+}
+
+
+def assert_equals_oracle(g, n, edges):
+    want_edges, want_adj, want_csr = per_edge_graph(n, edges)
+    assert g.n == n and g.m == len(want_edges)
+    assert g.edges == want_edges
+    assert [list(a) for a in g.adj] == want_adj
+    # the same floats, bit for bit (0.0 and -0.0 compare equal)
+    assert [math.copysign(1, w) for _, _, w in g.edges] == [math.copysign(1, w)
+                                                             for _, _, w in want_edges]
+    for got, want in ((g.csr().indptr, want_csr.indptr), (g.csr().indices, want_csr.indices),
+                      (g.csr().data, want_csr.data)):
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+class TestArrayBuild:
+    """The graph built from arrays equals the per-edge loop's, structure for
+    structure: edges, adj (order and parallel edges) and the CSR arrays."""
+
+    @pytest.mark.parametrize("case", sorted(ORACLE_CASES))
+    def test_equals_per_edge_loop(self, case):
+        make, oracle = ORACLE_CASES[case]
+        assert_equals_oracle(make(), *oracle())
+
+    def test_load_graph_round_trip(self, tmp_path):
+        for name in ("uniform-7x9", "ktree-500-2-uniform", "multigraph"):
+            g = ORACLE_CASES[name][0]()
+            dump_graph(g, tmp_path / "g.txt")
+            assert_equals_oracle(load_graph(tmp_path / "g.txt"), g.n, g.edges)
+
+    def test_edges_share_the_objects_of_adj(self):
+        g = gen_grid(5, 6, "uniform", 2)
+        assert g.adj[0] == ((1, g.edges[0][2]), (6, g.edges[1][2]))
+        seen = {(id(v), id(w)) for a in g.adj for v, w in a}
+        for u, v, w in g.edges:
+            assert (id(v), id(w)) in seen and (id(u), id(w)) in seen
+            assert type(u) is type(v) is int and type(w) is float
+
+    def test_m_without_edges(self):
+        g = gen_ktree(50, 2).graph
+        assert g._edges is None and g.m == 97 and repr(g) == "WeightedGraph(n=50, m=97)"
+        assert g._edges is None and len(g.edges) == g.m
+
+    @pytest.mark.parametrize("edges", [
+        [(0, 1, 1.0), (1, 2, 2.0)],
+        [(np.int64(0), np.int32(1), np.float32(1.0)), (1.0, 2.0, 2)],
+        np.array([[0, 1, 1], [1, 2, 2]]),
+        np.array([[0.0, 1.0, 1.0], [1.0, 2.0, 2.0]], dtype=np.float32),
+        np.array([(0, 1, 1.0), (1, 2, 2.0)], dtype=object),
+        [np.array([0, 1, 1.0]), [1, 2, 2.0]],
+        (e for e in [(0, 1, 1.0), (1, 2, 2.0)]),
+    ], ids=["python", "numpy-scalars", "int-array", "float32-array", "object-array",
+            "array-rows", "generator"])
+    def test_integer_ids_and_real_weights_accepted(self, edges):
+        g = WeightedGraph(np.int64(3), edges)
+        assert type(g.n) is int
+        assert g.edges == ((0, 1, 1.0), (1, 2, 2.0))
+        assert all(type(x) is int for u, v, _ in g.edges for x in (u, v))
+        assert all(type(w) is float for _, _, w in g.edges)
+
+    @pytest.mark.parametrize("n,edges,message", [
+        (3, [(0, 1.5, 1.0), (1, 2, 1.0)], r"edge \(0,1.5\) has a vertex id that is not an integer"),
+        (2, [(True, 0, 1.0)], r"edge \(True,0\) has a vertex id that is not an integer"),
+        (2, [(0, np.True_, 1.0)], r"edge \(0,True\) has a vertex id that is not an integer"),
+        (2, [("0", 1, 1.0)], r"edge \('0',1\) has a vertex id that is not an integer"),
+        (2, [(0, math.nan, 1.0)], r"edge \(0,nan\) has a vertex id that is not an integer"),
+        (2, [(0, 1, True)], r"edge \(0,1\) has invalid weight True"),
+        (2, [(0, 1, np.False_)], r"edge \(0,1\) has invalid weight False"),
+        (2, [(0, 1, "2.5")], r"edge \(0,1\) has invalid weight '2.5'"),
+        (2, [(0, 1, None)], r"edge \(0,1\) has invalid weight None"),
+        (2, [(0, math.inf, 1.0)], r"edge \(0,inf\) has a vertex id outside \[0,2\)"),
+        (2, [(0, 10**30, 1.0)], rf"edge \(0,{10**30}\) has a vertex id outside \[0,2\)"),
+        (2, [(0, 1, -1)], r"edge \(0,1\) has invalid weight -1.0"),
+        (2, np.array([[0, 1, 1], [1, 0, 1]], dtype=bool), r"edge \(False,True\) has a vertex id"),
+        (3, np.array([[0.0, 1.0, 1.0], [1.0, 2.5, 1.0]]), r"edge \(1,2.5\) has a vertex id"),
+        (3, np.array([[0.0, 1.0, 1.0], [2.0, 2.0, 1.0]]), r"self-loop at vertex 2$"),
+        # the first bad edge in edge order wins, whatever its fault
+        (3, [(0, 1, -1.0), (0, 1.5, 1.0)], r"edge \(0,1\) has invalid weight -1.0"),
+        (3, [(0, 1, 1.0), (2, 2, True), (True, 1, 1.0)], r"self-loop at vertex 2$"),
+        (3, [(0, 1, 1.0), (2, 7, 1.0), (1, 1, 1.0)], r"edge \(2,7\) has a vertex id outside"),
+        # within one edge: id, then self-loop, then weight
+        (3, [(1.5, 1.5, True)], r"edge \(1.5,1.5\) has a vertex id that is not an integer"),
+        (3, [(4, 4, True)], r"edge \(4,4\) has a vertex id outside"),
+        (3, [(2, 2, "x")], r"self-loop at vertex 2$"),
+    ])
+    def test_first_bad_edge_refused(self, n, edges, message):
+        with pytest.raises(GraphError, match=message):
+            WeightedGraph(n, edges)
+
+    @pytest.mark.parametrize("edges", [
+        [(0, 1, 1.0), (0, 5, 1.0), (1, 1, 1.0)],
+        [(0, 1, 1.0), (2, 2, 1.0), (0, 1, -0.5)],
+        [(0, 1, math.nan), (-1, 0, 1.0)],
+        [(0, 1, 1.0), (1, 2, math.inf)],
+        [(0, 1, 1.0), (1, 2, -0.5), (3, 3, 1.0)],
+    ])
+    def test_value_faults_keep_the_per_edge_message(self, edges):
+        with pytest.raises(GraphError) as want:
+            per_edge_graph(3, edges)
+        for given in (edges, np.array(edges, dtype=np.float64)):
+            with pytest.raises(GraphError) as got:
+                WeightedGraph(3, given)
+            assert str(got.value) == str(want.value)
+
+    @pytest.mark.parametrize("n", [True, np.True_, False, 2.0, "3", None])
+    def test_vertex_count_must_be_an_integer(self, n):
+        with pytest.raises(GraphError, match="the vertex count must be an integer"):
+            WeightedGraph(n, [])
+
+    @pytest.mark.parametrize("edges", [[(0, 1)], [(0, 1, 1.0, 2.0)], np.zeros((2, 2)),
+                                       np.zeros(3)])
+    def test_edges_must_be_triples(self, edges):
+        with pytest.raises(GraphError):
+            WeightedGraph(2, edges)

@@ -228,3 +228,24 @@ class TestRekey:
         rng.rekey(-1)
         assert rng.seed == RngStream(-1).seed == 2**64 - 1
         assert rng.uniforms(3).tolist() == RngStream(-1).uniforms(3).tolist()
+
+
+class TestIntegers:
+    """integers(bounds) is gen_ktree's draw: it must equal successive
+    integer(b) calls, and leave the stream where they leave it."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 12345, 2**63 + 5, derive_seed(7, 3)])
+    @pytest.mark.parametrize("k", [1, 2, 3, 5])
+    def test_equals_successive_integer_calls(self, seed, k):
+        # the k-tree bounds; an odd count leaves half a word in the carry
+        bounds = k + 1 + k * np.arange(997 + k)
+        one, many = RngStream(seed), RngStream(seed)
+        assert many.integers(bounds).tolist() == [one.integer(b) for b in bounds]
+        assert draws(many) == draws(one)
+
+    def test_large_and_empty_bounds(self):
+        one, many = RngStream(3), RngStream(3)
+        bounds = [2**40, 1, 7, 2**33 + 1, 2**62]
+        assert many.integers(bounds).tolist() == [one.integer(b) for b in bounds]
+        assert many.integers([]).tolist() == []
+        assert draws(many) == draws(one)

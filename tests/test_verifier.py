@@ -481,6 +481,12 @@ class TestThreateners:
         ([7], "vertex 7 is outside 0..3"),
         ([-1], "vertex -1 is outside 0..3"),
         ([2, 0, 0], "vertex 0 is given twice"),
+        ([True, 2.7], "vertex True is not an integer"),
+        ([1, 2.7], "vertex 2.7 is not an integer"),
+        ([np.False_, 1], "vertex False is not an integer"),
+        (np.array([True, False]), "vertex True is not an integer"),
+        (["1"], "vertex '1' is not an integer"),
+        ([1, math.nan], "vertex nan is not an integer"),
     ])
     def test_bad_vertex_ids_refused(self, vertices, message):
         g = gen_grid(2, 2)
@@ -488,6 +494,16 @@ class TestThreateners:
         params = DecompositionParams.for_graph(1.0, 0, seq.p_eff, 4)
         with pytest.raises(ValueError, match=message):
             threatener_report(g, seq, params, 0.01, vertices)
+
+    @pytest.mark.parametrize("vertices", [[3, 1], [3.0, 1.0], np.array([3.0, 1.0]),
+                                          [np.int32(3), np.int64(1)], (v for v in (3, 1))])
+    def test_integral_ids_of_any_type_accepted(self, vertices):
+        g = gen_grid(2, 2)
+        seq = choose_centers(g, 1.0)
+        params = DecompositionParams.for_graph(1.0, 0, seq.p_eff, 4)
+        report = threatener_report(g, seq, params, 0.01, vertices)
+        assert report == threatener_report(g, seq, params, 0.01, [1, 3])
+        assert all(type(v) is int for v in report.vertices)
 
 
 SAMPLE_BALL_GRAPHS = {
