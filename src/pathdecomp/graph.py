@@ -188,32 +188,29 @@ class WeightedGraph:
 
 def _pair_objects(ids: np.ndarray, weights: np.ndarray, nbr: np.ndarray,
                   which: np.ndarray) -> tuple:
-    """The (ids[nbr[j]], weights[which[j]]) pairs as one tuple. Where the
-    weights take few values, as unit weights do, a (neighbour, weight) pair
-    met twice is one object: a table over every (vertex, weight) finds the
-    pairs met, and costs at most a pass over the pairs."""
-    width = len(weights)
-    if len(ids) * width >= len(nbr):
-        return tuple(zip(ids[nbr].tolist(), weights[which].tolist()))
-    key = nbr * width + which
-    met = np.zeros(len(ids) * width, dtype=bool)
-    met[key] = True
-    keys = np.flatnonzero(met)
-    table = np.fromiter(zip(ids[keys // width].tolist(), weights[keys % width].tolist()),
-                        dtype=object, count=len(keys))
-    return tuple(table[(np.cumsum(met) - 1)[key]].tolist())
+    """The (ids[nbr[j]], weights[which[j]]) pairs as one tuple. The pairs of
+    one neighbour that carry its lightest weight are one object, so with unit
+    weights a vertex is one pair in every list it is in; any other pair is
+    its own object. The table of shared pairs holds one cell per vertex."""
+    light = np.full(len(ids), len(weights))
+    np.minimum.at(light, nbr, which)
+    met = np.flatnonzero(light < len(weights))
+    table = np.empty(len(ids), dtype=object)
+    table[met] = np.fromiter(zip(ids[met].tolist(), weights[light[met]].tolist()),
+                             dtype=object, count=len(met))
+    pairs = table[nbr]
+    other = np.flatnonzero(which != light[nbr])
+    pairs[other] = np.fromiter(zip(ids[nbr[other]].tolist(), weights[which[other]].tolist()),
+                               dtype=object, count=len(other))
+    return tuple(pairs.tolist())
 
 
 def _symmetric_csr(n: int, u: np.ndarray, v: np.ndarray, w: np.ndarray) -> sp.csr_matrix:
     """The CSR of the edges (u, v, w), each stored in both directions."""
     lo, hi = np.minimum(u, v), np.maximum(u, v)
-    key = lo * n + hi  # the (lo, hi) order
-    # a stable sort of presorted keys, as the generators give, costs a pass
-    order = np.argsort(key, kind="stable")
-    if np.any(key[order[1:]] == key[order[:-1]]):
-        # per vertex pair, the lightest parallel edge sorts first and is
-        # kept, the first given of equal weights (lexsort is stable)
-        order = np.lexsort((w, key))
+    # in (lo, hi) order; per vertex pair the lightest parallel edge sorts
+    # first and is kept, the first given of equal weights (lexsort is stable)
+    order = np.lexsort((w, lo * n + hi))
     lo, hi, w = lo[order], hi[order], w[order]
     first = np.ones(len(w), dtype=bool)
     first[1:] = (lo[1:] != lo[:-1]) | (hi[1:] != hi[:-1])
@@ -227,21 +224,14 @@ def _symmetric_csr(n: int, u: np.ndarray, v: np.ndarray, w: np.ndarray) -> sp.cs
 def _numbers(values) -> np.ndarray:
     """values (a 1-D array or an iterable) as an integer or float array, nan
     where an entry is not a real number: a bool, a string, or what float()
-    refuses. An array or a sequence of Python and numpy ints and floats
-    converts in one call."""
+    refuses. A numeric array is returned as it is."""
     if isinstance(values, np.ndarray) and values.dtype.kind in "iuf":
         return values
-    values = values.tolist() if isinstance(values, np.ndarray) else list(values)
-    if all(issubclass(t, (int, float, np.integer, np.floating)) and not issubclass(t, bool)
-           for t in set(map(type, values))):
-        out = np.array(values)
-        if out.dtype.kind in "iuf":
-            return out
     return np.array([_number(x) for x in values], dtype=np.float64)
 
 
 def _number(x) -> float:
-    """One entry of _numbers when its fast path does not apply."""
+    """One entry of _numbers."""
     if isinstance(x, (bool, np.bool_, str, bytes)):
         return math.nan
     try:
@@ -260,14 +250,20 @@ def _not_integer(ids: np.ndarray) -> np.ndarray:
     return np.isnan(ids) | (np.isfinite(ids) & (ids != np.trunc(ids)))
 
 
-def _vertex_ids(values) -> np.ndarray:
-    """values as int64 vertex ids, by the constructor's rule for edge ids:
-    ValueError at the first entry that is not an integer."""
+def _vertex_ids(values, n: int) -> np.ndarray:
+    """values as int64 vertex ids of a graph of n vertices, by the
+    constructor's rule for edge ids: ValueError at the first entry that is
+    not an integer or lies outside [0, n), naming the entry as given."""
     values = values if isinstance(values, np.ndarray) else list(values)
     ids = _numbers(values)
-    bad = np.flatnonzero(_not_integer(ids))
+    not_integer = _not_integer(ids)
+    # the range is checked before the ids become int64, which would wrap
+    # or saturate an inf or an id of 2**63 or more
+    bad = np.flatnonzero(not_integer | ~((ids >= 0) & (ids < n)))
     if len(bad):
-        raise ValueError(f"vertex {_shown(values[bad[0]])!r} is not an integer")
+        i = bad[0]
+        fault = "is not an integer" if not_integer[i] else f"is outside 0..{n - 1}"
+        raise ValueError(f"vertex {_shown(values[i])!r} {fault}")
     return ids.astype(np.int64)
 
 
@@ -289,7 +285,7 @@ def _edge_columns(n: int, edges) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
             raise GraphError(f"an edge array must have shape (m, 3), got {edges.shape}")
         cols = rows.T
     else:
-        rows = list(edges)
+        rows = [tuple(r) for r in edges]
         if set(map(len, rows)) - {3}:
             bad = next(r for r in rows if len(r) != 3)
             raise GraphError(f"edge {bad!r} is not a (u, v, w) triple")

@@ -257,12 +257,9 @@ def threatener_report(g: WeightedGraph, centers: CenterSequence,
     """
     _require_gamma_in_range(gamma)
     _require_matching(g, centers, params)
-    vertices = np.arange(g.n) if vertices is None else np.sort(_vertex_ids(vertices))
+    vertices = np.arange(g.n) if vertices is None else np.sort(_vertex_ids(vertices, g.n))
     if not len(vertices):
         raise ValueError("need at least one vertex")
-    outside = vertices[(vertices < 0) | (vertices >= g.n)]
-    if len(outside):
-        raise ValueError(f"vertex {outside[0]} is outside 0..{g.n - 1}")
     repeated = vertices[1:][vertices[1:] == vertices[:-1]]
     if len(repeated):
         raise ValueError(f"vertex {repeated[0]} is given twice")

@@ -991,6 +991,15 @@ class TestArrayBuild:
             assert (id(v), id(w)) in seen and (id(u), id(w)) in seen
             assert type(u) is type(v) is int and type(w) is float
 
+    def test_pairs_with_a_neighbours_lightest_weight_are_one_object(self):
+        g = gen_grid(6, 6)
+        assert len({id(p) for a in g.adj for p in a}) == g.n
+        g = WeightedGraph(3, [(0, 1, 1.0), (1, 2, 1.0), (2, 0, 2.0), (0, 1, 1.0)])
+        assert g.adj == [((1, 1.0), (2, 2.0), (1, 1.0)), ((0, 1.0), (2, 1.0), (0, 1.0)),
+                         ((1, 1.0), (0, 2.0))]
+        assert g.adj[0][0] is g.adj[0][2] is g.adj[2][0] and g.adj[1][0] is g.adj[1][2]
+        assert len({id(p) for a in g.adj for p in a}) == 5
+
     def test_m_without_edges(self):
         g = gen_ktree(50, 2).graph
         assert g._edges is None and g.m == 97 and repr(g) == "WeightedGraph(n=50, m=97)"
@@ -1004,8 +1013,9 @@ class TestArrayBuild:
         np.array([(0, 1, 1.0), (1, 2, 2.0)], dtype=object),
         [np.array([0, 1, 1.0]), [1, 2, 2.0]],
         (e for e in [(0, 1, 1.0), (1, 2, 2.0)]),
+        [iter((0, 1, 1.0)), (x for x in (1, 2, 2.0))],
     ], ids=["python", "numpy-scalars", "int-array", "float32-array", "object-array",
-            "array-rows", "generator"])
+            "array-rows", "generator", "rows-without-len"])
     def test_integer_ids_and_real_weights_accepted(self, edges):
         g = WeightedGraph(np.int64(3), edges)
         assert type(g.n) is int

@@ -487,6 +487,14 @@ class TestThreateners:
         (np.array([True, False]), "vertex True is not an integer"),
         (["1"], "vertex '1' is not an integer"),
         ([1, math.nan], "vertex nan is not an integer"),
+        # the range is checked on the ids as given, not after they become int64
+        ([math.inf], "vertex inf is outside 0..3"),
+        ([-math.inf], "vertex -inf is outside 0..3"),
+        ([2**63], f"vertex {2**63} is outside 0..3"),
+        (np.array([2**64 - 1], dtype=np.uint64), f"vertex {2**64 - 1} is outside 0..3"),
+        # the first bad id in the given order, whatever its fault
+        ([7, 2.7], "vertex 7 is outside 0..3"),
+        ([2.7, -1], "vertex 2.7 is not an integer"),
     ])
     def test_bad_vertex_ids_refused(self, vertices, message):
         g = gen_grid(2, 2)
