@@ -350,12 +350,19 @@ def _graph_cached(g: WeightedGraph, slot: str, key, finder, build):
     """The value g keeps in `slot`, if it was built for an equal key and
     this very finder (`is`); else build(), kept in the slot in its place.
 
-    Every cache of derived structures on a graph goes through here. The
-    slots, listed at WeightedGraph._cache, are "centers" (key delta, from
-    choose_centers), "baseline_index" (key delta, finder None, from the
-    baseline carving) and "sample_balls" (key (float(radius),
-    vertices.tobytes()) of int64 vertices, finder None: the full-graph balls
-    that verifier.threatener_report and verifier.estimate_padding read).
+    Every cache of derived structures on a graph goes through here, and
+    this is the one list of its slots (g._cache):
+
+    - "centers": key delta, the CenterSequence of choose_centers;
+    - "baseline_index": key delta, finder None, the BallIndex of the
+      baseline carving;
+    - "sample": key the integer seed, finder None, the read-only vertex
+      sample of verifier.sample_vertices;
+    - "sample_balls": key (float(radius), vertices.tobytes()) of int64
+      vertices, finder None, the read-only full-graph balls and their
+      layout (verifier._SampleBalls) that verifier.threatener_report and
+      verifier.estimate_padding read.
+
     A slot holds (key, finder, value) of the latest build only. The old
     value leaves the slot before the build, so a build that raises leaves
     the slot empty. The finder object itself is kept, so its id cannot be

@@ -148,11 +148,7 @@ class WeightedGraph:
         self._edge_source = (ids, u, v, weights, which)
         self._csr = _symmetric_csr(n, u, v, w)
         # derived structures, each kept for its latest (key, finder) only and
-        # written only by decomposer._graph_cached: "centers" holds (delta,
-        # finder, CenterSequence) from choose_centers, "baseline_index"
-        # (delta, None, BallIndex) from the baseline carving, and
-        # "sample_balls" ((radius, vertex bytes), None, read-only (row,
-        # members, dist) arrays) from the verifier's sampled-ball query
+        # written only by decomposer._graph_cached, whose docstring lists the slots
         self._cache: dict = {}
         if connected_components(self._csr, directed=True, connection="strong",
                                 return_labels=False) != 1:
@@ -267,6 +263,14 @@ def _vertex_ids(values, n: int) -> np.ndarray:
     return ids.astype(np.int64)
 
 
+def _graph_ids(what: str, values, n: int) -> np.ndarray:
+    """_vertex_ids(values, n), its error a GraphError that names `what`."""
+    try:
+        return _vertex_ids(values, n)
+    except ValueError as exc:
+        raise GraphError(f"{what} {exc}") from None
+
+
 def _shown(x):
     """x for a message: a numpy scalar as its Python value, an integral float
     as an int."""
@@ -316,12 +320,8 @@ class VertexMask:
     __slots__ = ("n", "alive")
 
     def __init__(self, n: int, alive):
-        alive = frozenset(map(int, alive))
-        if alive and (min(alive) < 0 or max(alive) >= n):
-            bad = min(alive) if min(alive) < 0 else max(alive)
-            raise GraphError(f"mask vertex {bad} outside [0,{n})")
         self.n = n
-        self.alive = alive
+        self.alive = frozenset(_graph_ids("mask", alive, n).tolist())
 
     @classmethod
     def full(cls, n: int) -> "VertexMask":
@@ -365,7 +365,7 @@ class Path:
 
     @classmethod
     def from_vertices(cls, g: WeightedGraph, vertices) -> "Path":
-        vertices = tuple(int(v) for v in vertices)
+        vertices = tuple(_graph_ids("path", vertices, g.n).tolist())
         if not vertices:
             raise GraphError("a path needs at least one vertex")
         return cls(vertices, _walk_sums(g, vertices)[-1])
@@ -399,7 +399,7 @@ class ShortestPaths:
         while chain[-1] != self.source:
             chain.append(self.parent[chain[-1]])
         chain.reverse()
-        return Path.from_vertices(g, chain)
+        return Path(tuple(chain), _walk_sums(g, chain)[-1])  # the ids are the tree's own
 
 
 def _dijkstra(g: WeightedGraph, mask: VertexMask, src: int, cutoff: float = INF):

@@ -9,9 +9,10 @@ one graph.balls query per call.
 Statistical check: Monte-Carlo estimation of the padding probability
 Pr[B(x, gamma*delta) stays in one cluster], accepted when the one-sided
 Wilson 99% lower confidence bound clears the floor 2^(-beta*gamma).
-The threatener report and both padding schemes read the sampled vertices'
-balls from one graph.balls query, which the graph keeps for its latest
-(radius, vertices).
+The graph keeps the vertex sample for its latest seed, and the sampled
+vertices' balls, with the layout both padding schemes read, for its latest
+(radius, vertices): the threatener report and both padding schemes share
+one draw and one graph.balls query.
 """
 
 from __future__ import annotations
@@ -264,7 +265,8 @@ def threatener_report(g: WeightedGraph, centers: CenterSequence,
     if len(repeated):
         raise ValueError(f"vertex {repeated[0]} is given twice")
     index = centers.index
-    row, members, _ = _sample_balls(g, vertices, gamma * params.delta)
+    sample = _sample_balls(g, vertices, gamma * params.delta)
+    row, members = sample.row, sample.members
     # every incidence of every ball member, tagged with the row of its ball
     lo = index.starts[members]
     sizes = index.starts[members + 1] - lo
@@ -369,25 +371,60 @@ def sample_vertices(g: WeightedGraph, seed: int) -> np.ndarray:
     """All vertices when n <= 256; otherwise 256 drawn deterministically from
     the master seed (stream index -1, reserved; trials use indices >= 0).
     The seed must be an integer (decomposer._require_integer), even when
-    n <= 256."""
-    seed = _require_integer("seed", seed)
-    if g.n <= MAX_EXHAUSTIVE_VERTICES:
-        return np.arange(g.n, dtype=np.int64)
-    rng = RngStream(derive_seed(seed, -1))
-    picked = rng.sample_without_replacement(g.n, MAX_EXHAUSTIVE_VERTICES)
-    return np.sort(picked.astype(np.int64))
+    n <= 256. A writable copy of the sample the graph keeps (_sample)."""
+    return _sample(g, _require_integer("seed", seed)).copy()
 
 
-def _sample_balls(g: WeightedGraph, vertices: np.ndarray, radius: float) -> tuple:
-    """graph.balls(g, full graph, vertices, radius) as read-only (row,
-    members, dist) arrays. The graph keeps the latest answer (slot
+def _sample(g: WeightedGraph, seed: int) -> np.ndarray:
+    """sample_vertices(g, seed) for a checked integer seed, as a read-only
+    array the graph keeps for its latest seed (slot "sample"), so
+    threatener_report's caller and both padding schemes draw it once."""
+    def build():
+        if g.n <= MAX_EXHAUSTIVE_VERTICES:
+            out = np.arange(g.n, dtype=np.int64)
+        else:
+            rng = RngStream(derive_seed(seed, -1))
+            picked = rng.sample_without_replacement(g.n, MAX_EXHAUSTIVE_VERTICES)
+            out = np.sort(picked.astype(np.int64))
+        out.flags.writeable = False
+        return out
+
+    return _graph_cached(g, "sample", seed, None, build)
+
+
+class _SampleBalls(NamedTuple):
+    """The full-graph balls of sampled vertices, and their layout, as
+    read-only arrays. Ball i holds members[starts[i]:starts[i + 1]] (row i),
+    at distances dist, in graph.balls order; held lists the distinct
+    members, and local and anchors give each entry's member and ball vertex
+    as positions in held."""
+
+    row: np.ndarray
+    members: np.ndarray
+    dist: np.ndarray
+    starts: np.ndarray
+    held: np.ndarray
+    local: np.ndarray
+    anchors: np.ndarray
+
+
+def _sample_balls(g: WeightedGraph, vertices: np.ndarray, radius: float) -> _SampleBalls:
+    """graph.balls(g, full graph, vertices, radius) with its layout, as a
+    read-only _SampleBalls. The graph keeps the latest answer (slot
     "sample_balls"), so threatener_report and both padding schemes, which
     ask it of one sample at one radius under the default gammas, share one
-    query. The key holds the ids as int64 bytes, so equal bytes mean equal ids."""
+    query and one layout. The key holds the ids as int64 bytes, so equal
+    bytes mean equal ids."""
     vertices = np.asarray(vertices, dtype=np.int64)
 
     def build():
-        out = balls(g, VertexMask.full(g.n), vertices, radius)
+        row, members, dist = balls(g, VertexMask.full(g.n), vertices, radius)
+        held = np.unique(members)
+        out = _SampleBalls(
+            row, members, dist,
+            np.searchsorted(row, np.arange(len(vertices))),  # no ball is empty: x is in B(x, r)
+            held, np.searchsorted(held, members), np.searchsorted(held, vertices)[row],
+        )
         for arr in out:
             arr.flags.writeable = False
         return out
@@ -435,10 +472,9 @@ def estimate_padding(g: WeightedGraph, delta: float, finder=greedy_find,
         raise ValueError(f"unknown scheme {scheme!r}")
     _require_valid_delta(delta)
 
-    vertices = sample_vertices(g, seed)
+    vertices = _sample(g, seed)
     radii = np.asarray(gammas) * delta
-    row, members, dist = _sample_balls(g, vertices, radii.max())
-    starts = np.searchsorted(row, np.arange(len(vertices)))  # no ball is empty: x is in B(x, r)
+    sample = _sample_balls(g, vertices, radii.max())
 
     # one stream for the call, re-keyed to each trial's seed: it yields what
     # RngStream(derive_seed(seed, t)) would
@@ -464,14 +500,12 @@ def estimate_padding(g: WeightedGraph, delta: float, finder=greedy_find,
             return radius, rank
     beta = params.beta()
 
-    # members and anchors become positions in `held`. Every radius is at
-    # least texp.lo: when that clears the index's reach, every vertex is
-    # claimed, and the trials label the ball members only; otherwise they
-    # label the whole graph, which raises the CoverageError of carving
-    held = np.unique(members)
+    # every radius is at least texp.lo: when that clears the index's reach,
+    # every vertex is claimed, and the trials label the ball members
+    # (`held`) only; otherwise they label the whole graph, which raises the
+    # CoverageError of carving
+    _, _, dist, starts, held, local, anchors = sample
     index, pick = (index.restrict(held), slice(None)) if texp.lo >= index.reach else (index, held)
-    local = np.searchsorted(held, members)
-    anchors = np.searchsorted(held, vertices)[row]
     # first-claim labels are cluster ranks: equal labels, same cluster
     successes = np.zeros((len(vertices), len(radii)), dtype=np.int64)
     for t in range(trials):
@@ -484,13 +518,14 @@ def estimate_padding(g: WeightedGraph, delta: float, finder=greedy_find,
     wilson = wilson_lower_bound(successes, trials)
     passed = np.where(np.asarray(gammas) == 0.0, successes == trials, wilson >= floors)
     # one record per (vertex, gamma) cell, in row-major order, from one
-    # column per field
+    # column per field; tuple.__new__ is what PaddingRecord._make calls,
+    # without a Python-level call per record
     columns = (
         np.repeat(vertices, len(gammas)).tolist(), gammas * len(vertices), repeat(trials),
         successes.ravel().tolist(), (successes / trials).ravel().tolist(),
         wilson.ravel().tolist(), floors * len(vertices), passed.ravel().tolist(),
     )
-    records_out = tuple(map(PaddingRecord._make, zip(*columns)))
+    records_out = tuple(map(tuple.__new__, repeat(PaddingRecord), zip(*columns)))
 
     return PaddingReport(
         scheme, delta, gammas, trials, seed, g.n, p_eff, beta,

@@ -1,6 +1,7 @@
 import ast
 import math
 import pathlib
+import re
 import tracemalloc
 from collections import deque
 
@@ -297,6 +298,39 @@ class TestPath:
     def test_empty_rejected(self, chain):
         with pytest.raises(GraphError):
             Path.from_vertices(chain, ())
+
+    @pytest.mark.parametrize("vertices, message", [
+        ([0.9, True], "path vertex 0.9 is not an integer"),
+        ([0, True], "path vertex True is not an integer"),
+        (["1"], "path vertex '1' is not an integer"),
+        ([4], "path vertex 4 is outside 0..3"),
+    ])
+    def test_ids_follow_the_constructor_rule(self, vertices, message):
+        # the ids are refused as given, not truncated by int()
+        g = gen_grid(2, 2)
+        with pytest.raises(GraphError, match=f"^{re.escape(message)}$"):
+            Path.from_vertices(g, vertices)
+        assert Path.from_vertices(g, [0.0, np.int64(1)]) == Path((0, 1), 1.0)
+
+
+class TestVertexMaskIds:
+    @pytest.mark.parametrize("alive, message", [
+        ([True, 2.7], "mask vertex True is not an integer"),
+        ([1, 2.7], "mask vertex 2.7 is not an integer"),
+        (["1"], "mask vertex '1' is not an integer"),
+        ([0, 4], "mask vertex 4 is outside 0..3"),
+        ([-1], "mask vertex -1 is outside 0..3"),
+    ])
+    def test_ids_follow_the_constructor_rule(self, alive, message):
+        with pytest.raises(GraphError, match=f"^{re.escape(message)}$"):
+            VertexMask(4, alive)
+
+    def test_integers_of_any_kind_are_kept_as_python_ints(self):
+        mask = VertexMask(4, [np.int64(3), 1.0, 2])
+        assert mask.alive == {1, 2, 3}
+        assert all(type(v) is int for v in mask.alive)
+        assert VertexMask(4, np.array([0, 3])).alive == {0, 3}
+        assert VertexMask(4, []).alive == frozenset()
 
 
 class TestDiameter:

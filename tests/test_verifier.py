@@ -590,11 +590,67 @@ class TestSampleBalls:
         assert certify(g, 7) == cold(make, 7)
 
     def test_cached_arrays_are_read_only(self):
-        g = gen_grid(20, 20)
-        estimate_padding(g, 4.0, trials=2, seed=1)
-        for arr in g._cache["sample_balls"][2]:
+        g = SAMPLE_BALL_GRAPHS["spread-grid"]()
+        estimate_padding(g, weighted_diameter(g) / 8, trials=2, seed=7)
+        kept = g._cache["sample_balls"][2]
+        assert type(kept) is verifier._SampleBalls
+        assert kept._fields == ("row", "members", "dist", "starts", "held", "local", "anchors")
+        for name in kept._fields:
+            arr = getattr(kept, name)
+            assert not arr.flags.writeable, name
             with pytest.raises(ValueError, match="read-only"):
                 arr[0] = 0
+        # the layout is what the padding schemes derived from the arrays
+        vertices = sample_vertices(g, 7)
+        assert np.array_equal(kept.starts, np.searchsorted(kept.row, np.arange(len(vertices))))
+        assert np.array_equal(kept.held, np.unique(kept.members))
+        assert np.array_equal(kept.held[kept.local], kept.members)
+        assert np.array_equal(kept.held[kept.anchors], vertices[kept.row])
+
+
+class TestKeptSample:
+    @staticmethod
+    def count_draws(monkeypatch):
+        draws = []
+        draw = verifier.RngStream.sample_without_replacement
+
+        def counted(self, *args):
+            draws.append(args)
+            return draw(self, *args)
+
+        monkeypatch.setattr(verifier.RngStream, "sample_without_replacement", counted)
+        return draws
+
+    def test_one_draw_per_graph_and_seed(self, monkeypatch):
+        make = SAMPLE_BALL_GRAPHS["unit-ktree"]  # n = 400: the sample is drawn
+        draws = self.count_draws(monkeypatch)
+        g = make()
+        warm = certify(g, 7)
+        assert len(draws) == 1
+        assert certify(g, 7) == warm and len(draws) == 1
+        certify(g, 8)
+        assert len(draws) == 2
+        assert certify(make(), 7) == warm and len(draws) == 3
+        monkeypatch.undo()
+        assert cold(make, 7) == warm
+
+    def test_returned_array_is_a_copy(self):
+        g = gen_ktree(300, 1, seed=0).graph
+        first = sample_vertices(g, 42)
+        want = first.copy()
+        assert first.flags.writeable
+        first[:] = 0
+        assert np.array_equal(sample_vertices(g, 42), want)
+        assert np.array_equal(g._cache["sample"][2], want)
+
+    @pytest.mark.parametrize("seed, bad", [(1, True), (2, 2.0)])
+    def test_bool_or_float_seed_refused_after_a_kept_sample(self, seed, bad):
+        g = gen_ktree(300, 1, seed=0).graph
+        sample_vertices(g, seed)  # the kept key equals the bad seed
+        with pytest.raises(TypeError, match="seed must be an integer"):
+            sample_vertices(g, bad)
+        with pytest.raises(TypeError, match="seed must be an integer"):
+            estimate_padding(g, 4.0, trials=2, seed=bad)
 
 
 class TestWilson:
@@ -869,6 +925,19 @@ class TestPaddingRecords:
         obj, want_obj = rep.to_json_obj(), reference_json_obj(rep, ref)
         assert obj == want_obj
         assert json.dumps(obj, sort_keys=True) == json.dumps(want_obj, sort_keys=True)
+
+    @pytest.mark.parametrize("scheme", ["paper", "baseline"])
+    def test_records_equal_make_on_the_same_rows(self, split_graph, scheme):
+        g, delta = split_graph
+        rep = estimate_padding(g, delta, trials=5, seed=2, scheme=scheme)
+        rows = [dataclasses.astuple(r) for r in reference_records(rep)]
+        assert len(rep.records) == len(rows)
+        for got, want in zip(rep.records, map(PaddingRecord._make, rows)):
+            assert type(got) is PaddingRecord
+            assert got == want and got._asdict() == want._asdict()
+            for name in self.FIELDS:
+                assert getattr(got, name) == getattr(want, name), name
+                assert type(getattr(got, name)) is type(getattr(want, name)), name
 
     def test_record_contract(self):
         values = (3, 0.0025, 40, 39, 0.975, 0.88, 0.59, True)
