@@ -399,7 +399,7 @@ class ShortestPaths:
         while chain[-1] != self.source:
             chain.append(self.parent[chain[-1]])
         chain.reverse()
-        return Path(tuple(chain), _walk_sums(g, chain)[-1])  # the ids are the tree's own
+        return Path.from_vertices(g, chain)
 
 
 def _dijkstra(g: WeightedGraph, mask: VertexMask, src: int, cutoff: float = INF):

@@ -148,6 +148,17 @@ class TestSssp:
         assert p.vertices[0] == 0 and p.vertices[-1] == 63
         assert p.length == sp.dist[63]
 
+    def test_path_to_a_numpy_id_holds_python_ints(self, grid8):
+        sp = sssp(grid8, VertexMask.full(64), 0)
+        p = sp.path_to(np.int64(63), grid8)
+        assert p == sp.path_to(63, grid8)
+        assert all(type(v) is int for v in p.vertices)
+
+    def test_path_to_refuses_a_bool_id(self, grid8):
+        sp = sssp(grid8, VertexMask.full(64), 0)
+        with pytest.raises(GraphError, match="path vertex True is not an integer"):
+            sp.path_to(True, grid8)
+
     def test_matches_scipy_on_random_weights(self):
         g = gen_ktree(40, 3, "uniform", seed=11).graph
         full = VertexMask.full(g.n)
