@@ -5,6 +5,12 @@ through this module. A graph is immutable once built; "deleting" vertices is
 expressed by running an operation under a VertexMask, which induces the
 residual subgraph on the still-alive vertices.
 
+A graph has one adjacency, its symmetric CSR, which keeps the lightest edge
+of each vertex pair: the shortest-path metric sees no other. `adj` is the
+same rows as tuples of (neighbour, weight) pairs, built from the CSR, for
+the Python-level searches below and `edge_weight`; a tuple row is read
+faster than a slice of the CSR's arrays (the README gives the numbers).
+
 Every residual operation lives here, once:
 
 - A VertexMask is the graph size and a frozenset of alive ids, nothing else.
@@ -62,7 +68,7 @@ Every residual operation lives here, once:
   validator's flaps on a node above its heap cut).
   `components` itself, and the heap Dijkstra below behind `sssp`, `ball` and
   the validator's path check on small nodes, touch only alive vertices
-  and their edges, and the heap keeps only the vertices it reaches: most
+  and their rows of `adj`, and the heap keeps only the vertices it reaches: most
   recursion nodes hold 1-10 vertices, where a search costs less than
   slicing a CSR for scipy (the README gives the numbers).
 """
@@ -115,11 +121,13 @@ class WeightedGraph:
     edges is an iterable of (u, v, w) triples or an (m, 3) numpy array, as the
     generators give. Ids must be integers (an integral float is one) and
     weights real numbers; a bool is neither, nor is a string. One vectorised
-    pass checks the edges, builds the CSR and builds adj: adj[u] is the tuple
-    of (neighbour, weight) pairs of u's edges in edge order, parallel edges
-    included, with one int object per vertex and one float object per
-    distinct weight. The edges tuple is built from the same objects on first
-    use; m counts the edges without building it.
+    pass checks the edges and builds the CSR, which keeps each vertex pair's
+    lightest edge (the first given of equal weights). adj[u] is row u of the
+    CSR as a tuple of (neighbour, weight) pairs, sorted by neighbour: the
+    shortest-path metric sees only the lightest edge of a pair, so no
+    operation depends on the order or the heavier copies of the edges given.
+    The edges tuple is built on first use, in input order with every parallel
+    edge; m counts the edges without building it.
     """
 
     __slots__ = ("n", "m", "adj", "_edges", "_edge_source", "_csr", "_cache")
@@ -132,20 +140,8 @@ class WeightedGraph:
         n = int(n)
         u, v, w = _edge_columns(n, edges)
         self.n, self.m = n, len(w)
-        ids = np.arange(n).astype(object)
-        # one float object per distinct weight, told apart by its bits (0.0, -0.0)
-        bits, which = np.unique(w.view(np.int64), return_inverse=True)
-        weights = bits.view(np.float64).astype(object)
-        # adj: edge i goes to u_i's list as (v_i, w_i), then to v_i's as
-        # (u_i, w_i); a stable sort by list keeps each list in edge order
-        ends = np.column_stack((u, v)).ravel()
-        order = np.argsort(ends, kind="stable")
-        pairs = _pair_objects(ids, weights, np.column_stack((v, u)).ravel()[order],
-                              np.repeat(which, 2)[order])
-        cuts = np.cumsum(np.bincount(ends, minlength=n)).tolist()
-        self.adj = [pairs[a:b] for a, b in zip([0] + cuts, cuts)]
         self._edges = None
-        self._edge_source = (ids, u, v, weights, which)
+        self._edge_source = (u, v, w)
         self._csr = _symmetric_csr(n, u, v, w)
         # derived structures, each kept for its latest (key, finder) only and
         # written only by decomposer._graph_cached, whose docstring lists the slots
@@ -153,26 +149,25 @@ class WeightedGraph:
         if connected_components(self._csr, directed=True, connection="strong",
                                 return_labels=False) != 1:
             raise GraphError("graph is disconnected; only connected inputs are accepted")
+        self.adj = _csr_rows(self._csr)
 
     @property
     def edges(self) -> tuple:
         """The edges in input order, each (u, v, w) as a Python int, int and
-        float: the objects adj holds."""
+        float."""
         if self._edges is None:
-            ids, u, v, weights, which = self._edge_source
-            self._edges = tuple(zip(ids[u].tolist(), ids[v].tolist(), weights[which].tolist()))
+            u, v, w = self._edge_source
+            self._edges = tuple(zip(u.tolist(), v.tolist(), w.tolist()))
             self._edge_source = None
         return self._edges
 
     def edge_weight(self, u: int, v: int) -> float:
-        """Smallest weight among (u,v) edges; raises if u and v are not adjacent."""
-        best = None
+        """The weight of the (u,v) edge, the lightest of parallel ones; raises
+        if u and v are not adjacent."""
         for x, w in self.adj[u]:
-            if x == v and (best is None or w < best):
-                best = w
-        if best is None:
-            raise GraphError(f"vertices {u} and {v} are not adjacent")
-        return best
+            if x == v:
+                return w
+        raise GraphError(f"vertices {u} and {v} are not adjacent")
 
     def csr(self) -> sp.csr_matrix:
         """Symmetric CSR adjacency (parallel edges coalesced to the min weight)."""
@@ -182,23 +177,24 @@ class WeightedGraph:
         return f"WeightedGraph(n={self.n}, m={self.m})"
 
 
-def _pair_objects(ids: np.ndarray, weights: np.ndarray, nbr: np.ndarray,
-                  which: np.ndarray) -> tuple:
-    """The (ids[nbr[j]], weights[which[j]]) pairs as one tuple. The pairs of
-    one neighbour that carry its lightest weight are one object, so with unit
-    weights a vertex is one pair in every list it is in; any other pair is
-    its own object. The table of shared pairs holds one cell per vertex."""
-    light = np.full(len(ids), len(weights))
-    np.minimum.at(light, nbr, which)
-    met = np.flatnonzero(light < len(weights))
-    table = np.empty(len(ids), dtype=object)
-    table[met] = np.fromiter(zip(ids[met].tolist(), weights[light[met]].tolist()),
-                             dtype=object, count=len(met))
-    pairs = table[nbr]
-    other = np.flatnonzero(which != light[nbr])
-    pairs[other] = np.fromiter(zip(ids[nbr[other]].tolist(), weights[which[other]].tolist()),
+def _csr_rows(csr: sp.csr_matrix) -> list[tuple]:
+    """adj from the CSR of a connected graph: row u as the tuple of its
+    (neighbour, weight) pairs, sorted by neighbour. The pairs of a neighbour x
+    that carry, bit for bit, the least weight of x's own row are one object,
+    so with unit weights a vertex is one pair in every row it is in; any other
+    pair is its own object."""
+    n, nbr, w = csr.shape[0], csr.indices, csr.data
+    if n == 1:
+        return [()]
+    # reduceat needs every row non-empty, as it is in a connected graph
+    light = np.minimum.reduceat(w, csr.indptr[:-1])
+    pairs = np.fromiter(zip(range(n), light.tolist()), dtype=object, count=n)[nbr]
+    other = np.flatnonzero(w.view(np.int64) != light.view(np.int64)[nbr])
+    pairs[other] = np.fromiter(zip(nbr[other].tolist(), w[other].tolist()),
                                dtype=object, count=len(other))
-    return tuple(pairs.tolist())
+    pairs = tuple(pairs.tolist())
+    cuts = csr.indptr.tolist()
+    return [pairs[a:b] for a, b in zip(cuts, cuts[1:])]
 
 
 def _symmetric_csr(n: int, u: np.ndarray, v: np.ndarray, w: np.ndarray) -> sp.csr_matrix:
@@ -406,8 +402,9 @@ def _dijkstra(g: WeightedGraph, mask: VertexMask, src: int, cutoff: float = INF)
     """Masked Dijkstra engine. Returns (dist, parent) dicts over the vertices it
     reaches, so a search costs what it reaches, not n.
 
-    Relaxation is strict (<), so the parent tree is determined by adjacency
-    order alone; ties never rewrite a parent.
+    Relaxation is strict (<), so ties never rewrite a parent: a vertex's
+    parent is the first vertex, in the (distance, id) pop order, whose edge
+    gives its distance. The tree follows that order, not the adjacency order.
     """
     dist = {src: 0.0}
     parent = {src: -1}
@@ -679,7 +676,7 @@ def _double_sweep_on(union, sources: np.ndarray) -> list[Path]:
     v, dist, pred = _sweep(sub, owner, u)
     # dist[v] is Path.from_vertices' length, bit for bit: scipy sets dist[x] =
     # dist[pred[x]] + w(pred[x], x) with dist[u] = 0.0, w the CSR weight, which
-    # is the lightest parallel edge, as in edge_weight. So dist[v] is the same
+    # edge_weight reads from adj, the CSR's rows. So dist[v] is the same
     # left-to-right float sum over the same edges, starting from 0.0.
     paths = []
     for a, b in zip(u.tolist(), v.tolist()):
@@ -732,21 +729,36 @@ def load_graph(path) -> WeightedGraph:
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue
-            parts = line.split()
+            place, parts = f"{path}:{lineno}", line.split()
             if header is None:
                 if len(parts) != 2:
-                    raise GraphError(f"{path}:{lineno}: expected header 'n m'")
-                header = (int(parts[0]), int(parts[1]))
+                    raise GraphError(f"{place}: expected header 'n m'")
+                header = _fields(place, parts, (("vertex count", int), ("edge count", int)))
                 continue
             if len(parts) != 3:
-                raise GraphError(f"{path}:{lineno}: expected 'u v w'")
-            edges.append((int(parts[0]), int(parts[1]), float(parts[2])))
+                raise GraphError(f"{place}: expected 'u v w'")
+            edges.append(_fields(place, parts,
+                                 (("vertex id", int), ("vertex id", int), ("weight", float))))
     if header is None:
         raise GraphError(f"{path}: empty graph file")
     n, m = header
     if len(edges) != m:
         raise GraphError(f"{path}: header promises {m} edges, found {len(edges)}")
     return WeightedGraph(n, edges)
+
+
+def _fields(place: str, parts: list[str], kinds) -> tuple:
+    """The tokens of one load_graph line, each parsed by its (name, int or
+    float) in kinds; GraphError at place, naming the first token that does
+    not parse."""
+    out = []
+    for token, (name, parse) in zip(parts, kinds):
+        try:
+            out.append(parse(token))
+        except ValueError:
+            kind = "an integer" if parse is int else "a number"
+            raise GraphError(f"{place}: {name} {token!r} is not {kind}") from None
+    return tuple(out)
 
 
 def dump_graph(g: WeightedGraph, path) -> None:

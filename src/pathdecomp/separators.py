@@ -122,8 +122,8 @@ def validate_separator(g: WeightedGraph, mask: VertexMask, sep: PathSeparator):
     # d(v) = d(u) + w, so each returns the least left-to-right float sum over
     # residual walks from the first vertex: fl(x + w) is monotone in x and at
     # least x for w >= 0, so the sums along a walk never decrease and the least
-    # ones settle in pop order, in floats as in reals. By the same monotonicity
-    # only a pair's lightest edge, the one the CSR keeps, can give a least sum.
+    # ones settle in pop order, in floats as in reals. Both read the same
+    # edges: adj is the CSR's rows, one edge per pair, the lightest.
     # The cut hides no walk that reaches the far end at or below path.length,
     # since every prefix of such a walk is at or below it too; past the cut
     # both report inf (the heap sets no distance above it, scipy's limit is
@@ -291,7 +291,8 @@ def tree_centroid_find(g: WeightedGraph, mask: VertexMask) -> PathSeparator:
                 parent[v] = u
                 stack.append(v)
     # a tree is connected (the walk reached every vertex) with n - 1 edges;
-    # each edge, parallel ones included, appears once in each endpoint's list
+    # each adjacent pair, however many parallel edges join it, appears once
+    # in each endpoint's row
     edge_count = sum(1 for u in alive for v, _ in g.adj[u] if v in alive) // 2
     if len(order) != n_alive or edge_count != n_alive - 1:
         raise NotATreeError("residual graph is not a tree")

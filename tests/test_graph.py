@@ -41,6 +41,7 @@ from pathdecomp.graph import (
     double_sweep,
     induced,
 )
+from pathdecomp.separators import PATH_CHECK_HEAP_MAX
 
 from test_carving_reference import spread_weights
 
@@ -97,6 +98,20 @@ class TestConstruction:
     def test_rejects_disconnected(self):
         with pytest.raises(GraphError):
             WeightedGraph(4, [(0, 1, 1.0), (2, 3, 1.0)])
+
+    @pytest.mark.parametrize("n,edges", [
+        (3, [(1, 2, 1.0)]),
+        (3, [(0, 2, 1.0)]),
+        (3, [(0, 1, 1.0)]),
+        (2, []),
+        (5, [(1, 2, 1.0), (2, 3, 1.0), (3, 1, 2.0), (1, 2, 0.5)]),
+    ], ids=["first", "middle", "last", "no-edges", "both-ends"])
+    def test_isolated_vertex_rejected_as_disconnected(self, n, edges):
+        # an isolated vertex has an empty CSR row; the connectivity check
+        # comes before anything that reads the rows
+        for given in (edges, np.array(edges, dtype=np.float64).reshape(-1, 3)):
+            with pytest.raises(GraphError, match="graph is disconnected"):
+                WeightedGraph(n, given)
 
     def test_rejects_negative_weight(self):
         with pytest.raises(GraphError):
@@ -389,6 +404,65 @@ def grid_with_zero_edges(side):
     g = gen_grid(side, side)
     return WeightedGraph(g.n, [(u, v, 0.0 if i % 7 == 0 else w)
                                for i, (u, v, w) in enumerate(g.edges)])
+
+
+def edge_orders(g, seed):
+    """g's edges given three other ways: shuffled, with each edge's ends
+    swapped at random; reversed, each edge's ends swapped; and with a heavier
+    parallel copy of every edge, given before or after it at random."""
+    edges = list(g.edges)
+    rng = np.random.default_rng(seed)
+    flips = rng.integers(0, 2, len(edges)).tolist()
+    shuffled = [(v, u, w) if flip else (u, v, w)
+                for (u, v, w), flip in zip([edges[i] for i in rng.permutation(len(edges))], flips)]
+    heavier = []
+    for (u, v, w), before in zip(edges, rng.integers(0, 2, len(edges)).tolist()):
+        copy = (v, u, 2.0 * w + 1.0)
+        heavier += [copy, (u, v, w)] if before else [(u, v, w), copy]
+    return {"shuffled": shuffled, "reversed": [(v, u, w) for u, v, w in reversed(edges)],
+            "heavier-copies": heavier}
+
+
+EDGE_ORDER_GRAPHS = {
+    "unit-grid": lambda: gen_grid(12, 12),
+    "uniform-grid": lambda: gen_grid(12, 12, "uniform", 2),
+    "zero-edges": lambda: grid_with_zero_edges(12),
+    "log-uniform-ktree": lambda: spread_weights(gen_ktree(200, 2, "unit", 3).graph, 4),
+}
+
+
+class TestEdgeOrder:
+    """The shortest-path metric sees only each pair's lightest edge, and the
+    heap pops by (distance, id): no result depends on the order the edges are
+    given in, on which end of an edge comes first, or on heavier copies."""
+
+    @staticmethod
+    def results(g, centers):
+        full = VertexMask.full(g.n)
+        part = full.without(range(0, g.n, 5))
+        radius = weighted_diameter(g) / 4
+        out = []
+        for mask in (full, part):
+            for src in sorted(mask.alive)[::7]:
+                paths = sssp(g, mask, src)
+                out.append((paths.dist, paths.parent, ball(g, mask, src, radius)))
+            out.append([m.alive for m in components(g, mask)])
+        # every recursion node, by the heap and by scipy, and one violation
+        out.append([pathdecomp.validate_separator(g, m, sep) for m, sep in centers.separators])
+        out.append(pathdecomp.validate_separator(g, part, centers.separators[0][1]))
+        return out
+
+    @pytest.mark.parametrize("name", sorted(EDGE_ORDER_GRAPHS))
+    def test_results_do_not_depend_on_the_edge_order(self, name):
+        g = EDGE_ORDER_GRAPHS[name]()
+        centers = pathdecomp.choose_centers(g, weighted_diameter(g) / 4)
+        want = self.results(g, centers)
+        assert want[-1] is not None and set(want[-2]) == {None}
+        assert len(centers.separators[0][0]) > PATH_CHECK_HEAP_MAX
+        for order, edges in edge_orders(g, 7).items():
+            h = WeightedGraph(g.n, edges)
+            assert h.adj == g.adj, order
+            assert self.results(h, centers) == want, order
 
 
 class TestDistanceBlocks:
@@ -917,13 +991,29 @@ class TestFileFormat:
         with pytest.raises(GraphError):
             load_graph(f)
 
+    @pytest.mark.parametrize("text,message", [
+        ("3 x\n0 1 1.0\n", r":1: edge count 'x' is not an integer$"),
+        ("2.0 1\n0 1 1.0\n", r":1: vertex count '2.0' is not an integer$"),
+        ("# ids\n3 2\n0 1 1.0\n\n1 two 1.0\n", r":5: vertex id 'two' is not an integer$"),
+        ("3 2\n0 1.5 1.0\n1 2 1.0\n", r":2: vertex id '1.5' is not an integer$"),
+        ("3 2\n0 1 1.0\n1 2 abc\n", r":3: weight 'abc' is not a number$"),
+    ], ids=["header-m", "header-n", "id", "fractional-id", "weight"])
+    def test_bad_token_named_with_its_place(self, tmp_path, text, message):
+        f = tmp_path / "g.txt"
+        f.write_text(text)
+        with pytest.raises(GraphError, match=re.escape(str(f)) + message):
+            load_graph(f)
+
 
 def per_edge_graph(n, edges):
-    """Oracle: the per-edge constructor loop that built graphs before they were
-    built from arrays. Returns its (edges, adj, csr); GraphError at the first
-    bad edge, with the messages the library keeps for these faults."""
+    """Oracle: a per-edge loop over the input. Returns its (edges, adj, csr):
+    edges as given, adj[u] the sorted (neighbour, weight) pairs of u with
+    each neighbour's lightest weight, the first given of equal weights (so
+    -0.0 before 0.0 stays -0.0), and the CSR of those rows. GraphError at
+    the first bad edge, with the messages the library keeps for these
+    faults."""
     edges = [(int(u), int(v), float(w)) for u, v, w in edges]
-    adj = [[] for _ in range(n)]
+    lightest = [{} for _ in range(n)]
     for u, v, w in edges:
         if not (0 <= u < n and 0 <= v < n):
             raise GraphError(f"edge ({u},{v}) has a vertex id outside [0,{n})")
@@ -931,21 +1021,14 @@ def per_edge_graph(n, edges):
             raise GraphError(f"self-loop at vertex {u}")
         if not (w >= 0.0) or math.isinf(w):
             raise GraphError(f"edge ({u},{v}) has invalid weight {w}")
-        adj[u].append((v, w))
-        adj[v].append((u, w))
-    e = np.array(edges, dtype=np.float64).reshape(-1, 3)
-    lo = np.minimum(e[:, 0], e[:, 1]).astype(np.int64)
-    hi = np.maximum(e[:, 0], e[:, 1]).astype(np.int64)
-    order = np.lexsort((e[:, 2], hi, lo))
-    lo, hi, w = lo[order], hi[order], e[order, 2]
-    first = np.ones(len(w), dtype=bool)
-    first[1:] = (lo[1:] != lo[:-1]) | (hi[1:] != hi[:-1])
-    lo, hi, w = lo[first], hi[first], w[first]
-    csr = sp.csr_matrix(
-        (np.concatenate([w, w]), (np.concatenate([lo, hi]), np.concatenate([hi, lo]))),
-        shape=(n, n),
-    )
-    return tuple(edges), adj, csr
+        for a, b in ((u, v), (v, u)):
+            if b not in lightest[a] or w < lightest[a][b]:
+                lightest[a][b] = w
+    adj = [sorted(row.items()) for row in lightest]
+    indptr = np.cumsum([0] + [len(row) for row in adj]).astype(np.int32)
+    indices = np.array([x for row in adj for x, _ in row], dtype=np.int32)
+    data = np.array([w for row in adj for _, w in row], dtype=np.float64)
+    return tuple(edges), adj, sp.csr_matrix((data, indices, indptr), shape=(n, n))
 
 
 def per_edge_grid(rows, cols, weight_mode="unit", seed=0):
@@ -1008,6 +1091,8 @@ def assert_equals_oracle(g, n, edges):
     # the same floats, bit for bit (0.0 and -0.0 compare equal)
     assert [math.copysign(1, w) for _, _, w in g.edges] == [math.copysign(1, w)
                                                              for _, _, w in want_edges]
+    assert [math.copysign(1, w) for a in g.adj for _, w in a] == [
+        math.copysign(1, w) for a in want_adj for _, w in a]
     for got, want in ((g.csr().indptr, want_csr.indptr), (g.csr().indices, want_csr.indices),
                       (g.csr().data, want_csr.data)):
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
@@ -1015,7 +1100,8 @@ def assert_equals_oracle(g, n, edges):
 
 class TestArrayBuild:
     """The graph built from arrays equals the per-edge loop's, structure for
-    structure: edges, adj (order and parallel edges) and the CSR arrays."""
+    structure: edges (input order, parallel edges kept), adj (each pair's
+    lightest edge, sorted by neighbour) and the CSR arrays."""
 
     @pytest.mark.parametrize("case", sorted(ORACLE_CASES))
     def test_equals_per_edge_loop(self, case):
@@ -1028,22 +1114,19 @@ class TestArrayBuild:
             dump_graph(g, tmp_path / "g.txt")
             assert_equals_oracle(load_graph(tmp_path / "g.txt"), g.n, g.edges)
 
-    def test_edges_share_the_objects_of_adj(self):
-        g = gen_grid(5, 6, "uniform", 2)
-        assert g.adj[0] == ((1, g.edges[0][2]), (6, g.edges[1][2]))
-        seen = {(id(v), id(w)) for a in g.adj for v, w in a}
-        for u, v, w in g.edges:
-            assert (id(v), id(w)) in seen and (id(u), id(w)) in seen
-            assert type(u) is type(v) is int and type(w) is float
-
     def test_pairs_with_a_neighbours_lightest_weight_are_one_object(self):
         g = gen_grid(6, 6)
         assert len({id(p) for a in g.adj for p in a}) == g.n
         g = WeightedGraph(3, [(0, 1, 1.0), (1, 2, 1.0), (2, 0, 2.0), (0, 1, 1.0)])
-        assert g.adj == [((1, 1.0), (2, 2.0), (1, 1.0)), ((0, 1.0), (2, 1.0), (0, 1.0)),
-                         ((1, 1.0), (0, 2.0))]
-        assert g.adj[0][0] is g.adj[0][2] is g.adj[2][0] and g.adj[1][0] is g.adj[1][2]
+        assert g.adj == [((1, 1.0), (2, 2.0)), ((0, 1.0), (2, 1.0)), ((0, 2.0), (1, 1.0))]
+        # 1.0 is the least weight of every row: a pair (x, 1.0) is x's shared
+        # pair, and (2, 2.0) and (0, 2.0) are their own objects
+        assert g.adj[0][0] is g.adj[2][1]
         assert len({id(p) for a in g.adj for p in a}) == 5
+        # equal weights of other bits are not one weight: row 0 holds -0.0
+        # and 0.0, and only the pair carrying its least weight's bits is shared
+        g = WeightedGraph(*MULTIGRAPH)
+        assert g.adj[2][0] == g.adj[3][0] == (0, 0.0) and g.adj[2][0] is not g.adj[3][0]
 
     def test_m_without_edges(self):
         g = gen_ktree(50, 2).graph

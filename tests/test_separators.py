@@ -626,6 +626,15 @@ class TestCentroidFinder:
         with pytest.raises(NotATreeError):
             tree_centroid_find(g, VertexMask.full(3))
 
+    def test_tree_given_with_parallel_edges(self):
+        # the path 0-1-2 with the pair 0-1 given twice: the rows hold one
+        # edge per adjacent pair, so it is a tree of three vertices
+        g = WeightedGraph(3, [(0, 1, 2.0), (1, 2, 1.0), (1, 0, 1.0)])
+        mask = VertexMask.full(3)
+        sep = tree_centroid_find(g, mask)
+        assert sep.separator_vertices == {1}
+        assert validate_separator(g, mask, sep) is None
+
     def test_disconnected_rejected(self):
         g = unit_path(4)
         with pytest.raises(NotATreeError):
