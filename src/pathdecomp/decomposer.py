@@ -33,6 +33,7 @@ permutation.
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 import math
 import operator
@@ -50,7 +51,6 @@ from .graph import (
     _balls_on,
     _level_union,
     _reach,
-    balls,
     concat_ranges,
 )
 from .nets import PathMetricView, greedy_net
@@ -180,9 +180,36 @@ class BallIndex:
 
     @classmethod
     def of_all_vertices(cls, g: WeightedGraph, delta: float) -> "BallIndex":
-        """Index of every vertex's ball in the full graph; record v is vertex v."""
-        full = VertexMask.full(g.n)
-        return cls._assemble(g.n, g.n, delta, *balls(g, full, np.arange(g.n), max_radius(delta)))
+        """Index of every vertex's ball in the full graph; record v is vertex v.
+
+        The balls come from graph._balls_on block by block, in source order,
+        and no row-major concatenation of them is built: each block keeps its
+        vertices, distances and per-row counts, and is scattered into the
+        vertex-major arrays once every vertex's count is known, then freed.
+        A vertex's entries arrive in record order, block after block and, by
+        a stable sort on the vertex, row after row within a block: the
+        (vertex, record) order of _assemble."""
+        n, sources = g.n, np.arange(g.n)
+        blocks, starts = [], np.zeros(n + 1, dtype=np.int64)
+        for row, vert, dist in _balls_on(g, g.csr(), sources, sources, max_radius(delta)):
+            # a block is never empty: each source lies in its own ball
+            blocks.append((row[0], np.bincount(row - row[0]), vert, dist))
+            starts[1:] += np.bincount(vert, minlength=n)
+        np.cumsum(starts, out=starts)
+        record, distance = np.empty(starts[-1], dtype=np.int64), np.empty(starts[-1])
+        fill = starts[:-1].copy()  # each vertex's next free position
+        blocks.reverse()
+        while blocks:
+            first, counts, vert, dist = blocks.pop()
+            by_vert = np.argsort(vert, kind="stable")
+            vert = vert[by_vert]
+            head = np.flatnonzero(np.diff(vert, prepend=-1))  # each vertex's first entry
+            size = np.diff(head, append=len(vert))
+            at = np.repeat(fill[vert[head]] - head, size) + np.arange(len(vert))
+            record[at] = (first + np.repeat(np.arange(len(counts)), counts))[by_vert]
+            distance[at] = dist[by_vert]
+            fill[vert[head]] += size
+        return cls(n, n, float(delta), record, distance, starts)
 
     @classmethod
     def _assemble(cls, n: int, count: int, delta: float, rec, vert, dist) -> "BallIndex":
@@ -250,8 +277,9 @@ def _incidences(g: WeightedGraph, union, ids, centers, radius: float):
     has one; a reached vertex lies in the ball of its own mask's center."""
     sub, verts, owner = union
     if len(ids) == 1:
-        row, vert, dist = _balls_on(g, sub, verts, np.searchsorted(verts, centers[0]), radius)
-        yield ids[0][row], vert, dist
+        for row, vert, dist in _balls_on(g, sub, verts, np.searchsorted(verts, centers[0]),
+                                         radius):
+            yield ids[0][row], vert, dist
         return
     for t in range(max(map(len, ids))):
         hit, dist = _reach(sub, np.searchsorted(verts, [c[t] for c in centers if t < len(c)]),
@@ -268,8 +296,10 @@ class CenterSequence:
     record came from; separators holds (node mask, separator) per recursion
     node, in visit order. p_eff is the largest number of separator paths any
     single recursion node needed. delta is the scale the nets were built
-    for; carve refuses params or a graph the sequence was not built for.
-    index holds the records' maximal balls at that scale.
+    for, and graph_digest is the graph's (_graph_digest, a SHA-256 of its
+    CSR arrays); carve and the threatener report refuse params or a graph
+    the sequence was not built for. index holds the records' maximal balls
+    at that scale.
     """
 
     records: tuple[CenterRecord, ...]
@@ -279,6 +309,7 @@ class CenterSequence:
     max_depth: int
     n: int
     delta: float
+    graph_digest: str
     index: BallIndex = field(repr=False)
 
 
@@ -354,6 +385,7 @@ def _graph_cached(g: WeightedGraph, slot: str, key, finder, build):
     this is the one list of its slots (g._cache):
 
     - "centers": key delta, the CenterSequence of choose_centers;
+    - "digest": key None, finder None, the graph's _graph_digest;
     - "baseline_index": key delta, finder None, the BallIndex of the
       baseline carving;
     - "sample": key the integer seed, finder None, the read-only vertex
@@ -377,6 +409,19 @@ def _graph_cached(g: WeightedGraph, slot: str, key, finder, build):
     value = build()
     g._cache[slot] = (key, finder, value)
     return value
+
+
+def _graph_digest(g: WeightedGraph) -> str:
+    """The SHA-256, in hex, of g's CSR arrays (indptr, indices, data, each its
+    dtype and bytes), which fix the graph's metric; kept on the graph."""
+    def build():
+        h = hashlib.sha256()
+        for a in (g.csr().indptr, g.csr().indices, g.csr().data):
+            h.update(a.dtype.str.encode())
+            h.update(a)  # the CSR's arrays are contiguous
+        return h.hexdigest()
+
+    return _graph_cached(g, "digest", None, None, build)
 
 
 def choose_centers(g: WeightedGraph, delta: float, finder=greedy_find) -> CenterSequence:
@@ -450,7 +495,9 @@ def _build_centers(g: WeightedGraph, delta: float, finder) -> CenterSequence:
         p_eff = max(p_eff, sep.total_paths)
         max_depth = max(max_depth, depth)
         # group gi's residual, one object for all its records (BallIndex
-        # batches by subgraph identity); zip never asks for mask - S
+        # batches by subgraph identity); zip never asks for mask - S. Past
+        # group 0 it is a deferred mask: under greedy_find nothing reads it,
+        # so it never builds its set
         for gi, (group, residual) in enumerate(zip(sep.groups, sep.residuals(mask))):
             for path in group:
                 pid = len(paths)
@@ -474,13 +521,16 @@ def _build_centers(g: WeightedGraph, delta: float, finder) -> CenterSequence:
     else:
         index = BallIndex.of_records(g, records, delta)
     return CenterSequence(
-        tuple(records), tuple(paths), tuple(separators), p_eff, max_depth, g.n, delta, index,
+        tuple(records), tuple(paths), tuple(separators), p_eff, max_depth, g.n, delta,
+        _graph_digest(g), index,
     )
 
 
 def _require_matching(g: WeightedGraph, seq: CenterSequence, params: DecompositionParams) -> None:
-    """Refuse params whose delta, p_eff or n, or a graph whose n, is not the sequence's."""
+    """Refuse params whose delta, p_eff or n, or a graph whose n or digest,
+    is not the sequence's."""
     for name, got, want in (("delta", params.delta, seq.delta), ("graph n", g.n, seq.n),
+                            ("graph digest", _graph_digest(g), seq.graph_digest),
                             ("p_eff", params.p_eff, seq.p_eff), ("n", params.n, seq.n)):
         if got != want:
             raise ValueError(f"{name}={got!r} differs from the {name}={want!r} "

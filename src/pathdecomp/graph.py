@@ -13,7 +13,11 @@ faster than a slice of the CSR's arrays (the README gives the numbers).
 
 Every residual operation lives here, once:
 
-- A VertexMask is the graph size and a frozenset of alive ids, nothing else.
+- A VertexMask is the graph size and a frozenset of alive ids. A mask made
+  by `without` takes its set difference on its first read and until then
+  holds its parent and the removed ids instead (_DeferredMask), so a
+  residual that nothing reads, such as a greedy run's record subgraph past
+  group 0, never holds a set.
 - `induced` slices the CSR by a vertex set (numpy gathers, not scipy's fancy
   indexing) through the one slicing formula, `_principal`; a full mask gets
   the graph's own CSR, which nothing writes.
@@ -311,9 +315,13 @@ def _edge_columns(n: int, edges) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 class VertexMask:
-    """Set of still-alive vertices; induces the residual subgraph."""
+    """Set of still-alive vertices; induces the residual subgraph.
 
-    __slots__ = ("n", "alive")
+    A mask from `without` is a _DeferredMask until its set is first read
+    (alive, len, in, iter, ==, hash): a residual that nothing reads, such as
+    a greedy run's record subgraph past group 0, never builds its set."""
+
+    __slots__ = ("n", "alive", "_parent", "_gone", "__weakref__")
 
     def __init__(self, n: int, alive):
         self.n = n
@@ -331,7 +339,12 @@ class VertexMask:
         return mask
 
     def without(self, vertices) -> "VertexMask":
-        return VertexMask._of_valid(self.n, self.alive.difference(vertices))
+        """This mask minus vertices, which are read now (a generator, or a
+        list changed later, gives the ids it held at the call); the set
+        difference is taken on the first read."""
+        mask = object.__new__(_DeferredMask)
+        mask.n, mask._parent, mask._gone = self.n, self, tuple(vertices)
+        return mask
 
     def __contains__(self, v) -> bool:
         return v in self.alive
@@ -350,6 +363,31 @@ class VertexMask:
 
     def __repr__(self):
         return f"VertexMask({len(self.alive)}/{self.n} alive)"
+
+
+_ALIVE = VertexMask.alive  # the slot itself, past _DeferredMask's property
+
+
+class _DeferredMask(VertexMask):
+    """A mask from `without` before its first read: it holds its parent and
+    the removed ids (_parent, _gone) instead of a set. Reading alive builds
+    the set from the nearest built ancestor, without building the masks in
+    between, stores it in VertexMask's slot, drops the parent and the ids,
+    and makes the object a plain VertexMask. So a built mask reads alive
+    from its slot, as fast as a mask that was never deferred."""
+
+    __slots__ = ()
+
+    @property
+    def alive(self) -> frozenset:
+        gone, base = self._gone, self._parent
+        while type(base) is _DeferredMask:
+            gone, base = gone + base._gone, base._parent
+        alive = base.alive.difference(gone)
+        _ALIVE.__set__(self, alive)
+        self._parent = self._gone = None
+        self.__class__ = VertexMask
+        return alive
 
 
 @dataclass(frozen=True)
@@ -592,16 +630,18 @@ def balls(g: WeightedGraph, mask: VertexMask, sources, radius: float):
     local = np.searchsorted(verts, sources)
     if not np.array_equal(verts.take(local, mode="clip"), sources):
         raise MaskError("every source must be alive in the mask")
-    return _balls_on(g, sub, verts, local, radius)
+    parts = [(np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64), np.empty(0))]
+    parts.extend(_balls_on(g, sub, verts, local, radius))
+    return tuple(np.concatenate(a) for a in zip(*parts))
 
 
 def _balls_on(g: WeightedGraph, sub: sp.csr_matrix, verts: np.ndarray, local: np.ndarray,
               radius: float):
     """balls on a prebuilt slice sub of the ids verts, from its local indices
-    local. The slice may hold vertices that no source reaches: they add no
-    entry."""
+    local, one block at a time: yields (row, vert, dist) per SOURCE_BLOCK
+    sources, each sorted by (row, vert), the blocks in row order. The slice
+    may hold vertices that no source reaches: they add no entry."""
     sweep = len(local) >= SOURCE_BLOCK
-    parts = [(np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64), np.empty(0))]
     for first in range(0, len(local), SOURCE_BLOCK):
         block, block_sub, ids = local[first:first + SOURCE_BLOCK], sub, verts
         if sweep:
@@ -622,9 +662,9 @@ def _balls_on(g: WeightedGraph, sub: sp.csr_matrix, verts: np.ndarray, local: np
         width = dist.shape[1]
         flat = np.flatnonzero(dist < INF)
         row = flat // width
-        parts.append((first + row, ids[flat - row * width], dist.ravel().take(flat)))
+        out = (first + row, ids[flat - row * width], dist.ravel().take(flat))
         del dist  # freed before the next block is computed
-    return tuple(np.concatenate(a) for a in zip(*parts))
+        yield out
 
 
 def _sweep(sub: sp.csr_matrix, owner: np.ndarray, sources: np.ndarray):

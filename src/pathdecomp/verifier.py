@@ -134,7 +134,10 @@ def check_cluster_diameters(g: WeightedGraph, part: Partition, delta: float):
     if outside.size:
         cid = int(np.searchsorted(starts + sizes, outside[0], side="right"))
         return _vertex_id_violation(cid, int(members[outside[0]]), g.n)
-    layout = (sizes, starts, members)
+    # a cluster of each member id, for _misses' counts
+    cluster_of = np.full(g.n, -1, dtype=np.int64)
+    cluster_of[members] = np.repeat(np.arange(len(sizes)), sizes)
+    layout = (sizes, starts, members, cluster_of)
     bound = 2 * max_radius(delta)
     cids = np.flatnonzero(sizes > 1)
     # a cluster's hub is its record's center, or its smallest vertex for a
@@ -167,11 +170,19 @@ def check_cluster_diameters(g: WeightedGraph, part: Partition, delta: float):
 def _misses(g: WeightedGraph, hubs, owner: np.ndarray, layout, radius: float):
     """(row, vertex) for each member vertex of cluster owner[row] that lies
     outside the full-graph ball B(hubs[row], radius), in hub order, then in
-    cluster-list order: one graph.balls query."""
-    sizes, starts, members = layout
-    row = np.repeat(np.arange(len(hubs)), sizes[owner])
-    vert = members[concat_ranges(starts[owner], sizes[owner])]
+    cluster-list order: one graph.balls query.
+
+    Each row first counts its ball's members through cluster_of, which maps
+    a vertex to one cluster that holds it: a count reaches the cluster's size
+    only when every member, none repeated, lies in the ball, and such a row
+    has no miss. Only the other rows look their members up in the balls."""
+    sizes, starts, members, cluster_of = layout
     ball_row, ball_vert, _ = balls(g, VertexMask.full(g.n), hubs, radius)
+    inside = np.bincount(ball_row[cluster_of[ball_vert] == owner[ball_row]],
+                         minlength=len(hubs))
+    short = np.flatnonzero(inside < sizes[owner])
+    row = np.repeat(short, sizes[owner[short]])
+    vert = members[concat_ranges(starts[owner[short]], sizes[owner[short]])]
     # (row, vertex) as one key, sorted in `reached` as balls sorts by (row,
     # vert); the caller has checked that every id lies in [0, n)
     key = row * g.n + vert
@@ -187,7 +198,7 @@ def _all_pairs_violation(g: WeightedGraph, cids: np.ndarray, layout, bound: floa
     time (all at once would be the members squared), and the search stops
     at the first block with a miss. The message gives the pair's distance,
     from one unbounded one-source query made only then."""
-    sizes, starts, members = layout
+    sizes, starts, members, _ = layout
     hubs = members[concat_ranges(starts[cids], sizes[cids])]
     owner = np.repeat(cids, sizes[cids])
     for first in range(0, len(hubs), SOURCE_BLOCK):

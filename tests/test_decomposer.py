@@ -1,3 +1,4 @@
+import hashlib
 import math
 import re
 
@@ -28,7 +29,8 @@ from pathdecomp import (
     tree_centroid_find,
     weighted_diameter,
 )
-from pathdecomp.decomposer import _baseline_index
+from pathdecomp.decomposer import _baseline_index, _graph_digest
+from pathdecomp.graph import _DeferredMask
 
 from test_golden import GRAPHS, WEIGHTS
 from test_golden import _graph as golden_graph
@@ -200,6 +202,27 @@ def test_record_subgraphs_are_the_derived_residuals(kind, a, b, weights, finder)
             residual = residual.without(v for p in group for v in p.vertices)
         assert derived[-1] == residual == mask.without(sep.separator_vertices)
     assert pid == len(seq.paths)
+
+
+def test_greedy_run_builds_no_later_group_residual():
+    # a greedy run indexes its balls on the finder's own unions, so nothing
+    # reads a record's residual past group 0: each stays a deferred mask,
+    # and reading one gives the derived residual
+    g = gen_grid(32, 32)
+    seq = choose_centers(g, weighted_diameter(g) / 8)
+    later = [rec for rec in seq.records if rec.group >= 1]
+    assert len({id(rec.subgraph) for rec in later}) >= 10
+    assert all(type(rec.subgraph) is _DeferredMask for rec in later)
+    assert all(type(rec.subgraph) is VertexMask for rec in seq.records if rec.group == 0)
+    node_of = {}
+    for mask, sep in seq.separators:
+        for path in (p for grp in sep.groups for p in grp):
+            node_of[id(path)] = (mask, sep)
+    rec = later[-1]
+    mask, sep = node_of[id(seq.paths[rec.path_id])]
+    derived = list(sep.residuals(mask))[rec.group]
+    assert rec.subgraph == derived and rec.subgraph.alive == derived.alive
+    assert type(rec.subgraph) is VertexMask
 
 
 def _count_calls(monkeypatch, module, name):
@@ -461,6 +484,37 @@ class TestCarve:
         message = f"{name}={got} differs from the {name}={want} the centers were chosen for"
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             use(g, seq, params)
+
+    @pytest.mark.parametrize("use", [
+        pytest.param(carve, id="carve"),
+        pytest.param(lambda g, seq, params: threatener_report(g, seq, params, 0.0),
+                     id="threatener_report"),
+    ])
+    def test_rejects_another_graph_of_the_same_size(self, use):
+        # centers chosen on the unit 8x8 grid, used on the uniform one: same
+        # n, another metric, which used to carve without a word
+        unit, uniform = gen_grid(8, 8), gen_grid(8, 8, "uniform", 1)
+        seq = choose_centers(unit, 3.0)
+        params = DecompositionParams.for_graph(3.0, 1, seq.p_eff, unit.n)
+        got, want = _graph_digest(uniform), _graph_digest(unit)
+        assert seq.graph_digest == want != got and len(want) == 64
+        message = (f"graph digest={got!r} differs from the graph digest={want!r} "
+                   f"the centers were chosen for")
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            use(uniform, seq, params)
+        use(gen_grid(8, 8), seq, params)  # an equal graph, another object
+
+    def test_graph_digest_is_of_the_csr_and_kept_on_the_graph(self):
+        g = gen_grid(6, 6)
+        csr = g.csr()
+        h = hashlib.sha256()
+        for a in (csr.indptr, csr.indices, csr.data):
+            h.update(a.dtype.str.encode() + a.tobytes())
+        assert _graph_digest(g) == h.hexdigest()
+        assert g._cache["digest"][2] is _graph_digest(g)
+        # the same edges in another order and with a heavier parallel copy
+        same = WeightedGraph(g.n, [*reversed(g.edges), (0, 1, 5.0)])
+        assert _graph_digest(same) == _graph_digest(g)
 
 
 class TestBaseline:

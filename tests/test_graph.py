@@ -3,11 +3,14 @@ import math
 import pathlib
 import re
 import tracemalloc
+import weakref
 from collections import deque
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.sparse.csgraph import dijkstra as csgraph_dijkstra
 
 import pathdecomp
@@ -31,6 +34,7 @@ from pathdecomp import (
 )
 from pathdecomp.graph import (
     SOURCE_BLOCK,
+    _DeferredMask,
     _component_labels,
     _component_masks,
     _delete_in_place,
@@ -359,6 +363,83 @@ class TestVertexMaskIds:
         assert VertexMask(4, []).alive == frozenset()
 
 
+def is_deferred(mask):
+    """Whether mask is a `without` mask whose set is not built yet."""
+    return type(mask) is _DeferredMask
+
+
+class TestDeferredMask:
+    def test_argument_is_read_at_the_call(self):
+        full = VertexMask.full(10)
+        drawn = []
+
+        def draw():
+            # a generator that draws as it is read, as an rng would
+            for v in (1, 2, 3):
+                drawn.append(v)
+                yield v
+
+        gone = [4, 5]
+        a, b = full.without(draw()), full.without(gone)
+        assert drawn == [1, 2, 3] and is_deferred(a) and is_deferred(b)
+        gone.append(6)
+        gone[0] = 9
+        assert a.alive == frozenset(range(10)) - {1, 2, 3}
+        assert b.alive == frozenset(range(10)) - {4, 5}
+
+    def test_built_mask_drops_its_parent(self):
+        parent = VertexMask.full(8).without([0])
+        child = parent.without([1, 2])
+        ref = weakref.ref(parent)
+        del parent
+        assert ref() is not None  # the deferred child holds it
+        assert len(child) == 5 and not is_deferred(child)
+        assert ref() is None
+        assert child.alive == frozenset(range(3, 8))
+
+    def test_a_chain_builds_only_the_mask_read(self):
+        masks = [VertexMask.full(6)]
+        for v in range(4):
+            masks.append(masks[-1].without([v]))
+        assert list(masks[3]) == [3, 4, 5]
+        assert [is_deferred(m) for m in masks] == [False, True, True, False, True]
+        assert list(masks[4]) == [4, 5] and not is_deferred(masks[4])
+        assert list(masks[2]) == [2, 3, 4, 5]
+
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_deferred_and_eager_masks_agree(self, data):
+        g = gen_grid(5, 5)
+        ids = st.lists(st.integers(0, g.n - 1), max_size=12)
+        base = VertexMask(g.n, data.draw(ids))
+        steps = data.draw(st.lists(ids, min_size=1, max_size=4))
+        alive = set(base.alive)
+        for gone in steps:
+            alive -= set(gone)
+        eager = VertexMask(g.n, sorted(alive))
+
+        def deferred():
+            # a fresh chain per question, so that each reads an unbuilt mask
+            mask = base
+            for gone in steps:
+                mask = mask.without(gone)
+            assert is_deferred(mask)
+            return mask
+
+        probe = data.draw(st.integers(0, g.n - 1))
+        assert (probe in deferred()) == (probe in eager)
+        assert len(deferred()) == len(eager)
+        assert list(deferred()) == list(eager)
+        assert deferred() == eager and eager == deferred()
+        assert hash(deferred()) == hash(eager)
+        assert deferred().alive == eager.alive
+        assert components(g, deferred()) == components(g, eager)
+        (a, va), (b, vb) = induced(g, deferred()), induced(g, eager)
+        assert np.array_equal(va, vb)
+        for x, y in ((a.indptr, b.indptr), (a.indices, b.indices), (a.data, b.data)):
+            assert np.array_equal(x, y)
+
+
 class TestDiameter:
     def test_chain(self, chain):
         assert weighted_diameter(chain) == 3.0
@@ -597,6 +678,46 @@ class TestDistanceBlocks:
             assert got[1].tolist() == sources.tolist() and not got[2].any()
         elif radius == 0.0:
             assert len(got[0]) > len(sources)
+
+
+class TestAllVerticesIndex:
+    @pytest.mark.parametrize("make, div", [
+        (lambda: gen_grid(24, 24), 8),
+        (lambda: gen_grid(24, 24, "uniform", 2), 4),
+        (lambda: grid_with_zero_edges(20), 4),
+        (lambda: spread_weights(gen_ktree(600, 2).graph, 3), 8),
+        (lambda: spread_weights(gen_ktree(600, 2).graph, 3), 0.5),
+    ], ids=["unit-grid", "uniform-grid", "zero-edge-grid", "loguniform-ktree",
+            "loguniform-ktree-whole-graph"])
+    def test_equals_a_lexsort_build(self, make, div):
+        # the blockwise scatter against one (vertex, record) lexsort of the
+        # concatenated balls, array for array and dtype for dtype
+        g = make()
+        delta = weighted_diameter(g) / div
+        row, vert, dist = balls(g, VertexMask.full(g.n), np.arange(g.n), 0.4 * delta)
+        order = np.lexsort((row, vert))
+        starts = np.concatenate(([0], np.cumsum(np.bincount(vert, minlength=g.n))))
+        index = BallIndex.of_all_vertices(g, delta)
+        assert g.n > SOURCE_BLOCK
+        for got, want in ((index.record, row[order]), (index.distance, dist[order]),
+                          (index.starts, starts)):
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+
+    def test_build_peak_stays_near_the_arrays_it_keeps(self):
+        # unit grid 64x64 at W/8: the build holds each block's vertices and
+        # distances, then the two kept arrays, never a concatenation of all
+        # the balls beside them (a lexsort build peaks near 3x)
+        g = gen_grid(64, 64)
+        delta = weighted_diameter(g) / 8
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            index = BallIndex.of_all_vertices(g, delta)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        kept = index.record.nbytes + index.distance.nbytes + index.starts.nbytes
+        assert peak < 2.5 * kept
 
 
 def random_graph(n, extra, zero_edges, seed):

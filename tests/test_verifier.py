@@ -69,7 +69,7 @@ def spy_on_all_pairs(monkeypatch):
     real = verifier._all_pairs_violation
 
     def spy(g, cids, layout, bound):
-        sizes, starts, members = layout
+        sizes, starts, members = layout[:3]
         if len(cids):
             calls.append([int(v) for cid in cids
                           for v in members[starts[cid]:starts[cid] + sizes[cid]]])
@@ -379,6 +379,27 @@ class TestCheckDiameters:
                        for k in range(len(sets))]
             part = Partition(np.unique(labels, return_inverse=True)[1],
                              [Cluster(vs, rec, 0.0) for vs, rec in zip(sets, records)])
+        full = VertexMask.full(n)
+        expect = first_far_pair(
+            g, part, delta, lambda u, bound: {x for x, d in enumerate(sssp(g, full, u).dist) if d <= bound})
+        v = check_cluster_diameters(g, part, delta)
+        assert (v and v.message) == expect
+
+    @given(st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_shared_and_repeated_members_match_per_pair_search(self, data):
+        # hand-built clusters that share vertices or list one twice, members
+        # in any order: each vertex counts in one of its clusters only, so a
+        # row of such a cluster is looked up member by member, and the first
+        # miss is still the per-pair search's
+        n = data.draw(st.integers(2, 10))
+        edges = [(data.draw(st.integers(0, v - 1)), v, 1.0) for v in range(1, n)]
+        g = WeightedGraph(n, edges)
+        delta = data.draw(st.integers(1, 12)) / 2
+        clusters = data.draw(st.lists(st.lists(st.integers(0, n - 1), min_size=1, max_size=2 * n),
+                                      min_size=1, max_size=4))
+        part = Partition(np.zeros(n, dtype=np.int64),
+                         [Cluster(np.array(c), None, 0.0) for c in clusters])
         full = VertexMask.full(n)
         expect = first_far_pair(
             g, part, delta, lambda u, bound: {x for x, d in enumerate(sssp(g, full, u).dist) if d <= bound})
