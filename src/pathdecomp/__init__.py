@@ -68,6 +68,7 @@ from .verifier import (
     check_cluster_diameters,
     check_partition,
     check_recursion_depth,
+    check_separators,
     estimate_padding,
     sample_vertices,
     threatener_report,

@@ -21,12 +21,9 @@ def _parse_floats(text: str, what: str) -> tuple[float, ...]:
     out = []
     for token in text.split(","):
         token = token.strip()
+        num, slash, den = token.partition("/")
         try:
-            if "/" in token:
-                num, den = token.split("/")
-                out.append(float(num) / float(den))
-            else:
-                out.append(float(token))
+            out.append(float(num) / float(den) if slash else float(num))
         except (ValueError, ZeroDivisionError):
             raise ConfigError(f"cannot parse {what} value {token!r}")
     return tuple(out)

@@ -29,6 +29,10 @@ which raises the CoverageError of carving.
 A comparison baseline carves balls in the full graph around all vertices in
 random order; there a center's rank is its position in the seed's
 permutation.
+
+Arguments follow graph.py's rules: n, p_eff and seeds are graph._integer
+integers, and delta is a graph._real number that _require_valid_delta
+then requires positive and finite.
 """
 
 from __future__ import annotations
@@ -36,7 +40,6 @@ from __future__ import annotations
 import hashlib
 import itertools
 import math
-import operator
 from collections.abc import Callable
 from dataclasses import dataclass, field
 from functools import cached_property, partial
@@ -44,13 +47,15 @@ from functools import cached_property, partial
 import numpy as np
 
 from .graph import (
-    MaskError,
     Path,
     VertexMask,
     WeightedGraph,
     _balls_on,
+    _integer,
     _level_union,
     _reach,
+    _real,
+    _require_mask,
     concat_ranges,
 )
 from .nets import PathMetricView, greedy_net
@@ -64,45 +69,25 @@ class CoverageError(RuntimeError):
 
 def ceil_log2(n: int) -> int:
     """Ceiling of log2 for positive integers, computed without float rounding."""
-    if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
-    return (n - 1).bit_length()
+    return (_integer("n", n, least=1) - 1).bit_length()
 
 
 def _paper_k(p_eff: int, n: int) -> int:
     """K = max(2, 9 * p_eff * ceil(log2 n)), the paper's bound on the number of
     centers that can threaten one vertex, up to constants."""
-    return max(2, 9 * p_eff * ceil_log2(n))
+    return max(2, 9 * _integer("p_eff", p_eff, least=1) * ceil_log2(n))
 
 
 def _beta_of_k(k: int) -> float:
     return 40.0 * math.log(k) / math.log(2.0)
 
 
-def _require_number(name: str, value) -> None:
-    """Refuse a bool, numpy's too, where a real number is due: it would run
-    as 0.0 or 1.0."""
-    if isinstance(value, (bool, np.bool_)):
-        raise TypeError(f"{name} must be a number, got {value!r}")
-
-
 def _require_valid_delta(delta: float) -> float:
-    """delta as a Python float, positive and finite."""
-    _require_number("delta", delta)
+    """delta as a Python float (graph._real), positive and finite."""
+    delta = _real("delta", delta)
     if not 0 < delta < math.inf:  # nan fails too
         raise ValueError(f"delta must be positive and finite, got {delta}")
-    return float(delta)
-
-
-def _require_integer(name: str, value) -> int:
-    """value as a Python int: an integer (numpy's too, through
-    operator.index), never a bool or a float, which would run as its floor."""
-    if isinstance(value, bool):
-        raise TypeError(f"{name} must be an integer, got {value!r}")
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise TypeError(f"{name} must be an integer, got {value!r}") from None
+    return delta
 
 
 def min_radius(delta: float) -> float:
@@ -117,8 +102,6 @@ def max_radius(delta: float) -> float:
 
 def beta_bound(p_eff: int, n: int) -> float:
     """Padding exponent 40*ln(K)/ln(2) with K = max(2, 9 * p_eff * ceil(log2 n))."""
-    if p_eff < 1:
-        raise ValueError(f"p_eff must be >= 1, got {p_eff}")
     return _beta_of_k(_paper_k(p_eff, n))
 
 
@@ -161,12 +144,12 @@ class BallIndex:
     def of_records(cls, g: WeightedGraph, records, delta: float) -> "BallIndex":
         """Index of each record's ball in its subgraph. Records sharing a
         subgraph, or a batch key, are solved together. Raises ValueError when
-        subgraphs sharing a key overlap or are adjacent, and MaskError when a
-        center lies outside its subgraph."""
+        subgraphs sharing a key overlap or are adjacent or a subgraph is over
+        another vertex count than g's, and MaskError when a center lies
+        outside its subgraph (graph._require_mask)."""
         batches: dict[tuple[int, int], dict[int, tuple[VertexMask, list[int]]]] = {}
         for i, rec in enumerate(records):
-            if rec.center not in rec.subgraph:
-                raise MaskError(f"center {rec.center} is not alive in its subgraph")
+            _require_mask(g, rec.subgraph, rec.center, "center")
             batch = batches.setdefault((rec.depth, rec.group), {})
             batch.setdefault(id(rec.subgraph), (rec.subgraph, []))[1].append(i)
         centers = np.array([rec.center for rec in records], dtype=np.int64)
@@ -332,13 +315,13 @@ class DecompositionParams:
     def for_baseline(cls, delta: float, seed: int, n: int) -> "DecompositionParams":
         """The all-centers baseline: every vertex is a center, so K = max(2, n);
         it has no separators and records p_eff as 0."""
-        return cls._with_k(delta, seed, 0, n, max(2, n))
+        return cls._with_k(delta, seed, 0, n, max(2, _integer("n", n, least=1)))
 
     @classmethod
     def _with_k(cls, delta: float, seed: int, p_eff: int, n: int,
                 K: int) -> "DecompositionParams":
         _require_valid_delta(delta)
-        return cls(delta, _require_integer("seed", seed), p_eff, n, K,
+        return cls(delta, _integer("seed", seed), p_eff, n, K,
                    delta / (10.0 * math.log(K)))
 
     def beta(self) -> float:
@@ -485,15 +468,11 @@ def _build_centers(g: WeightedGraph, delta: float, finder) -> CenterSequence:
     emitted = []  # each record's provisional id, under greedy_find
     paths: list[Path] = []
     separators = []
-    p_eff = 1
-    max_depth = 0
     stack = [(0, 0)]
     while stack:
         depth, i = stack.pop()
         mask, sep = levels[depth][i]
         separators.append((mask, sep))
-        p_eff = max(p_eff, sep.total_paths)
-        max_depth = max(max_depth, depth)
         # group gi's residual, one object for all its records (BallIndex
         # batches by subgraph identity); zip never asks for mask - S. Past
         # group 0 it is a deferred mask: under greedy_find nothing reads it,
@@ -517,13 +496,16 @@ def _build_centers(g: WeightedGraph, delta: float, finder) -> CenterSequence:
         order = np.empty(len(records), dtype=np.int64)
         order[emitted] = np.arange(len(records))
         rec, vert, dist = (np.concatenate(a) for a in zip(*parts))
-        index = BallIndex._assemble(g.n, len(records), delta, order[rec], vert, dist)
+        parts.clear()  # the rounds' arrays, freed before the index is sorted
+        # to emission order in place (clip: unbuffered, every id is valid)
+        np.take(order, rec, out=rec, mode="clip")
+        index = BallIndex._assemble(g.n, len(records), delta, rec, vert, dist)
     else:
         index = BallIndex.of_records(g, records, delta)
-    return CenterSequence(
-        tuple(records), tuple(paths), tuple(separators), p_eff, max_depth, g.n, delta,
-        _graph_digest(g), index,
-    )
+    # p_eff: the most paths of one node (at least 1); every level has a node
+    p_eff = max(1, *(sep.total_paths for _, sep in separators))
+    return CenterSequence(tuple(records), tuple(paths), tuple(separators), p_eff,
+                          len(levels) - 1, g.n, delta, _graph_digest(g), index)
 
 
 def _require_matching(g: WeightedGraph, seq: CenterSequence, params: DecompositionParams) -> None:

@@ -3,6 +3,9 @@
 Grids give a planar family; k-trees give a bounded-treewidth family: every
 vertex is simplicial at creation, so eliminating the vertices newest-first
 witnesses treewidth <= k.
+
+Sizes and seeds go through graph._integer: a bool, a float or a string
+raises TypeError naming the argument.
 """
 
 from __future__ import annotations
@@ -12,7 +15,7 @@ from math import comb
 
 import numpy as np
 
-from .graph import WeightedGraph
+from .graph import WeightedGraph, _integer
 from .sampler import RngStream
 
 WEIGHT_MODES = ("unit", "uniform")
@@ -35,6 +38,7 @@ def gen_grid(rows: int, cols: int, weight_mode: str = "unit", seed: int = 0) -> 
     """rows x cols grid, vertices numbered row-major; weights all 1 or
     uniform in [1, 2] depending on the mode. Each vertex in id order gives
     its edge to the right, then its edge down."""
+    rows, cols = _integer("rows", rows), _integer("cols", cols)
     if rows < 1 or cols < 1:
         raise ValueError(f"grid dimensions must be >= 1, got {rows}x{cols}")
     ids = np.arange(rows * cols)
@@ -58,8 +62,7 @@ class KTreeSample:
 def gen_ktree(n: int, k: int, weight_mode: str = "unit", seed: int = 0) -> KTreeSample:
     """Random k-tree: a (k+1)-clique, then each new vertex adopts a random
     existing k-clique."""
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
+    n, k = _integer("n", n), _integer("k", k, least=1)
     if n <= k:
         raise ValueError(f"need n > k, got n={n}, k={k}")
     rng = RngStream(seed)

@@ -75,12 +75,20 @@ Every residual operation lives here, once:
   and their rows of `adj`, and the heap keeps only the vertices it reaches: most
   recursion nodes hold 1-10 vertices, where a search costs less than
   slicing a CSR for scipy (the README gives the numbers).
+
+Every module checks its arguments through the rules here, one per kind:
+`_integer` for counts, sizes, ids and seeds, `_real` for scales and radii
+(each caller adds its own range test), and `_require_mask` for a mask handed
+to a graph operation. Vertex-id collections keep the constructor's rule
+(`_vertex_ids`), under which an integral float is an id.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import numbers
+import operator
 from dataclasses import dataclass
 from heapq import heappop, heappush
 
@@ -115,6 +123,46 @@ class MaskError(ValueError):
     """Operation anchored at a vertex that is not alive in the given mask."""
 
 
+def _integer(name: str, value, least: int | None = None) -> int:
+    """value as a Python int (operator.index): an integer, numpy's too, never
+    a bool, a float or a string, which would run as 0 or 1, as its floor or
+    parsed. TypeError naming `name` otherwise; ValueError below least."""
+    if type(value) is not int:  # a Python int passes at once; a bool is no int
+        # here, though it has __index__ (numpy's bool has none)
+        if isinstance(value, bool) or not hasattr(type(value), "__index__"):
+            raise TypeError(f"{name} must be an integer, got {value!r}")
+        value = operator.index(value)
+    if least is not None and value < least:
+        raise ValueError(f"{name} must be >= {least}, got {value}")
+    return value
+
+
+def _real(name: str, value) -> float:
+    """value as a Python float: a real number, numpy's too, never a bool or a
+    string; TypeError naming `name` otherwise. The caller tests the range."""
+    # float and int first: a test against the abstract class alone is slower
+    if isinstance(value, bool) or not isinstance(value, (float, int, numbers.Real)):
+        raise TypeError(f"{name} must be a number, got {value!r}")
+    return float(value)
+
+
+def _require_mask(g: WeightedGraph, mask: VertexMask, anchor=None, what="source") -> None:
+    """Refuse a mask over another vertex count than the graph's (ValueError),
+    and an anchor vertex, unless None, that is not alive in it (MaskError)."""
+    if mask.n != g.n:
+        raise ValueError(f"mask is over {mask.n} vertices but the graph has {g.n}")
+    if anchor is not None and anchor not in mask:
+        raise MaskError(f"{what} {anchor} is not alive in the mask")
+
+
+def _require_radius(radius, name: str = "radius") -> float:
+    """radius as a Python float, at least 0 (nan fails too)."""
+    radius = _real(name, radius)
+    if not radius >= 0:
+        raise ValueError(f"{name} must be non-negative, got {radius}")
+    return radius
+
+
 class WeightedGraph:
     """Immutable undirected graph with non-negative edge weights.
 
@@ -137,11 +185,10 @@ class WeightedGraph:
     __slots__ = ("n", "m", "adj", "_edges", "_edge_source", "_csr", "_cache")
 
     def __init__(self, n: int, edges):
-        if isinstance(n, (bool, np.bool_)) or not isinstance(n, (int, np.integer)):
-            raise GraphError(f"the vertex count must be an integer, got {n!r}")
-        if n <= 0:
-            raise GraphError("graph needs at least one vertex")
-        n = int(n)
+        try:
+            n = _integer("the vertex count", n, least=1)
+        except (TypeError, ValueError) as exc:  # graph input raises GraphError
+            raise GraphError(str(exc)) from None
         u, v, w = _edge_columns(n, edges)
         self.n, self.m = n, len(w)
         self._edges = None
@@ -227,29 +274,27 @@ def _numbers(values) -> np.ndarray:
 
 
 def _number(x) -> float:
-    """One entry of _numbers."""
-    if isinstance(x, (bool, np.bool_, str, bytes)):
-        return math.nan
+    """One entry of _numbers: x by _real's rule, nan where it refuses x."""
     try:
-        return float(x)
+        return _real("", x)
+    except TypeError:
+        return math.nan
     except OverflowError:  # an int too large for a float
         return math.inf if x > 0 else -math.inf
-    except (TypeError, ValueError):
-        return math.nan
 
 
 def _not_integer(ids: np.ndarray) -> np.ndarray:
     """Where an array from _numbers holds no integer: nan, or a finite
-    non-integral float. An infinite id is an integer out of any range."""
-    if ids.dtype.kind != "f":
-        return np.zeros(len(ids), dtype=bool)
+    non-integral float (never in an integer array). An infinite id is an
+    integer out of any range."""
     return np.isnan(ids) | (np.isfinite(ids) & (ids != np.trunc(ids)))
 
 
-def _vertex_ids(values, n: int) -> np.ndarray:
+def _vertex_ids(values, n: int, what: str | None = None) -> np.ndarray:
     """values as int64 vertex ids of a graph of n vertices, by the
     constructor's rule for edge ids: ValueError at the first entry that is
-    not an integer or lies outside [0, n), naming the entry as given."""
+    not an integer or lies outside [0, n), naming the entry as given; a
+    GraphError whose message opens with `what`, unless what is None."""
     values = values if isinstance(values, np.ndarray) else list(values)
     ids = _numbers(values)
     not_integer = _not_integer(ids)
@@ -259,16 +304,9 @@ def _vertex_ids(values, n: int) -> np.ndarray:
     if len(bad):
         i = bad[0]
         fault = "is not an integer" if not_integer[i] else f"is outside 0..{n - 1}"
-        raise ValueError(f"vertex {_shown(values[i])!r} {fault}")
+        fault = f"vertex {_shown(values[i])!r} {fault}"
+        raise ValueError(fault) if what is None else GraphError(f"{what} {fault}")
     return ids.astype(np.int64)
-
-
-def _graph_ids(what: str, values, n: int) -> np.ndarray:
-    """_vertex_ids(values, n), its error a GraphError that names `what`."""
-    try:
-        return _vertex_ids(values, n)
-    except ValueError as exc:
-        raise GraphError(f"{what} {exc}") from None
 
 
 def _shown(x):
@@ -324,11 +362,12 @@ class VertexMask:
     __slots__ = ("n", "alive", "_parent", "_gone", "__weakref__")
 
     def __init__(self, n: int, alive):
-        self.n = n
-        self.alive = frozenset(_graph_ids("mask", alive, n).tolist())
+        self.n = n = _integer("n", n, least=1)
+        self.alive = frozenset(_vertex_ids(alive, n, "mask").tolist())
 
     @classmethod
     def full(cls, n: int) -> "VertexMask":
+        n = _integer("n", n, least=1)
         return cls._of_valid(n, frozenset(range(n)))  # a range's ids are valid
 
     @classmethod
@@ -399,7 +438,7 @@ class Path:
 
     @classmethod
     def from_vertices(cls, g: WeightedGraph, vertices) -> "Path":
-        vertices = tuple(_graph_ids("path", vertices, g.n).tolist())
+        vertices = tuple(_vertex_ids(vertices, g.n, "path").tolist())
         if not vertices:
             raise GraphError("a path needs at least one vertex")
         return cls(vertices, _walk_sums(g, vertices)[-1])
@@ -472,8 +511,7 @@ def sssp(g: WeightedGraph, mask: VertexMask, src: int) -> ShortestPaths:
     Unreachable (or masked-out) vertices get distance inf; the parent map
     reconstructs one shortest path per reachable vertex.
     """
-    if src not in mask:
-        raise MaskError(f"source {src} is not alive in the mask")
+    _require_mask(g, mask, src)
     reached, tree = _dijkstra(g, mask, src)
     dist = [INF] * g.n
     parent = [-1] * g.n
@@ -483,16 +521,10 @@ def sssp(g: WeightedGraph, mask: VertexMask, src: int) -> ShortestPaths:
     return ShortestPaths(src, tuple(dist), tuple(parent))
 
 
-def _require_radius(radius: float) -> None:
-    if not radius >= 0:  # nan fails too
-        raise ValueError(f"radius must be non-negative, got {radius}")
-
-
 def ball(g: WeightedGraph, mask: VertexMask, center: int, radius: float) -> frozenset:
     """Closed ball {v alive : d_residual(center, v) <= radius}."""
-    if center not in mask:
-        raise MaskError(f"center {center} is not alive in the mask")
-    _require_radius(radius)
+    _require_mask(g, mask, center, "center")
+    radius = _require_radius(radius)
     dist, _ = _dijkstra(g, mask, center, cutoff=radius)
     # only reached vertices have a (finite) distance; unreachable ones are
     # never in the ball, even at radius == INF (where it is the whole component)
@@ -501,6 +533,7 @@ def ball(g: WeightedGraph, mask: VertexMask, center: int, radius: float) -> froz
 
 def components(g: WeightedGraph, mask: VertexMask) -> list[VertexMask]:
     """Connected components of the residual graph, ordered by smallest member id."""
+    _require_mask(g, mask)
     alive = mask.alive
     seen = set()
     out = []
@@ -625,7 +658,8 @@ def balls(g: WeightedGraph, mask: VertexMask, sources, radius: float):
     holds |block| x |U| floats and not |block| x the residual. U is small when
     a block's sources are near each other: on graphs whose near ids are near
     vertices, as grids, sources in id order make cheap blocks."""
-    _require_radius(radius)
+    _require_mask(g, mask)
+    radius = _require_radius(radius)
     sub, verts = induced(g, mask)
     local = np.searchsorted(verts, sources)
     if not np.array_equal(verts.take(local, mode="clip"), sources):
@@ -684,8 +718,7 @@ def _sweep(sub: sp.csr_matrix, owner: np.ndarray, sources: np.ndarray):
 
 def farthest(g: WeightedGraph, mask: VertexMask, src: int) -> tuple[int, float]:
     """Reachable vertex maximizing residual distance from src; ties -> smallest id."""
-    if src not in mask:
-        raise MaskError(f"source {src} is not alive in the mask")
+    _require_mask(g, mask, src)
     sub, verts, owner = _level_union(g, [mask])
     far, dist, _ = _sweep(sub, owner, np.searchsorted(verts, [src]))
     return int(verts[far[0]]), float(dist[far[0]])
@@ -699,8 +732,7 @@ def double_sweep(g: WeightedGraph, masks, sources) -> list[Path]:
     second sweep's predecessors, with the second sweep's distance to v as
     their length."""
     for mask, src in zip(masks, sources, strict=True):
-        if src not in mask:
-            raise MaskError(f"source {src} is not alive in the mask")
+        _require_mask(g, mask, src)
     union = _level_union(g, masks)
     return _double_sweep_on(union, np.searchsorted(union[1], sources))
 

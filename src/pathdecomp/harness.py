@@ -3,6 +3,8 @@ verifier check, estimate padding, and emit one JSON report.
 
 Reports are deterministic for a fixed config: the only run-dependent field is
 the single `timestamp` header entry, so golden-file comparisons just mask it.
+A paper-scheme result carries checks["separators"]: every recursion node's
+separator certificate, validated (verifier.check_separators).
 """
 
 from __future__ import annotations
@@ -13,7 +15,6 @@ from datetime import datetime, timezone
 
 from .decomposer import (
     DecompositionParams,
-    _require_integer,
     _require_valid_delta,
     baseline_decompose,
     carve,
@@ -21,7 +22,7 @@ from .decomposer import (
     dump_partition,
 )
 from .generators import WEIGHT_MODES, gen_grid, gen_ktree
-from .graph import WeightedGraph, load_graph, weighted_diameter
+from .graph import WeightedGraph, _integer, load_graph, weighted_diameter
 from .separators import greedy_find, tree_centroid_find
 from . import verifier
 
@@ -56,19 +57,15 @@ class ExperimentConfig:
             raise ConfigError("provide exactly one of a graph file or a generator spec")
         if self.gen is not None:
             parse_gen_spec(self.gen)
-        if self.weights not in WEIGHT_MODES:
-            raise ConfigError(f"unknown weights {self.weights!r}; expected {'|'.join(WEIGHT_MODES)}")
-        if self.finder not in FINDERS:
-            raise ConfigError(f"unknown finder {self.finder!r}; expected {'|'.join(FINDERS)}")
-        if self.scheme not in SCHEMES:
-            raise ConfigError(f"unknown scheme {self.scheme!r}; expected {'|'.join(SCHEMES)}")
+        for name, known in (("weights", WEIGHT_MODES), ("finder", FINDERS), ("scheme", SCHEMES)):
+            if (value := getattr(self, name)) not in known:
+                raise ConfigError(f"unknown {name} {value!r}; expected {'|'.join(known)}")
         # the library's own rules, re-raised as configuration errors; the
         # checked values are kept as Python ints and floats, the lists as
         # tuples, so that no caller can change a checked field through its own list
         try:
-            object.__setattr__(self, "trials", verifier._require_trials(self.trials))
-            for name in ("seed", "gen_seed"):
-                object.__setattr__(self, name, _require_integer(name, getattr(self, name)))
+            for name, least in (("trials", 1), ("seed", None), ("gen_seed", None)):
+                object.__setattr__(self, name, _integer(name, getattr(self, name), least))
             if self.deltas is not None:
                 object.__setattr__(self, "deltas", tuple(map(_require_valid_delta, self.deltas)))
                 if not self.deltas:
@@ -148,6 +145,7 @@ def _run_scheme(g: WeightedGraph, delta: float, scheme: str, cfg: ExperimentConf
             "max_depth": seq.max_depth,
         })
         checks["recursion_depth"] = _check_str(verifier.check_recursion_depth(seq))
+        checks["separators"] = _check_str(verifier.check_separators(g, seq))
         threat = verifier.threatener_report(
             g, seq, params, verifier.GAMMA_MAX, verifier.sample_vertices(g, cfg.seed)
         )

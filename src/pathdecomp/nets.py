@@ -3,14 +3,15 @@
 A net must satisfy packing (pairwise distances > r) and covering (every path
 vertex within r of a net point). Along a path both follow from a single
 left-to-right scan, because the nearest previously-added net point is always
-the last one added.
+the last one added. The net radius follows graph._require_radius: a
+non-negative real number, never a bool or a string.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graph import GraphError, Path, WeightedGraph, _walk_sums
+from .graph import GraphError, Path, WeightedGraph, _require_radius, _walk_sums
 
 
 @dataclass(frozen=True)
@@ -40,8 +41,7 @@ def greedy_net(view: PathMetricView, r: float) -> list[int]:
     point exceeds r; on a path that reduces to checking the last added point.
     Returns vertex ids.
     """
-    if not r >= 0:  # nan fails too
-        raise ValueError(f"net radius must be non-negative, got {r}")
+    r = _require_radius(r, "net radius")
     verts = view.path.vertices
     if not verts:
         raise GraphError("cannot build a net on an empty path")

@@ -15,6 +15,10 @@ A stream is keyed by its seed alone. The padding trials of one
 verifier.estimate_padding call share one stream and re-key it to each trial's
 seed (RngStream.rekey), which yields exactly the uniforms of a new stream at
 that seed without numpy's generator set-up; no stream's output changes.
+
+Seeds and counts go through graph._integer, and the parameters of the law
+through graph._real: a bool, a float seed or a string raises TypeError
+naming the argument, where int() would run it as 1, its floor or parsed.
 """
 
 from __future__ import annotations
@@ -23,6 +27,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+
+from .graph import _integer, _real
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -42,15 +48,16 @@ class TexpParams:
     hi: float
 
     def __post_init__(self):
-        if not self.lam > 0:
+        if not _real("lam", self.lam) > 0:
             raise ParameterError(f"lam must be positive, got {self.lam}")
-        if not (0 <= self.lo < self.hi < math.inf):
+        lo, hi = _real("lo", self.lo), _real("hi", self.hi)
+        if not (0 <= lo < hi < math.inf):
             raise ParameterError(f"need 0 <= lo < hi < inf, got [{self.lo}, {self.hi}]")
 
 
 def derive_seed(master: int, index: int) -> int:
     """Deterministic 64-bit child seed for task `index` under `master` (splitmix64)."""
-    x = (int(master) + _GOLDEN * (int(index) + 1)) & _MASK64
+    x = (_integer("master", master) + _GOLDEN * (_integer("index", index) + 1)) & _MASK64
     x ^= x >> 30
     x = (x * 0xBF58476D1CE4E5B9) & _MASK64
     x ^= x >> 27
@@ -65,7 +72,7 @@ class RngStream:
     __slots__ = ("seed", "_gen")
 
     def __init__(self, seed: int):
-        self.seed = int(seed) & _MASK64
+        self.seed = _integer("seed", seed) & _MASK64
         self._gen = np.random.Generator(np.random.Philox(key=self.seed))
 
     def rekey(self, seed: int) -> None:
@@ -73,7 +80,7 @@ class RngStream:
         becomes the seed, and the counter, the output buffer and the 32-bit
         carry are reset. A new Generator pays numpy's seeding set-up; setting
         the state does not."""
-        self.seed = int(seed) & _MASK64
+        self.seed = _integer("seed", seed) & _MASK64
         self._gen.bit_generator.state = {
             "bit_generator": "Philox",
             "state": {"counter": _ZEROS, "key": (self.seed, 0)},
@@ -86,14 +93,14 @@ class RngStream:
 
     def uniforms(self, k: int) -> np.ndarray:
         """k uniform draws; identical to k successive uniform() calls."""
-        return self._gen.random(int(k))
+        return self._gen.random(_integer("k", k))
 
     def permutation(self, k: int) -> np.ndarray:
-        return self._gen.permutation(int(k))
+        return self._gen.permutation(_integer("k", k))
 
     def integer(self, n: int) -> int:
         """One uniform integer from [0, n)."""
-        return int(self._gen.integers(int(n)))
+        return int(self._gen.integers(_integer("n", n)))
 
     def integers(self, bounds: np.ndarray) -> np.ndarray:
         """One uniform integer from [0, b) for each b in bounds: the draws,
@@ -102,10 +109,17 @@ class RngStream:
         return self._gen.integers(np.asarray(bounds, dtype=np.int64))
 
     def sample_without_replacement(self, n: int, k: int) -> np.ndarray:
-        return self._gen.choice(int(n), size=int(k), replace=False)
+        return self._gen.choice(_integer("n", n), size=_integer("k", k), replace=False)
 
     def __repr__(self):
         return f"RngStream(seed={self.seed})"
+
+
+def _require_point(x) -> None:
+    """Refuse an x that is not a number, or is nan, where every comparison
+    with lo and hi is false."""
+    if math.isnan(_real("x", x)):
+        raise ParameterError("x must not be nan")
 
 
 def texp_pdf(params: TexpParams, x: float) -> float:
@@ -114,6 +128,7 @@ def texp_pdf(params: TexpParams, x: float) -> float:
     Computed in the shifted form e^(-(x-lo)/lam) / (lam * -expm1(-(hi-lo)/lam)),
     which stays accurate for both tiny and huge lam.
     """
+    _require_point(x)
     if x < params.lo or x > params.hi:
         return 0.0
     span = params.hi - params.lo
@@ -124,6 +139,7 @@ def texp_pdf(params: TexpParams, x: float) -> float:
 
 def texp_cdf(params: TexpParams, x: float) -> float:
     """F(x) = (e^(-lo/lam) - e^(-x/lam)) / (e^(-lo/lam) - e^(-hi/lam)), clamped to [0,1]."""
+    _require_point(x)
     if x <= params.lo:
         return 0.0
     if x >= params.hi:

@@ -43,6 +43,7 @@ from .graph import (
     _double_sweep_on,
     _level_union,
     _principal,
+    _require_mask,
     _walk_sums,
     components,
     induced,
@@ -106,8 +107,8 @@ def validate_separator(g: WeightedGraph, mask: VertexMask, sep: PathSeparator):
     its edge-weight sum and the Dijkstra distance between its endpoints,
     exactly), the stored flaps are the components of the mask minus S, and
     every flap has at most floor(|alive|/2) vertices. A mask over another
-    vertex count than the graph's raises ValueError. The graph is not
-    written.
+    vertex count than the graph's raises ValueError (graph._require_mask,
+    which both finders apply too). The graph is not written.
 
     A multi-vertex path is searched from its first vertex, cut at its
     length. The engine is chosen once, from the node's size: a node of at
@@ -132,8 +133,7 @@ def validate_separator(g: WeightedGraph, mask: VertexMask, sep: PathSeparator):
     # finite cut scipy never takes an inf edge, as its sum is above the cut;
     # at a cut of inf a walk through an inf edge sums to inf, which is no
     # less than any residual distance, so the residual distance is unchanged.
-    if mask.n != g.n:
-        raise ValueError(f"mask is over {mask.n} vertices but the graph has {g.n}")
+    _require_mask(g, mask)
     sliced = None
     if len(mask) > PATH_CHECK_HEAP_MAX:
         sub, verts = induced(g, mask)
@@ -211,6 +211,7 @@ def greedy_find(g: WeightedGraph, mask: VertexMask) -> PathSeparator:
     endpoints, and records it as a single-path group. The number of paths is
     whatever the process needed; it is measured, never assumed.
     """
+    _require_mask(g, mask)
     return _greedy_find_level(g, [mask])[0]
 
 
@@ -275,6 +276,7 @@ def _greedy_find_level(g: WeightedGraph, masks, on_round=None) -> list[PathSepar
 
 def tree_centroid_find(g: WeightedGraph, mask: VertexMask) -> PathSeparator:
     """Exact single-vertex separator for tree residuals (the centroid)."""
+    _require_mask(g, mask)
     n_alive = len(mask)
     if n_alive == 0:
         raise ValueError("cannot separate an empty residual graph")

@@ -1,7 +1,8 @@
 """Empirical certification of decomposition guarantees.
 
 Exact checks: partition validity, cluster diameters (at most 4*delta/5 in the
-full-graph metric), recursion depth, and the deterministic threatener bound.
+full-graph metric), every separator certificate of a center sequence,
+recursion depth, and the deterministic threatener bound.
 The diameter check clears most clusters from one ball around a center, as in
 the paper's proof, and searches all pairs only in the clusters it cannot clear;
 both passes ask one question, which members lie outside a hub's ball, through
@@ -33,9 +34,7 @@ from .decomposer import (
     _baseline_index,
     _graph_cached,
     _paper_draw,
-    _require_integer,
     _require_matching,
-    _require_number,
     _require_valid_delta,
     ceil_log2,
     choose_centers,
@@ -46,12 +45,14 @@ from .graph import (
     VertexMask,
     WeightedGraph,
     _distance_on,
+    _integer,
+    _real,
     _vertex_ids,
     balls,
     concat_ranges,
 )
 from .sampler import RngStream, derive_seed
-from .separators import greedy_find
+from .separators import greedy_find, validate_separator
 
 GAMMA_MAX = 1.0 / 100.0
 DEFAULT_GAMMAS = (0.0, 1.0 / 400.0, 1.0 / 200.0, 1.0 / 100.0)
@@ -222,8 +223,23 @@ def check_recursion_depth(centers: CenterSequence):
     return None
 
 
+def check_separators(g: WeightedGraph, centers: CenterSequence):
+    """Every recursion node's separator certificate (validate_separator); the
+    first Violation, naming the node by its visit index and depth, or None.
+    The nodes are visited depth-first, each followed by its flaps' nodes, so
+    a stack of the pending children's depths gives each node's depth."""
+    pending = [0]
+    for i, (mask, sep) in enumerate(centers.separators):
+        depth = pending.pop()
+        pending.extend([depth + 1] * len(sep.flaps))
+        fault = validate_separator(g, mask, sep)
+        if fault is not None:
+            return Violation("separators", f"node {i} at depth {depth}: {fault}")
+    return None
+
+
 def threatener_bound(p_eff: int, n: int) -> int:
-    return 4 * p_eff * max(1, ceil_log2(n))
+    return 4 * _integer("p_eff", p_eff, least=1) * max(1, ceil_log2(n))
 
 
 @dataclass(frozen=True)
@@ -243,11 +259,11 @@ class ThreatenerReport:
 
 
 def _require_gamma_in_range(gamma: float) -> float:
-    """gamma as a Python float in [0, GAMMA_MAX]."""
-    _require_number("gamma", gamma)
+    """gamma as a Python float (graph._real) in [0, GAMMA_MAX]."""
+    gamma = _real("gamma", gamma)
     if not 0.0 <= gamma <= GAMMA_MAX:
         raise ValueError(f"gamma must lie in [0, 1/100], got {gamma}")
-    return float(gamma)
+    return gamma
 
 
 def threatener_report(g: WeightedGraph, centers: CenterSequence,
@@ -290,19 +306,11 @@ def threatener_report(g: WeightedGraph, centers: CenterSequence,
     )
 
 
-def _require_trials(trials: int) -> int:
-    """trials as a Python int (decomposer._require_integer) of at least 1."""
-    trials = _require_integer("trials", trials)
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
-    return trials
-
-
 def wilson_lower_bound(successes, trials: int):
     """One-sided Wilson score lower bound, at confidence WILSON_CONFIDENCE,
     for a binomial proportion. successes is an int, giving a float, or an
     array of ints, giving the bound of each entry."""
-    trials = _require_trials(trials)
+    trials = _integer("trials", trials, least=1)
     z = float(ndtri(WILSON_CONFIDENCE))
     p = np.asarray(successes) / trials
     denom = 1.0 + z * z / trials
@@ -381,9 +389,9 @@ class PaddingReport:
 def sample_vertices(g: WeightedGraph, seed: int) -> np.ndarray:
     """All vertices when n <= 256; otherwise 256 drawn deterministically from
     the master seed (stream index -1, reserved; trials use indices >= 0).
-    The seed must be an integer (decomposer._require_integer), even when
-    n <= 256. A writable copy of the sample the graph keeps (_sample)."""
-    return _sample(g, _require_integer("seed", seed)).copy()
+    The seed must be an integer (graph._integer), even when n <= 256. A
+    writable copy of the sample the graph keeps (_sample)."""
+    return _sample(g, _integer("seed", seed)).copy()
 
 
 def _sample(g: WeightedGraph, seed: int) -> np.ndarray:
@@ -477,15 +485,10 @@ def estimate_padding(g: WeightedGraph, delta: float, finder=greedy_find,
     gammas = tuple(map(_require_gamma_in_range, gammas))
     if not gammas:
         raise ValueError("need at least one gamma")
-    trials = _require_trials(trials)
-    seed = _require_integer("seed", seed)
+    trials = _integer("trials", trials, least=1)
+    seed = _integer("seed", seed)
     if scheme not in ("paper", "baseline"):
         raise ValueError(f"unknown scheme {scheme!r}")
-    _require_valid_delta(delta)
-
-    vertices = _sample(g, seed)
-    radii = np.asarray(gammas) * delta
-    sample = _sample_balls(g, vertices, radii.max())
 
     # one stream for the call, re-keyed to each trial's seed: it yields what
     # RngStream(derive_seed(seed, t)) would
@@ -510,6 +513,10 @@ def estimate_padding(g: WeightedGraph, delta: float, finder=greedy_find,
             _, radius, rank = _baseline_draw(g.n, texp, rng)
             return radius, rank
     beta = params.beta()
+    # delta is checked by now, by choose_centers or the params
+    vertices = _sample(g, seed)
+    radii = np.asarray(gammas) * delta
+    sample = _sample_balls(g, vertices, radii.max())
 
     # every radius is at least texp.lo: when that clears the index's reach,
     # every vertex is claimed, and the trials label the ball members

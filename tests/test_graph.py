@@ -606,6 +606,13 @@ class TestDistanceBlocks:
         with pytest.raises(ValueError, match=f"radius must be non-negative, got {radius}"):
             balls(chain, VertexMask.full(3), [0, 1], radius)
 
+    def test_bool_radius_and_foreign_mask_raise(self, chain):
+        # True would run as radius 1.0; a mask over 4 vertices answered on 3
+        with pytest.raises(TypeError, match="^radius must be a number, got True$"):
+            balls(chain, VertexMask.full(3), [0, 1], True)
+        with pytest.raises(ValueError, match="^mask is over 4 vertices but the graph has 3$"):
+            balls(chain, VertexMask(4, [0, 1, 2]), [0, 1], 1.0)
+
     def test_dead_source_raises(self, chain):
         mask = VertexMask(3, [0, 1])
         with pytest.raises(MaskError):

@@ -163,6 +163,7 @@ class TestRunExperiment:
         assert res["checks"]["partition"] == "ok"
         assert res["checks"]["diameter"] == "ok"
         assert res["checks"]["recursion_depth"] == "ok"
+        assert res["checks"]["separators"] == "ok"
         assert res["checks"]["threateners"] == "ok"
         assert res["checks"]["padding"] == "ok"
 

@@ -69,6 +69,12 @@ class TestExamples:
         with pytest.raises(ValueError, match=r"^net radius must be non-negative, got nan$"):
             greedy_net(view, float("nan"))
 
+    @pytest.mark.parametrize("r", [True, "1"])
+    def test_radius_must_be_a_number(self, r):
+        # True would run as radius 1.0
+        with pytest.raises(TypeError, match=rf"^net radius must be a number, got {r!r}$"):
+            greedy_net(view_from_weights([1.0] * 3), r)
+
     def test_from_path_uses_graph_weights(self):
         g = WeightedGraph(3, [(0, 1, 1.0), (1, 2, 2.0)])
         view = PathMetricView.from_path(g, Path.from_vertices(g, (0, 1, 2)))

@@ -40,6 +40,14 @@ class TestParams:
         with pytest.raises(ParameterError):
             TexpParams(lam, lo, hi)
 
+    @pytest.mark.parametrize("lam,lo,hi,name", [("1", 0, 1, "lam"), (1, False, 1, "lo"),
+                                                (1, 0, None, "hi")])
+    def test_non_numbers_rejected(self, lam, lo, hi, name):
+        # False would run as lo 0.0; the others failed in a comparison that
+        # did not name them
+        with pytest.raises(TypeError, match=f"^{name} must be a number"):
+            TexpParams(lam, lo, hi)
+
 
 class TestPdf:
     def test_zero_outside_support(self):
@@ -99,6 +107,12 @@ class TestSampling:
             texp_icdf(p, -0.1)
         with pytest.raises(ParameterError):
             texp_icdf(p, 1.1)
+
+    @pytest.mark.parametrize("law", [texp_pdf, texp_cdf, texp_icdf])
+    def test_nan_rejected(self, law):
+        # every comparison with nan is false: texp_cdf gave 0.0, texp_pdf nan
+        with pytest.raises(ParameterError, match="nan"):
+            law(TexpParams(1.0, 0.0, 1.0), math.nan)
 
     def test_icdf_inverts_cdf(self):
         p = TexpParams(0.3, 0.25, 0.4)

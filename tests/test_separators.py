@@ -135,6 +135,10 @@ class TestValidator:
         sep = hand_separator(g, VertexMask.full(16), (1, 5, 9, 13))
         with pytest.raises(ValueError, match="mask is over 20 vertices but the graph has 16"):
             validate_separator(g, VertexMask.full(20), sep)
+        # the finders take the same rule: a mask over 9 vertices of a 16-vertex
+        # graph was separated as if the graph had 9
+        with pytest.raises(ValueError, match="^mask is over 9 vertices but the graph has 16$"):
+            greedy_find(g, VertexMask.full(9))
 
 
 def residual_paths(g, seq):

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import json
 import math
 import re
@@ -15,6 +16,7 @@ from pathdecomp import (
     DecompositionParams,
     PaddingRecord,
     Partition,
+    PathSeparator,
     VertexMask,
     WeightedGraph,
     baseline_decompose,
@@ -22,11 +24,13 @@ from pathdecomp import (
     check_cluster_diameters,
     check_partition,
     check_recursion_depth,
+    check_separators,
     choose_centers,
     decompose,
     estimate_padding,
     gen_grid,
     gen_ktree,
+    greedy_find,
     sample_vertices,
     sssp,
     threatener_report,
@@ -425,6 +429,33 @@ class TestRecursionDepth:
         v = check_recursion_depth(dataclasses.replace(seq, n=2))
         if seq.max_depth > 1:
             assert v is not None and v.kind == "recursion-depth"
+
+
+class TestCheckSeparators:
+    @pytest.mark.parametrize("make,finder", [
+        (lambda: gen_ktree(60, 2, "uniform", 3).graph, greedy_find),
+        (lambda: unit_path(9), tree_centroid_find),
+    ])
+    def test_library_sequences_pass(self, make, finder):
+        g = make()
+        assert check_separators(g, choose_centers(g, 3.0, finder)) is None
+
+    def test_failure_names_the_node_and_its_depth(self):
+        g = gen_ktree(60, 2, "uniform", 3).graph
+        seq = choose_centers(g, 3.0)
+        # each node's depth from its records: node i's paths follow the paths
+        # of nodes 0..i-1, and a record carries its path's node depth
+        first = list(itertools.accumulate((s.total_paths for _, s in seq.separators),
+                                          initial=0))
+        depth_of_path = {r.path_id: r.depth for r in seq.records}
+        for i in (0, 1, 10, 13, 15):  # nodes with flaps, at depths 0, 1, 2, 2 and 1
+            mask, sep = seq.separators[i]
+            broken = list(seq.separators)
+            broken[i] = (mask, PathSeparator(sep.groups, sep.flaps[:-1]))
+            v = check_separators(g, dataclasses.replace(seq, separators=tuple(broken)))
+            assert str(v) == (f"[separators] node {i} at depth {depth_of_path[first[i]]}: "
+                              "[flaps] stored flaps differ from the components of "
+                              "residual minus S")
 
 
 class TestThreateners:
