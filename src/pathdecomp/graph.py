@@ -35,11 +35,11 @@ Every residual operation lives here, once:
   `double_sweep` builds one per call and hands it to its core,
   `_double_sweep_on`, as `balls` hands its residual's slice to `_balls_on`.
   The greedy separator finder calls the cores itself: it builds one union
-  per level and one per round, of the residuals of the nodes still
-  unbalanced, and that union serves the round's components call, the next
-  round's double sweep and that round's center index (decomposer). Only
-  after a round that balances some of its nodes but not all is a second
-  union built, of the others.
+  per level and cuts every later one from the union it holds, through
+  `_principal`: after each round, without the round's paths, and after a
+  round that balances some of its nodes but not all, without those nodes.
+  A cut union serves one components call, then the next round's double
+  sweep and that round's center index (decomposer).
 - scipy's Dijkstra runs every sweep and every multi-source query, directed on
   the symmetric CSR, so no call copies a transpose:
   - `balls`: the one multi-source distance query, cut at a radius, as sparse
@@ -64,8 +64,9 @@ Every residual operation lives here, once:
     per mask, rebuilt from the second sweep's predecessors, its length the
     second sweep's distance (the edge-weight sum, bit for bit). The paths equal
     one-mask calls, which the tests pin on many tied blocks in any source
-    order. One mask serves `farthest` (its first sweep) and
-    `weighted_diameter` (exact all-pairs at n <= 512).
+    order. One mask serves `farthest` (its first sweep), and the graph's own
+    CSR, a union of one mask, `weighted_diameter` above n = 512 (exact
+    all-pairs at n <= 512).
 - `_component_labels` numbers the components of a level union's slice from
   one scipy `connected_components` call, and `_component_masks` turns them
   into each mask's `components` (the separator finder's rounds, and the
@@ -604,9 +605,6 @@ def _level_union(g: WeightedGraph, masks) -> tuple[sp.csr_matrix, np.ndarray, np
     """induced for the union of masks, plus owner: owner[i] is the position in
     masks of the mask holding local vertex i. Raises ValueError unless the
     masks are pairwise disjoint and no edge joins two of them."""
-    if len(masks) == 1:
-        sub, verts = induced(g, masks[0])
-        return sub, verts, np.zeros(len(verts), dtype=np.int64)
     sizes = [len(m) for m in masks]
     flat = np.fromiter(itertools.chain.from_iterable(m.alive for m in masks), dtype=np.int64,
                        count=sum(sizes))
@@ -789,7 +787,7 @@ def weighted_diameter(g: WeightedGraph) -> float:
     """Weighted diameter: exact all-pairs for n <= 512, double-sweep bound above."""
     if g.n <= 512:
         return float(csgraph_dijkstra(g.csr(), directed=True).max())
-    return double_sweep(g, [VertexMask.full(g.n)], [0])[0].length
+    return _double_sweep_on((g.csr(), np.arange(g.n), np.zeros(g.n, dtype=int)), [0])[0].length
 
 
 def load_graph(path) -> WeightedGraph:

@@ -13,6 +13,8 @@ import json
 from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
 
+import numpy as np
+
 from .decomposer import (
     DecompositionParams,
     _require_valid_delta,
@@ -66,14 +68,15 @@ class ExperimentConfig:
         try:
             for name, least in (("trials", 1), ("seed", None), ("gen_seed", None)):
                 object.__setattr__(self, name, _integer(name, getattr(self, name), least))
-            if self.deltas is not None:
-                object.__setattr__(self, "deltas", tuple(map(_require_valid_delta, self.deltas)))
-                if not self.deltas:
-                    raise ConfigError("deltas must not be empty")
-            object.__setattr__(self, "gammas",
-                               tuple(map(verifier._require_gamma_in_range, self.gammas)))
-            if not self.gammas:
-                raise ConfigError("gammas must not be empty")
+            for name, rule in (("deltas", _require_valid_delta),
+                               ("gammas", verifier._require_gamma_in_range)):
+                if (value := getattr(self, name)) is None and name == "deltas":
+                    continue  # the default scales, from the graph's diameter
+                if np.ndim(value) != 1:  # a scalar, a string or a nested list
+                    raise ConfigError(f"{name} must be a list of numbers, got {value!r}")
+                if not (value := tuple(map(rule, value))):
+                    raise ConfigError(f"{name} must not be empty")
+                object.__setattr__(self, name, value)
         except (TypeError, ValueError) as exc:
             raise ConfigError(str(exc)) from exc
 
@@ -168,12 +171,14 @@ def _run_scheme(g: WeightedGraph, delta: float, scheme: str, cfg: ExperimentConf
         g, delta, FINDERS[cfg.finder], cfg.gammas, cfg.trials, cfg.seed, scheme
     )
     padding_obj = padding.to_json_obj()
-    checks["padding"] = "ok" if padding_obj["all_pass"] else (
-        "[padding] " + "; ".join(
-            f"vertex {r.vertex} gamma {r.gamma}: wilson {r.wilson_lb:.6f} < floor {r.floor:.6f}"
-            for r in padding.failures()[:5]
-        )
-    )
+    # a failing record of all successes failed on its trial count: the least
+    # count at which all successes clear its floor is named
+    checks["padding"] = "ok" if padding_obj["all_pass"] else "[padding] " + "; ".join(
+        f"vertex {r.vertex} gamma {r.gamma}: wilson {r.wilson_lb:.6f} < floor {r.floor:.6f}"
+        + (f", though all {r.trials} trials padded; all successes clear it from "
+           f"{verifier.trials_to_clear(r.floor)} trials"
+           if r.successes == r.trials and r.floor < 1.0 else "")
+        for r in padding.failures()[:5])
     result["padding"] = padding_obj
     result["fitted_beta"] = padding_obj["fitted_beta"]
 

@@ -102,10 +102,15 @@ class RngStream:
         """One uniform integer from [0, n)."""
         return int(self._gen.integers(_integer("n", n)))
 
-    def integers(self, bounds: np.ndarray) -> np.ndarray:
+    def integers(self, bounds) -> np.ndarray:
         """One uniform integer from [0, b) for each b in bounds: the draws,
         and the stream state after them, of successive integer(b) calls
-        (numpy draws an array of bounds one bound at a time, in order)."""
+        (numpy draws an array of bounds one bound at a time, in order).
+        Every bound must be an integer by graph._integer's rule, an integer
+        array passing whole; TypeError naming bounds otherwise."""
+        if not (isinstance(bounds, np.ndarray) and bounds.dtype.kind in "iu"):
+            # each as a Python object, so that no bool or float is cast first
+            bounds = [_integer("bounds", b) for b in np.asarray(bounds, dtype=object).flat]
         return self._gen.integers(np.asarray(bounds, dtype=np.int64))
 
     def sample_without_replacement(self, n: int, k: int) -> np.ndarray:

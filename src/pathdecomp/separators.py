@@ -18,13 +18,15 @@ The greedy finder repeatedly removes an approximate-diameter shortest path
 from the largest oversized component. It runs over a whole recursion level
 at once (_greedy_find_level): each round is one double sweep and one
 components call, both on one slice of the residuals of the nodes still
-unbalanced (graph's level union). greedy_find is its one-node call. The
-centroid finder is the exact one-path witness for trees.
+unbalanced (graph's level union). Only the level's first union is built from
+masks; each later one is cut from the one before, without the round's paths
+or without the nodes just balanced, and the finder derives no residual mask.
+greedy_find is its one-node call. The centroid finder is the exact one-path
+witness for trees.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -151,8 +153,8 @@ def validate_separator(g: WeightedGraph, mask: VertexMask, sep: PathSeparator):
             _delete_in_place(sliced[0], dead)
     alive = next(residuals)  # the mask minus S
     if sliced is not None:
-        kept = np.flatnonzero(~dead)
-        union = (_principal(sliced[0], kept), verts[kept], np.zeros(len(kept), dtype=np.int64))
+        union = _cut((sliced[0], verts, np.zeros(len(verts), dtype=np.int64)),
+                     np.flatnonzero(~dead))
         flaps = _component_masks(g, 1, union, *_component_labels(union[0]))[0]
     else:
         flaps = components(g, alive)
@@ -215,63 +217,67 @@ def greedy_find(g: WeightedGraph, mask: VertexMask) -> PathSeparator:
     return _greedy_find_level(g, [mask])[0]
 
 
-def _greedy_find_level(g: WeightedGraph, masks, on_round=None) -> list[PathSeparator]:
+def _greedy_find_level(g: WeightedGraph, masks, on_round=lambda *_: None) -> list[PathSeparator]:
     """greedy_find for each of pairwise disjoint, non-adjacent masks, such as
     the nodes of one recursion level. Round t deletes the t-th path of every
     node still unbalanced: one double sweep from their targets and one
-    components call, over one level union (graph._level_union) of their
-    residuals. The previous round's components call built it, and the
-    round's double sweep starts from each node's target, its largest
-    component, at the target's smallest vertex.
+    components call, over one level union of their residuals. The level's
+    one graph._level_union call builds the first; every later union is cut
+    from the one before (_cut): after a round, without its paths, and when
+    some of its nodes are then balanced, without their vertices too, each
+    followed by one components call. A round's double sweep starts from each
+    node's target, its largest component, at the target's smallest vertex.
     The node's other components share no edge with the target, so the sweep
-    never reaches them. After the round deletes its paths, one union of the
-    same nodes' residuals serves its components call; when some of these
-    nodes are then balanced, the others get a union of their own.
+    never reaches them.
 
-    Unless on_round is None, round t calls on_round(t, todo, paths, union)
-    after its sweep and before it deletes its paths: node todo[k]'s t-th path
-    is paths[k], and mask k of union is that node's residual."""
+    Round t calls on_round(t, todo, paths, union) after its sweep and before
+    it deletes its paths: node todo[k]'s t-th path is paths[k], and mask k of
+    union is that node's residual."""
     if any(len(mask) == 0 for mask in masks):
         raise ValueError("cannot separate an empty residual graph")
     union = _level_union(g, masks)
     label, first = _component_labels(union[0])
     if np.any(np.bincount(union[2][first], minlength=len(masks)) != 1):
         raise ValueError("greedy_find requires a connected residual graph")
-    residual = list(masks)
     groups: list[list[tuple[Path]]] = [[] for _ in masks]
     flaps: list[tuple[VertexMask, ...]] = [()] * len(masks)
     half = np.array([len(mask) // 2 for mask in masks])
     todo = list(range(len(masks)))  # the nodes of the union
-    for t in itertools.count():
+    while True:
         # a node is unbalanced when one of its components, its target, holds
         # over half its alive count; two such would hold more than all of it
         node = union[2][first]
         big = np.flatnonzero(np.bincount(label) > half[todo][node])
-        still = np.zeros(len(todo), dtype=bool)
-        still[node[big]] = True
-        if not still.all():
+        if len(big) < len(todo):
+            # the balanced nodes' components are their flaps; the others keep
+            # a union cut from this one, their owners renumbered in order
+            still = np.bincount(node[big], minlength=len(todo)) > 0
             for k, comps in enumerate(_component_masks(g, len(todo), union, label, first)):
                 if not still[k]:
                     flaps[todo[k]] = tuple(comps)
             if not still.any():
                 break
-            # the others get a union of their own: renumber their components
-            # and first vertices into it, keeping the order
-            keep, kept = still[union[2]], still[node]
-            label, big = (np.cumsum(kept) - 1)[label[keep]], (np.cumsum(kept) - 1)[big]
-            first = (np.cumsum(keep) - 1)[first[kept]]
             todo = [i for i, s in zip(todo, still.tolist()) if s]
-            union = _level_union(g, [residual[i] for i in todo])
-        target = big[np.argsort(union[2][first[big]])]
-        paths = _double_sweep_on(union, first[target])
-        if on_round is not None:
-            on_round(t, todo, paths, union)
-        for i, path in zip(todo, paths):
-            groups[i].append((path,))
-            residual[i] = residual[i].without(path.vertices)
-        union = _level_union(g, [residual[i] for i in todo])
+            union = _cut((*union[:2], np.cumsum(still)[union[2]] - 1),
+                         np.flatnonzero(still[union[2]]))
+        else:
+            paths = _double_sweep_on(union, first[big[np.argsort(node[big])]])
+            # every node of the union ran every round so far
+            on_round(len(groups[todo[0]]), todo, paths, union)
+            for i, path in zip(todo, paths):
+                groups[i].append((path,))
+            gone = np.searchsorted(union[1], [v for p in paths for v in p.vertices])
+            union = _cut(union, np.delete(np.arange(len(union[1])), gone))
         label, first = _component_labels(union[0])
     return [PathSeparator(tuple(grp), c) for grp, c in zip(groups, flaps)]
+
+
+def _cut(union, kept: np.ndarray):
+    """The level union (sub, verts, owner) of union's sorted local vertices
+    kept: one _principal slice of its slice, which equals induced on those
+    vertices array for array. The masks stay disjoint and non-adjacent, so
+    nothing is checked."""
+    return _principal(union[0], kept), union[1][kept], union[2][kept]
 
 
 def tree_centroid_find(g: WeightedGraph, mask: VertexMask) -> PathSeparator:

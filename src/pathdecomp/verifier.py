@@ -57,6 +57,7 @@ from .separators import greedy_find, validate_separator
 GAMMA_MAX = 1.0 / 100.0
 DEFAULT_GAMMAS = (0.0, 1.0 / 400.0, 1.0 / 200.0, 1.0 / 100.0)
 WILSON_CONFIDENCE = 0.99
+_Z = float(ndtri(WILSON_CONFIDENCE))  # the bound's one-sided normal quantile
 MAX_EXHAUSTIVE_VERTICES = 256
 
 
@@ -311,13 +312,19 @@ def wilson_lower_bound(successes, trials: int):
     for a binomial proportion. successes is an int, giving a float, or an
     array of ints, giving the bound of each entry."""
     trials = _integer("trials", trials, least=1)
-    z = float(ndtri(WILSON_CONFIDENCE))
     p = np.asarray(successes) / trials
-    denom = 1.0 + z * z / trials
-    centre = p + z * z / (2.0 * trials)
-    rad = z * np.sqrt(p * (1.0 - p) / trials + z * z / (4.0 * trials * trials))
+    denom = 1.0 + _Z * _Z / trials
+    centre = p + _Z * _Z / (2.0 * trials)
+    rad = _Z * np.sqrt(p * (1.0 - p) / trials + _Z * _Z / (4.0 * trials * trials))
     lb = np.maximum(0.0, (centre - rad) / denom)
     return float(lb) if lb.ndim == 0 else lb
+
+
+def trials_to_clear(floor: float) -> int:
+    """The least trial count whose Wilson bound clears a floor below 1 when
+    every trial succeeds: with all n successes the bound is n / (n + z^2),
+    at least floor from n = z^2 * floor / (1 - floor)."""
+    return math.ceil(_Z * _Z * floor / (1.0 - floor))
 
 
 class PaddingRecord(NamedTuple):

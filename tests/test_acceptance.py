@@ -91,9 +91,9 @@ class InstanceResult:
     diameter_ok: bool
     separators_ok: bool
     depth_ok: bool
-    threat_ok: bool | None      # None when n > 256 (criterion applies to n <= 256)
-    threat_worst: int | None
-    threat_bound: int | None
+    threat_ok: bool
+    threat_worst: int
+    threat_bound: int
 
 
 @pytest.fixture(scope="session")
@@ -117,12 +117,10 @@ def corpus():
         )
         depth_ok = seq.max_depth <= ceil_log2(g.n)
 
-        threat_ok = threat_worst = threat_bound = None
-        if g.n <= 256:
-            rep = pd.threatener_report(g, seq, params, 1 / 100)
-            bound = 4 * seq.p_eff * ceil_log2(g.n)
-            threat_ok = rep.bound == bound and all(c <= bound for c in rep.counts)
-            threat_worst, threat_bound = rep.worst(), bound
+        rep = pd.threatener_report(g, seq, params, 1 / 100)
+        threat_bound = 4 * seq.p_eff * ceil_log2(g.n)
+        threat_ok = rep.bound == threat_bound and all(c <= threat_bound for c in rep.counts)
+        threat_worst = rep.worst()
 
         results.append(InstanceResult(
             label, g.n, delta, seq.p_eff, seq.max_depth,
@@ -150,11 +148,10 @@ def test_criterion_2_diameter_bound(corpus):
 
 
 def test_criterion_4_threatener_bound(corpus):
-    small = [r for r in corpus if r.threat_ok is not None]
-    bad = [r.label for r in small if not r.threat_ok]
-    worst = max((r.threat_worst, r.threat_bound, r.label) for r in small)
+    bad = [r.label for r in corpus if not r.threat_ok]
+    worst = max((r.threat_worst, r.threat_bound, r.label) for r in corpus)
     report_line(4, "threatener count <= 4*p_eff*ceil(log2 n)", not bad,
-                f"{len(small)} instances with n<=256; worst {worst[0]}/{worst[1]}")
+                f"{len(corpus)} instances; worst {worst[0]}/{worst[1]}")
 
 
 def test_criterion_5_recursion_depth(corpus):

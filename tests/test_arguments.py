@@ -1,13 +1,15 @@
 """One rule per argument kind: the entries below had no refusal test.
 
 Each case is one call with one bad argument: an integer given as a bool, a
-float or a string, a real number given as a bool, or a mask over another
-vertex count than the graph's. It must raise the rule's exception, with a
-message that opens with the argument's name.
+float or a string, a real number given as a bool, a mask over another
+vertex count than the graph's, or an experiment's list field given as a
+scalar or a string. It must raise the rule's exception, with a message that
+opens with the argument's name.
 """
 
 import re
 
+import numpy as np
 import pytest
 
 from pathdecomp import (
@@ -26,6 +28,7 @@ from pathdecomp import (
     sssp,
     tree_centroid_find,
 )
+from pathdecomp.harness import ConfigError, ExperimentConfig
 from pathdecomp.verifier import threatener_bound
 
 GRID = gen_grid(4, 4)     # 16 vertices
@@ -56,6 +59,15 @@ CASES = [
     ("n", TypeError, lambda: DecompositionParams.for_baseline(2.0, 1, True)),
     ("n", TypeError, lambda: VertexMask(16.0, [0])),
     ("radius", TypeError, lambda: ball(GRID, VertexMask.full(16), 0, True)),
+    ("bounds", TypeError, lambda: RngStream(1).integers(np.array([2.5, 1.9]))),
+    ("bounds", TypeError, lambda: RngStream(1).integers(np.array([True, True]))),
+    ("bounds", TypeError, lambda: RngStream(1).integers(np.array(["2", "3"]))),
+    ("bounds", TypeError, lambda: RngStream(1).integers([2, True])),
+    ("deltas", ConfigError, lambda: ExperimentConfig(gen="grid:3,3", deltas=3.0)),
+    ("deltas", ConfigError, lambda: ExperimentConfig(gen="grid:3,3", deltas="3,4")),
+    ("gammas", ConfigError, lambda: ExperimentConfig(gen="grid:3,3", gammas=0.01)),
+    ("gammas", ConfigError, lambda: ExperimentConfig(gen="grid:3,3", gammas="0.01")),
+    ("gammas", ConfigError, lambda: ExperimentConfig(gen="grid:3,3", gammas=None)),
     ("mask", ValueError, lambda: tree_centroid_find(PATH, mask_over(9))),
     *[("mask", ValueError, call)
       for n in (9, 17)
@@ -72,3 +84,18 @@ def test_bad_argument_refused_by_name(name, error, call):
     with pytest.raises(error, match=f"^{re.escape(name)} ") as info:
         call()
     assert type(info.value) is error  # not a subclass, such as GraphError
+
+
+def test_list_field_refusal_names_the_value():
+    with pytest.raises(ConfigError, match=r"^deltas must be a list of numbers, got 3\.0$"):
+        ExperimentConfig(gen="grid:3,3", deltas=3.0)
+
+
+def test_integer_bounds_draw_as_before():
+    # an integer array passes whole, a list of ints is read bound by bound:
+    # both draw what successive integer(b) calls draw
+    bounds = [5, 7, 1, 12]
+    one = RngStream(3)
+    expect = [one.integer(b) for b in bounds]
+    for given in (bounds, np.array(bounds), np.array(bounds, dtype=np.int32)):
+        assert RngStream(3).integers(given).tolist() == expect

@@ -26,6 +26,23 @@ def quick_cfg(**kw):
     return ExperimentConfig(**base)
 
 
+def test_padding_check_names_the_trial_count_that_failed(tmp_path):
+    # the path 0-1-2-3: at gamma 1/400 every baseline trial pads, yet 30 of
+    # 30 successes give a Wilson bound of 0.847 against a floor of 0.871;
+    # all successes clear that floor from 37 trials (a bound of 0.8724)
+    path = tmp_path / "path.txt"
+    path.write_text("4 3\n0 1 1.0\n1 2 1.0\n2 3 1.0\n")
+    cfg = ExperimentConfig(graph_file=str(path), finder="centroid", scheme="baseline",
+                           trials=30, seed=1)
+    result = run_experiment(cfg)["results"][0]
+    assert not result["pass"]
+    assert result["checks"]["padding"].startswith(
+        "[padding] vertex 0 gamma 0.0025: wilson 0.847173 < floor 0.870551, though all 30 "
+        "trials padded; all successes clear it from 37 trials; vertex 1 ")
+    record = next(r for r in result["padding"]["records"] if r["gamma"] == 0.0025)
+    assert verifier.wilson_lower_bound(37, 37) >= record["floor"]
+
+
 def masked(report_text: str) -> str:
     return re.sub(r'"timestamp": "[^"]*"', '"timestamp": "X"', report_text)
 

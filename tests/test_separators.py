@@ -565,7 +565,7 @@ def test_greedy_find_level_round_keeps_a_non_target_component(swap):
     # Node `big` needs a second round, after its first path leaves the clique
     # (over half its alive count) and the pendant vertex: round 1 sweeps a
     # union holding the pendant too. Node `small` is balanced after one path,
-    # so round 1 also rebuilds the union for `big` alone. A bridge vertex,
+    # so round 1 also cuts the union down to `big` alone. A bridge vertex,
     # outside both nodes, keeps the graph connected.
     big_edges, big = clique_broom(0, 10, 14)
     small_edges, small = clique_broom(len(big), 10, 10)
@@ -584,32 +584,74 @@ def test_greedy_find_level_round_keeps_a_non_target_component(swap):
     assert_levels_match_reference(g, masks)
 
 
-def test_choose_centers_slices_once_per_level_and_round(monkeypatch):
-    # The greedy finder slices the CSR once per level; once per round, for
-    # the round's components and the next round's sweep (after the last
-    # round of a level that leaves no vertex, the slice is empty); and once
-    # more per round after which some but not all of its nodes are
-    # balanced, for the nodes left. The index slices nothing: each round
-    # indexes its balls on the round's union.
-    g = gen_grid(32, 32)
-    delta = pd.weighted_diameter(g) / 8
-    sliced = []
-    real = graph._slice
+@pytest.mark.parametrize("make,parts,counts", [
+    (lambda: gen_grid(32, 32), 8, (8, 32, 0)),
+    (lambda: spread_weights(gen_ktree(400, 3).graph, 1), 4, (5, 10, 2)),
+], ids=["unit-grid32", "loguniform-ktree400"])
+def test_choose_centers_slices_once_per_level_and_cuts_once_per_round(make, parts, counts,
+                                                                      monkeypatch):
+    # The greedy finder slices the CSR once per level (graph._level_union).
+    # Every later union is cut from the one before: once per round, without
+    # its paths (after the last round of a level that leaves no vertex, the
+    # cut is empty), and once more per round after which some but not all of
+    # its nodes are balanced, without those. The index slices nothing: each
+    # round indexes its balls on the round's union.
+    g = make()
+    delta = pd.weighted_diameter(g) / parts
+    sliced, cuts = [], []
+    real_slice, real_cut = graph._slice, separators._cut
     monkeypatch.setattr(graph, "_slice", lambda g, verts: sliced.append(len(verts)) or
-                        real(g, verts))
+                        real_slice(g, verts))
+    monkeypatch.setattr(separators, "_cut", lambda union, kept: cuts.append(1) or
+                        real_cut(union, kept))
     seq = pd.choose_centers(g, delta)
     monkeypatch.undo()
 
     node = dict(seq.separators)
-    level, expect = [VertexMask.full(g.n)], 0
+    level, levels, rounds, partial = [VertexMask.full(g.n)], 0, 0, 0
     while level:
-        expect += 1
+        levels += 1
         for t in range(max(node[mask].total_paths for mask in level)):
             todo = [k for k, mask in enumerate(level) if len(node[mask].groups) > t]
             left = sum(len(node[level[k]].groups) > t + 1 for k in todo)
-            expect += 1 + (0 < left < len(todo))
+            rounds += 1
+            partial += 0 < left < len(todo)
         level = [flap for mask in level for flap in node[mask].flaps]
-    assert len(sliced) == expect == 40  # 102 when every set was sliced about three times
+    assert (len(sliced), len(cuts)) == (levels, rounds + partial)
+    assert (levels, rounds, partial) == counts
+
+
+@pytest.mark.parametrize("make,counts", [
+    (lambda: gen_grid(16, 16), (16, 0)),
+    (lambda: gen_grid(32, 32), (32, 0)),
+    (lambda: gen_grid(24, 24, "uniform", 1), (7, 1)),
+    (lambda: spread_weights(gen_ktree(400, 3).graph, 1), (10, 2)),
+], ids=["unit-grid16", "unit-grid32", "uniform-grid24", "loguniform-ktree400"])
+def test_every_round_union_is_the_level_union_of_its_residuals(make, counts, monkeypatch):
+    # Each round's union is cut from the one before, never rebuilt from
+    # masks, and the finder derives no residual mask: the union handed to
+    # on_round equals _level_union of the nodes' residuals, array for array.
+    g = make()
+    level, checked, shrunk = [VertexMask.full(g.n)], 0, 0
+    while level:
+        seen, derived = [], []
+        monkeypatch.setattr(VertexMask, "without", lambda self, vs: derived.append(1))
+        seps = _greedy_find_level(g, level, lambda t, todo, paths, union:
+                                  seen.append((t, list(todo), union)))
+        monkeypatch.undo()
+        assert derived == []
+        residuals = [list(sep.residuals(mask)) for mask, sep in zip(level, seps)]
+        for t, todo, union in seen:
+            expect = graph._level_union(g, [residuals[i][t] for i in todo])
+            for got, want in [(union[0].indptr, expect[0].indptr),
+                              (union[0].indices, expect[0].indices),
+                              (union[0].data, expect[0].data), *zip(union[1:], expect[1:])]:
+                assert got.dtype == want.dtype and np.array_equal(got, want)
+        # rounds after one that balanced some of its nodes but not all
+        shrunk += sum(len(b[1]) < len(a[1]) for a, b in zip(seen, seen[1:]))
+        checked += len(seen)
+        level = [flap for sep in seps for flap in sep.flaps]
+    assert (checked, shrunk) == counts
 
 
 class TestCentroidFinder:

@@ -736,6 +736,12 @@ class TestWilson:
         assert [wilson_lower_bound(s, trials) for s in (0, trials)] == [expect[0], expect[-1]]
         assert type(wilson_lower_bound(trials, trials)) is float
 
+    @pytest.mark.parametrize("floor", [0.01, 0.5, 0.870551, 0.99, 0.999999])
+    def test_trials_to_clear_is_the_least_all_success_count(self, floor):
+        need = verifier.trials_to_clear(floor)
+        assert wilson_lower_bound(need, need) >= floor
+        assert need == 1 or wilson_lower_bound(need - 1, need - 1) < floor
+
     def test_trials_validated_as_integers(self):
         for trials in (2.5, 10.0, True):
             with pytest.raises(TypeError, match="trials must be an integer"):
