@@ -71,9 +71,12 @@ Every residual operation lives here, once:
   one scipy `connected_components` call, and `_component_masks` turns them
   into each mask's `components` (the separator finder's rounds, and the
   validator's flaps on a node above its heap cut).
-  `components` itself, and the heap Dijkstra below behind `sssp`, `ball` and
-  the validator's path check on small nodes, touch only alive vertices
-  and their rows of `adj`, and the heap keeps only the vertices it reaches: most
+  `_dfs` is the one walk over `adj`: from a source, through alive vertices,
+  the parent of each vertex reached, in the order reached. `components`
+  builds each component from it, and the centroid finder reads its tree.
+  The walk, and the heap Dijkstra below behind `sssp`, `ball` and the
+  validator's path check on small nodes, touch only alive vertices
+  and their rows of `adj`, and each keeps only the vertices it reaches: most
   recursion nodes hold 1-10 vertices, where a search costs less than
   slicing a CSR for scipy (the README gives the numbers).
 
@@ -526,10 +529,25 @@ def ball(g: WeightedGraph, mask: VertexMask, center: int, radius: float) -> froz
     """Closed ball {v alive : d_residual(center, v) <= radius}."""
     _require_mask(g, mask, center, "center")
     radius = _require_radius(radius)
-    dist, _ = _dijkstra(g, mask, center, cutoff=radius)
-    # only reached vertices have a (finite) distance; unreachable ones are
-    # never in the ball, even at radius == INF (where it is the whole component)
-    return frozenset(v for v, d in dist.items() if d <= radius)
+    # the heap sets no distance above its cutoff, so what it reaches is the
+    # ball; an unreachable vertex is never in it, even at radius == INF
+    return frozenset(_dijkstra(g, mask, center, cutoff=radius)[0])
+
+
+def _dfs(g: WeightedGraph, src: int, alive) -> dict:
+    """The vertices of the set alive that src reaches through alive ones,
+    each mapped to its parent in a depth-first tree (-1 at src), in the order
+    reached: every vertex after its parent."""
+    parent = {src: -1}
+    stack = [src]
+    adj = g.adj
+    while stack:
+        u = stack.pop()
+        for v, _ in adj[u]:
+            if v in alive and v not in parent:
+                parent[v] = u
+                stack.append(v)
+    return parent
 
 
 def components(g: WeightedGraph, mask: VertexMask) -> list[VertexMask]:
@@ -539,20 +557,11 @@ def components(g: WeightedGraph, mask: VertexMask) -> list[VertexMask]:
     seen = set()
     out = []
     for s in sorted(alive):
-        if s in seen:
-            continue
-        comp = [s]
-        seen.add(s)
-        stack = [s]
-        while stack:
-            u = stack.pop()
-            for v, _ in g.adj[u]:
-                if v in alive and v not in seen:
-                    seen.add(v)
-                    comp.append(v)
-                    stack.append(v)
-        # the ids come from the adjacency lists, so they are valid
-        out.append(VertexMask._of_valid(g.n, frozenset(comp)))
+        if s not in seen:
+            comp = frozenset(_dfs(g, s, alive))
+            seen.update(comp)
+            # the ids come from the adjacency lists, so they are valid
+            out.append(VertexMask._of_valid(g.n, comp))
     return out
 
 

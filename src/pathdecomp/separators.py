@@ -40,6 +40,7 @@ from .graph import (
     _component_labels,
     _component_masks,
     _delete_in_place,
+    _dfs,
     _dijkstra,
     _distance_on,
     _double_sweep_on,
@@ -287,34 +288,23 @@ def tree_centroid_find(g: WeightedGraph, mask: VertexMask) -> PathSeparator:
     if n_alive == 0:
         raise ValueError("cannot separate an empty residual graph")
     alive = mask.alive
-    root = min(alive)
-    order = []
-    parent = {root: -1}
-    stack = [root]
-    while stack:
-        u = stack.pop()
-        order.append(u)
-        for v, _ in g.adj[u]:
-            if v in alive and v not in parent:
-                parent[v] = u
-                stack.append(v)
+    parent = _dfs(g, min(alive), alive)
     # a tree is connected (the walk reached every vertex) with n - 1 edges;
     # each adjacent pair, however many parallel edges join it, appears once
     # in each endpoint's row
     edge_count = sum(1 for u in alive for v, _ in g.adj[u] if v in alive) // 2
-    if len(order) != n_alive or edge_count != n_alive - 1:
+    if len(parent) != n_alive or edge_count != n_alive - 1:
         raise NotATreeError("residual graph is not a tree")
 
-    size = {u: 1 for u in order}
-    worst = {u: 0 for u in order}
-    for u in reversed(order):
-        p = parent[u]
+    # subtree sizes children first (each vertex is reached after its parent),
+    # and each vertex's largest flap: a child's subtree or what lies above it
+    size = dict.fromkeys(parent, 1)
+    worst = dict.fromkeys(parent, 0)
+    for u, p in reversed(parent.items()):
         if p != -1:
             size[p] += size[u]
             worst[p] = max(worst[p], size[u])
-    for u in order:
-        worst[u] = max(worst[u], n_alive - size[u])
-    centroid = min(sorted(worst), key=lambda u: worst[u])
+    centroid = min(parent, key=lambda u: (max(worst[u], n_alive - size[u]), u))
 
     flaps = tuple(components(g, mask.without((centroid,))))
     return PathSeparator(((Path((centroid,), 0.0),),), flaps)

@@ -292,15 +292,12 @@ def threatener_report(g: WeightedGraph, centers: CenterSequence,
     repeated = vertices[1:][vertices[1:] == vertices[:-1]]
     if len(repeated):
         raise ValueError(f"vertex {repeated[0]} is given twice")
-    index = centers.index
     sample = _sample_balls(g, vertices, gamma * params.delta)
-    row, members = sample.row, sample.members
     # every incidence of every ball member, tagged with the row of its ball
-    lo = index.starts[members]
-    sizes = index.starts[members + 1] - lo
-    pairs = np.unique(np.repeat(row, sizes) * index.n_records
-                      + index.record[concat_ranges(lo, sizes)])
-    counts = np.bincount(pairs // index.n_records, minlength=len(vertices))
+    held = centers.index.restrict(sample.members)
+    pairs = np.unique(np.repeat(sample.row, np.diff(held.starts)) * held.n_records
+                      + held.record)
+    counts = np.bincount(pairs // held.n_records, minlength=len(vertices))
     return ThreatenerReport(
         gamma, tuple(int(v) for v in vertices), tuple(int(c) for c in counts),
         threatener_bound(params.p_eff, params.n),

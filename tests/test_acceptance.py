@@ -8,6 +8,7 @@ exact criteria read precomputed per-instance results from it. The statistical
 criteria (padding floors, sampler fidelity) run their own heavier loops.
 """
 
+import itertools
 import math
 import re
 from dataclasses import dataclass
@@ -94,6 +95,32 @@ class InstanceResult:
     threat_ok: bool
     threat_worst: int
     threat_bound: int
+    net_fault: str | None
+
+
+def net_fault(g, seq, delta):
+    """The first way a sequence's nets miss the paper's requirement, or None.
+    Per separator path, along its prefix sums of edge weights, its records'
+    centers must come in path order, lie more than delta/4 apart, and have
+    every path vertex within delta/4 of one of them."""
+    r = delta / 4
+    centers = {}
+    for rec in seq.records:
+        centers.setdefault(rec.path_id, []).append(rec.center)
+    if sorted(centers) != list(range(len(seq.paths))):
+        return "a separator path has no center"
+    for pid, path in enumerate(seq.paths):
+        verts = path.vertices
+        cum = list(itertools.accumulate(
+            (g.edge_weight(a, b) for a, b in zip(verts, verts[1:])), initial=0.0))
+        at = [verts.index(c) for c in centers[pid]]
+        if any(b <= a for a, b in zip(at, at[1:])):
+            return f"path {pid}: centers {centers[pid]} out of path order"
+        if any(cum[b] - cum[a] <= r for a, b in zip(at, at[1:])):
+            return f"path {pid}: two consecutive centers within delta/4"
+        if any(min(abs(x - cum[a]) for a in at) > r for x in cum):
+            return f"path {pid}: a vertex farther than delta/4 from every center"
+    return None
 
 
 @pytest.fixture(scope="session")
@@ -125,14 +152,14 @@ def corpus():
         results.append(InstanceResult(
             label, g.n, delta, seq.p_eff, seq.max_depth,
             partition_ok, diameter_ok, separators_ok, depth_ok,
-            threat_ok, threat_worst, threat_bound,
+            threat_ok, threat_worst, threat_bound, net_fault(g, seq, delta),
         ))
     assert len(results) >= 500
     return results
 
 
 # ---------------------------------------------------------------------------
-# criteria 1..6: exact checks over the corpus
+# criteria 1..6 and 11: exact checks over the corpus
 # ---------------------------------------------------------------------------
 
 def test_criterion_1_partition_validity(corpus):
@@ -165,6 +192,12 @@ def test_criterion_6_separator_certificates(corpus):
     bad = [r.label for r in corpus if not r.separators_ok]
     report_line(6, "separator certificates validate", not bad,
                 f"every recursion node of {len(corpus)} instances; failures: {bad[:3]}")
+
+
+def test_criterion_11_nets_on_separator_paths(corpus):
+    bad = [(r.label, r.net_fault) for r in corpus if r.net_fault is not None]
+    report_line(11, "nets on every separator path: in order, > delta/4 apart, covering",
+                not bad, f"{len(corpus)} instances; failures: {bad[:3]}")
 
 
 # ---------------------------------------------------------------------------
@@ -204,21 +237,27 @@ def test_criterion_3_padding_floor():
 # ---------------------------------------------------------------------------
 
 def test_criterion_7_sampler_fidelity():
-    # representative carving parameters: delta=8, p_eff=2, n=256
-    params = DecompositionParams.for_graph(8.0, 0, 2, 256)
+    # representative carving parameters: delta=8, p_eff=2, n=256. The law is
+    # rebuilt from the documented formula, not read back from params:
+    # K = max(2, 9 * p_eff * ceil(log2 n)) = 144, lam = delta / (10 ln K) on
+    # [delta/4, 2*delta/5]
+    delta, K = 8.0, max(2, 9 * 2 * 8)
+    lam, lo, hi = delta / (10.0 * math.log(K)), delta / 4, 2 * delta / 5
+    params = DecompositionParams.for_graph(delta, 0, 2, 256)
+    assert (K, params.K, params.lam) == (144, K, lam)
     p = params.texp()
+    assert (p.lam, p.lo, p.hi) == (lam, lo, hi)
 
     xs = np.sort(texp_sample_many(p, RngStream(123), 1_000_000))
-    span = p.hi - p.lo
-    cdf = np.expm1(-(xs - p.lo) / p.lam) / math.expm1(-span / p.lam)
+    cdf = np.expm1(-(xs - lo) / lam) / math.expm1(-(hi - lo) / lam)
     n = len(xs)
     i = np.arange(1, n + 1)
     ks = max(np.max(np.abs(cdf - i / n)), np.max(np.abs(cdf - (i - 1) / n)))
 
     from scipy.integrate import quad
-    integral, _ = quad(lambda x: texp_pdf(p, x), p.lo, p.hi)
+    integral, _ = quad(lambda x: texp_pdf(p, x), lo, hi)
 
-    endpoints_exact = texp_icdf(p, 0.0) == p.lo and texp_icdf(p, 1.0) == p.hi
+    endpoints_exact = texp_icdf(p, 0.0) == lo and texp_icdf(p, 1.0) == hi
     ok = ks < 0.002 and abs(integral - 1.0) < 1e-9 and endpoints_exact
     report_line(7, "sampler fidelity", ok,
                 f"KS={ks:.5f} (<0.002), integral err={abs(integral - 1):.2e}, "

@@ -2,6 +2,7 @@ import itertools
 
 import numpy as np
 import pytest
+from scipy.sparse.csgraph import connected_components
 
 import pathdecomp as pd
 from pathdecomp import graph, separators
@@ -713,6 +714,36 @@ class TestCentroidFinder:
         g = unit_path(2)  # both vertices are centroids
         sep = tree_centroid_find(g, VertexMask.full(2))
         assert sep.separator_vertices == {0}
+
+    @staticmethod
+    def brute_centroid(g, mask):
+        """The smallest alive id whose removal leaves the least largest
+        component, each removal's components counted by scipy on its slice."""
+        def largest(v):
+            sub, _ = induced(g, mask.without([v]))
+            if sub.shape[0] == 0:
+                return 0
+            return int(np.bincount(connected_components(sub, directed=False)[1]).max())
+        return min(mask.alive, key=lambda v: (largest(v), v))
+
+    @pytest.mark.parametrize("mode", ["unit", "uniform"])
+    def test_matches_brute_force_on_trees_and_subtrees(self, mode):
+        checked = 0
+        for n in (2, 3, 4, 9, 30, 101):
+            for seed in range(4):
+                g = gen_ktree(n, 1, mode, seed=seed).graph
+                hops = WeightedGraph(n, [(u, v, 1.0) for u, v, _ in g.edges])
+                full = VertexMask.full(n)
+                # masked subtrees: the whole tree, and the ball of a few hops
+                # (connected, so a tree) around each of a few vertices
+                masks = [full] + [VertexMask(n, graph.ball(hops, full, c, r))
+                                  for c, r in ((0, 1), (n // 2, 2), (n - 1, 3))]
+                for mask in masks:
+                    sep = tree_centroid_find(g, mask)
+                    assert sep.separator_vertices == {self.brute_centroid(g, mask)}
+                    assert validate_separator(g, mask, sep) is None
+                    checked += 1
+        assert checked == 6 * 4 * 4
 
 
 class TestDumpFormat:
