@@ -14,11 +14,16 @@ the residuals that the round already holds: one graph.balls query for one
 node, one sweep per net-point rank for several. Other finders' records are
 indexed after the walk, batched by (depth, group) key (BallIndex.of_records).
 
-Phase two draws one truncated-exponential radius per center, in sequence
-order. The first claim wins: a vertex joins the first center in that order
-whose ball of the drawn radius reaches it. Over the index that is one numpy
-reduction per trial, with no loop over centers: a vertex's label is the
-smallest rank among its incidences that lie within their record's radius.
+Phase two carves, and one value holds a scheme's index, ranks and radius
+law: the Carving that `carving` builds. Its draw gives one trial's
+truncated-exponential radius and rank of every record. carve, decompose,
+baseline_decompose, verifier.estimate_padding and the harness all read it.
+For the paper scheme the index is the sequence's, the radii are drawn in
+sequence order and a record's rank is its position. The first claim wins: a
+vertex joins the center of smallest rank whose ball of the drawn radius
+reaches it. Over the index that is one numpy reduction per trial, with no
+loop over centers: a vertex's label is the smallest rank among its
+incidences that lie within their record's radius.
 A padding trial (verifier.estimate_padding) reads the labels of the ball
 members only, so it runs that reduction over BallIndex.restrict(members).
 That is exact when the smallest radius the law can draw is at least the
@@ -26,9 +31,10 @@ index's reach, the largest nearest-incidence distance of any vertex: every
 vertex is then claimed. Otherwise the call's trials label the whole graph,
 which raises the CoverageError of carving.
 
-A comparison baseline carves balls in the full graph around all vertices in
-random order; there a center's rank is its position in the seed's
-permutation.
+The comparison baseline (all centers, Bartal 1996) is a Carving with other
+inputs: the index of every vertex's ball in the full graph, and a seeded
+permutation, drawn before the radii, as the carving order; a vertex's rank
+is its position in that permutation.
 
 Arguments follow graph.py's rules: n, p_eff and seeds are graph._integer
 integers, and delta is a graph._real number that _require_valid_delta
@@ -42,7 +48,7 @@ import itertools
 import math
 from collections.abc import Callable
 from dataclasses import dataclass, field
-from functools import cached_property, partial
+from functools import cache, cached_property, partial
 
 import numpy as np
 
@@ -519,76 +525,100 @@ def _require_matching(g: WeightedGraph, seq: CenterSequence, params: Decompositi
                              f"the centers were chosen for")
 
 
-def _partition(labels: np.ndarray, radii: np.ndarray,
-               record_of: Callable[[int], CenterRecord]) -> Partition:
-    """Partition from first-claim labels: one cluster per label in use, in
-    rank order, with its vertices sorted. radii and record_of map a rank to
-    the radius and the record of the center that holds it."""
-    ranks, cluster_of = np.unique(labels, return_inverse=True)
-    by_cluster = np.argsort(cluster_of, kind="stable")
-    # cluster c's vertices are by_cluster[bounds[c]:bounds[c + 1]]
-    bounds = [0, *np.cumsum(np.bincount(cluster_of)).tolist()]
-    clusters = [
-        Cluster(by_cluster[lo:hi], record_of(r), float(radii[r]))
-        for r, lo, hi in zip(ranks.tolist(), bounds, bounds[1:])
-    ]
-    return Partition(cluster_of, clusters)
+@dataclass(frozen=True, eq=False)
+class Carving:
+    """One scheme's carving at one (delta, seed): its params, the BallIndex of
+    its records' maximal balls, its draw, and each record's CenterRecord.
+
+    draw(rng) gives one trial's radius and rank of every record, both indexed
+    by record number; the radius law is params.texp(). record_of maps a record
+    number to its CenterRecord. centers is the paper scheme's sequence, None
+    for the baseline. Built by carving (or, for a given sequence, carve).
+    """
+
+    params: DecompositionParams
+    index: BallIndex
+    draw: Callable[[RngStream], tuple[np.ndarray, np.ndarray]]
+    record_of: Callable[[int], CenterRecord]
+    centers: CenterSequence | None = None
+
+    def partition(self) -> Partition:
+        """The partition drawn at params.seed: one cluster per rank in use, in
+        rank order, with its vertices sorted, its record and its radius."""
+        radius, rank = self.draw(RngStream(self.params.seed))
+        labels = self.index.labels(radius, rank)
+        holder = np.empty_like(rank)  # the record that holds each rank
+        holder[rank] = np.arange(len(rank))
+        ranks, cluster_of = np.unique(labels, return_inverse=True)
+        by_cluster = np.argsort(cluster_of, kind="stable")
+        # cluster c's vertices are by_cluster[bounds[c]:bounds[c + 1]]
+        bounds = [0, *np.cumsum(np.bincount(cluster_of)).tolist()]
+        clusters = [
+            Cluster(by_cluster[lo:hi], self.record_of(i), float(radius[i]))
+            for i, lo, hi in zip(holder[ranks].tolist(), bounds, bounds[1:])
+        ]
+        return Partition(cluster_of, clusters)
 
 
-def _paper_draw(centers: CenterSequence, texp: TexpParams, rng: RngStream) -> np.ndarray:
-    """The radius of each record in one paper-scheme trial, drawn from rng in
-    sequence order. A record's rank is its position, in every trial."""
-    return texp_sample_many(texp, rng, len(centers.records))
+def carving(g: WeightedGraph, delta: float, scheme: str, seed: int,
+            finder=greedy_find) -> Carving:
+    """The Carving of `scheme` on g at (delta, seed): "paper" carves
+    choose_centers(g, delta, finder), "baseline" every vertex of g; any other
+    scheme raises ValueError before delta is read. The baseline never calls
+    the finder."""
+    if scheme == "paper":
+        seq = choose_centers(g, delta, finder)
+        return _sequence_carving(seq, DecompositionParams.for_graph(delta, seed, seq.p_eff, g.n))
+    if scheme == "baseline":
+        return _all_vertices_carving(g, DecompositionParams.for_baseline(delta, seed, g.n))
+    raise ValueError(f"unknown scheme {scheme!r}")
+
+
+def _sequence_carving(seq: CenterSequence, params: DecompositionParams) -> Carving:
+    """The paper scheme over seq: its index, one radius per record drawn in
+    sequence order, and a record's rank is its position, in every trial."""
+    texp, rank = params.texp(), np.arange(len(seq.records))
+    return Carving(params, seq.index, lambda rng: (texp_sample_many(texp, rng, len(rank)), rank),
+                   seq.records.__getitem__, seq)
+
+
+def _all_vertices_carving(g: WeightedGraph, params: DecompositionParams) -> Carving:
+    """The baseline: record v is vertex v's ball in the full graph (the
+    all-vertices index the graph keeps for the latest delta). rng gives a
+    permutation first, the carving order, then one radius per position; a
+    vertex's rank is its position in the permutation."""
+    n, texp = g.n, params.texp()
+    full = cache(partial(VertexMask.full, n))  # built for the first record asked for
+    index = _graph_cached(g, "baseline_index", params.delta, None,
+                          lambda: BallIndex.of_all_vertices(g, params.delta))
+
+    def draw(rng: RngStream) -> tuple:
+        order = rng.permutation(n)
+        radii = texp_sample_many(texp, rng, n)
+        rank = np.empty(n, dtype=np.int64)
+        rank[order] = np.arange(n)
+        return radii[rank], rank
+
+    return Carving(params, index, draw, lambda v: CenterRecord(v, full(), v, 0, -1))
 
 
 def carve(g: WeightedGraph, centers: CenterSequence, params: DecompositionParams) -> Partition:
     """Random-radius ball carving over the centers chosen for g and params' delta, p_eff and n."""
     _require_matching(g, centers, params)
-    radii = _paper_draw(centers, params.texp(), RngStream(params.seed))
-    labels = centers.index.labels(radii, np.arange(len(radii)))
-    return _partition(labels, radii, centers.records.__getitem__)
+    return _sequence_carving(centers, params).partition()
 
 
 def decompose(g: WeightedGraph, delta: float, seed: int, finder=greedy_find) -> Partition:
     """Full pipeline: choose centers, measure p_eff, carve. Deterministic in
     (graph, delta, seed). Calls for several seeds at one delta build the
     centers once: choose_centers reuses the sequence the graph keeps."""
-    seq = choose_centers(g, delta, finder)
-    params = DecompositionParams.for_graph(delta, seed, seq.p_eff, g.n)
-    return carve(g, seq, params)
-
-
-def _baseline_index(g: WeightedGraph, delta: float) -> BallIndex:
-    """All-vertices index at scale delta. The graph keeps the latest one
-    only, so at most one baseline index per graph stays in memory."""
-    return _graph_cached(g, "baseline_index", delta, None,
-                         lambda: BallIndex.of_all_vertices(g, delta))
-
-
-def _baseline_draw(n: int, texp: TexpParams, rng: RngStream) -> tuple:
-    """The carving order of one baseline trial, and the radius and the rank of
-    each record (vertex): rng gives the permutation first, then one radius
-    per position. A vertex's rank is its position in the permutation."""
-    order = rng.permutation(n)
-    radii = texp_sample_many(texp, rng, n)
-    rank = np.empty(n, dtype=np.int64)
-    rank[order] = np.arange(n)
-    return order, radii[rank], rank
+    return carving(g, delta, "paper", seed, finder).partition()
 
 
 def baseline_decompose(g: WeightedGraph, delta: float, seed: int) -> Partition:
     """Ball carving in the full graph with all vertices as centers, in an order
     shuffled by the seed; the classical all-centers comparison scheme."""
-    params = DecompositionParams.for_baseline(delta, seed, g.n)
-    order, radius, rank = _baseline_draw(g.n, params.texp(), RngStream(params.seed))
-    labels = _baseline_index(g, delta).labels(radius, rank)
-    full = VertexMask.full(g.n)
-
-    def record_of(rank: int) -> CenterRecord:
-        v = int(order[rank])
-        return CenterRecord(v, full, v, 0, -1)
-
-    return _partition(labels, radius[order], record_of)
+    return carving(g, delta, "baseline", seed).partition()
 
 
 def format_partition(part: Partition, header: dict) -> str:

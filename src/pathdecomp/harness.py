@@ -15,14 +15,7 @@ from datetime import datetime, timezone
 
 import numpy as np
 
-from .decomposer import (
-    DecompositionParams,
-    _require_valid_delta,
-    baseline_decompose,
-    carve,
-    choose_centers,
-    dump_partition,
-)
+from .decomposer import _require_valid_delta, carving, dump_partition
 from .generators import WEIGHT_MODES, gen_grid, gen_ktree
 from .graph import WeightedGraph, _integer, load_graph, weighted_diameter
 from .separators import greedy_find, tree_centroid_find
@@ -134,15 +127,14 @@ def _run_scheme(g: WeightedGraph, delta: float, scheme: str, cfg: ExperimentConf
     result: dict = {"delta": delta, "scheme": scheme}
     checks: dict = {}
 
-    if scheme == "paper":
-        finder = FINDERS[cfg.finder]
-        seq = choose_centers(g, delta, finder)
-        params = DecompositionParams.for_graph(delta, cfg.seed, seq.p_eff, g.n)
-        part = carve(g, seq, params)
+    scheme_carving = carving(g, delta, scheme, cfg.seed, FINDERS[cfg.finder])
+    params, seq = scheme_carving.params, scheme_carving.centers
+    part = scheme_carving.partition()
+    result["lambda"] = params.lam
+    if seq is not None:  # the paper scheme: its sequence and its separators
         result.update({
             "p_eff": seq.p_eff,
             "K": params.K,
-            "lambda": params.lam,
             "beta": params.beta(),
             "centers": len(seq.records),
             "max_depth": seq.max_depth,
@@ -158,10 +150,6 @@ def _run_scheme(g: WeightedGraph, delta: float, scheme: str, cfg: ExperimentConf
         )
         result["threatener_bound"] = threat.bound
         result["threatener_worst"] = threat.worst()
-    else:
-        params = DecompositionParams.for_baseline(delta, cfg.seed, g.n)
-        part = baseline_decompose(g, delta, cfg.seed)
-        result["lambda"] = params.lam
 
     checks["partition"] = _check_str(verifier.check_partition(g, part))
     checks["diameter"] = _check_str(verifier.check_cluster_diameters(g, part, delta))

@@ -28,16 +28,12 @@ from scipy.special import ndtri
 
 from .decomposer import (
     CenterSequence,
-    DecompositionParams,
     Partition,
-    _baseline_draw,
-    _baseline_index,
     _graph_cached,
-    _paper_draw,
     _require_matching,
     _require_valid_delta,
+    carving,
     ceil_log2,
-    choose_centers,
     max_radius,
 )
 from .graph import (
@@ -267,8 +263,7 @@ def _require_gamma_in_range(gamma: float) -> float:
     return gamma
 
 
-def threatener_report(g: WeightedGraph, centers: CenterSequence,
-                      params: DecompositionParams, gamma: float,
+def threatener_report(g: WeightedGraph, centers: CenterSequence, params, gamma: float,
                       vertices=None) -> ThreatenerReport:
     """Per vertex x (default: all), count the centers t with B_{G_t}(t, 2*delta/5)
     intersecting B_G(x, gamma*delta): the distinct records among the
@@ -474,50 +469,33 @@ def estimate_padding(g: WeightedGraph, delta: float, finder=greedy_find,
     (vertex x gamma) count matrices: one plain-Python column per field,
     zipped into tuples.
 
-    A trial labels the vertices with the radii and ranks carve or
-    baseline_decompose would draw at its seed. When the radius law's lower
-    end texp.lo is at least the index's reach, every vertex is claimed in
-    every trial, so the trials label only the ball members, through the
-    index restricted to them (BallIndex.restrict); otherwise every trial
-    labels the whole graph, and raises the CoverageError that carving at
-    its seed raises.
+    The trials read the scheme's one Carving (decomposer.carving), the value
+    that holds its index, ranks and radius law and that carve and
+    baseline_decompose read too: a trial labels the vertices with the radii
+    and ranks its draw gives at the trial's seed, which is the partition
+    carving at that seed gives. When the radius law's lower end texp.lo is
+    at least the index's reach, every vertex is claimed in every trial, so
+    the trials label only the ball members, through the index restricted to
+    them (BallIndex.restrict); otherwise every trial labels the whole graph,
+    and raises the CoverageError that carving at its seed raises.
 
     The paper scheme carves choose_centers(g, delta, finder), the sequence
     the graph keeps for an equal delta and the same finder; the baseline,
-    the all-vertices index the graph keeps for this delta.
+    the all-vertices index the graph keeps for this delta, and never calls
+    the finder.
     """
     gammas = tuple(map(_require_gamma_in_range, gammas))
     if not gammas:
         raise ValueError("need at least one gamma")
     trials = _integer("trials", trials, least=1)
     seed = _integer("seed", seed)
-    if scheme not in ("paper", "baseline"):
-        raise ValueError(f"unknown scheme {scheme!r}")
 
+    # carving refuses an unknown scheme, then checks delta
+    scheme_carving = carving(g, delta, scheme, seed, finder)
+    params = scheme_carving.params
     # one stream for the call, re-keyed to each trial's seed: it yields what
     # RngStream(derive_seed(seed, t)) would
     rng = RngStream(seed)
-    if scheme == "paper":
-        seq = choose_centers(g, delta, finder)
-        params = DecompositionParams.for_graph(delta, seed, seq.p_eff, g.n)
-        texp = params.texp()  # the radius law depends on delta and K, not the seed
-        p_eff = seq.p_eff
-        index = seq.index
-        rank = np.arange(len(seq.records))  # the same in every trial
-
-        def draw():
-            return _paper_draw(seq, texp, rng), rank
-    else:
-        params = DecompositionParams.for_baseline(delta, seed, g.n)
-        texp = params.texp()
-        p_eff = None
-        index = _baseline_index(g, delta)
-
-        def draw():
-            _, radius, rank = _baseline_draw(g.n, texp, rng)
-            return radius, rank
-    beta = params.beta()
-    # delta is checked by now, by choose_centers or the params
     vertices = _sample(g, seed)
     radii = np.asarray(gammas) * delta
     sample = _sample_balls(g, vertices, radii.max())
@@ -527,15 +505,18 @@ def estimate_padding(g: WeightedGraph, delta: float, finder=greedy_find,
     # (`held`) only; otherwise they label the whole graph, which raises the
     # CoverageError of carving
     _, _, dist, starts, held, local, anchors = sample
-    index, pick = (index.restrict(held), slice(None)) if texp.lo >= index.reach else (index, held)
+    index, pick = scheme_carving.index, held
+    if params.texp().lo >= index.reach:
+        index, pick = index.restrict(held), slice(None)
     # first-claim labels are cluster ranks: equal labels, same cluster
     successes = np.zeros((len(vertices), len(radii)), dtype=np.int64)
     for t in range(trials):
         rng.rekey(derive_seed(seed, t))
-        labels = index.labels(*draw())[pick]
+        labels = index.labels(*scheme_carving.draw(rng))[pick]
         split = np.where(labels[local] != labels[anchors], dist, np.inf)
         successes += np.minimum.reduceat(split, starts)[:, None] > radii
 
+    beta = params.beta()
     floors = tuple(2.0 ** (-beta * gamma) for gamma in gammas)
     wilson = wilson_lower_bound(successes, trials)
     passed = np.where(np.asarray(gammas) == 0.0, successes == trials, wilson >= floors)
@@ -550,6 +531,7 @@ def estimate_padding(g: WeightedGraph, delta: float, finder=greedy_find,
     records_out = tuple(map(tuple.__new__, repeat(PaddingRecord), zip(*columns)))
 
     return PaddingReport(
-        scheme, delta, gammas, trials, seed, g.n, p_eff, beta,
+        scheme, delta, gammas, trials, seed, g.n,
+        None if scheme_carving.centers is None else params.p_eff, beta,
         tuple(vertices.tolist()), records_out,
     )

@@ -30,7 +30,7 @@ from pathdecomp import (
     derive_seed,
     texp_sample_many,
 )
-from pathdecomp.decomposer import _baseline_index
+from pathdecomp.decomposer import carving
 from pathdecomp.graph import induced
 
 from test_acceptance import DELTA_FRACTIONS, corpus_specs
@@ -142,17 +142,24 @@ def both_finders(corpus):
     return corpus + trees
 
 
+def assert_partitions_match_reference(ref, scheme, seeds, label):
+    """carve (paper) or baseline_decompose against the reference carving."""
+    params = DecompositionParams.for_graph(ref.delta, 0, ref.seq.p_eff, ref.g.n)
+    for seed in seeds:
+        if scheme == "paper":
+            got, expect = pd.carve(ref.g, ref.seq, replace(params, seed=seed)), ref.paper(seed)
+        else:
+            got, expect = pd.baseline_decompose(ref.g, ref.delta, seed), ref.baseline(seed)
+        assert_same_partition(got, expect, f"{label} {scheme} seed {seed}")
+
+
 def test_carve_and_baseline_match_reference_on_corpus(corpus):
     labels = []
     for label, g, delta, seq in corpus:
         labels.append(label)
         ref = Reference(g, delta, seq)
-        params = DecompositionParams.for_graph(delta, 0, seq.p_eff, g.n)
-        for seed in SEEDS:
-            assert_same_partition(pd.carve(g, seq, replace(params, seed=seed)),
-                                  ref.paper(seed), f"{label} paper seed {seed}")
-            assert_same_partition(pd.baseline_decompose(g, delta, seed),
-                                  ref.baseline(seed), f"{label} baseline seed {seed}")
+        for scheme in ("paper", "baseline"):
+            assert_partitions_match_reference(ref, scheme, SEEDS, label)
     assert len(labels) >= 60
     for family in ("grid", "tree", "ktree"):
         assert any(label.startswith(family) for label in labels), family
@@ -290,6 +297,16 @@ def reference_successes(ref, scheme, trials, seed, vertices):
     return successes
 
 
+def assert_padding_matches_reference(ref, scheme, trials, seed, label):
+    """estimate_padding's successes against the reference carvings; returns
+    the number of records with a failed trial."""
+    rep = pd.estimate_padding(ref.g, ref.delta, gammas=GAMMAS, trials=trials, seed=seed,
+                              scheme=scheme)
+    expect = reference_successes(ref, scheme, trials, seed, np.array(rep.vertices))
+    assert [r.successes for r in rep.records] == expect.tolist(), (label, scheme)
+    return int((expect < trials).sum())
+
+
 @pytest.mark.parametrize("name,make", [
     ("grid16x16", lambda: pd.gen_grid(16, 16)),
     ("grid16x16 spread", lambda: spread_weights(pd.gen_grid(16, 16), 1)),
@@ -303,14 +320,8 @@ def test_padding_successes_match_reference(name, make):
     g = make()
     delta = pd.weighted_diameter(g) / 4
     ref = Reference(g, delta, pd.choose_centers(g, delta))
-    trials, seed = 60, 97
-    nontrivial = 0
-    for scheme in ("paper", "baseline"):
-        rep = pd.estimate_padding(g, delta, gammas=GAMMAS, trials=trials, seed=seed,
-                                  scheme=scheme)
-        expect = reference_successes(ref, scheme, trials, seed, np.array(rep.vertices))
-        assert [r.successes for r in rep.records] == expect.tolist(), (name, scheme)
-        nontrivial += int((expect < trials).sum())
+    nontrivial = sum(assert_padding_matches_reference(ref, scheme, 60, 97, name)
+                     for scheme in ("paper", "baseline"))
     if "spread" in name or "closed" in name:
         assert nontrivial > 0, name  # some ball was split, so the check has teeth
 
@@ -391,7 +402,8 @@ def test_restricted_labels_match_full_labels(name, make):
     delta = pd.weighted_diameter(g) / 4
     rng = np.random.default_rng(5)
     below = 0
-    for index in (pd.choose_centers(g, delta).index, _baseline_index(g, delta)):
+    for scheme in ("paper", "baseline"):
+        index = carving(g, delta, scheme, 0).index
         vertices = np.sort(rng.choice(g.n, size=g.n // 3, replace=False))
         held_index = index.restrict(vertices)
         for trial in range(40):

@@ -29,7 +29,7 @@ from pathdecomp import (
     tree_centroid_find,
     weighted_diameter,
 )
-from pathdecomp.decomposer import _baseline_index, _graph_digest
+from pathdecomp.decomposer import _graph_digest, carving
 from pathdecomp.graph import _DeferredMask
 
 from test_golden import GRAPHS, WEIGHTS
@@ -290,10 +290,10 @@ class TestCenterCache:
 
     def test_baseline_index_kept_per_delta(self):
         g = gen_grid(6, 6)
-        index = _baseline_index(g, 3.0)
-        assert _baseline_index(g, 3.0) is index
-        assert _baseline_index(g, 4.0) is not index
-        assert _baseline_index(g, 4.0).delta == 4.0
+        index = carving(g, 3.0, "baseline", 0).index
+        assert carving(g, 3.0, "baseline", 1).index is index
+        assert carving(g, 4.0, "baseline", 0).index is not index
+        assert carving(g, 4.0, "baseline", 0).index.delta == 4.0
 
 
 class TestDecompositionParams:
